@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "analyze/absint.hpp"
+#include "analyze/analyze.hpp"
 
 #include "exec/executor.hpp"
 #include "exec/stream.hpp"
@@ -394,7 +395,9 @@ std::vector<std::map<std::string, pits::Value>> stream_bench_batches(int n) {
 
 // The per-batch baseline for streaming: each batch pays the full
 // scheduled-run setup (executor construction, plan, compile) before
-// executing — what a loop of one-shot `banger run` calls costs.
+// executing — what a loop of one-shot `banger run` calls costs. Both
+// this and BM_ExecStream run on worker threads, so they report wall
+// time: the benchmark thread's CPU time leaves most of the work out.
 void BM_ExecPerBatchRun(benchmark::State& state) {
   const auto flat = workloads::lu3x3_design().flatten();
   const auto m = stream_bench_machine(3);
@@ -409,7 +412,7 @@ void BM_ExecPerBatchRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ExecPerBatchRun)->Arg(64);
+BENCHMARK(BM_ExecPerBatchRun)->Arg(64)->UseRealTime();
 
 // Streaming execution over the same schedule: the plan is compiled
 // once, workers stay up, and batches flow through bounded queues.
@@ -429,7 +432,40 @@ void BM_ExecStream(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ExecStream)->Arg(64)->Arg(1024);
+BENCHMARK(BM_ExecStream)->Arg(64)->Arg(1024)->UseRealTime();
+
+// FRONT END — the per-routine work of `banger check` and of a cold
+// `banger trial` on the 32x32 heat rod (1057 routines), which fans out
+// over util::default_jobs() workers (BANGER_JOBS sets the width). Wall
+// time, since the benchmark thread only waits.
+
+void BM_AnalyzeDesign(benchmark::State& state) {
+  const graph::Design design = workloads::heat_design(32, 32, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analyze::analyze_design(design));
+  }
+}
+BENCHMARK(BM_AnalyzeDesign)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// A cold trial: each iteration builds the design with a new diffusion
+// coefficient, so every routine misses the process-wide program cache
+// and the run pays parse, facts and compile for all of them.
+void BM_CompileDesignCold(benchmark::State& state) {
+  pits::Vector rod(128, 0.0);
+  for (std::size_t i = 0; i < rod.size(); i += 16) rod[i] = 100.0;
+  const std::map<std::string, pits::Value> inputs = {
+      {"rod", pits::Value(std::move(rod))}};
+  graph::FlattenResult flat;
+  double alpha = 0.2;
+  for (auto _ : state) {
+    state.PauseTiming();
+    alpha += 1e-9;
+    flat = workloads::heat_design(32, 32, 4, alpha).flatten();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(exec::run_sequential(flat, inputs));
+  }
+}
+BENCHMARK(BM_CompileDesignCold)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ExecRunWalk(benchmark::State& state) {
   const auto flat = workloads::lu3x3_design().flatten();

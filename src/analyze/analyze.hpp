@@ -24,12 +24,14 @@
 //               flattened dataflow dependences.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analyze/diagnostic.hpp"
 #include "graph/design.hpp"
 #include "pits/ast.hpp"
+#include "pits/interp.hpp"
 
 namespace banger::analyze {
 
@@ -55,6 +57,12 @@ struct AnalyzeOptions {
 /// Runs the enabled rule layers over a design. The design must flatten
 /// (Error{Graph} propagates otherwise). Returns diagnostics sorted and
 /// deduplicated by sort_and_dedupe().
+///
+/// The per-routine layers (interface BAN001-BAN007, pits, absint) run as
+/// one pass over the tasks on util::default_jobs() workers, so
+/// BANGER_JOBS sets the width. Each routine is parsed once; each task's
+/// findings go to its own buffer, and the buffers merge in task order,
+/// so the output is byte-identical for any number of workers.
 std::vector<Diagnostic> analyze_design(const graph::Design& design,
                                        const AnalyzeOptions& options = {});
 
@@ -78,11 +86,18 @@ struct RoutineContext {
 void analyze_routine(const pits::Block& body, const RoutineContext& context,
                      std::vector<Diagnostic>& sink);
 
-/// Interface + determinacy layers; exposed for the lint wrapper.
-/// Appends to `sink`; `flat` must be `design.flatten()`.
-void run_interface_rules(const graph::FlattenResult& flat,
-                         const AnalyzeOptions& options,
-                         std::vector<Diagnostic>& sink);
+/// Per-task interface rules (BAN001-BAN007), appended to `sink`.
+/// Returns the routine parsed along the way so the PITS layers can reuse
+/// it; nullopt when the body is empty or does not parse (BAN003).
+std::optional<pits::Program> check_task_interface(
+    const graph::Task& task, const AnalyzeOptions& options,
+    std::vector<Diagnostic>& sink);
+
+/// Graph-level interface rules over stores and reachability of outputs
+/// (BAN008-BAN010), and the determinacy layer (BAN201-BAN203). Append to
+/// `sink`; `flat` must be `design.flatten()`.
+void run_store_rules(const graph::FlattenResult& flat,
+                     std::vector<Diagnostic>& sink);
 void run_determinacy_rules(const graph::FlattenResult& flat,
                            std::vector<Diagnostic>& sink);
 

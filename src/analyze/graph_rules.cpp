@@ -4,7 +4,10 @@
 // The interface layer is the original `lint_design` rule set rewired
 // into the diagnostic engine; the message text is kept verbatim so the
 // legacy lint output (and its golden tests) are a pure projection of
-// these diagnostics.
+// these diagnostics. Its per-task half (BAN001-BAN007) runs inside
+// analyze_design's parallel pass over the tasks and hands the routine
+// it parsed on to the PITS layers; the store and shape half
+// (BAN008-BAN010) runs once over the whole graph.
 //
 // The determinacy layer asks the question the paper's environment must
 // answer before promising users a deterministic trial run: can two tasks
@@ -14,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "analyze/analyze.hpp"
@@ -46,92 +50,6 @@ Diagnostic make(std::string code, std::string subject_kind,
 // ---------------------------------------------------------------------
 // Interface layer (BAN001-BAN010) — legacy lint rules, verbatim text.
 // ---------------------------------------------------------------------
-
-void check_task_interfaces(const FlattenResult& flat,
-                           const AnalyzeOptions& options,
-                           std::vector<Diagnostic>& sink) {
-  for (TaskId t = 0; t < flat.graph.num_tasks(); ++t) {
-    const graph::Task& task = flat.graph.task(t);
-    const bool empty_body = util::trim(task.pits).empty();
-
-    if (empty_body) {
-      if (!task.outputs.empty()) {
-        sink.push_back(make("BAN001", "task", task.name,
-                            "declares outputs but has no PITS routine",
-                            task.pos,
-                            "add a `pits { ... }` block that assigns " +
-                                util::join(task.outputs, ", ")));
-      } else if (options.require_pits) {
-        sink.push_back(make("BAN002", "task", task.name,
-                            "has no PITS routine (skeleton node)", task.pos));
-      }
-      continue;
-    }
-
-    pits::Program program;
-    try {
-      program = pits::Program::parse(task.pits);
-    } catch (const Error& e) {
-      SourcePos pos = task.pos;
-      if (task.pits_line > 0 && e.pos().valid()) {
-        pos = {task.pits_line + e.pos().line - 1,
-               e.pos().column + task.pits_indent};
-      }
-      sink.push_back(make("BAN003", "task", task.name,
-                          std::string("PITS does not parse: ") + e.what(),
-                          pos));
-      continue;
-    }
-
-    // Reads the routine performs but the node does not declare.
-    const auto reads = program.inputs();
-    for (const std::string& var : reads) {
-      if (std::find(task.inputs.begin(), task.inputs.end(), var) ==
-          task.inputs.end()) {
-        sink.push_back(make(
-            "BAN004", "task", task.name,
-            "routine reads `" + var + "` which is not a declared input",
-            task.pos, "add `" + var + "` to the task's in= list"));
-      }
-    }
-    // Declared inputs the routine never touches.
-    for (const std::string& var : task.inputs) {
-      if (std::find(reads.begin(), reads.end(), var) == reads.end()) {
-        sink.push_back(make("BAN005", "task", task.name,
-                            "declared input `" + var + "` is never read",
-                            task.pos));
-      }
-    }
-    // Declared outputs the routine never assigns.
-    const auto writes = program.outputs();
-    for (const std::string& var : task.outputs) {
-      if (std::find(writes.begin(), writes.end(), var) == writes.end()) {
-        sink.push_back(make(
-            "BAN006", "task", task.name,
-            "declared output `" + var + "` is never assigned", task.pos,
-            "assign `" + var + "` in the routine or drop it from out="));
-      }
-    }
-
-    if (options.work_estimate_factor > 0) {
-      // Crude but useful: statement count as a work proxy.
-      const auto statements = static_cast<double>(
-          std::count(task.pits.begin(), task.pits.end(), '\n'));
-      if (statements > 0 && task.work > 0) {
-        const double ratio = task.work / statements;
-        if (ratio > options.work_estimate_factor ||
-            ratio < 1.0 / options.work_estimate_factor) {
-          sink.push_back(
-              make("BAN007", "task", task.name,
-                   "work estimate " + util::format_double(task.work) +
-                       " looks far from routine size (" +
-                       util::format_double(statements) + " lines)",
-                   task.pos));
-        }
-      }
-    }
-  }
-}
 
 void check_stores(const FlattenResult& flat, std::vector<Diagnostic>& sink) {
   for (const FlatStore& store : flat.stores) {
@@ -267,10 +185,90 @@ std::vector<std::pair<TaskId, TaskId>> unordered_pairs(
 
 }  // namespace
 
-void run_interface_rules(const FlattenResult& flat,
-                         const AnalyzeOptions& options,
-                         std::vector<Diagnostic>& sink) {
-  check_task_interfaces(flat, options, sink);
+std::optional<pits::Program> check_task_interface(
+    const graph::Task& task, const AnalyzeOptions& options,
+    std::vector<Diagnostic>& sink) {
+  if (util::trim(task.pits).empty()) {
+    if (!task.outputs.empty()) {
+      sink.push_back(make("BAN001", "task", task.name,
+                          "declares outputs but has no PITS routine",
+                          task.pos,
+                          "add a `pits { ... }` block that assigns " +
+                              util::join(task.outputs, ", ")));
+    } else if (options.require_pits) {
+      sink.push_back(make("BAN002", "task", task.name,
+                          "has no PITS routine (skeleton node)", task.pos));
+    }
+    return std::nullopt;
+  }
+
+  std::optional<pits::Program> program;
+  try {
+    program = pits::Program::parse(task.pits);
+  } catch (const Error& e) {
+    SourcePos pos = task.pos;
+    if (task.pits_line > 0 && e.pos().valid()) {
+      pos = {task.pits_line + e.pos().line - 1,
+             e.pos().column + task.pits_indent};
+    }
+    sink.push_back(make("BAN003", "task", task.name,
+                        std::string("PITS does not parse: ") + e.what(),
+                        pos));
+    return std::nullopt;
+  }
+
+  // Reads the routine performs but the node does not declare.
+  const auto reads = program->inputs();
+  for (const std::string& var : reads) {
+    if (std::find(task.inputs.begin(), task.inputs.end(), var) ==
+        task.inputs.end()) {
+      sink.push_back(make(
+          "BAN004", "task", task.name,
+          "routine reads `" + var + "` which is not a declared input",
+          task.pos, "add `" + var + "` to the task's in= list"));
+    }
+  }
+  // Declared inputs the routine never touches.
+  for (const std::string& var : task.inputs) {
+    if (std::find(reads.begin(), reads.end(), var) == reads.end()) {
+      sink.push_back(make("BAN005", "task", task.name,
+                          "declared input `" + var + "` is never read",
+                          task.pos));
+    }
+  }
+  // Declared outputs the routine never assigns.
+  const auto writes = program->outputs();
+  for (const std::string& var : task.outputs) {
+    if (std::find(writes.begin(), writes.end(), var) == writes.end()) {
+      sink.push_back(make(
+          "BAN006", "task", task.name,
+          "declared output `" + var + "` is never assigned", task.pos,
+          "assign `" + var + "` in the routine or drop it from out="));
+    }
+  }
+
+  if (options.work_estimate_factor > 0) {
+    // Crude but useful: statement count as a work proxy.
+    const auto statements = static_cast<double>(
+        std::count(task.pits.begin(), task.pits.end(), '\n'));
+    if (statements > 0 && task.work > 0) {
+      const double ratio = task.work / statements;
+      if (ratio > options.work_estimate_factor ||
+          ratio < 1.0 / options.work_estimate_factor) {
+        sink.push_back(
+            make("BAN007", "task", task.name,
+                 "work estimate " + util::format_double(task.work) +
+                     " looks far from routine size (" +
+                     util::format_double(statements) + " lines)",
+                 task.pos));
+      }
+    }
+  }
+  return program;
+}
+
+void run_store_rules(const FlattenResult& flat,
+                     std::vector<Diagnostic>& sink) {
   check_stores(flat, sink);
   check_graph_shape(flat, sink);
 }

@@ -1,9 +1,12 @@
 #include "exec/plan.hpp"
 
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "analyze/absint.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace banger::exec {
 
@@ -32,8 +35,23 @@ std::optional<std::uint32_t> output_index(const graph::Task& task,
 
 // ---- compiled-routine cache -----------------------------------------
 
-void ProgramCache::insert_hot_locked(std::uint64_t key,
-                                     const CachedProgram& entry) {
+namespace {
+
+CachedProgram compile_program(const std::string& source) {
+  CachedProgram entry;
+  entry.source = source;
+  entry.program = pits::Program::parse(source);
+  // The abstract interpreter supplies proofs that let the compiler
+  // elide bounds/binding checks and batch statement ticks.
+  analyze::precompile_optimized(entry.program);
+  entry.chunk = entry.program.compiled_chunk();
+  return entry;
+}
+
+}  // namespace
+
+const CachedProgram& ProgramCache::insert_hot_locked(std::uint64_t key,
+                                                     CachedProgram entry) {
   if (hot_size_ >= cap_) {
     // Generation flip: the cold shard holds entries untouched for a
     // whole generation — drop it and demote hot. Anything still in use
@@ -45,59 +63,104 @@ void ProgramCache::insert_hot_locked(std::uint64_t key,
     hot_.clear();
     hot_size_ = 0;
   }
-  hot_[key].push_back(entry);
   ++hot_size_;
+  return hot_[key].emplace_back(std::move(entry));
+}
+
+const CachedProgram* ProgramCache::find_locked(std::uint64_t key,
+                                               const std::string& source) {
+  if (auto it = hot_.find(key); it != hot_.end()) {
+    for (const CachedProgram& entry : it->second) {
+      if (entry.source == source) return &entry;
+    }
+  }
+  if (auto it = cold_.find(key); it != cold_.end()) {
+    std::vector<CachedProgram>& chain = it->second;
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      if (chain[i].source == source) {
+        CachedProgram entry = std::move(chain[i]);
+        chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(i));
+        if (chain.empty()) cold_.erase(it);
+        --cold_size_;
+        return &insert_hot_locked(key, std::move(entry));
+      }
+    }
+  }
+  return nullptr;
 }
 
 CachedProgram ProgramCache::get(const std::string& source) {
-  const std::uint64_t key = util::fnv1a64(source);
+  Lookup found = std::move(get_all({&source}).front());
+  if (found.error) std::rethrow_exception(found.error);
+  return {source, std::move(found.program), std::move(found.chunk)};
+}
+
+std::vector<ProgramCache::Lookup> ProgramCache::get_all(
+    const std::vector<const std::string*>& sources) {
+  struct Miss {
+    const std::string* source;
+    std::uint64_t key;
+  };
+  std::vector<Lookup> out;
+  out.reserve(sources.size());
+  // The distinct misses in first-seen order, and for each position that
+  // missed, the miss it waits for.
+  std::vector<Miss> misses;
+  std::vector<std::pair<std::size_t, std::size_t>> waiting;
+  {
+    std::unordered_map<std::string_view, std::size_t> miss_index;
+    std::lock_guard lock(mutex_);
+    for (const std::string* source : sources) {
+      const std::uint64_t key = util::fnv1a64(*source);
+      if (const CachedProgram* hit = find_locked(key, *source)) {
+        ++stats_.hits;
+        out.push_back({hit->program, hit->chunk, nullptr});
+        continue;
+      }
+      const auto [it, first] = miss_index.try_emplace(*source, misses.size());
+      if (first) {
+        misses.push_back({source, key});
+      } else {
+        ++stats_.hits;  // a repeat shares the first sighting's compile
+      }
+      waiting.emplace_back(out.size(), it->second);
+      out.emplace_back();
+    }
+  }
+  if (misses.empty()) return out;  // warm: no workers, no second lock
+
+  // Compile outside the lock, each miss on whichever worker takes it;
+  // errors stay with their source.
+  std::vector<CachedProgram> built(misses.size());
+  std::vector<std::exception_ptr> errors(misses.size());
+  util::parallel_for(misses.size(), util::default_jobs(), [&](std::size_t m) {
+    try {
+      built[m] = compile_program(*misses[m].source);
+    } catch (...) {
+      errors[m] = std::current_exception();
+    }
+  });
+
   {
     std::lock_guard lock(mutex_);
-    if (auto it = hot_.find(key); it != hot_.end()) {
-      for (const CachedProgram& entry : it->second) {
-        if (entry.source == source) {
-          ++stats_.hits;
-          return entry;
-        }
-      }
-    }
-    if (auto it = cold_.find(key); it != cold_.end()) {
-      std::vector<CachedProgram>& chain = it->second;
-      for (std::size_t i = 0; i < chain.size(); ++i) {
-        if (chain[i].source == source) {
-          ++stats_.hits;
-          CachedProgram entry = std::move(chain[i]);
-          chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(i));
-          if (chain.empty()) cold_.erase(it);
-          --cold_size_;
-          insert_hot_locked(key, entry);
-          return entry;
-        }
+    for (std::size_t m = 0; m < misses.size(); ++m) {
+      if (errors[m]) continue;
+      ++stats_.misses;  // a compile happened, even if the race below loses
+      // Double-checked insert: a concurrent batch may have compiled the
+      // same source first; share its entry instead of inserting a
+      // duplicate that inflates hot_size_ toward the cap.
+      if (const CachedProgram* existing =
+              find_locked(misses[m].key, *misses[m].source)) {
+        built[m] = *existing;
+      } else {
+        insert_hot_locked(misses[m].key, built[m]);
       }
     }
   }
-  // Compile outside the lock; concurrent first-compilers of the same
-  // source do redundant work, never wrong work.
-  CachedProgram entry;
-  entry.source = source;
-  entry.program = pits::Program::parse(source);
-  // The abstract interpreter supplies proofs that let the compiler
-  // elide bounds/binding checks and batch statement ticks.
-  analyze::precompile_optimized(entry.program);
-  entry.chunk = entry.program.compiled_chunk();
-  std::lock_guard lock(mutex_);
-  ++stats_.misses;  // a compile happened, even if the race below loses
-  // Double-checked insert: a concurrent first-compiler may have won the
-  // race; reuse its entry instead of inserting a duplicate that inflates
-  // hot_size_ toward the cap. Both inserts and promotions target `hot`,
-  // so checking hot alone suffices.
-  if (auto it = hot_.find(key); it != hot_.end()) {
-    for (const CachedProgram& existing : it->second) {
-      if (existing.source == source) return existing;
-    }
+  for (const auto& [at, m] : waiting) {
+    out[at] = {built[m].program, built[m].chunk, errors[m]};
   }
-  insert_hot_locked(key, entry);
-  return entry;
+  return out;
 }
 
 ProgramCache::Stats ProgramCache::stats() const {
@@ -119,27 +182,50 @@ DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options,
   plan.vm_engine = pits::resolve_engine(options.pits.engine) ==
                    pits::ExecOptions::Engine::Vm;
   plan.tasks.resize(g.num_tasks());
-  for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    const graph::Task& task = g.task(t);
-    TaskPlan& tp = plan.tasks[t];
+
+  // The routines of every task before the first one that declares
+  // outputs but has no routine, resolved in one batch; the first error
+  // in task order is the one raised, whichever worker met it.
+  TaskId stop = 0;
+  std::vector<const std::string*> sources;
+  std::vector<TaskId> owners;
+  sources.reserve(g.num_tasks());
+  owners.reserve(g.num_tasks());
+  for (; stop < g.num_tasks(); ++stop) {
+    const graph::Task& task = g.task(stop);
     if (util::trim(task.pits).empty()) {
-      if (!task.outputs.empty()) {
-        fail(ErrorCode::Runtime,
-             "task `" + task.name +
-                 "` declares outputs but has no PITS routine");
-      }
-      // Pure synchronisation node: legal no-op (inputs still bind).
-    } else {
+      // Without outputs: a pure synchronisation node, a legal no-op
+      // whose inputs still bind.
+      if (!task.outputs.empty()) break;
+      continue;
+    }
+    sources.push_back(&task.pits);
+    owners.push_back(stop);
+  }
+  std::vector<ProgramCache::Lookup> found = program_cache().get_all(sources);
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    TaskPlan& tp = plan.tasks[owners[i]];
+    if (found[i].error) {
       try {
-        CachedProgram cached = program_cache().get(task.pits);
-        tp.program = std::move(cached.program);
-        tp.chunk = std::move(cached.chunk);
-        tp.runnable = true;
+        std::rethrow_exception(found[i].error);
       } catch (const Error& e) {
-        fail(e.code(), "in task `" + task.name + "`: " + e.message(),
+        fail(e.code(),
+             "in task `" + g.task(owners[i]).name + "`: " + e.message(),
              e.pos());
       }
     }
+    tp.program = std::move(found[i].program);
+    tp.chunk = std::move(found[i].chunk);
+    tp.runnable = true;
+  }
+  if (stop < g.num_tasks()) {
+    fail(ErrorCode::Runtime, "task `" + g.task(stop).name +
+                                 "` declares outputs but has no PITS routine");
+  }
+
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    const graph::Task& task = g.task(t);
+    TaskPlan& tp = plan.tasks[t];
     const pits::bc::Chunk* chunk =
         plan.vm_engine ? tp.chunk.get() : nullptr;
     auto slot_of = [&](const std::string& var) -> std::int32_t {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -71,7 +72,24 @@ class ProgramCache {
   /// 32x32 heat workload carries ~1k distinct routines).
   explicit ProgramCache(std::size_t cap = 4096) : cap_(cap ? cap : 1) {}
 
+  /// One source's entry; throws its parse/compile error.
   CachedProgram get(const std::string& source);
+
+  /// One result of get_all(): the compiled routine, or the error its
+  /// parse/compile raised.
+  struct Lookup {
+    pits::Program program;
+    std::shared_ptr<const pits::bc::Chunk> chunk;
+    std::exception_ptr error;
+  };
+
+  /// Looks up a whole design's routines at once. The hits are served in
+  /// one pass under the lock. Each distinct miss compiles once, outside
+  /// the lock and across util::default_jobs() workers when there are
+  /// several; no worker starts when everything hits. Compiled entries
+  /// enter the cache in source order. Returns one Lookup per source, in
+  /// order.
+  std::vector<Lookup> get_all(const std::vector<const std::string*>& sources);
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -84,8 +102,13 @@ class ProgramCache {
   // FNV key -> entries (collision chain compares full source text).
   using Shard = std::map<std::uint64_t, std::vector<CachedProgram>>;
 
+  /// Mutex held. The cached entry for `source`, promoting a cold hit to
+  /// hot; null on a miss. Valid until the next insert.
+  const CachedProgram* find_locked(std::uint64_t key,
+                                   const std::string& source);
   /// Mutex held. Inserts into `hot`, flipping generations when full.
-  void insert_hot_locked(std::uint64_t key, const CachedProgram& entry);
+  const CachedProgram& insert_hot_locked(std::uint64_t key,
+                                         CachedProgram entry);
 
   std::size_t cap_;
   mutable std::mutex mutex_;

@@ -120,7 +120,17 @@ struct Stmt {
       node;
 };
 
-/// Parses a whole routine body; throws Error{Parse}.
+/// How deep a routine may nest. Each statement body (if, while, repeat,
+/// for) is one level; inside an expression, every operator, call,
+/// index, vector literal and pair of parentheses is one level above its
+/// deepest operand, and a literal or name is one level. `y := abs(x)`
+/// nests 2 levels. Every AST walker (analysis, compilation, printing,
+/// destruction) recurses about once per level, so the cap keeps them
+/// well inside a worker thread's stack whatever the input.
+inline constexpr int kMaxNesting = 200;
+
+/// Parses a whole routine body; throws Error{Parse}, positioned, on bad
+/// syntax and on routines nested deeper than kMaxNesting.
 Block parse_block(std::string_view source);
 
 /// Renders a Block back to canonical PITS source (used by the calculator

@@ -1,6 +1,15 @@
 // Recursive-descent parser for PITS. Precedence (loosest first):
 //   or | and | not | = <> < <= > >= | + - | * / mod | unary - | ^ (right)
 //   | postfix [index] | primary.
+//
+// Nesting is capped at kMaxNesting levels (see ast.hpp). Two counters
+// enforce it: `depth_` counts the levels open around the token being
+// parsed, which bounds the parser's own recursion, and `height_` holds
+// the height of the expression the last parse_* call returned, because
+// left-associative chains (`a + b + c`, `v[i][j]`) deepen the tree
+// without recursing.
+#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "pits/ast.hpp"
@@ -71,6 +80,43 @@ class Parser {
   }
   [[noreturn]] void error(const std::string& msg) const {
     fail(ErrorCode::Parse, msg, peek().pos);
+  }
+
+  // ---- nesting ----
+
+  [[noreturn]] static void too_deep(SourcePos at) {
+    fail(ErrorCode::Parse,
+         "routine nests deeper than " + std::to_string(kMaxNesting) +
+             " levels",
+         at);
+  }
+
+  /// One level opened around a sub-parse: a statement body or an
+  /// operand. Fails before the parse goes past kMaxNesting.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (parser_.depth_ == kMaxNesting) too_deep(parser_.peek().pos);
+      ++parser_.depth_;
+    }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
+  /// Records the height of the expression being returned; fails when
+  /// its deepest operand sits past kMaxNesting.
+  void set_height(int height, SourcePos at) {
+    if (depth_ + height > kMaxNesting) too_deep(at);
+    height_ = height;
+  }
+
+  Block parse_body() {
+    Nest nest(*this);
+    return parse_stmts();
   }
 
   /// Statements until one of the given block-closing keywords (not
@@ -150,11 +196,11 @@ class Parser {
       IfStmt::Arm arm;
       arm.cond = parse_expr();
       expect(Tok::KwThen);
-      arm.body = parse_stmts();
+      arm.body = parse_body();
       s.arms.push_back(std::move(arm));
       if (match(Tok::KwElsif)) continue;
       if (match(Tok::KwElse)) {
-        s.else_body = parse_stmts();
+        s.else_body = parse_body();
       }
       expect(Tok::KwEnd);
       break;
@@ -168,7 +214,7 @@ class Parser {
     WhileStmt s;
     s.cond = parse_expr();
     expect(Tok::KwDo);
-    s.body = parse_stmts();
+    s.body = parse_body();
     expect(Tok::KwEnd);
     return make_stmt(at, std::move(s));
   }
@@ -179,7 +225,7 @@ class Parser {
     RepeatStmt s;
     s.count = parse_expr();
     expect(Tok::KwTimes);
-    s.body = parse_stmts();
+    s.body = parse_body();
     expect(Tok::KwEnd);
     return make_stmt(at, std::move(s));
   }
@@ -195,7 +241,7 @@ class Parser {
     s.to = parse_expr();
     if (match(Tok::KwStep)) s.step = parse_expr();
     expect(Tok::KwDo);
-    s.body = parse_stmts();
+    s.body = parse_body();
     expect(Tok::KwEnd);
     return make_stmt(at, std::move(s));
   }
@@ -226,6 +272,11 @@ class Parser {
   }
 
   // ---- expressions ----
+  //
+  // Every parse_* below leaves the height of the tree it returns in
+  // `height_`: one level per operator, call, index, vector literal and
+  // pair of parentheses above its deepest operand; a literal or a name
+  // is one level.
 
   ExprPtr parse_expr() { return parse_or(); }
 
@@ -233,7 +284,10 @@ class Parser {
     ExprPtr lhs = parse_and();
     while (check(Tok::KwOr)) {
       const SourcePos at = advance().pos;
-      lhs = make_binary(at, BinOp::Or, std::move(lhs), parse_and());
+      const int lhs_height = height_;
+      ExprPtr rhs = parse_and();
+      lhs = make_binary(at, BinOp::Or, std::move(lhs), lhs_height,
+                        std::move(rhs));
     }
     return lhs;
   }
@@ -242,7 +296,10 @@ class Parser {
     ExprPtr lhs = parse_not();
     while (check(Tok::KwAnd)) {
       const SourcePos at = advance().pos;
-      lhs = make_binary(at, BinOp::And, std::move(lhs), parse_not());
+      const int lhs_height = height_;
+      ExprPtr rhs = parse_not();
+      lhs = make_binary(at, BinOp::And, std::move(lhs), lhs_height,
+                        std::move(rhs));
     }
     return lhs;
   }
@@ -252,7 +309,11 @@ class Parser {
       const SourcePos at = advance().pos;
       Unary u;
       u.op = UnOp::Not;
-      u.operand = parse_not();
+      {
+        Nest nest(*this);
+        u.operand = parse_not();
+      }
+      set_height(height_ + 1, at);
       return make_expr(at, std::move(u));
     }
     return parse_cmp();
@@ -272,22 +333,23 @@ class Parser {
         default: return lhs;
       }
       const SourcePos at = advance().pos;
-      lhs = make_binary(at, op, std::move(lhs), parse_add());
+      const int lhs_height = height_;
+      ExprPtr rhs = parse_add();
+      lhs = make_binary(at, op, std::move(lhs), lhs_height, std::move(rhs));
     }
   }
 
   ExprPtr parse_add() {
     ExprPtr lhs = parse_mul();
     for (;;) {
-      if (check(Tok::Plus)) {
-        const SourcePos at = advance().pos;
-        lhs = make_binary(at, BinOp::Add, std::move(lhs), parse_mul());
-      } else if (check(Tok::Minus)) {
-        const SourcePos at = advance().pos;
-        lhs = make_binary(at, BinOp::Sub, std::move(lhs), parse_mul());
-      } else {
-        return lhs;
-      }
+      BinOp op;
+      if (check(Tok::Plus)) op = BinOp::Add;
+      else if (check(Tok::Minus)) op = BinOp::Sub;
+      else return lhs;
+      const SourcePos at = advance().pos;
+      const int lhs_height = height_;
+      ExprPtr rhs = parse_mul();
+      lhs = make_binary(at, op, std::move(lhs), lhs_height, std::move(rhs));
     }
   }
 
@@ -300,7 +362,9 @@ class Parser {
       else if (check(Tok::KwMod)) op = BinOp::Mod;
       else return lhs;
       const SourcePos at = advance().pos;
-      lhs = make_binary(at, op, std::move(lhs), parse_unary());
+      const int lhs_height = height_;
+      ExprPtr rhs = parse_unary();
+      lhs = make_binary(at, op, std::move(lhs), lhs_height, std::move(rhs));
     }
   }
 
@@ -309,7 +373,11 @@ class Parser {
       const SourcePos at = advance().pos;
       Unary u;
       u.op = UnOp::Neg;
-      u.operand = parse_unary();
+      {
+        Nest nest(*this);
+        u.operand = parse_unary();
+      }
+      set_height(height_ + 1, at);
       return make_expr(at, std::move(u));
     }
     return parse_power();
@@ -319,8 +387,15 @@ class Parser {
     ExprPtr base = parse_postfix();
     if (check(Tok::Caret)) {
       const SourcePos at = advance().pos;
-      // Right-associative: a^b^c = a^(b^c).
-      return make_binary(at, BinOp::Pow, std::move(base), parse_unary());
+      const int base_height = height_;
+      ExprPtr exponent;
+      {
+        // Right-associative: a^b^c = a^(b^c), one recursion per `^`.
+        Nest nest(*this);
+        exponent = parse_unary();
+      }
+      return make_binary(at, BinOp::Pow, std::move(base), base_height,
+                         std::move(exponent));
     }
     return base;
   }
@@ -329,10 +404,15 @@ class Parser {
     ExprPtr e = parse_primary();
     while (check(Tok::LBracket)) {
       const SourcePos at = advance().pos;
+      const int base_height = height_;
       Index ix;
       ix.base = std::move(e);
-      ix.index = parse_expr();
-      expect(Tok::RBracket);
+      {
+        Nest nest(*this);
+        ix.index = parse_expr();
+        expect(Tok::RBracket);
+      }
+      set_height(std::max(base_height, height_) + 1, at);
       e = make_expr(at, std::move(ix));
     }
     return e;
@@ -341,9 +421,11 @@ class Parser {
   ExprPtr parse_primary() {
     const SourcePos at = peek().pos;
     if (check(Tok::Number)) {
+      set_height(1, at);
       return make_expr(at, NumberLit{advance().number});
     }
     if (check(Tok::String)) {
+      set_height(1, at);
       return make_expr(at, StringLit{advance().text});
     }
     if (check(Tok::Ident)) {
@@ -351,32 +433,48 @@ class Parser {
       if (match(Tok::LParen)) {
         Call call;
         call.callee = std::move(name);
-        if (!check(Tok::RParen)) {
-          do {
-            call.args.push_back(parse_expr());
-          } while (match(Tok::Comma));
-        }
-        expect(Tok::RParen);
+        call.args = parse_list(Tok::RParen, at);
         return make_expr(at, std::move(call));
       }
+      set_height(1, at);
       return make_expr(at, VarRef{std::move(name)});
     }
     if (match(Tok::LParen)) {
-      ExprPtr e = parse_expr();
-      expect(Tok::RParen);
+      ExprPtr e;
+      {
+        Nest nest(*this);
+        e = parse_expr();
+        expect(Tok::RParen);
+      }
+      set_height(height_ + 1, at);
       return e;
     }
     if (match(Tok::LBracket)) {
       VectorLit vec;
-      if (!check(Tok::RBracket)) {
-        do {
-          vec.elements.push_back(parse_expr());
-        } while (match(Tok::Comma));
-      }
-      expect(Tok::RBracket);
+      vec.elements = parse_list(Tok::RBracket, at);
       return make_expr(at, std::move(vec));
     }
     error("expected an expression");
+  }
+
+  /// Comma-separated operands up to and including `close`: the
+  /// arguments of a call or the elements of a vector literal at `at`,
+  /// whose height this sets.
+  std::vector<ExprPtr> parse_list(Tok close, SourcePos at) {
+    std::vector<ExprPtr> items;
+    int deepest = 0;
+    {
+      Nest nest(*this);
+      if (!check(close)) {
+        do {
+          items.push_back(parse_expr());
+          deepest = std::max(deepest, height_);
+        } while (match(Tok::Comma));
+      }
+      expect(close);
+    }
+    set_height(deepest + 1, at);
+    return items;
   }
 
   template <typename Node>
@@ -386,8 +484,11 @@ class Parser {
     e->node = std::forward<Node>(node);
     return e;
   }
-  static ExprPtr make_binary(SourcePos at, BinOp op, ExprPtr lhs,
-                             ExprPtr rhs) {
+  /// `lhs op rhs`, with `height_` holding the height of the rhs just
+  /// parsed.
+  ExprPtr make_binary(SourcePos at, BinOp op, ExprPtr lhs, int lhs_height,
+                      ExprPtr rhs) {
+    set_height(std::max(lhs_height, height_) + 1, at);
     Binary b;
     b.op = op;
     b.lhs = std::move(lhs);
@@ -402,6 +503,11 @@ class Parser {
     return s;
   }
 
+  /// Levels open around the current token: statement bodies plus
+  /// operands being parsed.
+  int depth_ = 0;
+  /// Height of the expression the last parse_* call returned.
+  int height_ = 0;
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
 };

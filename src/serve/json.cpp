@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -13,6 +14,9 @@ namespace {
 
 // Recursive-descent parser with line/column tracking so malformed
 // requests report a position, matching the PITL parser's diagnostics.
+// It recurses once per array or object level, so nesting is capped at
+// Json::kMaxDepth: a request line must not be able to exhaust the
+// stack of the thread that serves it.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -63,8 +67,17 @@ class Parser {
     if (at_end()) fail("unexpected end of input");
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == Json::kMaxDepth) {
+          fail("arrays and objects nest deeper than " +
+               std::to_string(Json::kMaxDepth) + " levels");
+        }
+        ++depth_;
+        Json nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return Json::string(parse_string());
       case 't': parse_literal("true"); return Json::boolean(true);
       case 'f': parse_literal("false"); return Json::boolean(false);
@@ -212,6 +225,7 @@ class Parser {
   std::size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
+  int depth_ = 0;  ///< arrays and objects open around the cursor
 };
 
 void dump_to(const Json& v, std::ostream& out) {

@@ -55,8 +55,12 @@ class Json {
   /// Compact deterministic serialization (no whitespace).
   [[nodiscard]] std::string dump() const;
 
+  /// Deepest array/object nesting parse() accepts.
+  static constexpr int kMaxDepth = 256;
+
   /// Parses a complete JSON document (trailing junk rejected). Throws
-  /// Error{Parse} with a 1-based line/column position on malformed text.
+  /// Error{Parse} with a 1-based line/column position on malformed text
+  /// and on nesting deeper than kMaxDepth.
   static Json parse(std::string_view text);
 
  private:

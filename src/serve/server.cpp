@@ -519,6 +519,13 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
       stop = true;
       continue;
     }
+    if (op == "upload") {
+      // A session name is visible to every later line and to no earlier
+      // one: let the requests in flight finish, then store it here.
+      pool.wait_idle();
+      emit(s, handle_line(line));
+      continue;
+    }
 
     if (!try_acquire_slot()) {
       rec_->bump("serve.requests");
@@ -555,10 +562,14 @@ int Server::serve_tcp(int port, std::ostream& log) {
     const int fd = util::tcp_accept(listen_fd, /*timeout_ms=*/100);
     if (fd < 0) continue;  // timeout: re-check the shutdown flag
     connections.emplace_back([this, fd] {
-      util::FdStreamBuf buf(fd);
-      std::iostream io(&buf);
-      serve_stream(io, io);
-      io.flush();
+      // One buffer per direction: the reader thread and the pool
+      // workers that write responses must not share a put area.
+      util::FdStreamBuf in_buf(fd);
+      util::FdStreamBuf out_buf(fd);
+      std::istream in(&in_buf);
+      std::ostream out(&out_buf);
+      serve_stream(in, out);
+      out.flush();
       util::close_fd(fd);
     });
   }

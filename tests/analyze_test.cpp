@@ -11,7 +11,10 @@
 #include "analyze/analyze.hpp"
 #include "cli/cli.hpp"
 #include "core/lint.hpp"
+#include "exec/executor.hpp"
 #include "graph/serialize.hpp"
+#include "pits/ast.hpp"
+#include "scoped_env.hpp"
 #include "workloads/designs.hpp"
 #include "workloads/lu.hpp"
 
@@ -420,25 +423,147 @@ TEST(CleanDesigns, WorkloadsPassAllLayers) {
   EXPECT_TRUE(analyze_design(polyeval_design(2)).empty());
 }
 
+// One design with findings in many tasks: BAN003-BAN006, every
+// BAN101-BAN108, and BAN301-BAN306 including a cross-task shape
+// conflict. The per-routine layers run across worker threads, so this
+// is the design the thread-count invariance checks use.
+const char* kManyFindings =
+    "design many_findings\n"
+    "graph g\n"
+    "  store xs\n"
+    "  store out\n"
+    "  task broken in=xs out=p\n"
+    "  pits {\n"
+    "    p := := xs\n"
+    "  }\n"
+    "  task undeclared in=xs out=q\n"
+    "  pits {\n"
+    "    q := mystery + len(xs)\n"
+    "  }\n"
+    "  task unread in=xs,p out=r\n"
+    "  pits {\n"
+    "    r := len(xs)\n"
+    "  }\n"
+    "  task unassigned in=q out=s,s2\n"
+    "  pits {\n"
+    "    s := q\n"
+    "  }\n"
+    "  task flow in=r out=t\n"
+    "  pits {\n"
+    "    if r > 0 then\n"
+    "      u := 1\n"
+    "    end\n"
+    "    dead := r\n"
+    "    t := u + 1 / 0\n"
+    "    v := [1, 2, 3]\n"
+    "    t := t + v[3] + sqrtt(r) + sqrt(r, 2)\n"
+    "    x := 1\n"
+    "    while x > 0 do\n"
+    "      t := t + x\n"
+    "    end\n"
+    "    return\n"
+    "    t := 0\n"
+    "  }\n"
+    "  task div_zero in=xs out=a\n"
+    "  pits {\n"
+    "    m := 0\n"
+    "    for i := 1 to 3 do\n"
+    "      m := m * i\n"
+    "    end\n"
+    "    a := 10 / m + len(xs)\n"
+    "  }\n"
+    "  task oob in=a out=b\n"
+    "  pits {\n"
+    "    w := zeros(4)\n"
+    "    b := a\n"
+    "    for j := 4 to 9 do\n"
+    "      b := b + w[j]\n"
+    "    end\n"
+    "  }\n"
+    "  task fixed_branch in=xs,b out=c\n"
+    "  pits {\n"
+    "    if len(xs) >= 0 then\n"
+    "      c := b\n"
+    "    else\n"
+    "      c := 0 - b\n"
+    "    end\n"
+    "  }\n"
+    "  task endless in=c out=d\n"
+    "  pits {\n"
+    "    k := 1\n"
+    "    while k > 0 do\n"
+    "      k := k + 1\n"
+    "    end\n"
+    "    d := c + k\n"
+    "  }\n"
+    "  task lengths in=d out=g2\n"
+    "  pits {\n"
+    "    u := [1, 2]\n"
+    "    v := [1, 2, 3]\n"
+    "    g2 := sum(u + v) + d\n"
+    "  }\n"
+    "  task maker in=g2 out=vec\n"
+    "  pits {\n"
+    "    vec := 7 + sum(g2)\n"
+    "  }\n"
+    "  task user in=vec,s,t out=f\n"
+    "  pits {\n"
+    "    acc := s + t\n"
+    "    for i := 0 to 2 do\n"
+    "      acc := acc + vec[i]\n"
+    "    end\n"
+    "    f := acc\n"
+    "  }\n"
+    "  task finish in=f out=out\n"
+    "  pits {\n"
+    "    out := f\n"
+    "  }\n"
+    "  store vec\n"
+    "  arc xs -> broken var=xs\n"
+    "  arc xs -> undeclared var=xs\n"
+    "  arc xs -> unread var=xs\n"
+    "  arc broken -> unread var=p\n"
+    "  arc undeclared -> unassigned var=q\n"
+    "  arc unread -> flow var=r\n"
+    "  arc xs -> div_zero var=xs\n"
+    "  arc div_zero -> oob var=a\n"
+    "  arc xs -> fixed_branch var=xs\n"
+    "  arc oob -> fixed_branch var=b\n"
+    "  arc fixed_branch -> endless var=c\n"
+    "  arc endless -> lengths var=d\n"
+    "  arc lengths -> maker var=g2\n"
+    "  arc maker -> vec var=vec\n"
+    "  arc vec -> user var=vec\n"
+    "  arc unassigned -> user var=s\n"
+    "  arc flow -> user var=t\n"
+    "  arc user -> finish var=f\n"
+    "  arc finish -> out var=out\n";
+
 TEST(LintWrapper, MatchesInterfaceLayerAndStaysDeterministic) {
-  const std::string pitl =
+  const std::string small =
       "design d\ngraph g\n  store dead1\n  store dead2\n"
       "  task t out=r\n  pits {\n    r := oops\n  }\n"
       "  store r\n  arc t -> r var=r\n";
-  const auto design = graph::parse_design(pitl);
-  const auto issues1 = lint_design(design);
-  const auto issues2 = lint_design(design);
-  ASSERT_EQ(issues1.size(), issues2.size());
-  for (std::size_t i = 0; i < issues1.size(); ++i) {
-    EXPECT_EQ(issues1[i].to_string(), issues2[i].to_string());
+  for (const std::string& pitl : {small, std::string(kManyFindings)}) {
+    const auto design = graph::parse_design(pitl);
+    const auto issues1 = lint_design(design);
+    std::vector<LintIssue> issues2;
+    {
+      const tests::ScopedEnv one_worker("BANGER_JOBS", "1");
+      issues2 = lint_design(design);
+    }
+    ASSERT_EQ(issues1.size(), issues2.size());
+    for (std::size_t i = 0; i < issues1.size(); ++i) {
+      EXPECT_EQ(issues1[i].to_string(), issues2[i].to_string());
+    }
+    EXPECT_TRUE(has_errors(issues1));
+    EXPECT_EQ(issues1.front().severity, LintSeverity::Error);
+    // Same rules as the engine's interface layer.
+    AnalyzeOptions iface;
+    iface.pits_rules = false;
+    iface.determinacy_rules = false;
+    EXPECT_EQ(issues1.size(), analyze_design(design, iface).size());
   }
-  EXPECT_TRUE(has_errors(issues1));
-  EXPECT_EQ(issues1.front().severity, LintSeverity::Error);
-  // Same rules as the engine's interface layer.
-  AnalyzeOptions iface;
-  iface.pits_rules = false;
-  iface.determinacy_rules = false;
-  EXPECT_EQ(issues1.size(), analyze_design(design, iface).size());
 }
 
 // ------------------------------------------------------------------- CLI
@@ -487,6 +612,30 @@ TEST(CheckCommand, FailOnWarningTightensExit) {
   EXPECT_EQ(run_cli({"check", warn, "--fail-on", "warning"}, &out), 1);
 }
 
+TEST(CheckCommand, SameBytesForAnyWorkerCount) {
+  const std::string path = write_temp("many", kManyFindings);
+  const auto diags = check(kManyFindings);
+  for (const char* code :
+       {"BAN003", "BAN004", "BAN005", "BAN006", "BAN101", "BAN102", "BAN103",
+        "BAN104", "BAN105", "BAN106", "BAN107", "BAN108", "BAN301", "BAN302",
+        "BAN303", "BAN304", "BAN305", "BAN306"}) {
+    EXPECT_TRUE(fires(diags, code)) << code;
+  }
+  for (const char* format : {"text", "json", "sarif"}) {
+    std::string sequential;
+    std::string parallel;
+    {
+      const tests::ScopedEnv jobs("BANGER_JOBS", "1");
+      EXPECT_EQ(run_cli({"check", path, "--format", format}, &sequential), 1);
+    }
+    {
+      const tests::ScopedEnv jobs("BANGER_JOBS", "4");
+      EXPECT_EQ(run_cli({"check", path, "--format", format}, &parallel), 1);
+    }
+    EXPECT_EQ(sequential, parallel) << format;
+  }
+}
+
 TEST(LintCommand, JsonOutput) {
   const std::string bad = write_temp(
       "lintjson",
@@ -498,6 +647,70 @@ TEST(LintCommand, JsonOutput) {
   EXPECT_NE(out.find("\"diagnostics\""), std::string::npos);
   // Interface layer only: no PITS dataflow codes in lint output.
   EXPECT_EQ(out.find("BAN102"), std::string::npos);
+}
+
+// --------------------------------------------------------- nesting limit
+
+/// Three tasks whose routines nest exactly `levels` deep (see
+/// pits::kMaxNesting): a call chain, a left-associative sum, and nested
+/// `if` bodies. Three routines make the front end fan out, so they are
+/// parsed, analysed and compiled on worker threads.
+std::string nested_design(int levels) {
+  const int n = levels - 1;
+  std::string calls = "x";
+  std::string sum = "x";
+  std::string ifs;
+  std::string ends;
+  for (int i = 0; i < n; ++i) {
+    calls = "abs(" + calls + ")";
+    sum += " + x";
+    ifs += "    if x < 0 then\n";
+    ends += "    end\n";
+  }
+  return "design deep\ngraph g\n  store x\n"
+         "  task calls in=x out=y\n  pits {\n    y := " + calls +
+         "\n  }\n  task sum in=x out=z\n  pits {\n    z := " + sum +
+         "\n  }\n  task ifs in=x out=w\n  pits {\n    w := 0\n" + ifs +
+         "    w := x\n" + ends +
+         "  }\n  store y\n  store z\n  store w\n"
+         "  arc x -> calls var=x\n  arc x -> sum var=x\n"
+         "  arc x -> ifs var=x\n  arc calls -> y var=y\n"
+         "  arc sum -> z var=z\n  arc ifs -> w var=w\n";
+}
+
+TEST(NestingLimit, DesignAtTheLimitIsAnalysedAndRuns) {
+  const tests::ScopedEnv jobs("BANGER_JOBS", "4");
+  const auto design = graph::parse_design(nested_design(pits::kMaxNesting));
+  EXPECT_FALSE(fires(analyze_design(design), "BAN003"));
+  const exec::RunResult result =
+      exec::run_sequential(design.flatten(), {{"x", pits::Value(-2.5)}});
+  EXPECT_EQ(result.outputs.at("y"), pits::Value(2.5));
+  EXPECT_EQ(result.outputs.at("z"), pits::Value(-2.5 * pits::kMaxNesting));
+  EXPECT_EQ(result.outputs.at("w"), pits::Value(-2.5));
+}
+
+TEST(NestingLimit, OneLevelDeeperIsRejectedWithPositions) {
+  const tests::ScopedEnv jobs("BANGER_JOBS", "4");
+  const auto design =
+      graph::parse_design(nested_design(pits::kMaxNesting + 1));
+  int rejected = 0;
+  for (const Diagnostic& d : analyze_design(design)) {
+    if (d.code != "BAN003") continue;
+    ++rejected;
+    EXPECT_TRUE(d.pos.valid()) << d.subject;
+    EXPECT_NE(d.message.find("nests deeper than"), std::string::npos);
+  }
+  EXPECT_EQ(rejected, 3);
+  try {
+    (void)exec::run_sequential(design.flatten(), {{"x", pits::Value(1.0)}});
+    ADD_FAILURE() << "a routine past the limit ran";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Parse);
+    EXPECT_TRUE(e.pos().valid());
+    EXPECT_EQ(e.message().rfind("in task `calls`: routine nests deeper", 0),
+              0u)
+        << e.message();
+  }
 }
 
 }  // namespace

@@ -6,6 +6,10 @@
 
 #include "exec/executor.hpp"
 #include "exec/plan.hpp"
+#include "exec/stream.hpp"
+#include "graph/serialize.hpp"
+#include "obs/trace.hpp"
+#include "scoped_env.hpp"
 #include "sched/heuristics.hpp"
 #include "workloads/designs.hpp"
 #include "workloads/graphs.hpp"
@@ -451,6 +455,122 @@ TEST(Parallel, PureSyncTasksAllowed) {
   auto flat = workloads::as_flatten(std::move(g));
   const auto result = run_sequential(flat, {});
   EXPECT_EQ(result.runs.size(), 1u);
+}
+
+// ---- parallel front end ------------------------------------------------
+//
+// build_plan compiles a design's cache misses across default_jobs()
+// workers. Whatever the worker count, the error raised is the first in
+// task order, and a fully cached design starts no workers at all.
+
+/// In task order: a good routine (`salt` keeps its source new to the
+/// process-wide cache), two routines that do not parse, and a task that
+/// declares an output but has no routine — placed first among the three
+/// failures when `hollow_first`.
+std::string failing_design(int salt, bool hollow_first) {
+  const std::string hollow = "  task hollow in=b out=h\n";
+  std::string pitl = "design failing\ngraph g\n  store a\n"
+                     "  task ok1 in=a out=b\n  pits {\n    b := a + " +
+                     std::to_string(salt) + "\n  }\n";
+  if (hollow_first) pitl += hollow;
+  pitl +=
+      "  task bad1 in=b out=c\n  pits {\n    c := b +\n  }\n"
+      "  task bad2 in=b out=d\n  pits {\n    d := (b\n  }\n";
+  if (!hollow_first) pitl += hollow;
+  pitl +=
+      "  store c\n  store d\n  store h\n"
+      "  arc a -> ok1 var=a\n  arc ok1 -> bad1 var=b\n"
+      "  arc ok1 -> bad2 var=b\n  arc ok1 -> hollow var=b\n"
+      "  arc bad1 -> c var=c\n  arc bad2 -> d var=d\n"
+      "  arc hollow -> h var=h\n";
+  return pitl;
+}
+
+struct Failure {
+  ErrorCode code{};
+  std::string message;
+  SourcePos pos;
+};
+
+template <class Fn>
+Failure failure_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return {e.code(), e.message(), e.pos()};
+  }
+  ADD_FAILURE() << "expected an Error";
+  return {};
+}
+
+TEST(FrontEnd, FirstErrorInTaskOrderForAnyJobs) {
+  const Machine m = make_machine(2);
+  const std::map<std::string, Value> inputs = {{"a", Value(1.0)}};
+  int salt = 0;
+  for (const bool hollow_first : {false, true}) {
+    const Failure want =
+        hollow_first
+            ? Failure{ErrorCode::Runtime,
+                      "task `hollow` declares outputs but has no PITS routine",
+                      {}}
+            : Failure{ErrorCode::Parse,
+                      "in task `bad1`: expected an expression", {1, 9}};
+    for (const char* jobs : {"1", "4"}) {
+      const tests::ScopedEnv env("BANGER_JOBS", jobs);
+      const auto flat =
+          graph::parse_design(failing_design(++salt, hollow_first)).flatten();
+      const auto schedule = sched::MhScheduler().run(flat.graph, m);
+      const Failure got[] = {
+          failure_of([&] { (void)run_sequential(flat, inputs); }),
+          failure_of([&] { (void)Executor(flat, m).run(schedule, inputs); }),
+          failure_of([&] {
+            (void)run_stream(flat, schedule, m, {inputs}, StreamOptions{});
+          }),
+          failure_of([&] {
+            (void)run_trials(flat, {inputs, inputs}, RunOptions{}, 0);
+          }),
+      };
+      for (const Failure& f : got) {
+        EXPECT_EQ(f.code, want.code) << "BANGER_JOBS=" << jobs;
+        EXPECT_EQ(f.message, want.message) << "BANGER_JOBS=" << jobs;
+        EXPECT_EQ(f.pos, want.pos) << "BANGER_JOBS=" << jobs;
+      }
+    }
+  }
+}
+
+TEST(FrontEnd, WarmRunStartsNoWorkers) {
+  const tests::ScopedEnv env("BANGER_JOBS", "4");
+  // A comment naming the run keeps every routine new to the
+  // process-wide cache, so the first run is cold however often the test
+  // repeats.
+  static int run = 0;
+  const std::string tag = "    -- run " + std::to_string(++run) + "\n";
+  const auto flat =
+      graph::parse_design(
+          "design warm\ngraph g\n  store a\n"
+          "  task s1 in=a out=b\n  pits {\n" + tag +
+          "    b := a + 0.125\n  }\n  task s2 in=b out=c\n  pits {\n" +
+          tag + "    c := b * 3.25\n  }\n  task s3 in=c out=d\n  pits {\n" +
+          tag + "    d := c - 7.5\n  }\n  task s4 in=d out=e\n  pits {\n" +
+          tag +
+          "    e := d / 2.75\n  }\n  store e\n  arc a -> s1 var=a\n"
+          "  arc s1 -> s2 var=b\n  arc s2 -> s3 var=c\n"
+          "  arc s3 -> s4 var=d\n  arc s4 -> e var=e\n")
+          .flatten();
+  const std::map<std::string, Value> inputs = {{"a", Value(2.0)}};
+  {
+    obs::TraceRecorder rec;
+    const obs::ScopedRecorder scope(rec);
+    (void)run_sequential(flat, inputs);
+    EXPECT_GT(rec.metric("pool.tasks"), 0.0) << "cold compiles fan out";
+  }
+  obs::TraceRecorder rec;
+  const obs::ScopedRecorder scope(rec);
+  const RunResult warm = run_sequential(flat, inputs);
+  EXPECT_EQ(rec.metric("pool.tasks"), 0.0);
+  EXPECT_DOUBLE_EQ(warm.outputs.at("e").as_scalar(),
+                   ((2.0 + 0.125) * 3.25 - 7.5) / 2.75);
 }
 
 }  // namespace

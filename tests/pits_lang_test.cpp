@@ -1,6 +1,8 @@
 // Lexer, parser, pretty-printer, and static-analysis tests for PITS.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "pits/ast.hpp"
 #include "pits/token.hpp"
 #include "util/error.hpp"
@@ -178,6 +180,61 @@ TEST(Parser, ErrorsWithPositions) {
   EXPECT_THROW((void)parse_block("while do end"), Error);
   EXPECT_THROW((void)parse_block("x := (1"), Error);
   EXPECT_THROW((void)parse_block("x := [1, "), Error);
+}
+
+/// A routine nesting exactly `levels` deep (pits::kMaxNesting counts
+/// levels) through one construct repeated `levels - 1` times around a
+/// one-level name.
+std::string nested(const std::string& kind, int levels) {
+  const int n = levels - 1;
+  auto repeat = [n](const std::string& s) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  if (kind == "parens") return "y := " + repeat("(") + "x" + repeat(")");
+  if (kind == "calls") return "y := " + repeat("abs(") + "x" + repeat(")");
+  if (kind == "vectors") return "y := " + repeat("[") + "x" + repeat("]");
+  if (kind == "minus") return "y := " + repeat("- ") + "x";
+  if (kind == "not") return "y := " + repeat("not ") + "x";
+  if (kind == "power") return "y := x" + repeat(" ^ x");
+  if (kind == "sum") return "y := x" + repeat(" + x");
+  if (kind == "index") return "y := v" + repeat("[0]");
+  // Nested `if` bodies, one level each, around `y := x`.
+  return repeat("if x then\n") + "y := x\n" + repeat("end\n");
+}
+
+TEST(Parser, NestingLimitIsExactForEveryConstruct) {
+  for (const char* kind : {"parens", "calls", "vectors", "minus", "not",
+                           "power", "sum", "index", "ifs"}) {
+    // At the limit: parses, prints, and is destroyed without trouble.
+    Block block;
+    ASSERT_NO_THROW(block = parse_block(nested(kind, kMaxNesting))) << kind;
+    EXPECT_FALSE(to_source(block).empty()) << kind;
+    // One level deeper: a positioned parse error, not a crash.
+    try {
+      (void)parse_block(nested(kind, kMaxNesting + 1));
+      ADD_FAILURE() << kind << " past the limit parsed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Parse) << kind;
+      EXPECT_TRUE(e.pos().valid()) << kind;
+      EXPECT_NE(e.message().find("nests deeper than"), std::string::npos)
+          << kind;
+    }
+  }
+}
+
+TEST(Parser, HostileNestingFailsFast) {
+  // Far past the limit the parser stops at the first level too many
+  // instead of recursing (or building a tree) 100k levels deep.
+  for (const char* kind : {"parens", "sum", "ifs"}) {
+    try {
+      (void)parse_block(nested(kind, 100000));
+      ADD_FAILURE() << kind;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Parse) << kind;
+    }
+  }
 }
 
 TEST(Printer, RoundTripFixpoint) {

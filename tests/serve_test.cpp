@@ -85,6 +85,25 @@ TEST(ServeJson, RejectsTrailingJunkAndUnterminatedStrings) {
   EXPECT_THROW(Json::parse("{\"a\" 1}"), Error);
 }
 
+TEST(ServeJson, NestingDepthIsCapped) {
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(Json::parse(arrays(Json::kMaxDepth)));
+  try {
+    Json::parse(arrays(Json::kMaxDepth + 1));
+    FAIL() << "expected Error{Parse}";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Parse);
+    // At the bracket that opens the level past the cap.
+    EXPECT_EQ(e.pos(), (SourcePos{1, Json::kMaxDepth + 1}));
+  }
+  std::string objects;
+  for (int i = 0; i <= Json::kMaxDepth; ++i) objects += "{\"a\":";
+  EXPECT_THROW(Json::parse(objects), Error);
+}
+
 TEST(ServeJson, UnicodeEscapes) {
   const Json doc = Json::parse(R"("tab\tandA")");
   EXPECT_EQ(doc.as_string(), "tab\tandA");
@@ -248,6 +267,27 @@ TEST(ServeServer, MalformedLineGetsParseEnvelope) {
   EXPECT_FALSE(field(resp, "ok").as_bool());
   EXPECT_EQ(field(field(resp, "error"), "code").as_string(), "parse");
   EXPECT_TRUE(field(resp, "id").is_null());
+}
+
+TEST(ServeServer, DeeplyNestedLineGetsParseEnvelopeAndStreamGoesOn) {
+  // 200k nested arrays once overflowed the parser's stack and took the
+  // whole server (every tenant) down.
+  Server server;
+  std::istringstream in(std::string(200000, '[') + "\n" +
+                        request({{"op", Json::string("ping")}}) + "\n");
+  std::ostringstream out;
+  server.serve_stream(in, out);
+  std::istringstream lines(out.str());
+  std::string first;
+  std::string second;
+  ASSERT_TRUE(std::getline(lines, first));
+  ASSERT_TRUE(std::getline(lines, second));
+  const Json bad = Json::parse(first);
+  EXPECT_FALSE(field(bad, "ok").as_bool());
+  EXPECT_EQ(field(field(bad, "error"), "code").as_string(), "parse");
+  EXPECT_EQ(field(field(bad, "error"), "column").as_number(),
+            Json::kMaxDepth + 1.0);
+  EXPECT_EQ(field(Json::parse(second), "output").as_string(), "pong");
 }
 
 TEST(ServeServer, CacheHitIsByteIdenticalToMiss) {

@@ -18,6 +18,9 @@
 // benchmark (the named VM / executor / serve paths below) is more than
 // 25% slower per op than the normalised baseline. A uniform slowdown
 // (slower CI box) passes; a hot path regressing against its peers fails.
+// Benchmarks are compared by CPU time per op, except wall-clock ones
+// (registered with UseRealTime(), so named `.../real_time`): threaded
+// work runs off the benchmark's own thread, so only their real time counts.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -34,9 +37,11 @@ namespace {
 const char* const kHotBenchmarks[] = {
     "BM_PitsExecVm",
     "BM_PitsCompile",
+    "BM_AnalyzeDesign/real_time",
+    "BM_CompileDesignCold/real_time",
     "BM_ExecRunVm",
     "BM_ExecRunBatch/4096",
-    "BM_ExecStream/1024",
+    "BM_ExecStream/1024/real_time",
     "BM_ServeTrialCached",
     "BM_ServeTrialBatch",
     "BM_ScheduleEtf/4096",
@@ -98,9 +103,15 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// name -> cpu_ns_per_op parsed from a google-benchmark CSV stream.
-/// Reports its own error (missing header, malformed number) to stderr
-/// and returns false.
+/// True for wall-clock benchmarks, which the guard compares by real
+/// time instead of CPU time.
+bool uses_real_time(const std::string& name) {
+  return name.ends_with("/real_time");
+}
+
+/// name -> ns per op (real time for wall-clock benchmarks, CPU time
+/// otherwise) parsed from a google-benchmark CSV stream. Reports its own
+/// error (missing header, malformed number) to stderr and returns false.
 bool parse_csv(std::istream& in, std::map<std::string, double>& out) {
   std::string line;
   std::vector<std::string> header;
@@ -121,6 +132,7 @@ bool parse_csv(std::istream& in, std::map<std::string, double>& out) {
     return header.size();
   };
   const std::size_t col_name = column("name");
+  const std::size_t col_real = column("real_time");
   const std::size_t col_cpu = column("cpu_time");
   const std::size_t col_unit = column("time_unit");
   while (std::getline(in, line)) {
@@ -129,20 +141,21 @@ bool parse_csv(std::istream& in, std::map<std::string, double>& out) {
     if (fields.size() <= col_cpu || fields[col_name].empty()) continue;
     const std::string& unit =
         col_unit < fields.size() ? fields[col_unit] : "ns";
-    double cpu = 0;
-    if (!parse_num(fields[col_cpu], cpu)) {
-      std::fprintf(stderr,
-                   "bench_to_json: malformed cpu_time in CSV line: %s\n",
-                   line.c_str());
+    const bool real = uses_real_time(fields[col_name]);
+    double ns = 0;
+    if (!parse_num(fields[real ? col_real : col_cpu], ns)) {
+      std::fprintf(stderr, "bench_to_json: malformed %s in CSV line: %s\n",
+                   real ? "real_time" : "cpu_time", line.c_str());
       return false;
     }
-    out[fields[col_name]] = to_ns(cpu, unit);
+    out[fields[col_name]] = to_ns(ns, unit);
   }
   return true;
 }
 
-/// name -> cpu_ns_per_op from a BENCH_*.json file this tool wrote. The
-/// format is fixed (one record per line, fields in emit order), so a
+/// name -> ns per op (real_ns_per_op for wall-clock benchmarks,
+/// cpu_ns_per_op otherwise) from a BENCH_*.json file this tool wrote.
+/// The format is fixed (one record per line, fields in emit order), so a
 /// line scan is exact — no general JSON parser needed. Reports its own
 /// error (unreadable file, malformed number, no records) to stderr and
 /// returns false.
@@ -161,8 +174,6 @@ bool parse_baseline(const std::string& path,
     const auto name_begin = name_key + 9;
     const auto name_end = line.find('"', name_begin);
     if (name_end == std::string::npos) continue;
-    const auto cpu_key = line.find("\"cpu_ns_per_op\": ", name_end);
-    if (cpu_key == std::string::npos) continue;
     std::string name = line.substr(name_begin, name_end - name_begin);
     // Undo json_escape (only " and \ are ever escaped).
     std::string unescaped;
@@ -170,15 +181,19 @@ bool parse_baseline(const std::string& path,
       if (name[i] == '\\' && i + 1 < name.size()) ++i;
       unescaped += name[i];
     }
-    double cpu = 0;
-    if (!parse_num(line.substr(cpu_key + 17), cpu)) {
+    const std::string label =
+        uses_real_time(unescaped) ? "real_ns_per_op" : "cpu_ns_per_op";
+    const std::string field = "\"" + label + "\": ";
+    const auto key = line.find(field, name_end);
+    if (key == std::string::npos) continue;
+    double ns = 0;
+    if (!parse_num(line.substr(key + field.size()), ns)) {
       std::fprintf(stderr,
-                   "bench_to_json: malformed cpu_ns_per_op in baseline "
-                   "`%s` line: %s\n",
-                   path.c_str(), line.c_str());
+                   "bench_to_json: malformed %s in baseline `%s` line: %s\n",
+                   label.c_str(), path.c_str(), line.c_str());
       return false;
     }
-    out[unescaped] = cpu;
+    out[unescaped] = ns;
   }
   if (out.empty()) {
     std::fprintf(stderr, "bench_to_json: no records in baseline `%s`\n",
@@ -219,13 +234,13 @@ int run_check(const std::string& baseline_path, std::istream& in) {
     const auto base = baseline.find(hot);
     const auto now = fresh.find(hot);
     if (base == baseline.end() || now == fresh.end()) {
-      std::printf("  %-24s SKIP (missing from %s)\n", hot,
+      std::printf("  %-30s SKIP (missing from %s)\n", hot,
                   base == baseline.end() ? "baseline" : "fresh run");
       continue;
     }
     const double normalized = (now->second / base->second) / median;
     const bool bad = normalized > kMaxRegression;
-    std::printf("  %-24s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n", hot,
+    std::printf("  %-30s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n", hot,
                 base->second, now->second, (normalized - 1.0) * 100.0,
                 bad ? "FAIL" : "ok");
     if (bad) ++failures;
