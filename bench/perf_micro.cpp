@@ -467,6 +467,30 @@ void BM_CompileDesignCold(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileDesignCold)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// Warm runs alternating between heat 64x64 and heat 32x32: 5.2k
+// distinct routines, more than one 4096-entry generation of the old
+// count-bounded program cache, which recompiled thousands of them per
+// pair. Under the byte budget both designs stay resident, so every
+// iteration is two warm runs. Wall time, since a recompile fans out.
+void BM_ExecRunAlternating(benchmark::State& state) {
+  const auto rod = [](std::size_t cells) {
+    pits::Vector v(cells, 0.0);
+    for (std::size_t i = 0; i < v.size(); i += 16) v[i] = 100.0;
+    return std::map<std::string, pits::Value>{{"rod", pits::Value(v)}};
+  };
+  const auto large = workloads::heat_design(64, 64, 4).flatten();
+  const auto small = workloads::heat_design(32, 32, 4).flatten();
+  const auto large_inputs = rod(256);
+  const auto small_inputs = rod(128);
+  benchmark::DoNotOptimize(exec::run_sequential(large, large_inputs));
+  benchmark::DoNotOptimize(exec::run_sequential(small, small_inputs));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exec::run_sequential(large, large_inputs));
+    benchmark::DoNotOptimize(exec::run_sequential(small, small_inputs));
+  }
+}
+BENCHMARK(BM_ExecRunAlternating)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_ExecRunWalk(benchmark::State& state) {
   const auto flat = workloads::lu3x3_design().flatten();
   const std::map<std::string, pits::Value> inputs = {

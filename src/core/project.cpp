@@ -7,8 +7,7 @@
 namespace banger {
 
 Project::Project(graph::Design design) : design_(std::move(design)) {
-  design_.validate();
-  flat_ = design_.flatten();
+  flat_ = design_.validate();
 }
 
 Project Project::load(const std::string& path) {

@@ -1,8 +1,10 @@
 #include "exec/plan.hpp"
 
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "analyze/absint.hpp"
 #include "util/error.hpp"
@@ -37,89 +39,171 @@ std::optional<std::uint32_t> output_index(const graph::Task& task,
 
 namespace {
 
-CachedProgram compile_program(const std::string& source) {
-  CachedProgram entry;
+/// Heap bytes behind a routine's source, AST and chunk, read off the
+/// container capacities. Allocator headers are left out.
+struct HeapBytes {
+  std::size_t operator()(const std::string& s) const {
+    return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+  }
+  template <class T>
+  std::size_t operator()(const std::unique_ptr<T>& p) const {
+    return p ? sizeof(T) + (*this)(*p) : 0;
+  }
+  template <class T>
+  std::size_t operator()(const std::vector<T>& v) const {
+    std::size_t bytes = v.capacity() * sizeof(T);
+    if constexpr (!std::is_trivially_copyable_v<T>) {
+      for (const T& x : v) bytes += (*this)(x);
+    }
+    return bytes;
+  }
+  template <class... Ts>
+  std::size_t operator()(const std::variant<Ts...>& v) const {
+    return std::visit(*this, v);
+  }
+
+  std::size_t operator()(const pits::Expr& e) const { return (*this)(e.node); }
+  std::size_t operator()(const pits::NumberLit&) const { return 0; }
+  std::size_t operator()(const pits::StringLit& n) const {
+    return (*this)(n.value);
+  }
+  std::size_t operator()(const pits::VarRef& n) const {
+    return (*this)(n.name);
+  }
+  std::size_t operator()(const pits::VectorLit& n) const {
+    return (*this)(n.elements);
+  }
+  std::size_t operator()(const pits::Unary& n) const {
+    return (*this)(n.operand);
+  }
+  std::size_t operator()(const pits::Binary& n) const {
+    return (*this)(n.lhs) + (*this)(n.rhs);
+  }
+  std::size_t operator()(const pits::Index& n) const {
+    return (*this)(n.base) + (*this)(n.index);
+  }
+  std::size_t operator()(const pits::Call& n) const {
+    return (*this)(n.callee) + (*this)(n.args);
+  }
+
+  std::size_t operator()(const pits::Stmt& s) const { return (*this)(s.node); }
+  std::size_t operator()(const pits::AssignStmt& n) const {
+    return (*this)(n.target) + (*this)(n.index) + (*this)(n.value);
+  }
+  std::size_t operator()(const pits::IfStmt::Arm& n) const {
+    return (*this)(n.cond) + (*this)(n.body);
+  }
+  std::size_t operator()(const pits::IfStmt& n) const {
+    return (*this)(n.arms) + (*this)(n.else_body);
+  }
+  std::size_t operator()(const pits::WhileStmt& n) const {
+    return (*this)(n.cond) + (*this)(n.body);
+  }
+  std::size_t operator()(const pits::RepeatStmt& n) const {
+    return (*this)(n.count) + (*this)(n.body);
+  }
+  std::size_t operator()(const pits::ForStmt& n) const {
+    return (*this)(n.var) + (*this)(n.from) + (*this)(n.to) +
+           (*this)(n.step) + (*this)(n.body);
+  }
+  std::size_t operator()(const pits::ReturnStmt&) const { return 0; }
+  std::size_t operator()(const pits::FormulaDef& n) const {
+    return (*this)(n.name) + (*this)(n.params) + (*this)(n.body);
+  }
+  std::size_t operator()(const pits::ExprStmt& n) const {
+    return (*this)(n.expr);
+  }
+
+  std::size_t operator()(const pits::Value& v) const {
+    if (const pits::Vector* vec = v.vector_if()) return (*this)(*vec);
+    if (const pits::Str* str = v.string_if()) return (*this)(*str);
+    return 0;
+  }
+  std::size_t operator()(const pits::bc::CallSite& n) const {
+    return (*this)(n.args);
+  }
+  std::size_t operator()(const pits::bc::Code& n) const {
+    return (*this)(n.ins) + (*this)(n.sites);
+  }
+  std::size_t operator()(const pits::bc::Formula& n) const {
+    return (*this)(n.param_reg) + (*this)(n.param_bind) + (*this)(n.code);
+  }
+  std::size_t operator()(const pits::bc::StmtRun& n) const {
+    return (*this)(n.bounds) + (*this)(n.pos);
+  }
+  std::size_t operator()(const pits::bc::Chunk& n) const {
+    return (*this)(n.main) + (*this)(n.formulas) + (*this)(n.consts) +
+           (*this)(n.names) + (*this)(n.messages) + (*this)(n.vars) +
+           (*this)(n.runs);
+  }
+};
+
+}  // namespace
+
+ProgramCache::Entry ProgramCache::build(const std::string& source) {
+  Entry entry;
   entry.source = source;
   entry.program = pits::Program::parse(source);
   // The abstract interpreter supplies proofs that let the compiler
   // elide bounds/binding checks and batch statement ticks.
   analyze::precompile_optimized(entry.program);
   entry.chunk = entry.program.compiled_chunk();
+  const HeapBytes heap;
+  entry.bytes = sizeof(Entry) + heap(entry.source) + sizeof(pits::Block) +
+                heap(entry.program.body()) +
+                (entry.chunk ? sizeof(pits::bc::Chunk) + heap(*entry.chunk)
+                             : 0);
   return entry;
 }
 
-}  // namespace
-
-const CachedProgram& ProgramCache::insert_hot_locked(std::uint64_t key,
-                                                     CachedProgram entry) {
-  if (hot_size_ >= cap_) {
-    // Generation flip: the cold shard holds entries untouched for a
-    // whole generation — drop it and demote hot. Anything still in use
-    // gets promoted back before the next flip, so the working set
-    // survives; only genuinely idle routines recompile.
-    stats_.evictions += cold_size_;
-    cold_ = std::move(hot_);
-    cold_size_ = hot_size_;
-    hot_.clear();
-    hot_size_ = 0;
-  }
-  ++hot_size_;
-  return hot_[key].emplace_back(std::move(entry));
+void ProgramCache::touch_locked(Recency::iterator it, std::uint64_t call) {
+  recency_.splice(recency_.end(), recency_, it);
+  it->call = call;
 }
 
-const CachedProgram* ProgramCache::find_locked(std::uint64_t key,
-                                               const std::string& source) {
-  if (auto it = hot_.find(key); it != hot_.end()) {
-    for (const CachedProgram& entry : it->second) {
-      if (entry.source == source) return &entry;
-    }
+void ProgramCache::evict_locked(std::uint64_t call) {
+  // Stamps grow with each call, so an entry stamped `call` or later is
+  // in use by this call or by one that looked up after it.
+  while (stats_.bytes > budget_ && !recency_.empty() &&
+         recency_.front().call < call) {
+    const Entry& victim = recency_.front();
+    index_.erase(victim.source);  // before the text its key views dies
+    stats_.bytes -= victim.bytes;
+    --stats_.entries;
+    ++stats_.evictions;
+    recency_.pop_front();
   }
-  if (auto it = cold_.find(key); it != cold_.end()) {
-    std::vector<CachedProgram>& chain = it->second;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      if (chain[i].source == source) {
-        CachedProgram entry = std::move(chain[i]);
-        chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(i));
-        if (chain.empty()) cold_.erase(it);
-        --cold_size_;
-        return &insert_hot_locked(key, std::move(entry));
-      }
-    }
-  }
-  return nullptr;
 }
 
-CachedProgram ProgramCache::get(const std::string& source) {
+ProgramCache::Lookup ProgramCache::get(const std::string& source) {
   Lookup found = std::move(get_all({&source}).front());
   if (found.error) std::rethrow_exception(found.error);
-  return {source, std::move(found.program), std::move(found.chunk)};
+  return found;
 }
 
 std::vector<ProgramCache::Lookup> ProgramCache::get_all(
     const std::vector<const std::string*>& sources) {
-  struct Miss {
-    const std::string* source;
-    std::uint64_t key;
-  };
   std::vector<Lookup> out;
   out.reserve(sources.size());
   // The distinct misses in first-seen order, and for each position that
   // missed, the miss it waits for.
-  std::vector<Miss> misses;
+  std::vector<const std::string*> misses;
   std::vector<std::pair<std::size_t, std::size_t>> waiting;
+  std::uint64_t call = 0;
   {
     std::unordered_map<std::string_view, std::size_t> miss_index;
     std::lock_guard lock(mutex_);
+    call = ++calls_;
     for (const std::string* source : sources) {
-      const std::uint64_t key = util::fnv1a64(*source);
-      if (const CachedProgram* hit = find_locked(key, *source)) {
+      if (const auto hit = index_.find(*source); hit != index_.end()) {
         ++stats_.hits;
-        out.push_back({hit->program, hit->chunk, nullptr});
+        touch_locked(hit->second, call);
+        out.push_back({hit->second->program, hit->second->chunk, nullptr});
         continue;
       }
       const auto [it, first] = miss_index.try_emplace(*source, misses.size());
       if (first) {
-        misses.push_back({source, key});
+        misses.push_back(source);
       } else {
         ++stats_.hits;  // a repeat shares the first sighting's compile
       }
@@ -131,35 +215,44 @@ std::vector<ProgramCache::Lookup> ProgramCache::get_all(
 
   // Compile outside the lock, each miss on whichever worker takes it;
   // errors stay with their source.
-  std::vector<CachedProgram> built(misses.size());
+  std::vector<Entry> built(misses.size());
   std::vector<std::exception_ptr> errors(misses.size());
   util::parallel_for(misses.size(), util::default_jobs(), [&](std::size_t m) {
     try {
-      built[m] = compile_program(*misses[m].source);
+      built[m] = build(*misses[m]);
     } catch (...) {
       errors[m] = std::current_exception();
     }
   });
 
+  std::vector<Lookup> compiled(misses.size());
   {
     std::lock_guard lock(mutex_);
     for (std::size_t m = 0; m < misses.size(); ++m) {
-      if (errors[m]) continue;
-      ++stats_.misses;  // a compile happened, even if the race below loses
-      // Double-checked insert: a concurrent batch may have compiled the
-      // same source first; share its entry instead of inserting a
-      // duplicate that inflates hot_size_ toward the cap.
-      if (const CachedProgram* existing =
-              find_locked(misses[m].key, *misses[m].source)) {
-        built[m] = *existing;
-      } else {
-        insert_hot_locked(misses[m].key, built[m]);
+      if (errors[m]) {
+        compiled[m].error = errors[m];
+        continue;
       }
+      ++stats_.misses;  // a compile happened, even if the race below loses
+      // A concurrent call may have compiled the same source first: share
+      // its entry instead of holding the text twice.
+      auto found = index_.find(*misses[m]);
+      if (found != index_.end()) {
+        touch_locked(found->second, call);
+      } else {
+        built[m].call = call;
+        stats_.bytes += built[m].bytes;
+        ++stats_.entries;
+        recency_.push_back(std::move(built[m]));
+        found = index_.emplace(recency_.back().source,
+                               std::prev(recency_.end()))
+                    .first;
+      }
+      compiled[m] = {found->second->program, found->second->chunk, nullptr};
     }
+    evict_locked(call);
   }
-  for (const auto& [at, m] : waiting) {
-    out[at] = {built[m].program, built[m].chunk, errors[m]};
-  }
+  for (const auto& [at, m] : waiting) out[at] = compiled[m];
   return out;
 }
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +23,8 @@
 #include <ostream>
 #include <streambuf>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -52,36 +55,34 @@ inline std::uint64_t seed_for(const std::string& task_name,
 // for the front end exactly once. Parse/compile failures are not
 // cached: they re-raise per run, exactly as before.
 
-struct CachedProgram {
-  std::string source;
-  pits::Program program;
-  std::shared_ptr<const pits::bc::Chunk> chunk;  ///< null -> walker only
-};
-
-/// Segmented (two-generation) LRU: entries live in a `hot` shard; when
-/// it fills, the previous generation (`cold`) is dropped and hot becomes
-/// cold. Anything touched at least once per generation is promoted back
-/// to hot and survives indefinitely, so a long-lived serve/stream
-/// process under cap pressure evicts only routines it stopped using —
-/// it never recompiles its whole working set at once the way the old
-/// clear-everything policy did.
+/// One LRU list charged in bytes. Each entry is charged what it holds —
+/// its source, AST and chunk — once, when it is built. A get_all() call
+/// resolves a design's routines as a unit: its hits move to the
+/// most-recent end, its misses join them there, and eviction then drops
+/// least-recent entries while the total is over budget, stopping at the
+/// first entry the call itself uses. A design larger than the whole
+/// budget therefore compiles each routine once per run and stays
+/// resident until a later call needs the room.
 class ProgramCache {
  public:
-  /// `cap` is per generation; worst-case residency is 2*cap entries.
-  /// The default comfortably holds the largest bundled design (the
-  /// 32x32 heat workload carries ~1k distinct routines).
-  explicit ProgramCache(std::size_t cap = 4096) : cap_(cap ? cap : 1) {}
+  /// The process-wide budget. A compiled heat routine is charged
+  /// ~8.5 KB (~9.7 KB of real heap), so the 32x32 and 64x64 heat rods
+  /// together, 5.2k routines, take a third of it.
+  static constexpr std::size_t kDefaultBudget = std::size_t{128} << 20;
 
-  /// One source's entry; throws its parse/compile error.
-  CachedProgram get(const std::string& source);
+  explicit ProgramCache(std::size_t budget = kDefaultBudget)
+      : budget_(budget) {}
 
   /// One result of get_all(): the compiled routine, or the error its
   /// parse/compile raised.
   struct Lookup {
     pits::Program program;
-    std::shared_ptr<const pits::bc::Chunk> chunk;
+    std::shared_ptr<const pits::bc::Chunk> chunk;  ///< null -> walker only
     std::exception_ptr error;
   };
+
+  /// One source's entry; throws its parse/compile error.
+  Lookup get(const std::string& source);
 
   /// Looks up a whole design's routines at once. The hits are served in
   /// one pass under the lock. Each distinct miss compiles once, outside
@@ -93,29 +94,37 @@ class ProgramCache {
 
   struct Stats {
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;       ///< compiles (first sight of a source)
-    std::uint64_t evictions = 0;    ///< entries dropped at generation flips
+    std::uint64_t misses = 0;     ///< compiles (first sight of a source)
+    std::uint64_t evictions = 0;  ///< entries dropped to make room
+    std::uint64_t entries = 0;    ///< entries resident now
+    std::uint64_t bytes = 0;      ///< bytes the resident entries hold
   };
   [[nodiscard]] Stats stats() const;
+  [[nodiscard]] std::size_t budget() const noexcept { return budget_; }
 
  private:
-  // FNV key -> entries (collision chain compares full source text).
-  using Shard = std::map<std::uint64_t, std::vector<CachedProgram>>;
+  struct Entry {
+    std::string source;
+    pits::Program program;
+    std::shared_ptr<const pits::bc::Chunk> chunk;
+    std::size_t bytes = 0;
+    std::uint64_t call = 0;  ///< the get_all() that last used it
+  };
+  using Recency = std::list<Entry>;  ///< least recently used first
 
-  /// Mutex held. The cached entry for `source`, promoting a cold hit to
-  /// hot; null on a miss. Valid until the next insert.
-  const CachedProgram* find_locked(std::uint64_t key,
-                                   const std::string& source);
-  /// Mutex held. Inserts into `hot`, flipping generations when full.
-  const CachedProgram& insert_hot_locked(std::uint64_t key,
-                                         CachedProgram entry);
+  static Entry build(const std::string& source);
+  /// Mutex held. Moves `it` to the most-recent end as used by `call`.
+  void touch_locked(Recency::iterator it, std::uint64_t call);
+  /// Mutex held. Drops least-recent entries while over budget, up to the
+  /// first one `call` (or a later call) uses.
+  void evict_locked(std::uint64_t call);
 
-  std::size_t cap_;
+  std::size_t budget_;
   mutable std::mutex mutex_;
-  Shard hot_;
-  Shard cold_;
-  std::size_t hot_size_ = 0;
-  std::size_t cold_size_ = 0;
+  Recency recency_;
+  /// Keyed by a view of each entry's own source text.
+  std::unordered_map<std::string_view, Recency::iterator> index_;
+  std::uint64_t calls_ = 0;
   Stats stats_;
 };
 

@@ -74,17 +74,15 @@ const DataflowGraph& Design::graph(GraphId id) const {
   return graphs_[static_cast<std::size_t>(id)];
 }
 
-void Design::validate() const {
+FlattenResult Design::validate() const {
   for (const auto& g : graphs_) g.validate();
 
-  // Supernode references: existing, non-root, acyclic.
-  const auto n = graphs_.size();
-  std::vector<std::vector<std::size_t>> refs(n);
-  for (std::size_t gi = 0; gi < n; ++gi) {
-    for (const Node& node : graphs_[gi].nodes()) {
+  // Supernode references: existing, non-root, acyclic, not too deep.
+  for (const auto& g : graphs_) {
+    for (const Node& node : g.nodes()) {
       if (node.kind != NodeKind::Super) continue;
       if (node.subgraph < 0 ||
-          static_cast<std::size_t>(node.subgraph) >= n) {
+          static_cast<std::size_t>(node.subgraph) >= graphs_.size()) {
         fail(ErrorCode::Graph, "supernode `" + node.name +
                                    "` references a missing child graph");
       }
@@ -92,46 +90,82 @@ void Design::validate() const {
         fail(ErrorCode::Graph, "supernode `" + node.name +
                                    "` references the root graph");
       }
-      refs[gi].push_back(static_cast<std::size_t>(node.subgraph));
     }
   }
-  // Cycle check over the graph-reference relation (DFS, three colors).
+  const std::vector<int> level = levels();
+  for (std::size_t g = 0; g < graphs_.size(); ++g) {
+    if (level[g] < kMaxHierarchyDepth) continue;
+    for (const Node& node : graphs_[g].nodes()) {
+      if (node.kind == NodeKind::Super) {
+        fail(ErrorCode::Limit,
+             "supernode `" + node.name + "` nests the hierarchy deeper than " +
+                 std::to_string(kMaxHierarchyDepth) + " levels",
+             node.pos);
+      }
+    }
+  }
+  return flatten();  // binding errors surface here
+}
+
+int Design::depth() const {
+  const std::vector<int> level = levels();
+  return *std::max_element(level.begin(), level.end());
+}
+
+std::vector<int> Design::levels() const {
+  const std::size_t n = graphs_.size();
+  // The level a node expands into; n for none.
+  auto child_of = [n](const Node& node) {
+    return node.kind == NodeKind::Super && node.subgraph > 0 &&
+                   static_cast<std::size_t>(node.subgraph) < n
+               ? static_cast<std::size_t>(node.subgraph)
+               : n;
+  };
+  // Three-colour DFS from every level in id order, on an explicit stack
+  // so that chains of any depth stay off the call stack. Postorder puts
+  // each level after every level it references.
   std::vector<int> color(n, 0);
-  std::vector<std::size_t> stack;
-  auto dfs = [&](auto&& self, std::size_t g) -> void {
-    color[g] = 1;
-    for (std::size_t child : refs[g]) {
+  std::vector<std::size_t> postorder;
+  postorder.reserve(n);
+  std::vector<std::pair<std::size_t, std::size_t>> stack;  // level, next node
+  for (std::size_t start = 0; start < n; ++start) {
+    if (color[start] != 0) continue;
+    color[start] = 1;
+    stack.emplace_back(start, 0);
+    while (!stack.empty()) {
+      const auto [g, next] = stack.back();
+      const std::vector<Node>& nodes = graphs_[g].nodes();
+      if (next == nodes.size()) {
+        color[g] = 2;
+        postorder.push_back(g);
+        stack.pop_back();
+        continue;
+      }
+      ++stack.back().second;
+      const std::size_t child = child_of(nodes[next]);
+      if (child == n) continue;
       if (color[child] == 1) {
         fail(ErrorCode::Graph, "recursive hierarchy through graph `" +
                                    graphs_[child].name() + "`");
       }
-      if (color[child] == 0) self(self, child);
-    }
-    color[g] = 2;
-  };
-  for (std::size_t g = 0; g < n; ++g)
-    if (color[g] == 0) dfs(dfs, g);
-
-  (void)flatten();  // binding errors surface here
-}
-
-int Design::depth() const {
-  // Longest chain in the (acyclic) graph-reference relation, counting
-  // levels from the root.
-  std::vector<int> memo(graphs_.size(), -1);
-  auto dfs = [&](auto&& self, std::size_t g) -> int {
-    if (memo[g] >= 0) return memo[g];
-    int best = 1;
-    for (const Node& node : graphs_[g].nodes()) {
-      if (node.kind == NodeKind::Super && node.subgraph > 0 &&
-          static_cast<std::size_t>(node.subgraph) < graphs_.size()) {
-        best = std::max(
-            best, 1 + self(self, static_cast<std::size_t>(node.subgraph)));
+      if (color[child] == 0) {
+        color[child] = 1;
+        stack.emplace_back(child, 0);
       }
     }
-    return memo[g] = best;
-  };
-  return dfs(dfs, 0);
+  }
+  // Longest chain from the root, each level after all its parents.
+  std::vector<int> level(n, 0);
+  level[0] = 1;
+  for (auto it = postorder.rbegin(); it != postorder.rend(); ++it) {
+    if (level[*it] == 0) continue;  // not reachable from the root
+    for (const Node& node : graphs_[*it].nodes()) {
+      if (const std::size_t child = child_of(node); child < n) {
+        level[child] = std::max(level[child], level[*it] + 1);
+      }
+    }
+  }
+  return level;
 }
 
 std::size_t Design::num_leaf_tasks() const {

@@ -52,6 +52,11 @@ struct FlattenResult {
   [[nodiscard]] const FlatStore* find_store(const std::string& var) const;
 };
 
+/// Deepest hierarchy Design::validate() accepts, in depth() levels.
+/// Every level qualifies the names below it once more, so flattening a
+/// chain of k levels costs memory quadratic in k.
+inline constexpr int kMaxHierarchyDepth = 1000;
+
 /// The hierarchical design. Construct, then populate the root graph and
 /// any child graphs, then validate() and flatten().
 class Design {
@@ -76,11 +81,14 @@ class Design {
   ///   - each level validates structurally;
   ///   - every Super node references an existing, non-root graph;
   ///   - the graph-reference relation is acyclic (no recursive designs);
+  ///   - the hierarchy is at most kMaxHierarchyDepth levels deep
+  ///     (Error{Limit} at the supernode that would nest deeper);
   ///   - flattening succeeds (all supernode boundary variables bind).
-  void validate() const;
+  /// Returns that flattening, so callers need not flatten again.
+  FlattenResult validate() const;
 
   /// Depth of the hierarchy: 1 for a flat design, 2 for the paper's
-  /// Figure 1, etc.
+  /// Figure 1, etc. Throws Error{Graph} on a recursive design.
   [[nodiscard]] int depth() const;
 
   /// Total primitive (leaf) tasks after full expansion.
@@ -91,6 +99,11 @@ class Design {
   [[nodiscard]] FlattenResult flatten() const;
 
  private:
+  /// Per graph, its level on the longest chain of supernode references
+  /// from the root (1 for the root, 0 when unreachable). Throws
+  /// Error{Graph} on a reference cycle.
+  [[nodiscard]] std::vector<int> levels() const;
+
   std::string name_;
   // deque: stable references across add_graph (builders hold level refs).
   std::deque<DataflowGraph> graphs_;

@@ -16,35 +16,42 @@ using util::split;
 using util::split_ws;
 using util::trim;
 
+/// A directive line's trailing `key=value` tokens, viewed in place. The
+/// first of repeated keys wins.
 struct KeyValues {
-  std::unordered_map<std::string, std::string> map;
+  std::vector<std::pair<std::string_view, std::string_view>> pairs;
 
-  [[nodiscard]] bool has(const std::string& key) const {
-    return map.contains(key);
+  [[nodiscard]] const std::string_view* find(std::string_view key) const {
+    for (const auto& [k, v] : pairs) {
+      if (k == key) return &v;
+    }
+    return nullptr;
   }
-  [[nodiscard]] std::string str(const std::string& key,
-                                std::string fallback = {}) const {
-    auto it = map.find(key);
-    return it == map.end() ? fallback : it->second;
+  [[nodiscard]] bool has(std::string_view key) const {
+    return find(key) != nullptr;
+  }
+  [[nodiscard]] std::string str(std::string_view key) const {
+    const std::string_view* v = find(key);
+    return v == nullptr ? std::string() : std::string(*v);
   }
   [[nodiscard]] double num(const std::string& key, double fallback,
                            int line) const {
-    auto it = map.find(key);
-    if (it == map.end()) return fallback;
-    const std::string& s = it->second;
+    const std::string_view* s = find(key);
+    if (s == nullptr) return fallback;
     double value = 0;
-    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-    if (ec != std::errc{} || ptr != s.data() + s.size()) {
-      fail(ErrorCode::Parse, "bad numeric value `" + s + "` for " + key,
+    auto [ptr, ec] = std::from_chars(s->data(), s->data() + s->size(), value);
+    if (ec != std::errc{} || ptr != s->data() + s->size()) {
+      fail(ErrorCode::Parse,
+           "bad numeric value `" + std::string(*s) + "` for " + key,
            {line, 1});
     }
     return value;
   }
-  [[nodiscard]] std::vector<std::string> list(const std::string& key) const {
+  [[nodiscard]] std::vector<std::string> list(std::string_view key) const {
     std::vector<std::string> out;
-    auto it = map.find(key);
-    if (it == map.end()) return out;
-    for (auto part : split(it->second, ',')) {
+    const std::string_view* v = find(key);
+    if (v == nullptr) return out;
+    for (auto part : split(*v, ',')) {
       auto t = trim(part);
       if (!t.empty()) out.emplace_back(t);
     }
@@ -63,24 +70,22 @@ KeyValues parse_kv(const std::vector<std::string_view>& tokens,
            "expected key=value, got `" + std::string(tokens[i]) + "`",
            {line, 1});
     }
-    kv.map.emplace(std::string(tokens[i].substr(0, eq)),
-                   std::string(tokens[i].substr(eq + 1)));
+    kv.pairs.emplace_back(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
   }
   return kv;
 }
 
-std::string strip_comment(std::string_view raw) {
+std::string_view strip_comment(std::string_view raw) {
   // '#' outside of a pits block starts a comment.
   auto pos = raw.find('#');
   if (pos != std::string_view::npos) raw = raw.substr(0, pos);
-  return std::string(trim(raw));
+  return trim(raw);
 }
 
 }  // namespace
 
 Design parse_design(std::string_view text) {
-  std::vector<std::string> lines;
-  for (auto l : split(text, '\n')) lines.emplace_back(l);
+  const std::vector<std::string_view> lines = split(text, '\n');
 
   Design design;
   bool named = false;
@@ -100,7 +105,7 @@ Design parse_design(std::string_view text) {
 
   for (std::size_t li = 0; li < lines.size(); ++li) {
     const int lineno = static_cast<int>(li + 1);
-    std::string line = strip_comment(lines[li]);
+    const std::string_view line = strip_comment(lines[li]);
     if (line.empty()) continue;
 
     auto tokens = split_ws(line);
@@ -115,12 +120,12 @@ Design parse_design(std::string_view text) {
         fail(ErrorCode::Parse, "expected `pits {`", {lineno, 1});
       }
       const int body_first_line = lineno + 1;
-      std::vector<std::string> body_lines;
+      std::vector<std::string_view> body_lines;
       bool closed = false;
       while (++li < lines.size()) {
         // Inside the block lines are raw PITS source ('#' is not a
         // comment delimiter here; PITS has its own `--` comments).
-        if (std::string(trim(lines[li])) == "}") {
+        if (trim(lines[li]) == "}") {
           closed = true;
           break;
         }
@@ -132,14 +137,14 @@ Design parse_design(std::string_view text) {
       // Strip the common leading indentation so serialisation round-trips
       // to a fixpoint while nested PITS indentation survives.
       std::size_t common = std::string::npos;
-      for (const std::string& l : body_lines) {
+      for (const std::string_view l : body_lines) {
         if (trim(l).empty()) continue;
         common = std::min(common, l.find_first_not_of(" \t"));
       }
       if (common == std::string::npos) common = 0;
       std::string body;
-      for (const std::string& l : body_lines) {
-        body += l.size() > common ? l.substr(common) : std::string(trim(l));
+      for (const std::string_view l : body_lines) {
+        body += l.size() > common ? l.substr(common) : trim(l);
         body += '\n';
       }
       current->node(last_task).pits = body;
@@ -165,17 +170,19 @@ Design parse_design(std::string_view text) {
       if (tokens.size() != 2) {
         fail(ErrorCode::Parse, "expected `graph <name>`", {lineno, 1});
       }
-      std::string gname(tokens[1]);
-      if (graph_ids.contains(gname)) {
+      const auto [slot, fresh] =
+          graph_ids.try_emplace(std::string(tokens[1]), kNoGraph);
+      const std::string& gname = slot->first;
+      if (!fresh) {
         fail(ErrorCode::Parse, "duplicate graph `" + gname + "`", {lineno, 1});
       }
-      if (graph_ids.empty()) {
+      if (graph_ids.size() == 1) {
         current_gid = design.root();
         design.graph(current_gid).set_name(gname);
       } else {
         current_gid = design.add_graph(gname);
       }
-      graph_ids.emplace(std::move(gname), current_gid);
+      slot->second = current_gid;
       current = &design.graph(current_gid);
       last_task = kNoNode;
       continue;

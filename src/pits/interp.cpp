@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "obs/trace.hpp"
 #include "pits/builtins.hpp"
@@ -16,6 +18,14 @@ namespace banger::pits {
 namespace {
 
 enum class Flow : std::uint8_t { Normal, Return };
+
+/// How deep the walker's native recursion may go: one level per nested
+/// expression evaluation plus one per formula frame. Formula recursion
+/// multiplies expression nesting (256 frames of a 200-level body), so
+/// the parser's nesting cap alone does not bound it; this keeps the
+/// walker inside an 8 MiB thread stack, with room to spare in
+/// sanitizer builds.
+constexpr int kMaxEvalDepth = 2048;
 
 class Interp {
  public:
@@ -30,17 +40,42 @@ class Interp {
   Value eval_public(const Expr& e) { return eval(e); }
 
  private:
-  [[noreturn]] void error(ErrorCode code, const std::string& msg,
-                          SourcePos pos) {
-    fail(code, msg, pos);
+  /// Raises Error{code} at `pos`, its message the concatenated `parts`.
+  /// Out of line, the message built here: the walker recurses once per
+  /// expression level, and a frame that built a message inline would
+  /// hold room for its temporaries at every level.
+  template <class... Parts>
+  [[noreturn, gnu::noinline]] static void error(ErrorCode code,
+                                                SourcePos pos,
+                                                const Parts&... parts) {
+    std::string message;
+    const auto append = [&message](const auto& part) {
+      if constexpr (std::is_arithmetic_v<std::decay_t<decltype(part)>>) {
+        message += std::to_string(part);
+      } else {
+        message += std::string_view(part);
+      }
+    };
+    (append(parts), ...);
+    fail(code, std::move(message), pos);
+  }
+
+  [[noreturn, gnu::noinline]] static void fail_arity(const Call& node,
+                                                     const Builtin& fn,
+                                                     SourcePos pos) {
+    error(ErrorCode::Type, pos, "`", node.callee, "` expects ",
+          std::to_string(fn.min_args) +
+              (fn.max_args == fn.min_args
+                   ? ""
+                   : (fn.max_args < 0 ? "+"
+                                      : ".." + std::to_string(fn.max_args))),
+          " arguments, got ", static_cast<int>(node.args.size()));
   }
 
   void tick(SourcePos pos) {
     if (++steps_ > options_.step_limit) {
-      error(ErrorCode::Limit,
-            "step limit of " + std::to_string(options_.step_limit) +
-                " exceeded (infinite loop?)",
-            pos);
+      error(ErrorCode::Limit, pos, "step limit of ", options_.step_limit,
+            " exceeded (infinite loop?)");
     }
   }
 
@@ -61,14 +96,13 @@ class Interp {
             if (node.index) {
               auto it = scope_->find(node.target);
               if (it == scope_->end()) {
-                error(ErrorCode::Name,
-                      "indexed assignment to undefined variable `" +
-                          node.target + "`",
-                      s.pos);
+                error(ErrorCode::Name, s.pos,
+                      "indexed assignment to undefined variable `",
+                      node.target, "`");
               }
               if (!it->second.is_vector()) {
-                error(ErrorCode::Type,
-                      "`" + node.target + "` is not a vector", s.pos);
+                error(ErrorCode::Type, s.pos, "`", node.target,
+                      "` is not a vector");
               }
               Vector& vec = it->second.as_vector();
               const std::size_t i = index_of(*node.index, vec.size());
@@ -96,8 +130,8 @@ class Interp {
           } else if constexpr (std::is_same_v<T, RepeatStmt>) {
             const double n = eval(*node.count).as_scalar();
             if (n < 0 || std::floor(n) != n) {
-              error(ErrorCode::Runtime,
-                    "repeat count must be a non-negative integer", s.pos);
+              error(ErrorCode::Runtime, s.pos,
+                    "repeat count must be a non-negative integer");
             }
             for (double k = 0; k < n; ++k) {
               tick(s.pos);
@@ -110,7 +144,7 @@ class Interp {
             const double step =
                 node.step ? eval(*node.step).as_scalar() : 1.0;
             if (step == 0) {
-              error(ErrorCode::Runtime, "for loop with zero step", s.pos);
+              error(ErrorCode::Runtime, s.pos, "for loop with zero step");
             }
             for (double x = from; step > 0 ? x <= to + 1e-12 : x >= to - 1e-12;
                  x += step) {
@@ -123,19 +157,16 @@ class Interp {
             return Flow::Return;
           } else if constexpr (std::is_same_v<T, FormulaDef>) {
             if (node.name == "when") {
-              error(ErrorCode::Name,
-                    "`when` is the conditional special form", s.pos);
+              error(ErrorCode::Name, s.pos,
+                    "`when` is the conditional special form");
             }
             if (BuiltinRegistry::instance().find(node.name) != nullptr) {
-              error(ErrorCode::Name,
-                    "formula `" + node.name +
-                        "` would shadow a calculator button",
-                    s.pos);
+              error(ErrorCode::Name, s.pos, "formula `", node.name,
+                    "` would shadow a calculator button");
             }
             if (constants().contains(node.name)) {
-              error(ErrorCode::Name,
-                    "formula `" + node.name + "` would shadow a constant",
-                    s.pos);
+              error(ErrorCode::Name, s.pos, "formula `", node.name,
+                    "` would shadow a constant");
             }
             formulas_[node.name] = &node;
             return Flow::Normal;
@@ -150,18 +181,33 @@ class Interp {
   std::size_t index_of(const Expr& index_expr, std::size_t size) {
     const double raw = eval(index_expr).as_scalar();
     if (std::floor(raw) != raw) {
-      error(ErrorCode::Runtime, "index must be an integer", index_expr.pos);
+      error(ErrorCode::Runtime, index_expr.pos, "index must be an integer");
     }
     if (raw < 0 || raw >= static_cast<double>(size)) {
-      error(ErrorCode::Runtime,
-            "index " + std::to_string(static_cast<long long>(raw)) +
-                " out of range [0," + std::to_string(size) + ")",
-            index_expr.pos);
+      error(ErrorCode::Runtime, index_expr.pos, "index ",
+            static_cast<long long>(raw), " out of range [0,", size, ")");
     }
     return static_cast<std::size_t>(raw);
   }
 
+  /// Counts one level of native recursion for the scope's lifetime;
+  /// past kMaxEvalDepth it raises Error{Limit} at `pos` instead.
+  struct DepthGuard {
+    DepthGuard(Interp& interp, SourcePos pos) : depth(interp.depth_) {
+      if (depth >= kMaxEvalDepth) {
+        error(ErrorCode::Limit, pos, "evaluation nested deeper than ",
+              kMaxEvalDepth, " levels (formula recursion too deep?)");
+      }
+      ++depth;
+    }
+    ~DepthGuard() { --depth; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+    int& depth;
+  };
+
   Value eval(const Expr& e) {
+    const DepthGuard guard(*this, e.pos);
     return std::visit(
         [&](const auto& node) -> Value {
           using T = std::decay_t<decltype(node)>;
@@ -170,33 +216,15 @@ class Interp {
           } else if constexpr (std::is_same_v<T, StringLit>) {
             return Value(node.value);
           } else if constexpr (std::is_same_v<T, VarRef>) {
-            if (auto it = scope_->find(node.name); it != scope_->end()) {
-              return it->second;
-            }
-            if (auto c = constants().find(node.name); c != constants().end()) {
-              return Value(c->second);
-            }
-            error(ErrorCode::Name, "undefined variable `" + node.name + "`",
-                  e.pos);
+            return eval_var(node, e.pos);
           } else if constexpr (std::is_same_v<T, VectorLit>) {
-            Vector out;
-            out.reserve(node.elements.size());
-            for (const auto& el : node.elements) {
-              out.push_back(eval_scalar(*el));
-            }
-            return Value(std::move(out));
+            return eval_vector(node);
           } else if constexpr (std::is_same_v<T, Unary>) {
             return eval_unary(node, e.pos);
           } else if constexpr (std::is_same_v<T, Binary>) {
             return eval_binary(node, e.pos);
           } else if constexpr (std::is_same_v<T, Index>) {
-            Value base = eval(*node.base);
-            if (!base.is_vector()) {
-              error(ErrorCode::Type,
-                    "cannot index a " + std::string(base.type_name()), e.pos);
-            }
-            const Vector& v = base.as_vector();
-            return Value(v[index_of(*node.index, v.size())]);
+            return eval_index(node, e.pos);
           } else if constexpr (std::is_same_v<T, Call>) {
             return eval_call(node, e.pos);
           }
@@ -204,16 +232,46 @@ class Interp {
         e.node);
   }
 
+  // Each node kind is evaluated out of line, so that every level of the
+  // recursion pays only for the frame of the kind it evaluates.
+  [[gnu::noinline]] Value eval_var(const VarRef& node, SourcePos pos) {
+    if (auto it = scope_->find(node.name); it != scope_->end()) {
+      return it->second;
+    }
+    if (auto c = constants().find(node.name); c != constants().end()) {
+      return Value(c->second);
+    }
+    error(ErrorCode::Name, pos, "undefined variable `", node.name, "`");
+  }
+
+  [[gnu::noinline]] Value eval_vector(const VectorLit& node) {
+    Vector out;
+    out.reserve(node.elements.size());
+    for (const auto& el : node.elements) {
+      out.push_back(eval_scalar(*el));
+    }
+    return Value(std::move(out));
+  }
+
+  [[gnu::noinline]] Value eval_index(const Index& node, SourcePos pos) {
+    Value base = eval(*node.base);
+    if (!base.is_vector()) {
+      error(ErrorCode::Type, pos, "cannot index a ", base.type_name());
+    }
+    const Vector& v = base.as_vector();
+    return Value(v[index_of(*node.index, v.size())]);
+  }
+
   double eval_scalar(const Expr& e) {
     Value v = eval(e);
     if (!v.is_scalar()) {
-      error(ErrorCode::Type,
-            "expected a number, got a " + std::string(v.type_name()), e.pos);
+      error(ErrorCode::Type, e.pos, "expected a number, got a ",
+            v.type_name());
     }
     return v.as_scalar();
   }
 
-  Value eval_unary(const Unary& node, SourcePos pos) {
+  [[gnu::noinline]] Value eval_unary(const Unary& node, SourcePos pos) {
     if (node.op == UnOp::Not) {
       return Value(eval(*node.operand).truthy() ? 0.0 : 1.0);
     }
@@ -225,12 +283,12 @@ class Interp {
       return Value(std::move(out));
     }
     if (v.is_string()) {
-      error(ErrorCode::Type, "cannot negate a string", pos);
+      error(ErrorCode::Type, pos, "cannot negate a string");
     }
     return Value(-v.as_scalar());
   }
 
-  Value eval_binary(const Binary& node, SourcePos pos) {
+  [[gnu::noinline]] Value eval_binary(const Binary& node, SourcePos pos) {
     // Short-circuit logicals first.
     if (node.op == BinOp::And) {
       if (!eval(*node.lhs).truthy()) return Value(0.0);
@@ -261,16 +319,15 @@ class Interp {
       if (node.op == BinOp::Add && lhs.is_string() && rhs.is_string()) {
         return Value(lhs.as_string() + rhs.as_string());
       }
-      error(ErrorCode::Type,
-            "operator `" + std::string(to_string(node.op)) +
-                "` is not defined for strings",
-            pos);
+      error(ErrorCode::Type, pos, "operator `", to_string(node.op),
+            "` is not defined for strings");
     }
 
     return arith(node.op, lhs, rhs, pos);
   }
 
-  Value compare(BinOp op, const Value& lhs, const Value& rhs, SourcePos pos) {
+  [[gnu::noinline]] Value compare(BinOp op, const Value& lhs, const Value& rhs,
+                                  SourcePos pos) {
     double cmp = 0;
     if (lhs.is_scalar() && rhs.is_scalar()) {
       const double a = lhs.as_scalar();
@@ -280,10 +337,8 @@ class Interp {
       const int c = lhs.as_string().compare(rhs.as_string());
       cmp = c < 0 ? -1 : (c > 0 ? 1 : 0);
     } else {
-      error(ErrorCode::Type,
-            "cannot order a " + std::string(lhs.type_name()) + " against a " +
-                std::string(rhs.type_name()),
-            pos);
+      error(ErrorCode::Type, pos, "cannot order a ", lhs.type_name(),
+            " against a ", rhs.type_name());
     }
     switch (op) {
       case BinOp::Lt: return Value(cmp < 0 ? 1.0 : 0.0);
@@ -299,15 +354,15 @@ class Interp {
       case BinOp::Sub: return a - b;
       case BinOp::Mul: return a * b;
       case BinOp::Div:
-        if (b == 0) error(ErrorCode::Runtime, "division by zero", pos);
+        if (b == 0) error(ErrorCode::Runtime, pos, "division by zero");
         return a / b;
       case BinOp::Mod:
-        if (b == 0) error(ErrorCode::Runtime, "mod by zero", pos);
+        if (b == 0) error(ErrorCode::Runtime, pos, "mod by zero");
         return std::fmod(a, b);
       case BinOp::Pow: {
         const double r = std::pow(a, b);
         if (std::isnan(r) && !std::isnan(a) && !std::isnan(b)) {
-          error(ErrorCode::Runtime, "invalid power (negative base?)", pos);
+          error(ErrorCode::Runtime, pos, "invalid power (negative base?)");
         }
         return r;
       }
@@ -319,19 +374,17 @@ class Interp {
   // `lhs`/`rhs` are the caller's dead locals, so vector payloads are
   // reused in place instead of copied — element order and error
   // precedence are unchanged.
-  Value arith(BinOp op, Value& lhs, Value& rhs, SourcePos pos) {
+  [[gnu::noinline]] Value arith(BinOp op, Value& lhs, Value& rhs,
+                                SourcePos pos) {
     if (lhs.is_scalar() && rhs.is_scalar()) {
       return Value(scalar_op(op, lhs.as_scalar(), rhs.as_scalar(), pos));
     }
     if (lhs.is_vector() && rhs.is_vector()) {
       const Vector& b = rhs.as_vector();
       if (lhs.as_vector().size() != b.size()) {
-        error(ErrorCode::Type,
-              "elementwise `" + std::string(to_string(op)) +
-                  "` on vectors of lengths " +
-                  std::to_string(lhs.as_vector().size()) + " and " +
-                  std::to_string(b.size()),
-              pos);
+        error(ErrorCode::Type, pos, "elementwise `", to_string(op),
+              "` on vectors of lengths ", lhs.as_vector().size(), " and ",
+              b.size());
       }
       Vector out = std::move(lhs.as_vector());
       for (std::size_t i = 0; i < out.size(); ++i) {
@@ -352,41 +405,33 @@ class Interp {
       for (double& x : out) x = scalar_op(op, x, b, pos);
       return Value(std::move(out));
     }
-    error(ErrorCode::Type,
-          "operator `" + std::string(to_string(op)) + "` on a " +
-              std::string(lhs.type_name()) + " and a " +
-              std::string(rhs.type_name()),
-          pos);
+    error(ErrorCode::Type, pos, "operator `", to_string(op), "` on a ",
+          lhs.type_name(), " and a ", rhs.type_name());
   }
 
-  Value eval_call(const Call& node, SourcePos pos) {
+  [[gnu::noinline]] Value eval_call(const Call& node, SourcePos pos) {
     // `when(cond, a, b)` is a special form: only the selected branch is
     // evaluated, which is what makes recursive formulas terminate.
     if (node.callee == "when") {
       if (node.args.size() != 3) {
-        error(ErrorCode::Type, "when() expects (condition, then, else)",
-              pos);
+        error(ErrorCode::Type, pos, "when() expects (condition, then, else)");
       }
       return eval(*node.args[eval(*node.args[0]).truthy() ? 1 : 2]);
     }
     if (auto it = formulas_.find(node.callee); it != formulas_.end()) {
       return eval_formula(*it->second, node, pos);
     }
+    return eval_builtin(node, pos);
+  }
+
+  [[gnu::noinline]] Value eval_builtin(const Call& node, SourcePos pos) {
     const Builtin* fn = BuiltinRegistry::instance().find(node.callee);
     if (fn == nullptr) {
-      error(ErrorCode::Name, "unknown function `" + node.callee + "`", pos);
+      error(ErrorCode::Name, pos, "unknown function `", node.callee, "`");
     }
     const int n = static_cast<int>(node.args.size());
     if (n < fn->min_args || (fn->max_args >= 0 && n > fn->max_args)) {
-      error(ErrorCode::Type,
-            "`" + node.callee + "` expects " + std::to_string(fn->min_args) +
-                (fn->max_args == fn->min_args
-                     ? ""
-                     : (fn->max_args < 0
-                            ? "+"
-                            : ".." + std::to_string(fn->max_args))) +
-                " arguments, got " + std::to_string(n),
-            pos);
+      fail_arity(node, *fn, pos);
     }
     std::vector<Value> args;
     args.reserve(node.args.size());
@@ -395,23 +440,21 @@ class Interp {
       return fn->fn(args, ctx_);
     } catch (const Error& e) {
       // Re-throw with the call position attached.
-      fail(e.code(), e.message() + " in `" + node.callee + "`", pos);
+      error(e.code(), pos, e.message(), " in `", node.callee, "`");
     }
   }
 
-  Value eval_formula(const FormulaDef& def, const Call& call,
-                     SourcePos pos) {
+  [[gnu::noinline]] Value eval_formula(const FormulaDef& def,
+                                       const Call& call, SourcePos pos) {
     if (call.args.size() != def.params.size()) {
-      error(ErrorCode::Type,
-            "formula `" + def.name + "` expects " +
-                std::to_string(def.params.size()) + " arguments, got " +
-                std::to_string(call.args.size()),
-            pos);
+      error(ErrorCode::Type, pos, "formula `", def.name, "` expects ",
+            def.params.size(), " arguments, got ", call.args.size());
     }
+    const DepthGuard frame_depth(*this, pos);
     if (++formula_depth_ > 256) {
       --formula_depth_;
-      error(ErrorCode::Limit,
-            "formula recursion deeper than 256 (`" + def.name + "`)", pos);
+      error(ErrorCode::Limit, pos, "formula recursion deeper than 256 (`",
+            def.name, "`)");
     }
     // Arguments evaluate in the caller's scope; the body sees only its
     // parameters (plus constants) — formulas are pure.
@@ -438,8 +481,8 @@ class Interp {
       // Attribute the failure to the innermost formula, once, keeping
       // the original code and position so callers can still classify it.
       if (e.message().find(" in formula `") != std::string::npos) throw;
-      fail(e.code(), e.message() + " in formula `" + def.name + "`",
-           e.pos().valid() ? e.pos() : pos);
+      error(e.code(), e.pos().valid() ? e.pos() : pos, e.message(),
+            " in formula `", def.name, "`");
     }
   }
 
@@ -447,6 +490,7 @@ class Interp {
   Env* scope_;
   std::map<std::string, const FormulaDef*> formulas_;
   int formula_depth_ = 0;
+  int depth_ = 0;  ///< native recursion levels (DepthGuard)
   const ExecOptions& options_;
   util::Rng rng_;
   BuiltinContext ctx_;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "exec/executor.hpp"
+#include "exec/plan.hpp"
 #include "exec/stream.hpp"
 #include "graph/serialize.hpp"
 #include "machine/serialize.hpp"
@@ -51,13 +52,47 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
+/// Longest request line serve_stream() reads. The largest design the
+/// repository benchmark uploads, heat 64x64, is a ~2.3 MB line.
+constexpr std::size_t kMaxRequestLine = std::size_t{64} << 20;
+
+enum class LineRead : std::uint8_t { Line, TooLong, End };
+
+/// Reads one newline-terminated line into `line`, holding at most
+/// `limit` bytes of it: a longer line is read through to its newline,
+/// dropped, and reported as TooLong. A last line without a newline
+/// still counts.
+LineRead read_line(std::istream& in, std::string& line, std::size_t limit) {
+  line.clear();
+  bool too_long = false;
+  char chunk[1 << 16];
+  for (;;) {
+    in.getline(chunk, sizeof chunk);
+    const auto got = static_cast<std::size_t>(in.gcount());
+    const std::size_t stored = in.good() ? got - 1 : got;  // less the '\n'
+    if (!too_long && line.size() + stored > limit) {
+      too_long = true;
+      line.clear();
+      line.shrink_to_fit();
+    }
+    if (!too_long) line.append(chunk, stored);
+    if (in.good()) break;  // the newline ended it
+    if (in.eof()) {
+      if (got == 0 && line.empty() && !too_long) return LineRead::End;
+      break;
+    }
+    if (in.bad()) return LineRead::End;
+    in.clear();  // the chunk filled before the newline
+  }
+  return too_long ? LineRead::TooLong : LineRead::Line;
+}
+
 std::shared_ptr<const DesignArtifact> design_artifact(
     ArtifactCache& cache, const std::string& text) {
   const CacheKey key{"design", util::fnv1a64(text)};
   return cache.get_or_build<DesignArtifact>(key, [&] {
     graph::Design design = graph::parse_design(text);
-    design.validate();
-    graph::FlattenResult flat = design.flatten();
+    graph::FlattenResult flat = design.validate();
     return std::make_shared<const DesignArtifact>(
         DesignArtifact{std::move(design), std::move(flat)});
   });
@@ -396,6 +431,19 @@ Json Server::dispatch(const Request& req) {
     cache.add("capacity",
               Json::number(static_cast<double>(cache_.capacity())));
     stats.add("cache", std::move(cache));
+    const exec::ProgramCache& programs = exec::program_cache();
+    const exec::ProgramCache::Stats ps = programs.stats();
+    Json program_cache = Json::object();
+    program_cache.add("hits", Json::number(static_cast<double>(ps.hits)));
+    program_cache.add("misses", Json::number(static_cast<double>(ps.misses)));
+    program_cache.add("evictions",
+                      Json::number(static_cast<double>(ps.evictions)));
+    program_cache.add("entries",
+                      Json::number(static_cast<double>(ps.entries)));
+    program_cache.add("bytes", Json::number(static_cast<double>(ps.bytes)));
+    program_cache.add("budget",
+                      Json::number(static_cast<double>(programs.budget())));
+    stats.add("program_cache", std::move(program_cache));
     stats.add("sessions",
               Json::number(static_cast<double>(sessions_.size())));
     stats.add("inflight", Json::number(inflight_.load()));
@@ -429,6 +477,20 @@ std::string Server::handle_line(const std::string& line) {
 }
 
 std::string Server::handle_line(const std::string& line, double arrival) {
+  return answer(parse_line(line), arrival);
+}
+
+Server::ParsedLine Server::parse_line(const std::string& line) {
+  ParsedLine parsed;
+  try {
+    parsed.doc = Json::parse(line);
+  } catch (...) {
+    parsed.error = std::current_exception();
+  }
+  return parsed;
+}
+
+std::string Server::answer(const ParsedLine& parsed, double arrival) {
   // Handlers may run on pool workers or foreign threads; make the
   // service recorder ambient so every instrumented layer underneath
   // (scheduler, executor, cache) lands its counters here.
@@ -436,8 +498,8 @@ std::string Server::handle_line(const std::string& line, double arrival) {
   Json id;
   std::string op;
   try {
-    const Json doc = Json::parse(line);
-    const Request req = parse_request(doc);
+    if (parsed.error) std::rethrow_exception(parsed.error);
+    const Request req = parse_request(parsed.doc);
     id = req.id;
     op = req.op;
     rec_->bump("serve.requests");
@@ -493,29 +555,49 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
     }
   };
 
+  // Responses are flushed under emit_mu. A stream tied to `out`
+  // (std::cin is tied to std::cout) would also flush it from this thread
+  // before each read, racing the workers that write responses.
+  std::ostream* const tied = in.tie(nullptr);
+
   std::string line;
   std::uint64_t seq = 0;
   bool stop = false;
-  while (!stop && !shutdown_requested() && std::getline(in, line)) {
+  while (!stop && !shutdown_requested()) {
+    const LineRead got = read_line(in, line, kMaxRequestLine);
+    if (got == LineRead::End) break;
+    if (got == LineRead::TooLong) {
+      rec_->bump("serve.errors");
+      emit(seq++,
+           error_response(
+               Json(), "",
+               Error(ErrorCode::Limit,
+                     "request line longer than " +
+                         std::to_string(kMaxRequestLine) + " bytes",
+                     {1, static_cast<int>(kMaxRequestLine) + 1}))
+               .dump());
+      continue;
+    }
     if (line.empty()) continue;
     const std::uint64_t s = seq++;
 
-    // Best-effort sniff of id/op so overload shedding and shutdown can
-    // answer without occupying a worker; malformed lines still go to a
+    // The line is parsed once, here: its id and op let overload shedding
+    // and shutdown answer without occupying a worker, and the worker
+    // answers from the same document. A malformed line still goes to a
     // worker for the full diagnostic envelope.
+    auto parsed = std::make_shared<const ParsedLine>(parse_line(line));
     Json id;
     std::string op;
-    try {
-      const Json doc = Json::parse(line);
-      if (const Json* found = doc.find("op"); found && found->is_string()) {
+    if (!parsed->error) {
+      if (const Json* found = parsed->doc.find("op");
+          found && found->is_string()) {
         op = found->as_string();
       }
-      if (const Json* found = doc.find("id")) id = *found;
-    } catch (const Error&) {
+      if (const Json* found = parsed->doc.find("id")) id = *found;
     }
 
     if (op == "shutdown") {
-      emit(s, handle_line(line));
+      emit(s, answer(*parsed, now()));
       stop = true;
       continue;
     }
@@ -523,7 +605,7 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
       // A session name is visible to every later line and to no earlier
       // one: let the requests in flight finish, then store it here.
       pool.wait_idle();
-      emit(s, handle_line(line));
+      emit(s, answer(*parsed, now()));
       continue;
     }
 
@@ -540,13 +622,14 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
     }
 
     const double arrival = now();
-    pool.submit([this, s, line, arrival, &emit] {
-      std::string response = handle_line(line, arrival);
+    pool.submit([this, s, parsed, arrival, &emit] {
+      std::string response = answer(*parsed, arrival);
       release_slot();
       emit(s, std::move(response));
     });
   }
   pool.wait_idle();
+  in.tie(tied);
   return 0;
 }
 

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -63,7 +64,9 @@ class Server {
   std::string handle_line(const std::string& line, double arrival);
 
   /// Reads newline-delimited requests from `in` until EOF or a
-  /// `shutdown` request, answering on `out` in request order. Returns 0.
+  /// `shutdown` request, answering on `out` in request order. A line
+  /// longer than 64 MiB is read through to its newline and answered
+  /// with a `limit` error (id null); the stream goes on. Returns 0.
   int serve_stream(std::istream& in, std::ostream& out);
 
   /// Listens on 127.0.0.1:`port` (0 = ephemeral; see bound_port()) and
@@ -104,6 +107,16 @@ class Server {
     std::size_t warnings = 0;
     std::size_t notes = 0;
   };
+
+  /// One request line after the JSON parse: the document, or the error
+  /// the parse raised, which answer() reports like any other.
+  struct ParsedLine {
+    Json doc;
+    std::exception_ptr error;
+  };
+  static ParsedLine parse_line(const std::string& line);
+  /// handle_line() from the parsed line on.
+  std::string answer(const ParsedLine& parsed, double arrival);
 
   Json dispatch(const Request& req);
   Rendered respond(const Request& req);

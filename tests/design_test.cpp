@@ -2,7 +2,10 @@
 // elimination, boundary binding, validation.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "graph/design.hpp"
+#include "graph/serialize.hpp"
 #include "util/error.hpp"
 #include "workloads/lu.hpp"
 
@@ -181,6 +184,71 @@ TEST(Design, SupernodeReferencingRootRejected) {
   s.subgraph = 0;
   d.root_graph().add_node(std::move(s));
   EXPECT_THROW(d.validate(), Error);
+}
+
+/// `.pitl` text of a chain `levels` deep: each level but the last holds
+/// one supernode `s` expanding into the next, the last one task `t`.
+/// The supernode of level L sits on line 2L + 1.
+std::string chain_pitl(int levels) {
+  std::string text = "design chain\n";
+  for (int i = 0; i + 1 < levels; ++i) {
+    text += "graph g" + std::to_string(i) + "\n  super s graph=g" +
+            std::to_string(i + 1) + "\n";
+  }
+  text += "graph g" + std::to_string(levels - 1) + "\n  task t work=1\n";
+  return text;
+}
+
+TEST(Design, HierarchyAtTheDepthLimitValidatesAndFlattens) {
+  const Design d = parse_design(chain_pitl(kMaxHierarchyDepth));
+  EXPECT_EQ(d.depth(), kMaxHierarchyDepth);
+  const FlattenResult flat = d.validate();
+  ASSERT_EQ(flat.graph.num_tasks(), 1u);
+  std::string qualified;
+  for (int i = 1; i < kMaxHierarchyDepth; ++i) qualified += "s.";
+  EXPECT_EQ(flat.graph.task(0).name, qualified + "t");
+}
+
+TEST(Design, HierarchyPastTheDepthLimitIsAPositionedLimitError) {
+  const Design d = parse_design(chain_pitl(kMaxHierarchyDepth + 1));
+  EXPECT_EQ(d.depth(), kMaxHierarchyDepth + 1);
+  try {
+    (void)d.validate();
+    FAIL() << "expected a depth limit error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Limit);
+    // The supernode of the deepest level allowed: it would open one more.
+    EXPECT_EQ(e.pos(), (SourcePos{2 * kMaxHierarchyDepth + 1, 1}));
+  }
+}
+
+TEST(Design, VeryDeepHierarchyIsRejectedWithoutRecursing) {
+  // A chain of 200k supernode levels once overflowed the stack of the
+  // recursive depth() and reference-cycle checks.
+  constexpr int kLevels = 200000;
+  Design d("chain");
+  GraphId parent = d.root();
+  for (int i = 1; i < kLevels; ++i) {
+    const GraphId child = d.add_graph("g" + std::to_string(i));
+    Node s;
+    s.kind = NodeKind::Super;
+    s.name = "s";
+    s.subgraph = child;
+    d.graph(parent).add_node(std::move(s));
+    parent = child;
+  }
+  d.graph(parent).add_node(task_node("t"));
+  EXPECT_EQ(d.depth(), kLevels);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)d.validate();
+    FAIL() << "expected a depth limit error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Limit);
+  }
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 1.0);
 }
 
 TEST(Design, SharedChildGraphExpandsTwice) {

@@ -2,7 +2,9 @@
 // real threads, value routing, determinism, error propagation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
 
 #include "exec/executor.hpp"
 #include "exec/plan.hpp"
@@ -358,38 +360,180 @@ TEST(Parallel, StressRepeatedRunsStayDeterministic) {
   }
 }
 
+/// Bytes one cached entry of `source` is charged.
+std::uint64_t entry_bytes(const std::string& source) {
+  ProgramCache probe;
+  (void)probe.get(source);
+  return probe.stats().bytes;
+}
+
+/// `n` distinct one-line routines of one shape, so each is charged the
+/// same bytes: `var := first`, `var := first + 1`, ...
+std::vector<std::string> routines(char var, int first, int n) {
+  std::vector<std::string> out;
+  for (int i = 0; i < n; ++i) {
+    out.push_back(std::string(1, var) + " := " + std::to_string(first + i) +
+                  "\n");
+  }
+  return out;
+}
+
+std::vector<const std::string*> batch_of(
+    const std::vector<std::string>& sources) {
+  std::vector<const std::string*> batch;
+  for (const std::string& s : sources) batch.push_back(&s);
+  return batch;
+}
+
 TEST(ProgramCache, HotEntrySurvivesCapPressure) {
   // Regression: the old policy cleared the ENTIRE cache at the cap, so
   // a long-lived serve/stream process recompiled its whole working set
-  // the moment one design too many passed through. The segmented LRU
-  // must keep an entry that stays in use across generation flips.
-  ProgramCache cache(/*cap=*/4);
+  // the moment one design too many passed through. Under LRU an entry
+  // that stays in use survives any amount of one-off traffic.
   const std::string hot = "x := 1\n";
+  ProgramCache cache(/*budget=*/4 * entry_bytes(hot));
   (void)cache.get(hot);  // compile once
   EXPECT_EQ(cache.stats().misses, 1u);
-  // Flood with cold sources, re-touching the hot entry each round so it
-  // keeps getting promoted back into the hot generation.
+  // Flood with one-off sources, re-touching the hot entry each round so
+  // it keeps its place at the most-recent end.
   for (int i = 0; i < 40; ++i) {
     (void)cache.get("x := " + std::to_string(i + 2) + "\n");
     (void)cache.get(hot);
   }
   const ProgramCache::Stats s = cache.stats();
-  EXPECT_GT(s.evictions, 0u);            // cap pressure really happened
+  EXPECT_GT(s.evictions, 0u);            // budget pressure really happened
   EXPECT_EQ(s.misses, 41u);              // hot was never recompiled
   (void)cache.get(hot);
   EXPECT_EQ(cache.stats().misses, 41u);  // still cached after the flood
 }
 
 TEST(ProgramCache, ColdEntryIsEvictedUnderPressure) {
-  ProgramCache cache(/*cap=*/2);
   const std::string once = "y := 7\n";
+  ProgramCache cache(/*budget=*/2 * entry_bytes(once));
   (void)cache.get(once);
   for (int i = 0; i < 10; ++i) {
     (void)cache.get("y := " + std::to_string(i + 100) + "\n");
   }
   const std::uint64_t before = cache.stats().misses;
-  (void)cache.get(once);  // two generations later: gone, recompiles
+  (void)cache.get(once);  // ten newer entries later: gone, recompiles
   EXPECT_EQ(cache.stats().misses, before + 1);
+}
+
+TEST(ProgramCache, BatchLargerThanBudgetCompilesEachRoutineOnce) {
+  // A design bigger than the whole budget: the call never evicts what
+  // it is using, so every routine compiles once and stays resident
+  // until a later call needs the room.
+  const std::vector<std::string> design = routines('a', 1000, 50);
+  std::vector<const std::string*> batch = batch_of(design);
+  batch.insert(batch.end(), batch.begin(), batch.end());  // each twice
+  ProgramCache cache(/*budget=*/entry_bytes(design[0]));  // room for one
+  for (const ProgramCache::Lookup& found : cache.get_all(batch)) {
+    EXPECT_FALSE(found.error);
+    EXPECT_NE(found.chunk, nullptr);
+  }
+  ProgramCache::Stats s = cache.stats();
+  EXPECT_EQ(s.misses, 50u);
+  EXPECT_EQ(s.hits, 50u);  // the repeats share the first compile
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.entries, 50u);
+  EXPECT_GT(s.bytes, cache.budget());
+
+  (void)cache.get_all(batch);  // a second run is all hits
+  s = cache.stats();
+  EXPECT_EQ(s.misses, 50u);
+  EXPECT_EQ(s.evictions, 0u);
+
+  (void)cache.get("z := 1\n");  // a later call needs the room
+  s = cache.stats();
+  EXPECT_EQ(s.evictions, 50u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_LE(s.bytes, cache.budget());
+}
+
+TEST(ProgramCache, AlternatingDesignsThatFitCompileEachRoutineOnce) {
+  // serve_mix in miniature: two designs whose routines fit the budget
+  // together, though the larger alone overflowed one generation of the
+  // old two-generation policy (which then recompiled thousands of
+  // routines per alternation).
+  const std::vector<std::string> large = routines('a', 1000, 30);
+  const std::vector<std::string> small = routines('b', 2000, 20);
+  ProgramCache cache(/*budget=*/50 * entry_bytes(large[0]));
+  for (int round = 0; round < 10; ++round) {
+    (void)cache.get_all(batch_of(large));
+    (void)cache.get_all(batch_of(small));
+  }
+  const ProgramCache::Stats s = cache.stats();
+  EXPECT_EQ(s.misses, 50u);
+  EXPECT_EQ(s.hits, 9u * 50u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.entries, 50u);
+}
+
+TEST(ProgramCache, BytesStayWithinBudgetAfterEveryBatchThatFits) {
+  const std::uint64_t one = entry_bytes("c := 1000\n");
+  ProgramCache cache(/*budget=*/10 * one + one / 2);
+  int next = 1000;
+  for (int batch = 0; batch < 20; ++batch) {
+    const std::vector<std::string> design =
+        routines('c', next, 1 + batch % 7);
+    next += 1 + batch % 7;
+    (void)cache.get_all(batch_of(design));
+    EXPECT_LE(cache.stats().bytes, cache.budget()) << "batch " << batch;
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+TEST(ProgramCache, ConcurrentBatchesKeepOneEntryPerSource) {
+  // Threads resolving the same design at once may each compile a
+  // source first seen by both; the cache still keeps one entry for it,
+  // and every lookup gets a runnable chunk.
+  const std::vector<std::string> design = routines('d', 1000, 40);
+  ProgramCache cache;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 5; ++round) {
+        for (const ProgramCache::Lookup& found :
+             cache.get_all(batch_of(design))) {
+          if (found.error || found.chunk == nullptr) ++bad;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(bad.load(), 0);
+  const ProgramCache::Stats s = cache.stats();
+  EXPECT_EQ(s.entries, 40u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_GE(s.misses, 40u);
+  EXPECT_EQ(s.hits + s.misses, 4u * 5u * 40u);  // each lookup counts once
+}
+
+TEST(ProgramCache, ReportsEntriesAndBytes) {
+  ProgramCache cache;
+  EXPECT_EQ(cache.budget(), ProgramCache::kDefaultBudget);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+
+  (void)cache.get("x := 1\n");
+  const std::uint64_t small = cache.stats().bytes;
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_GT(small, 0u);
+
+  std::string loop = "s := 0\nfor i := 1 to 10 do\n";
+  for (int i = 0; i < 40; ++i) {
+    loop += "  s := s + i * " + std::to_string(i) + "\n";
+  }
+  loop += "end\n";
+  (void)cache.get(loop);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_GT(cache.stats().bytes - small, 10 * small);  // charged by size
+
+  EXPECT_THROW((void)cache.get("x := ("), Error);  // failures stay out
+  (void)cache.get("x := 1\n");                    // a hit adds nothing
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(TakePlan, SoleUseMoveReenabledWithoutDuplicates) {

@@ -226,6 +226,60 @@ TEST(Interp, TraceOffByDefault) {
   EXPECT_NO_THROW(Program::parse("x := 1").execute(env));
 }
 
+/// `formula f(n) := when(n <= 0, 0, WRAP(WRAP(... f(n - 1) ...)))` with
+/// `levels` wraps, then `r := f(frames)`.
+std::string deep_formula(const std::string& open, const std::string& close,
+                         int levels, int frames) {
+  std::string body = "f(n - 1)";
+  for (int i = 0; i < levels; ++i) body = open + body + close;
+  return "formula f(n) := when(n <= 0, 0, " + body + ")\nr := f(" +
+         std::to_string(frames) + ")\n";
+}
+
+TEST(Interp, WalkerBoundsNativeRecursionWithPositionedLimit) {
+  // Formula recursion multiplies expression nesting past what the
+  // parser's nesting cap bounds; the walker once overflowed its thread
+  // stack here, while the VM runs the arithmetic shape.
+  ExecOptions walk;
+  walk.engine = ExecOptions::Engine::Walk;
+  const std::pair<std::string, std::string> shapes[] = {
+      {"1 + (", ")"}, {"abs(", ")"}, {"-(", ")"}, {"[", "][0]"}};
+  for (const auto& [open, close] : shapes) {
+    Env env;
+    try {
+      Program::parse(deep_formula(open, close, 95, 255)).execute(env, walk);
+      ADD_FAILURE() << "walker finished " << open;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Limit) << e.what();
+      EXPECT_EQ(e.pos().line, 1) << e.what();
+      EXPECT_NE(e.message().find("nested deeper than"), std::string::npos)
+          << e.what();
+    }
+  }
+  ExecOptions vm;
+  vm.engine = ExecOptions::Engine::Vm;
+  Env env;
+  Program::parse(deep_formula("1 + (", ")", 96, 255)).execute(env, vm);
+  EXPECT_DOUBLE_EQ(env.at("r").as_scalar(), 24480.0);
+}
+
+TEST(Interp, ShallowFormulaRecursionStillHitsTheFrameLimitFirst) {
+  // 257 frames of a shallow body stay inside the native bound, so the
+  // walker reports the formula-recursion limit, as the VM does.
+  ExecOptions walk;
+  walk.engine = ExecOptions::Engine::Walk;
+  Env env;
+  try {
+    Program::parse(deep_formula("1 + (", ")", 2, 300)).execute(env, walk);
+    FAIL() << "expected the formula recursion limit";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Limit);
+    EXPECT_NE(e.message().find("formula recursion deeper than 256"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Interp, EmptyProgramIsNoop) {
   Env env{{"x", Value(1.0)}};
   Program::parse("").execute(env);

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Hostile-input smoke test for `banger serve` over stdio.
+
+Pipes four request lines into one server: a line past the 64 MiB
+request-line limit, a trial whose formula recursion is too deep for the
+tree-walker, an upload of a 200k-level design hierarchy, and a ping.
+The first three must each get a positioned `limit` error envelope, the
+ping must be answered `pong`, and the server must exit 0.
+
+Usage: python3 tests/serve_hostile_smoke.py path/to/banger
+"""
+import json
+import subprocess
+import sys
+
+LINE_LIMIT = 64 << 20
+
+
+def walker_recursion_design():
+    # 255 formula frames, each ~100 expression levels deep; the VM
+    # answers r = 24480.
+    body = "f(n - 1)"
+    for _ in range(96):
+        body = f"1 + ({body})"
+    return ("design deep_formula\n"
+            "graph deep_formula\n"
+            "  store r bytes=8\n"
+            "  task deep work=1 out=r\n"
+            "  pits {\n"
+            f"    formula f(n) := when(n <= 0, 0, {body})\n"
+            "    r := f(255)\n"
+            "  }\n"
+            "  arc deep -> r var=r bytes=8\n")
+
+
+def deep_hierarchy_design(levels=200_000):
+    parts = ["design chain\n"]
+    for i in range(levels - 1):
+        parts.append(f"graph g{i}\n  super s graph=g{i + 1}\n")
+    parts.append(f"graph g{levels - 1}\n  task t work=1\n")
+    return "".join(parts)
+
+
+def main():
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    lines = [
+        b"x" * (LINE_LIMIT + 1),
+        json.dumps({"id": "walk", "op": "trial", "engine": "walk",
+                    "design": walker_recursion_design()}).encode(),
+        json.dumps({"id": "deep", "op": "upload", "name": "deep",
+                    "kind": "design",
+                    "text": deep_hierarchy_design()}).encode(),
+        json.dumps({"id": "ping", "op": "ping"}).encode(),
+    ]
+    proc = subprocess.run([sys.argv[1], "serve"],
+                          input=b"\n".join(lines) + b"\n",
+                          capture_output=True, timeout=300, check=False)
+    responses = [json.loads(r) for r in proc.stdout.decode().splitlines()]
+    failures = []
+    if proc.returncode != 0:
+        failures.append(f"server exited {proc.returncode}: "
+                        f"{proc.stderr.decode()[-400:]}")
+    if len(responses) != len(lines):
+        failures.append(f"expected {len(lines)} responses, "
+                        f"got {len(responses)}")
+    for want_id, resp in zip([None, "walk", "deep"], responses):
+        error = resp.get("error", {})
+        if (resp.get("id") != want_id or resp.get("ok") is not False
+                or error.get("code") != "limit" or "line" not in error):
+            failures.append(f"expected a positioned limit error for "
+                            f"{want_id!r}, got {json.dumps(resp)[:400]}")
+    if len(responses) == len(lines) and responses[3].get("output") != "pong":
+        failures.append(f"ping not answered: {json.dumps(responses[3])}")
+    for failure in failures:
+        print("FAIL:", failure)
+    if failures:
+        sys.exit(1)
+    for resp in responses:
+        print(json.dumps(resp)[:200])
+
+
+if __name__ == "__main__":
+    main()

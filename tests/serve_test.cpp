@@ -7,14 +7,18 @@
 // responses pins the wire format (BANGER_UPDATE_GOLDEN=1 regenerates).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
 #include <thread>
 #include <vector>
 
 #include "cli/cli.hpp"
+#include "exec/plan.hpp"
+#include "graph/design.hpp"
 #include "graph/serialize.hpp"
 #include "serve/cache.hpp"
 #include "serve/json.hpp"
@@ -382,6 +386,157 @@ TEST(ServeServer, OverloadShedsWithLimitEnvelope) {
   EXPECT_EQ(field(field(resp, "error"), "code").as_string(), "limit");
 }
 
+TEST(ServeServer, StatsReportTheProgramCache) {
+  Server server;
+  const Json trial = Json::parse(server.handle_line(
+      request({{"op", Json::string("trial")},
+               {"design", Json::string(lu_design_text())},
+               {"inputs", Json::object({{"A", Json::string("[4,3,2,8,8,5,4,7,9]")},
+                                        {"b", Json::string("[16,39,45]")}})}})));
+  ASSERT_TRUE(field(trial, "ok").as_bool()) << trial.dump();
+  const Json resp = Json::parse(
+      server.handle_line(request({{"op", Json::string("stats")}})));
+  const Json& programs = field(field(resp, "stats"), "program_cache");
+  for (const char* key : {"hits", "misses", "evictions", "entries", "bytes"}) {
+    EXPECT_EQ(field(programs, key).kind(), Json::Kind::Number) << key;
+  }
+  EXPECT_GE(field(programs, "entries").as_number(), 1.0);
+  EXPECT_GT(field(programs, "bytes").as_number(), 0.0);
+  EXPECT_EQ(field(programs, "budget").as_number(),
+            static_cast<double>(exec::ProgramCache::kDefaultBudget));
+}
+
+/// Input of one `bytes`-long line of 'x' and then `rest`, generated as
+/// it is read so the test never holds the long line itself.
+class LongLineBuf final : public std::streambuf {
+ public:
+  LongLineBuf(std::size_t bytes, std::string rest)
+      : left_(bytes), rest_(std::move(rest)) {}
+
+ protected:
+  int_type underflow() override {
+    if (left_ > 0) {
+      const std::size_t n = std::min(left_, block_.size());
+      left_ -= n;
+      setg(block_.data(), block_.data(), block_.data() + n);
+    } else if (!rest_read_ && !rest_.empty()) {
+      rest_read_ = true;
+      setg(rest_.data(), rest_.data(), rest_.data() + rest_.size());
+    } else {
+      return traits_type::eof();
+    }
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::string block_ = std::string(std::size_t{1} << 16, 'x');
+  std::size_t left_;
+  std::string rest_;
+  bool rest_read_ = false;
+};
+
+TEST(ServeServer, OverlongLineGetsLimitEnvelopeAndStreamGoesOn) {
+  constexpr std::size_t kLimit = std::size_t{64} << 20;
+  Server server;
+  LongLineBuf buf(kLimit + 1,
+                  "\n" + request({{"id", Json::number(2)},
+                                   {"op", Json::string("ping")}}) +
+                      "\n");
+  std::istream in(&buf);
+  std::ostringstream out;
+  EXPECT_EQ(server.serve_stream(in, out), 0);
+  std::istringstream lines(out.str());
+  std::string first;
+  std::string second;
+  ASSERT_TRUE(std::getline(lines, first));
+  ASSERT_TRUE(std::getline(lines, second));
+  const Json bad = Json::parse(first);
+  EXPECT_TRUE(field(bad, "id").is_null());
+  EXPECT_FALSE(field(bad, "ok").as_bool());
+  EXPECT_EQ(field(field(bad, "error"), "code").as_string(), "limit");
+  EXPECT_EQ(field(field(bad, "error"), "line").as_number(), 1.0);
+  EXPECT_EQ(field(field(bad, "error"), "column").as_number(),
+            static_cast<double>(kLimit + 1));
+  const Json pong = Json::parse(second);
+  EXPECT_EQ(field(pong, "id").as_number(), 2.0);
+  EXPECT_EQ(field(pong, "output").as_string(), "pong");
+}
+
+TEST(ServeServer, LineAtTheLimitWithoutNewlineIsStillRead) {
+  // The last line needs no newline, and a line of exactly the limit is
+  // read whole: here it is not JSON, so it gets the parse envelope.
+  Server server;
+  LongLineBuf buf(std::size_t{64} << 20, "");
+  std::istream in(&buf);
+  std::ostringstream out;
+  server.serve_stream(in, out);
+  const Json resp = Json::parse(out.str());
+  EXPECT_EQ(field(field(resp, "error"), "code").as_string(), "parse");
+}
+
+TEST(ServeServer, WalkerRecursionGetsLimitEnvelopeAndServerAnswersOn) {
+  // 255 formula frames, each ~100 expression levels deep: the VM runs
+  // it, and the tree-walker once overflowed the worker's stack on it.
+  std::string body = "f(n - 1)";
+  for (int i = 0; i < 96; ++i) body = "1 + (" + body + ")";
+  const std::string design =
+      "design deep_formula\n"
+      "graph deep_formula\n"
+      "  store r bytes=8\n"
+      "  task deep work=1 out=r\n"
+      "  pits {\n"
+      "    formula f(n) := when(n <= 0, 0, " + body + ")\n"
+      "    r := f(255)\n"
+      "  }\n"
+      "  arc deep -> r var=r bytes=8\n";
+  auto trial = [&](const char* engine) {
+    return request({{"id", Json::string(engine)},
+                    {"op", Json::string("trial")},
+                    {"design", Json::string(design)},
+                    {"engine", Json::string(engine)}});
+  };
+  Server server;
+  std::istringstream in(trial("walk") + "\n" + trial("vm") + "\n" +
+                        request({{"op", Json::string("ping")}}) + "\n");
+  std::ostringstream out;
+  server.serve_stream(in, out);
+  std::istringstream lines(out.str());
+  std::string walk;
+  std::string vm;
+  std::string ping;
+  ASSERT_TRUE(std::getline(lines, walk));
+  ASSERT_TRUE(std::getline(lines, vm));
+  ASSERT_TRUE(std::getline(lines, ping));
+  const Json walked = Json::parse(walk);
+  EXPECT_EQ(field(field(walked, "error"), "code").as_string(), "limit");
+  EXPECT_EQ(field(field(walked, "error"), "line").as_number(), 1.0);
+  EXPECT_NE(field(Json::parse(vm), "output").as_string().find("r = 24480"),
+            std::string::npos)
+      << vm;
+  EXPECT_EQ(field(Json::parse(ping), "output").as_string(), "pong");
+}
+
+TEST(ServeServer, TooDeepHierarchyUploadGetsPositionedLimit) {
+  std::string design = "design chain\n";
+  for (int i = 0; i < graph::kMaxHierarchyDepth; ++i) {
+    design += "graph g" + std::to_string(i) + "\n  super s graph=g" +
+              std::to_string(i + 1) + "\n";
+  }
+  design += "graph g" + std::to_string(graph::kMaxHierarchyDepth) +
+            "\n  task t work=1\n";
+  Server server;
+  const Json up = Json::parse(server.handle_line(
+      request({{"op", Json::string("upload")},
+               {"name", Json::string("chain")},
+               {"kind", Json::string("design")},
+               {"text", Json::string(design)}})));
+  EXPECT_FALSE(field(up, "ok").as_bool());
+  EXPECT_EQ(field(field(up, "error"), "code").as_string(), "limit");
+  // The supernode on the last level allowed, which would open one more.
+  EXPECT_EQ(field(field(up, "error"), "line").as_number(),
+            2.0 * graph::kMaxHierarchyDepth + 1);
+}
+
 TEST(ServeServer, StreamAnswersInRequestOrder) {
   ServeOptions opts;
   opts.jobs = 4;
@@ -416,6 +571,40 @@ TEST(ServeServer, StreamAnswersInRequestOrder) {
     ++expected;
   }
   EXPECT_EQ(expected, 12);
+}
+
+TEST(ServeServer, TiedInputDoesNotFlushResponsesFromTheReader) {
+  // std::cin is tied to std::cout, and a read flushes the tied stream
+  // first. The reader thread must not flush buffered output while pool
+  // workers write responses into it: that once duplicated responses.
+  const std::string requests_path = testing::TempDir() + "/tied_in.jsonl";
+  const std::string responses_path = testing::TempDir() + "/tied_out.jsonl";
+  constexpr int kRequests = 400;
+  {
+    std::ofstream requests(requests_path);
+    for (int i = 0; i < kRequests; ++i) {
+      requests << request({{"id", Json::number(i)},
+                           {"op", Json::string("ping")}})
+               << "\n";
+    }
+  }
+  std::ifstream in(requests_path);
+  std::ofstream out(responses_path);
+  in.tie(&out);
+  ServeOptions opts;
+  opts.jobs = 4;
+  Server server(opts);
+  server.serve_stream(in, out);
+  EXPECT_EQ(in.tie(), &out);  // restored for the caller
+  out.close();
+  std::ifstream responses(responses_path);
+  std::string line;
+  int expected = 0;
+  while (std::getline(responses, line)) {
+    EXPECT_EQ(field(Json::parse(line), "id").as_number(), expected) << line;
+    ++expected;
+  }
+  EXPECT_EQ(expected, kRequests);
 }
 
 TEST(ServeServer, ShutdownStopsTheStream) {

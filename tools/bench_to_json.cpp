@@ -39,6 +39,7 @@ const char* const kHotBenchmarks[] = {
     "BM_PitsCompile",
     "BM_AnalyzeDesign/real_time",
     "BM_CompileDesignCold/real_time",
+    "BM_ExecRunAlternating/real_time",
     "BM_ExecRunVm",
     "BM_ExecRunBatch/4096",
     "BM_ExecStream/1024/real_time",
