@@ -3,6 +3,8 @@
 // simulator event rate, flattening, parsing.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "analyze/absint.hpp"
 #include "analyze/analyze.hpp"
 
@@ -14,10 +16,12 @@
 #include "sched/compare.hpp"
 #include "sched/heuristics.hpp"
 #include "serve/json.hpp"
+#include "serve/render.hpp"
 #include "serve/server.hpp"
 #include "sim/simulator.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "workloads/designs.hpp"
 #include "workloads/graphs.hpp"
 #include "workloads/lu.hpp"
@@ -657,6 +661,46 @@ void BM_ServeTrialBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTrials);
 }
 BENCHMARK(BM_ServeTrialBatch);
+
+// ---------------------------------------------------------------------------
+// Batch text I/O: the two per-input costs `trial --inputs` and `stream`
+// pay outside the runtime, on sweep_coarse's shapes: one rod line of
+// 4096 values in the `--inputs` file format, and one result of 4096
+// values rendered as the trial and stream blocks render it.
+
+std::vector<double> rod_values(std::size_t n) {
+  util::Rng rng(17);
+  std::vector<double> values(n);
+  for (double& v : values) v = std::round(rng.uniform(0.0, 100.0) * 1e3) / 1e3;
+  return values;
+}
+
+void BM_EvalInputLine(benchmark::State& state) {
+  std::string expr = "[";
+  for (double v : rod_values(4096)) {
+    if (expr.size() > 1) expr += ", ";
+    expr += util::format_double(v, 12);
+  }
+  expr += "]";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pits::eval_expression(expr, {}));
+  }
+}
+BENCHMARK(BM_EvalInputLine);
+
+void BM_RenderRunResult(benchmark::State& state) {
+  // Values with 12 significant digits, like a solver's output.
+  exec::RunResult result;
+  std::vector<double> values = rod_values(4096);
+  for (double& v : values) v /= 3.0;
+  result.outputs["result"] = pits::Value(std::move(values));
+  result.runs.resize(137);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        serve::render_run_result(result, /*include_wall=*/false));
+  }
+}
+BENCHMARK(BM_RenderRunResult);
 
 }  // namespace
 

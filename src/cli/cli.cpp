@@ -24,6 +24,7 @@
 #include "pits/interp.hpp"
 #include "serve/render.hpp"
 #include "serve/server.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "viz/charts.hpp"
@@ -339,32 +340,52 @@ int cmd_simulate(const Options& o, std::ostream& out) {
 
 /// Parses a `--inputs FILE` batch: one trial per line, `VAR=EXPR` pairs
 /// separated by `;`. Blank lines and `#` comments are skipped. An empty
-/// pair list is a valid trial (a run with no external inputs).
+/// pair list is a valid trial (a run with no external inputs). The file
+/// is read in one pass; its lines are then split and evaluated on `jobs`
+/// workers, each line into its own slot, so the first bad line in the
+/// file is the one reported for any `jobs`. An expression's error names
+/// the file and is positioned at its line and column there.
 std::vector<std::map<std::string, pits::Value>> load_trial_inputs(
-    const std::string& path) {
+    const std::string& path, int jobs) {
   std::ifstream in(path);
   if (!in) fail(ErrorCode::Io, "cannot open `" + path + "` for reading");
-  std::vector<std::map<std::string, pits::Value>> batch;
+  struct Line {
+    std::string text;
+    int number = 0;
+  };
+  std::vector<Line> lines;
   std::string line;
-  std::size_t line_no = 0;
+  int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     const std::string_view trimmed = util::trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
-    auto& trial = batch.emplace_back();
-    for (auto part : util::split(trimmed, ';')) {
+    lines.push_back({std::move(line), line_no});
+  }
+  std::vector<std::map<std::string, pits::Value>> batch(lines.size());
+  util::parallel_for(lines.size(), jobs, [&](std::size_t i) {
+    const Line& l = lines[i];
+    for (auto part : util::split(util::trim(l.text), ';')) {
       const std::string_view pair = util::trim(part);
       if (pair.empty()) continue;
       const auto eq = pair.find('=');
       if (eq == std::string_view::npos) {
         fail(ErrorCode::Usage,
-             "`" + path + "` line " + std::to_string(line_no) +
+             "`" + path + "` line " + std::to_string(l.number) +
                  ": expected VAR=EXPR, got `" + std::string(pair) + "`");
       }
-      const std::string var{util::trim(pair.substr(0, eq))};
-      trial[var] = pits::eval_expression(std::string(pair.substr(eq + 1)), {});
+      const std::string_view expr = pair.substr(eq + 1);
+      try {
+        batch[i][std::string(util::trim(pair.substr(0, eq)))] =
+            pits::eval_expression(expr, {});
+      } catch (const Error& e) {
+        // eval_expression counts from the expression's first character.
+        const int column = static_cast<int>(expr.data() - l.text.data()) +
+                           (e.pos().valid() ? e.pos().column : 1);
+        fail(e.code(), "`" + path + "`: " + e.message(), {l.number, column});
+      }
     }
-  }
+  });
   return batch;
 }
 
@@ -376,9 +397,9 @@ int cmd_trial(const Options& o, std::ostream& out) {
     if (!o.inputs.empty()) {
       usage_error("give either --input VAR=EXPR or --inputs FILE, not both");
     }
-    const auto batch = load_trial_inputs(o.inputs_file);
-    const serve::TrialBatchRender r =
-        serve::render_trial_batch(project.trial_runs(batch, run_opts, o.jobs));
+    const auto batch = load_trial_inputs(o.inputs_file, o.jobs);
+    const serve::TrialBatchRender r = serve::render_trial_batch(
+        project.trial_runs(batch, run_opts, o.jobs), o.jobs);
     out << r.text;
     return r.exit_code;
   }
@@ -419,7 +440,7 @@ int cmd_stream(const Options& o, std::ostream& out, std::ostream& err) {
   if (!o.inputs.empty()) {
     usage_error("give stream batches via --inputs FILE, not --input");
   }
-  const auto batches = load_trial_inputs(o.inputs_file);
+  const auto batches = load_trial_inputs(o.inputs_file, o.jobs);
   exec::StreamOptions stream_opts;
   stream_opts.run.pits.engine = o.pits_engine;
   stream_opts.queue_capacity = static_cast<std::size_t>(o.queue_cap);
@@ -428,7 +449,7 @@ int cmd_stream(const Options& o, std::ostream& out, std::ostream& err) {
   // Batch output on stdout stays byte-identical to running each batch
   // through `banger run`; the execution report goes to stderr.
   const serve::TrialBatchRender r =
-      serve::render_stream_batches(result.outcomes);
+      serve::render_stream_batches(result.outcomes, o.jobs);
   out << r.text;
   err << result.report.render();
   return r.exit_code;

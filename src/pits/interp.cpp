@@ -599,10 +599,20 @@ std::vector<std::string> Program::outputs() const {
 
 Value eval_expression(std::string_view expression, const Env& env,
                       const ExecOptions& options) {
-  // Wrap as `__result := (expr)` and execute against a copy.
+  // Wrap as `__result := EXPR` and execute against a copy. An error's
+  // column is moved back past the wrapper, so positions count within
+  // EXPR itself.
+  constexpr std::string_view kWrapper = "__result := ";
   Env scratch = env;
-  const std::string source = "__result := " + std::string(expression);
-  Program::parse(source).execute(scratch, options);
+  std::string source(kWrapper);
+  source += expression;
+  try {
+    Program::parse(source).execute(scratch, options);
+  } catch (const Error& e) {
+    if (e.pos().line != 1) throw;
+    const int column = e.pos().column - static_cast<int>(kWrapper.size());
+    fail(e.code(), e.message(), {1, std::max(column, 1)});
+  }
   return scratch.at("__result");
 }
 

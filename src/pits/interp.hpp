@@ -111,7 +111,8 @@ class Program {
 [[nodiscard]] ExecOptions::Engine resolve_engine(ExecOptions::Engine engine);
 
 /// Convenience: parse and evaluate a single expression against an
-/// environment (the calculator's display line).
+/// environment (the calculator's display line). Error positions are
+/// relative to `expression`: line 1, column 1 is its first character.
 Value eval_expression(std::string_view expression, const Env& env,
                       const ExecOptions& options = {});
 

@@ -45,19 +45,26 @@ bool Value::equals(const Value& other) const noexcept {
 }
 
 std::string Value::to_display() const {
+  std::string out;
+  append_display(out);
+  return out;
+}
+
+void Value::append_display(std::string& out) const {
   if (const auto* s = std::get_if<Scalar>(&data_)) {
-    return util::format_double(*s, 12);
+    util::append_double(out, *s, 12);
+    return;
   }
   if (const auto* v = std::get_if<Vector>(&data_)) {
-    std::string out = "[";
+    out += '[';
     for (std::size_t i = 0; i < v->size(); ++i) {
       if (i > 0) out += ", ";
-      out += util::format_double((*v)[i], 12);
+      util::append_double(out, (*v)[i], 12);
     }
-    out += "]";
-    return out;
+    out += ']';
+    return;
   }
-  return std::get<Str>(data_);
+  out += std::get<Str>(data_);
 }
 
 }  // namespace banger::pits

@@ -73,6 +73,9 @@ class Value {
 
   /// Calculator-display rendering ("3.5", "[1, 2, 3]", "text").
   [[nodiscard]] std::string to_display() const;
+  /// to_display appended to `out` element by element, with no
+  /// temporary string per element.
+  void append_display(std::string& out) const;
 
   friend bool operator==(const Value& a, const Value& b) noexcept {
     return a.equals(b);

@@ -34,6 +34,16 @@ constexpr std::uint8_t kUnbound = kSlotUnbound;
 constexpr std::uint8_t kBound = kSlotBound;
 constexpr std::uint8_t kConstMaterialized = kSlotConst;
 
+/// How deep calls may nest at run time. Each call recurses natively: a
+/// builtin's arguments run in a nested exec, and a formula's arguments
+/// and body do too. Formula recursion multiplies the nesting the parser
+/// caps (256 frames of a body nesting ~100 calls), so the parser's cap
+/// alone does not bound it. 2048 levels of the deepest mix (256 formula
+/// frames, the rest builtin calls) measured 0.8 MiB of stack optimized,
+/// 1.2 MiB in debug and 3.1 MiB under ASan at -O2, its largest frames:
+/// inside an 8 MiB thread stack in every build.
+constexpr int kMaxCallDepth = 2048;
+
 class Vm {
  public:
   Vm(const Chunk& chunk, const ExecOptions& options)
@@ -98,18 +108,37 @@ class Vm {
     }
   }
 
-  [[noreturn]] static void error(ErrorCode code, const std::string& msg,
-                                 SourcePos pos) {
-    fail(code, msg, pos);
+  /// Raises Error{code} at `pos` with the parts (text or numbers)
+  /// concatenated. The message is built out of line, so its temporaries
+  /// take no space in exec's or call_site's frame: every nested call
+  /// keeps one of each on the stack.
+  template <class... Parts>
+  [[noreturn, gnu::noinline, gnu::cold]] static void error(
+      ErrorCode code, SourcePos pos, const Parts&... parts) {
+    std::string message;
+    const auto append = [&message](const auto& part) {
+      if constexpr (std::is_arithmetic_v<std::decay_t<decltype(part)>>) {
+        message += std::to_string(part);
+      } else {
+        message += std::string_view(part);
+      }
+    };
+    (append(parts), ...);
+    fail(code, std::move(message), pos);
   }
 
   void tick(SourcePos pos) {
     if (++steps_ > options_.step_limit) {
-      error(ErrorCode::Limit,
-            "step limit of " + std::to_string(options_.step_limit) +
-                " exceeded (infinite loop?)",
-            pos);
+      error(ErrorCode::Limit, pos, "step limit of ", options_.step_limit,
+            " exceeded (infinite loop?)");
     }
+  }
+
+  /// The trace echo of one finished assignment, out of line.
+  [[gnu::noinline]] void echo(const Instr& in,
+                              const std::vector<Value>& regs) const {
+    *options_.trace << "line " << in.pos.line << ": " << var_name(in.a)
+                    << " = " << regs[in.a].to_display() << "\n";
   }
 
   const std::string& var_name(std::uint16_t slot) const {
@@ -120,13 +149,11 @@ class Vm {
                               SourcePos pos) {
     const double raw = idx.as_scalar();
     if (std::floor(raw) != raw) {
-      error(ErrorCode::Runtime, "index must be an integer", pos);
+      error(ErrorCode::Runtime, pos, "index must be an integer");
     }
     if (raw < 0 || raw >= static_cast<double>(size)) {
-      error(ErrorCode::Runtime,
-            "index " + std::to_string(static_cast<long long>(raw)) +
-                " out of range [0," + std::to_string(size) + ")",
-            pos);
+      error(ErrorCode::Runtime, pos, "index ", static_cast<long long>(raw),
+            " out of range [0,", size, ")");
     }
     return static_cast<std::size_t>(raw);
   }
@@ -138,8 +165,19 @@ class Vm {
     if (Scalar* p = dst.scalar_if()) {
       *p = x;
     } else {
-      dst = Value(x);
+      retype_scalar(dst, x);
     }
+  }
+
+  // retype_scalar and the other noinline slow paths below (compare,
+  // arith, arith_k_vector, negate_vector, new_vector, invoke,
+  // call_formula) write their destination register themselves. exec
+  // inlines the rest, and a sanitizer build gives every inlined
+  // temporary its own stack slot: inline, these would multiply exec's
+  // frame, which each nested call keeps on the stack (kMaxCallDepth).
+
+  [[gnu::noinline]] static void retype_scalar(Value& dst, double x) {
+    dst = Value(x);
   }
 
   /// Scalar-scalar fast path for Add..Pow, dispatched with a
@@ -171,15 +209,15 @@ class Vm {
       case BinOp::Sub: return a - b;
       case BinOp::Mul: return a * b;
       case BinOp::Div:
-        if (b == 0) error(ErrorCode::Runtime, "division by zero", pos);
+        if (b == 0) error(ErrorCode::Runtime, pos, "division by zero");
         return a / b;
       case BinOp::Mod:
-        if (b == 0) error(ErrorCode::Runtime, "mod by zero", pos);
+        if (b == 0) error(ErrorCode::Runtime, pos, "mod by zero");
         return std::fmod(a, b);
       case BinOp::Pow: {
         const double r = std::pow(a, b);
         if (std::isnan(r) && !std::isnan(a) && !std::isnan(b)) {
-          error(ErrorCode::Runtime, "invalid power (negative base?)", pos);
+          error(ErrorCode::Runtime, pos, "invalid power (negative base?)");
         }
         return r;
       }
@@ -188,8 +226,10 @@ class Vm {
     }
   }
 
-  static Value compare(Op op, const Value& lhs, const Value& rhs,
-                       SourcePos pos) {
+  /// The ordering ops' general path (the scalar case is fast_compare):
+  /// 1 when `lhs op rhs` holds, else 0.
+  [[gnu::noinline]] static double compare(Op op, const Value& lhs,
+                                          const Value& rhs, SourcePos pos) {
     double cmp = 0;
     if (lhs.is_scalar() && rhs.is_scalar()) {
       const double a = lhs.as_scalar();
@@ -199,16 +239,14 @@ class Vm {
       const int c = lhs.as_string().compare(rhs.as_string());
       cmp = c < 0 ? -1 : (c > 0 ? 1 : 0);
     } else {
-      error(ErrorCode::Type,
-            "cannot order a " + std::string(lhs.type_name()) + " against a " +
-                std::string(rhs.type_name()),
-            pos);
+      error(ErrorCode::Type, pos, "cannot order a ", lhs.type_name(),
+            " against a ", rhs.type_name());
     }
     switch (op) {
-      case Op::Lt: return Value(cmp < 0 ? 1.0 : 0.0);
-      case Op::Le: return Value(cmp <= 0 ? 1.0 : 0.0);
-      case Op::Gt: return Value(cmp > 0 ? 1.0 : 0.0);
-      default: return Value(cmp >= 0 ? 1.0 : 0.0);
+      case Op::Lt: return cmp < 0 ? 1.0 : 0.0;
+      case Op::Le: return cmp <= 0 ? 1.0 : 0.0;
+      case Op::Gt: return cmp > 0 ? 1.0 : 0.0;
+      default: return cmp >= 0 ? 1.0 : 0.0;
     }
   }
 
@@ -233,8 +271,8 @@ class Vm {
       int zero = 0;
       for (std::size_t i = 0; i < n; ++i) zero |= (b[i] == 0 ? 1 : 0);
       if (zero != 0) {
-        error(ErrorCode::Runtime,
-              kOp == BinOp::Div ? "division by zero" : "mod by zero", pos);
+        error(ErrorCode::Runtime, pos,
+              kOp == BinOp::Div ? "division by zero" : "mod by zero");
       }
       if constexpr (kOp == BinOp::Div) {
         for (std::size_t i = 0; i < n; ++i) o[i] = a[i] / b[i];
@@ -262,8 +300,8 @@ class Vm {
       int zero = 0;
       for (std::size_t i = 0; i < n; ++i) zero |= (o[i] == 0 ? 1 : 0);
       if (zero != 0) {
-        error(ErrorCode::Runtime,
-              kOp == BinOp::Div ? "division by zero" : "mod by zero", pos);
+        error(ErrorCode::Runtime, pos,
+              kOp == BinOp::Div ? "division by zero" : "mod by zero");
       }
       if constexpr (kOp == BinOp::Div) {
         for (std::size_t i = 0; i < n; ++i) o[i] = k / o[i];
@@ -289,8 +327,8 @@ class Vm {
       for (std::size_t i = 0; i < n; ++i) o[i] = o[i] * k;
     } else if constexpr (kOp == BinOp::Div || kOp == BinOp::Mod) {
       if (k == 0 && n > 0) {
-        error(ErrorCode::Runtime,
-              kOp == BinOp::Div ? "division by zero" : "mod by zero", pos);
+        error(ErrorCode::Runtime, pos,
+              kOp == BinOp::Div ? "division by zero" : "mod by zero");
       }
       if constexpr (kOp == BinOp::Div) {
         for (std::size_t i = 0; i < n; ++i) o[i] = o[i] / k;
@@ -309,7 +347,8 @@ class Vm {
   /// result is assigned to the destination last, so aliasing dst with
   /// either operand is safe and errors leave dst untouched.
   template <BinOp kOp>
-  static Value arith(const Instr& in, std::vector<Value>& regs) {
+  [[gnu::noinline]] static void arith(const Instr& in,
+                                      std::vector<Value>& regs) {
     Value& lhs = regs[in.b];
     Value& rhs = regs[in.c];
     // Scalar-scalar fast path: one variant probe per operand. Strings
@@ -317,63 +356,77 @@ class Vm {
     // behaviour-preserving.
     if (const Scalar* a = lhs.scalar_if()) {
       if (const Scalar* b = rhs.scalar_if()) {
-        return Value(scalar_op(kOp, *a, *b, in.pos));
+        set_scalar(regs[in.a], scalar_op(kOp, *a, *b, in.pos));
+        return;
       }
     }
     if (lhs.is_string() || rhs.is_string()) {
       if (kOp == BinOp::Add && lhs.is_string() && rhs.is_string()) {
-        return Value(lhs.as_string() + rhs.as_string());
+        regs[in.a] = Value(lhs.as_string() + rhs.as_string());
+        return;
       }
-      error(ErrorCode::Type,
-            "operator `" + std::string(to_string(kOp)) +
-                "` is not defined for strings",
-            in.pos);
+      error(ErrorCode::Type, in.pos, "operator `", to_string(kOp),
+            "` is not defined for strings");
     }
     if (lhs.is_vector() && rhs.is_vector()) {
       if (lhs.as_vector().size() != rhs.as_vector().size()) {
-        error(ErrorCode::Type,
-              "elementwise `" + std::string(to_string(kOp)) +
-                  "` on vectors of lengths " +
-                  std::to_string(lhs.as_vector().size()) + " and " +
-                  std::to_string(rhs.as_vector().size()),
-              in.pos);
+        error(ErrorCode::Type, in.pos, "elementwise `", to_string(kOp),
+              "` on vectors of lengths ", lhs.as_vector().size(), " and ",
+              rhs.as_vector().size());
       }
       if ((in.flags & kTempB) != 0) {
         Vector out = std::move(lhs.as_vector());
         vec_kernel<kOp>(out.data(), out.data(), rhs.as_vector().data(),
                         out.size(), in.pos);
-        return Value(std::move(out));
+        regs[in.a] = Value(std::move(out));
+        return;
       }
       const Vector& a = lhs.as_vector();
       if ((in.flags & kTempC) != 0) {
         Vector out = std::move(rhs.as_vector());
         vec_kernel<kOp>(out.data(), a.data(), out.data(), out.size(), in.pos);
-        return Value(std::move(out));
+        regs[in.a] = Value(std::move(out));
+        return;
       }
       const Vector& b = rhs.as_vector();
       Vector out(a.size());
       vec_kernel<kOp>(out.data(), a.data(), b.data(), out.size(), in.pos);
-      return Value(std::move(out));
+      regs[in.a] = Value(std::move(out));
+      return;
     }
     if (lhs.is_scalar() && rhs.is_vector()) {
       const double a = lhs.as_scalar();
       Vector out = (in.flags & kTempC) != 0 ? std::move(rhs.as_vector())
                                             : rhs.as_vector();
       scl_vec_kernel<kOp>(a, out.data(), out.size(), in.pos);
-      return Value(std::move(out));
+      regs[in.a] = Value(std::move(out));
+      return;
     }
     if (lhs.is_vector() && rhs.is_scalar()) {
       const double b = rhs.as_scalar();
       Vector out = (in.flags & kTempB) != 0 ? std::move(lhs.as_vector())
                                             : lhs.as_vector();
       vec_scl_kernel<kOp>(out.data(), out.size(), b, in.pos);
-      return Value(std::move(out));
+      regs[in.a] = Value(std::move(out));
+      return;
     }
-    error(ErrorCode::Type,
-          "operator `" + std::string(to_string(kOp)) + "` on a " +
-              std::string(lhs.type_name()) + " and a " +
-              std::string(rhs.type_name()),
-          in.pos);
+    error(ErrorCode::Type, in.pos, "operator `", to_string(kOp), "` on a ",
+          lhs.type_name(), " and a ", rhs.type_name());
+  }
+
+  [[gnu::noinline]] static void negate_vector(const Instr& in,
+                                             std::vector<Value>& regs) {
+    Value& v = regs[in.b];
+    Vector out = (in.flags & kTempB) != 0 ? std::move(v.as_vector())
+                                          : v.as_vector();
+    for (double& x : out) x = -x;
+    regs[in.a] = Value(std::move(out));
+  }
+
+  [[gnu::noinline]] static void new_vector(Value& dst, std::size_t capacity) {
+    Vector v;
+    v.reserve(capacity);
+    dst = Value(std::move(v));
   }
 
   /// The AddK..PowK fused forms: rhs is a scalar const pool entry, so
@@ -390,11 +443,18 @@ class Vm {
       set_scalar(regs[in.a], scalar_op(kOp, *a, k, in.pos));
       return;
     }
+    arith_k_vector<kOp>(in, regs, k);
+  }
+
+  /// arith_k's non-scalar path, out of line like arith's.
+  template <BinOp kOp>
+  [[gnu::noinline]] static void arith_k_vector(const Instr& in,
+                                               std::vector<Value>& regs,
+                                               double k) {
+    Value& lhs = regs[in.b];
     if (lhs.is_string()) {
-      error(ErrorCode::Type,
-            "operator `" + std::string(to_string(kOp)) +
-                "` is not defined for strings",
-            in.pos);
+      error(ErrorCode::Type, in.pos, "operator `", to_string(kOp),
+            "` is not defined for strings");
     }
     Vector out = (in.flags & kTempB) != 0 ? std::move(lhs.as_vector())
                                           : lhs.as_vector();
@@ -411,7 +471,7 @@ class Vm {
       set_scalar(regs[in.a], cmp(*a, *k.scalar_if()) ? 1.0 : 0.0);
       return;
     }
-    regs[in.a] = compare(base, regs[in.b], k, in.pos);
+    set_scalar(regs[in.a], compare(base, regs[in.b], k, in.pos));
   }
 
   /// Executes code[from, to). `states` is non-null only for the
@@ -450,10 +510,10 @@ class Vm {
           if (st == kUnbound) {
             const VarInfo& vi = chunk_.vars[in.a];
             if (!vi.has_const) {
-              error(ErrorCode::Name,
-                    "undefined variable `" + var_name(in.a) + "`", in.pos);
+              error(ErrorCode::Name, in.pos, "undefined variable `",
+                    var_name(in.a), "`");
             }
-            regs[in.a] = Value(vi.const_value);
+            set_scalar(regs[in.a], vi.const_value);
             st = kConstMaterialized;
           }
           break;
@@ -461,14 +521,11 @@ class Vm {
         case Op::Neg: {
           Value& v = regs[in.b];
           if (v.is_vector()) {
-            Vector out = (in.flags & kTempB) != 0 ? std::move(v.as_vector())
-                                                  : v.as_vector();
-            for (double& x : out) x = -x;
-            regs[in.a] = Value(std::move(out));
+            negate_vector(in, regs);
           } else if (v.is_string()) {
-            error(ErrorCode::Type, "cannot negate a string", in.pos);
+            error(ErrorCode::Type, in.pos, "cannot negate a string");
           } else {
-            regs[in.a] = Value(-v.as_scalar());
+            set_scalar(regs[in.a], -v.as_scalar());
           }
           break;
         }
@@ -480,27 +537,27 @@ class Vm {
           break;
         case Op::Add:
           if (!fast_arith<BinOp::Add>(in, regs))
-            regs[in.a] = arith<BinOp::Add>(in, regs);
+            arith<BinOp::Add>(in, regs);
           break;
         case Op::Sub:
           if (!fast_arith<BinOp::Sub>(in, regs))
-            regs[in.a] = arith<BinOp::Sub>(in, regs);
+            arith<BinOp::Sub>(in, regs);
           break;
         case Op::Mul:
           if (!fast_arith<BinOp::Mul>(in, regs))
-            regs[in.a] = arith<BinOp::Mul>(in, regs);
+            arith<BinOp::Mul>(in, regs);
           break;
         case Op::Div:
           if (!fast_arith<BinOp::Div>(in, regs))
-            regs[in.a] = arith<BinOp::Div>(in, regs);
+            arith<BinOp::Div>(in, regs);
           break;
         case Op::Mod:
           if (!fast_arith<BinOp::Mod>(in, regs))
-            regs[in.a] = arith<BinOp::Mod>(in, regs);
+            arith<BinOp::Mod>(in, regs);
           break;
         case Op::Pow:
           if (!fast_arith<BinOp::Pow>(in, regs))
-            regs[in.a] = arith<BinOp::Pow>(in, regs);
+            arith<BinOp::Pow>(in, regs);
           break;
         case Op::AddK: arith_k<BinOp::Add>(in, regs); break;
         case Op::SubK: arith_k<BinOp::Sub>(in, regs); break;
@@ -538,21 +595,25 @@ class Vm {
           break;
         case Op::Lt:
           if (!fast_compare(in, regs, [](double a, double b) { return a < b; }))
-            regs[in.a] = compare(in.op, regs[in.b], regs[in.c], in.pos);
+            set_scalar(regs[in.a],
+                       compare(in.op, regs[in.b], regs[in.c], in.pos));
           break;
         case Op::Le:
           if (!fast_compare(in, regs,
                             [](double a, double b) { return a <= b; }))
-            regs[in.a] = compare(in.op, regs[in.b], regs[in.c], in.pos);
+            set_scalar(regs[in.a],
+                       compare(in.op, regs[in.b], regs[in.c], in.pos));
           break;
         case Op::Gt:
           if (!fast_compare(in, regs, [](double a, double b) { return a > b; }))
-            regs[in.a] = compare(in.op, regs[in.b], regs[in.c], in.pos);
+            set_scalar(regs[in.a],
+                       compare(in.op, regs[in.b], regs[in.c], in.pos));
           break;
         case Op::Ge:
           if (!fast_compare(in, regs,
                             [](double a, double b) { return a >= b; }))
-            regs[in.a] = compare(in.op, regs[in.b], regs[in.c], in.pos);
+            set_scalar(regs[in.a],
+                       compare(in.op, regs[in.b], regs[in.c], in.pos));
           break;
         // Fused compare+branch: the comparison executes exactly as the
         // standalone op (including writing its 0/1 result register, so
@@ -560,7 +621,8 @@ class Vm {
         // fires on the value just computed.
         case Op::LtBr:
           if (!fast_compare(in, regs, [](double a, double b) { return a < b; }))
-            regs[in.a] = compare(Op::Lt, regs[in.b], regs[in.c], in.pos);
+            set_scalar(regs[in.a],
+                       compare(Op::Lt, regs[in.b], regs[in.c], in.pos));
           if (!regs[in.a].truthy()) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
@@ -569,7 +631,8 @@ class Vm {
         case Op::LeBr:
           if (!fast_compare(in, regs,
                             [](double a, double b) { return a <= b; }))
-            regs[in.a] = compare(Op::Le, regs[in.b], regs[in.c], in.pos);
+            set_scalar(regs[in.a],
+                       compare(Op::Le, regs[in.b], regs[in.c], in.pos));
           if (!regs[in.a].truthy()) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
@@ -577,7 +640,8 @@ class Vm {
           break;
         case Op::GtBr:
           if (!fast_compare(in, regs, [](double a, double b) { return a > b; }))
-            regs[in.a] = compare(Op::Gt, regs[in.b], regs[in.c], in.pos);
+            set_scalar(regs[in.a],
+                       compare(Op::Gt, regs[in.b], regs[in.c], in.pos));
           if (!regs[in.a].truthy()) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
@@ -586,7 +650,8 @@ class Vm {
         case Op::GeBr:
           if (!fast_compare(in, regs,
                             [](double a, double b) { return a >= b; }))
-            regs[in.a] = compare(Op::Ge, regs[in.b], regs[in.c], in.pos);
+            set_scalar(regs[in.a],
+                       compare(Op::Ge, regs[in.b], regs[in.c], in.pos));
           if (!regs[in.a].truthy()) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
@@ -652,27 +717,22 @@ class Vm {
             continue;
           }
           break;
-        case Op::NewVector: {
-          Vector v;
-          v.reserve(static_cast<std::size_t>(in.d));
-          regs[in.a] = Value(std::move(v));
+        case Op::NewVector:
+          new_vector(regs[in.a], static_cast<std::size_t>(in.d));
           break;
-        }
         case Op::PushScalar: {
           const Value& el = regs[in.b];
           if (!el.is_scalar()) {
-            error(ErrorCode::Type,
-                  "expected a number, got a " + std::string(el.type_name()),
-                  in.pos);
+            error(ErrorCode::Type, in.pos, "expected a number, got a ",
+                  el.type_name());
           }
           regs[in.a].as_vector().push_back(el.as_scalar());
           break;
         }
         case Op::CheckIndexable:
           if (!regs[in.a].is_vector()) {
-            error(ErrorCode::Type,
-                  "cannot index a " + std::string(regs[in.a].type_name()),
-                  in.pos);
+            error(ErrorCode::Type, in.pos, "cannot index a ",
+                  regs[in.a].type_name());
           }
           break;
         case Op::IndexLoad: {
@@ -729,21 +789,17 @@ class Vm {
         }
         case Op::FinishAssign:
           (*states)[in.a] = kBound;
-          if (options_.trace != nullptr) {
-            *options_.trace << "line " << in.pos.line << ": " << var_name(in.a)
-                            << " = " << regs[in.a].to_display() << "\n";
-          }
+          if (options_.trace != nullptr) echo(in, regs);
           break;
         case Op::IndexedCheck: {
           if ((*states)[in.a] != kBound) {
-            error(ErrorCode::Name,
-                  "indexed assignment to undefined variable `" +
-                      var_name(in.a) + "`",
-                  in.pos);
+            error(ErrorCode::Name, in.pos,
+                  "indexed assignment to undefined variable `",
+                  var_name(in.a), "`");
           }
           if (!regs[in.a].is_vector()) {
-            error(ErrorCode::Type, "`" + var_name(in.a) + "` is not a vector",
-                  in.pos);
+            error(ErrorCode::Type, in.pos, "`", var_name(in.a),
+                  "` is not a vector");
           }
           break;
         }
@@ -767,7 +823,7 @@ class Vm {
           break;
         case Op::ForInit:
           if (regs[in.a].as_scalar() == 0) {
-            error(ErrorCode::Runtime, "for loop with zero step", in.pos);
+            error(ErrorCode::Runtime, in.pos, "for loop with zero step");
           }
           break;
         case Op::ForNext: {
@@ -795,8 +851,8 @@ class Vm {
         case Op::RepeatInit: {
           const double n = regs[in.c].as_scalar();
           if (n < 0 || std::floor(n) != n) {
-            error(ErrorCode::Runtime,
-                  "repeat count must be a non-negative integer", in.pos);
+            error(ErrorCode::Runtime, in.pos,
+                  "repeat count must be a non-negative integer");
           }
           set_scalar(regs[in.a], 0.0);
           set_scalar(regs[in.b], n);
@@ -813,7 +869,7 @@ class Vm {
           break;
         }
         case Op::CallOp:
-          regs[in.a] = call_site(code, code.sites[in.b], regs, states, in);
+          call_site(code, code.sites[in.b], regs, states, in);
           ip = static_cast<std::uint32_t>(in.d);
           continue;
         case Op::DefFormula: {
@@ -823,7 +879,7 @@ class Vm {
           break;
         }
         case Op::ErrAlways:
-          error(static_cast<ErrorCode>(in.a), chunk_.messages[in.b], in.pos);
+          error(static_cast<ErrorCode>(in.a), in.pos, chunk_.messages[in.b]);
         case Op::Halt:
           return;
       }
@@ -833,19 +889,27 @@ class Vm {
       // trace echo prints the same line number the walker does.
       if ((in.flags & kFinish) != 0) {
         (*states)[in.a] = kBound;
-        if (options_.trace != nullptr) {
-          *options_.trace << "line " << in.pos.line << ": " << var_name(in.a)
-                          << " = " << regs[in.a].to_display() << "\n";
-        }
+        if (options_.trace != nullptr) echo(in, regs);
       }
       ++ip;
     }
   }
 
-  Value call_site(const Code& code, const CallSite& site,
-                  std::vector<Value>& regs, std::vector<std::uint8_t>* states,
-                  const Instr& in) {
-    const std::string& callee = chunk_.names[site.name];
+  /// Runs one call and writes its result to regs[in.a]. Only the
+  /// argument loop stays here; the rest runs out of line, because this
+  /// frame is on the stack once per nested call.
+  void call_site(const Code& code, const CallSite& site,
+                 std::vector<Value>& regs, std::vector<std::uint8_t>* states,
+                 const Instr& in) {
+    if (call_depth_ == kMaxCallDepth) {
+      error(ErrorCode::Limit, in.pos, "calls nested deeper than ",
+            kMaxCallDepth, " levels (formula recursion too deep?)");
+    }
+    ++call_depth_;
+    struct CallDepthGuard {
+      int& depth;
+      ~CallDepthGuard() { --depth; }
+    } call_guard{call_depth_};
     // Formula lookup precedes builtins, like the tree-walker's scope
     // order; the table is populated dynamically by DefFormula, so a
     // call before the definition falls through exactly as it should.
@@ -853,25 +917,16 @@ class Vm {
       const std::int32_t fi =
           formula_table_[static_cast<std::size_t>(site.formula)];
       if (fi >= 0) {
-        return call_formula(chunk_.formulas[static_cast<std::size_t>(fi)],
-                            site, code, regs, states, callee, in.pos);
+        call_formula(chunk_.formulas[static_cast<std::size_t>(fi)], site,
+                     code, regs, states, in);
+        return;
       }
     }
     const Builtin* fn = site.builtin;
-    if (fn == nullptr) {
-      error(ErrorCode::Name, "unknown function `" + callee + "`", in.pos);
-    }
     const int n = static_cast<int>(site.args.size());
-    if (n < fn->min_args || (fn->max_args >= 0 && n > fn->max_args)) {
-      error(ErrorCode::Type,
-            "`" + callee + "` expects " + std::to_string(fn->min_args) +
-                (fn->max_args == fn->min_args
-                     ? ""
-                     : (fn->max_args < 0
-                            ? "+"
-                            : ".." + std::to_string(fn->max_args))) +
-                " arguments, got " + std::to_string(n),
-            in.pos);
+    if (fn == nullptr || n < fn->min_args ||
+        (fn->max_args >= 0 && n > fn->max_args)) {
+      bad_call(site, in.pos);
     }
     // Argument buffers are pooled per nesting depth: a routine dominated
     // by builtin calls would otherwise pay one heap allocation per call.
@@ -883,38 +938,63 @@ class Vm {
       std::size_t& used;
       ~PoolGuard() { --used; }
     } guard{call_pool_used_};
-    call_pool_[slot].clear();
-    call_pool_[slot].reserve(site.args.size());
-    for (const ArgRange& ar : site.args) {
+    call_pool_[slot].resize(site.args.size());
+    for (std::size_t i = 0; i < site.args.size(); ++i) {
+      const ArgRange& ar = site.args[i];
       exec(code, regs, states, ar.begin, ar.end);
+      Value& arg = call_pool_[slot][i];
       if (ar.temp != 0) {
-        call_pool_[slot].push_back(std::move(regs[ar.reg]));
+        arg = std::move(regs[ar.reg]);
       } else {
-        call_pool_[slot].push_back(regs[ar.reg]);
+        arg = regs[ar.reg];
       }
     }
+    invoke(*fn, site, call_pool_[slot], regs[in.a], in.pos);
+  }
+
+  [[gnu::noinline]] void invoke(const Builtin& fn, const CallSite& site,
+                                std::vector<Value>& args, Value& dst,
+                                SourcePos pos) {
     try {
-      return fn->fn(call_pool_[slot], ctx_);
+      dst = fn.fn(args, ctx_);
     } catch (const Error& e) {
-      fail(e.code(), e.message() + " in `" + callee + "`", in.pos);
+      error(e.code(), pos, e.message(), " in `", chunk_.names[site.name], "`");
     }
   }
 
-  Value call_formula(const Formula& fo, const CallSite& site,
-                     const Code& caller, std::vector<Value>& regs,
-                     std::vector<std::uint8_t>* states,
-                     const std::string& name, SourcePos pos) {
+  /// An unknown function, or a builtin given the wrong argument count.
+  [[noreturn, gnu::noinline, gnu::cold]] void bad_call(const CallSite& site,
+                                                       SourcePos pos) const {
+    const std::string& callee = chunk_.names[site.name];
+    const Builtin* fn = site.builtin;
+    if (fn == nullptr) {
+      error(ErrorCode::Name, pos, "unknown function `", callee, "`");
+    }
+    const std::string range =
+        fn->max_args == fn->min_args
+            ? ""
+            : (fn->max_args < 0 ? "+" : ".." + std::to_string(fn->max_args));
+    error(ErrorCode::Type, pos, "`", callee, "` expects ", fn->min_args, range,
+          " arguments, got ", site.args.size());
+  }
+
+  /// Out of line, so a builtin-only nest does not carry a formula
+  /// frame's locals in call_site's frame.
+  [[gnu::noinline]] void call_formula(const Formula& fo, const CallSite& site,
+                                      const Code& caller,
+                                      std::vector<Value>& regs,
+                                      std::vector<std::uint8_t>* states,
+                                      const Instr& in) {
+    const SourcePos pos = in.pos;
+    const std::string& name = chunk_.names[site.name];
     if (site.args.size() != fo.param_reg.size()) {
-      error(ErrorCode::Type,
-            "formula `" + name + "` expects " +
-                std::to_string(fo.param_reg.size()) + " arguments, got " +
-                std::to_string(site.args.size()),
-            pos);
+      error(ErrorCode::Type, pos, "formula `", name, "` expects ",
+            fo.param_reg.size(), " arguments, got ", site.args.size());
     }
     if (++formula_depth_ > 256) {
       --formula_depth_;
-      error(ErrorCode::Limit,
-            "formula recursion deeper than 256 (`" + name + "`)", pos);
+      error(ErrorCode::Limit, pos, "formula recursion deeper than 256 (`",
+            name, "`)");
     }
     struct DepthGuard {
       int& depth;
@@ -935,13 +1015,13 @@ class Vm {
       tick(pos);
       exec(fo.code, frame, nullptr, 0,
            static_cast<std::uint32_t>(fo.code.ins.size()));
-      return std::move(frame[fo.result]);
+      regs[in.a] = std::move(frame[fo.result]);
     } catch (const Error& e) {
       // Attribute the failure to the innermost formula, once, keeping
       // the original code and position so callers can still classify it.
       if (e.message().find(" in formula `") != std::string::npos) throw;
-      fail(e.code(), e.message() + " in formula `" + name + "`",
-           e.pos().valid() ? e.pos() : pos);
+      error(e.code(), e.pos().valid() ? e.pos() : pos, e.message(),
+            " in formula `", name, "`");
     }
   }
 
@@ -953,6 +1033,7 @@ class Vm {
   std::vector<std::vector<Value>> call_pool_;
   std::size_t call_pool_used_ = 0;
   int formula_depth_ = 0;
+  int call_depth_ = 0;  ///< native call nesting (call_site)
   std::uint64_t steps_ = 0;
   std::uint64_t retired_ = 0;
 };

@@ -41,21 +41,23 @@ std::string render_run_result(const exec::RunResult& result,
 /// Batched trial output, shared by `banger trial --inputs` and the
 /// serve batch envelope: one `=== trial K of N ===` block per input in
 /// order, each the one-shot rendering (or the error the one-shot run
-/// would have raised). `exit_code` is 1 when any trial failed.
+/// would have raised). `exit_code` is 1 when any trial failed. The
+/// blocks are rendered on `jobs` workers (1 = inline, < 1 =
+/// util::default_jobs()); the bytes are the same for any value.
 struct TrialBatchRender {
   std::string text;
   int exit_code = 0;
 };
 TrialBatchRender render_trial_batch(
-    const std::vector<exec::TrialOutcome>& outcomes);
+    const std::vector<exec::TrialOutcome>& outcomes, int jobs);
 
 /// Streaming output, shared by `banger stream --inputs` and the serve
 /// `inputs_stream` envelope: one `=== batch K of N ===` block per input
 /// batch in push order, each rendered exactly like the equivalent
 /// one-shot `banger run` (or the error that run would have raised).
-/// `exit_code` is 1 when any batch failed.
+/// `exit_code` is 1 when any batch failed; `jobs` as above.
 TrialBatchRender render_stream_batches(
-    const std::vector<exec::TrialOutcome>& outcomes);
+    const std::vector<exec::TrialOutcome>& outcomes, int jobs);
 
 /// `banger check` output plus its exit status (1 when diagnostics at or
 /// above the --fail-on threshold exist). `file_label` is the file name

@@ -238,7 +238,7 @@ Server::Rendered Server::respond(const Request& req) {
         // single cached build (which would multiply threads per slot).
         const auto outcomes =
             exec::run_trials(design->flat, inputs, engine_of(), /*jobs=*/1);
-        const TrialBatchRender r = render_trial_batch(outcomes);
+        const TrialBatchRender r = render_trial_batch(outcomes, /*jobs=*/1);
         return std::make_shared<const Rendered>(
             Rendered{r.text, r.exit_code});
       });
@@ -319,7 +319,8 @@ Server::Rendered Server::respond(const Request& req) {
           design->flat, *schedule, *machine, batches, stream_opts);
       // Only the deterministic per-batch text enters the response (the
       // timing-laden execution report lands on the metrics recorder).
-      const TrialBatchRender r = render_stream_batches(result.outcomes);
+      const TrialBatchRender r =
+          render_stream_batches(result.outcomes, /*jobs=*/1);
       return std::make_shared<const Rendered>(Rendered{r.text, r.exit_code});
     });
     return *rendered;

@@ -82,12 +82,29 @@ bool is_identifier(std::string_view s) noexcept {
   });
 }
 
+void append_double(std::string& out, double v, int max_digits) {
+  if (std::isnan(v)) {
+    out += "nan";
+    return;
+  }
+  if (std::isinf(v)) {
+    out += v > 0 ? "inf" : "-inf";
+    return;
+  }
+  // The general format with a precision is defined as printf's `%.*g`
+  // in the C locale, so the bytes match snprintf's without its format
+  // parsing and locale lookup. 17 digits need at most 24 characters.
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general,
+                                 std::clamp(max_digits, 1, 17));
+  out.append(buf, res.ptr);
+}
+
 std::string format_double(double v, int max_digits) {
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*g", max_digits, v);
-  return buf;
+  std::string out;
+  append_double(out, v, max_digits);
+  return out;
 }
 
 std::string pad_left(std::string_view s, std::size_t width) {

@@ -35,8 +35,15 @@ std::string to_lower(std::string_view s);
 bool is_identifier(std::string_view s) noexcept;
 
 /// Formats a double compactly ("3", "3.5", "0.001") with up to
-/// `max_digits` significant digits and no trailing zeros.
+/// `max_digits` significant digits and no trailing zeros: printf's
+/// `%.*g` bytes, except that every NaN prints `nan` and infinities
+/// print `inf`/`-inf`. `max_digits` is clamped to [1, 17]; 17 digits
+/// already round-trip any double.
 std::string format_double(double v, int max_digits = 6);
+
+/// format_double appended to `out`, with no temporary string: the
+/// renderers' per-element path.
+void append_double(std::string& out, double v, int max_digits = 6);
 
 /// Left/right pads `s` with spaces to at least `width` columns.
 std::string pad_left(std::string_view s, std::size_t width);

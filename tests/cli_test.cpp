@@ -250,6 +250,137 @@ TEST_F(CliFiles, TrialMissingInputFails) {
   EXPECT_NE(r.err.find("input store"), std::string::npos);
 }
 
+std::vector<std::string> with(std::vector<std::string> args,
+                              std::initializer_list<std::string> more) {
+  args.insert(args.end(), more);
+  return args;
+}
+
+TEST_F(CliFiles, BatchOutputIsIdenticalForAnyJobs) {
+  // --jobs spreads input evaluation, the runs and rendering; the bytes
+  // and the exit code must not depend on it. A comment, a blank line and
+  // a failing trial (zero pivot) sit in the middle of the file.
+  const std::string inputs_path = testing::TempDir() + "/cli_jobs.txt";
+  std::ofstream(inputs_path)
+      << "A=[4,3,2,8,8,5,4,7,9]; b=[16,39,45]\n"
+      << "# a comment\n"
+      << "A=[4,3,2,8,8,5,4,7,9]; b=[32,78,90]\n"
+      << "\n"
+      << "A=[0,3,2,8,8,5,4,7,9]; b=[16,39,45]\n"
+      << "A=[4,3,2,8,8,5,4,7,9]; b=[8, 19.5, 22.5]\n"
+      << "  A = [4,3,2,8,8,5,4,7,9] ;b=[1.6e1, 39, 3^2*5]  \n";
+  const std::vector<std::string> commands[] = {
+      {"trial", design_path_, "--inputs", inputs_path},
+      {"stream", design_path_, machine_path_, "--inputs", inputs_path}};
+  for (const auto& command : commands) {
+    const auto one = invoke(with(command, {"--jobs", "1"}));
+    EXPECT_EQ(one.code, 1) << one.err;
+    EXPECT_NE(one.out.find(" 5 of 5 ===\n"), std::string::npos) << one.out;
+    EXPECT_NE(one.out.find("error[runtime]:"), std::string::npos);
+    EXPECT_NE(one.out.find("x = [0.5, 1, 1.5]"), std::string::npos);
+    for (const char* jobs : {"2", "4"}) {
+      const auto r = invoke(with(command, {"--jobs", jobs}));
+      EXPECT_EQ(r.code, one.code) << command[0] << " --jobs " << jobs;
+      EXPECT_EQ(r.out, one.out) << command[0] << " --jobs " << jobs;
+    }
+  }
+}
+
+TEST_F(CliFiles, InputErrorsNameTheFileLineAndColumn) {
+  // Parse, name and runtime errors in an expression on line 3 are
+  // positioned at that line and at their column within it.
+  struct Case {
+    std::string line;
+    std::string kind;
+    std::string at;  ///< the text the error's column points to
+  };
+  const Case cases[] = {
+      {"A=[4,3,2,8,8,5,4,7,9]; b=[16,, 45]", "parse", ", 45]"},
+      {"A=[4,3,2,8,8,5,4,7,9];  b = nope", "name", "nope"},
+      {"A=[4,3,2,8,8,5,4,7,9]; b=[16,39,45][7]", "runtime", "7]"},
+  };
+  const std::string inputs_path = testing::TempDir() + "/cli_bad_line.txt";
+  for (const Case& c : cases) {
+    std::ofstream(inputs_path) << "A=[4,3,2,8,8,5,4,7,9]; b=[16,39,45]\n"
+                               << "# line 2\n"
+                               << c.line << "\n"
+                               << "A=[4,3,2,8,8,5,4,7,9]; b=[16,39,45]\n";
+    const std::string want =
+        c.kind + " error at 3:" + std::to_string(c.line.rfind(c.at) + 1) +
+        ": `" + inputs_path + "`: ";
+    for (const char* jobs : {"1", "4"}) {
+      const auto r = invoke(
+          {"trial", design_path_, "--inputs", inputs_path, "--jobs", jobs});
+      EXPECT_EQ(r.code, 1) << c.line;
+      EXPECT_NE(r.err.find(want), std::string::npos)
+          << "want `" << want << "` in " << r.err;
+      EXPECT_TRUE(r.out.empty()) << r.out;
+    }
+  }
+}
+
+TEST_F(CliFiles, FirstBadInputLineWinsForAnyJobs) {
+  const std::string inputs_path = testing::TempDir() + "/cli_two_bad.txt";
+  std::ofstream(inputs_path) << "A=[4,3,2,8,8,5,4,7,9]; b=[16,39,45]\n"
+                             << "A=[4,3,2,8,8,5,4,7,9]; b=[16,39,45]\n"
+                             << "A=[4,3,2,8,8,5,4,7,9]; b=[16,,45]\n"
+                             << "A=[4,3,2,8,8,5,4,7,9]; b=[16,39,45]\n"
+                             << "A=[4,3,2,8,8,5,4,7,9]; b=oops\n";
+  for (const char* command : {"trial", "stream"}) {
+    for (const char* jobs : {"1", "2", "4"}) {
+      std::vector<std::string> args{command, design_path_};
+      if (std::string(command) == "stream") args.push_back(machine_path_);
+      const auto r =
+          invoke(with(args, {"--inputs", inputs_path, "--jobs", jobs}));
+      EXPECT_EQ(r.code, 1);
+      EXPECT_NE(r.err.find("parse error at 3:"), std::string::npos)
+          << command << " --jobs " << jobs << ": " << r.err;
+    }
+  }
+  // A later line without `=` does not outrank an earlier bad expression.
+  std::ofstream(inputs_path) << "A=[4,3,2,8,8,5,4,7,9]; b=[16,39,45]\n"
+                             << "A=[4,3,2,8,8,5,4,7,9]; b=[16,,45]\n"
+                             << "A=[4,3,2,8,8,5,4,7,9]; nonsense\n";
+  for (const char* jobs : {"1", "4"}) {
+    const auto r = invoke(
+        {"trial", design_path_, "--inputs", inputs_path, "--jobs", jobs});
+    EXPECT_EQ(r.code, 1) << r.err;
+    EXPECT_NE(r.err.find("parse error at 2:"), std::string::npos) << r.err;
+  }
+}
+
+TEST_F(CliFiles, InputFlagErrorColumnsCountWithinTheExpression) {
+  const auto r = invoke({"trial", design_path_, "--input",
+                         "A=[4,3,2,8,8,5,4,7,9]", "--input", "b=[16,,45]"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("parse error at 1:5:"), std::string::npos) << r.err;
+}
+
+TEST(Cli, VmCallRecursionIsAPositionedLimit) {
+  // Formula recursion times nested builtin calls once overflowed the VM's
+  // stack; both nests now stop with a limit error on the routine's line.
+  const std::pair<std::string, std::string> nests[] = {{"abs(", ")"},
+                                                       {"sum([", "])"}};
+  const std::string path = testing::TempDir() + "/cli_deep_calls.pitl";
+  for (const auto& [open, close] : nests) {
+    std::string body = "f(n - 1)";
+    for (int i = 0; i < 95; ++i) body = open + body + close;
+    std::ofstream(path) << "design deep_calls\n"
+                        << "graph deep_calls\n"
+                        << "  store r bytes=8\n"
+                        << "  task deep work=1 out=r\n"
+                        << "  pits {\n"
+                        << "    formula f(n) := when(n <= 0, 0, " << body
+                        << ")\n"
+                        << "    r := f(255)\n"
+                        << "  }\n"
+                        << "  arc deep -> r var=r bytes=8\n";
+    const auto r = invoke({"trial", path});
+    EXPECT_EQ(r.code, 1) << open;
+    EXPECT_NE(r.err.find("limit error at 1:"), std::string::npos) << r.err;
+  }
+}
+
 TEST_F(CliFiles, Codegen) {
   const auto r = invoke({"codegen", design_path_, machine_path_, "--input",
                          "A=[4,3,2,8,8,5,4,7,9]", "--input", "b=[16,39,45]"});

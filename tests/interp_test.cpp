@@ -263,6 +263,34 @@ TEST(Interp, WalkerBoundsNativeRecursionWithPositionedLimit) {
   EXPECT_DOUBLE_EQ(env.at("r").as_scalar(), 24480.0);
 }
 
+TEST(Interp, VmBoundsNativeCallRecursionWithPositionedLimit) {
+  // Every nested builtin call recurses through the VM's interpreter
+  // loop, and formula recursion multiplies it: both nests once overflowed
+  // the VM's thread stack.
+  ExecOptions vm;
+  vm.engine = ExecOptions::Engine::Vm;
+  const std::pair<std::string, std::string> nests[] = {{"abs(", ")"},
+                                                       {"sum([", "])"}};
+  for (const auto& [open, close] : nests) {
+    Env env;
+    try {
+      Program::parse(deep_formula(open, close, 95, 255)).execute(env, vm);
+      ADD_FAILURE() << "VM finished " << open;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Limit) << e.what();
+      EXPECT_EQ(e.pos().line, 1) << e.what();
+      EXPECT_NE(e.message().find("calls nested deeper than 2048 levels"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The bound leaves room for deep formulas: 256 frames that each nest
+  // seven builtin calls reach 2041 levels and finish.
+  Env env;
+  Program::parse(deep_formula("abs(", ")", 7, 255)).execute(env, vm);
+  EXPECT_DOUBLE_EQ(env.at("r").as_scalar(), 0.0);
+}
+
 TEST(Interp, ShallowFormulaRecursionStillHitsTheFrameLimitFirst) {
   // 257 frames of a shallow body stay inside the native bound, so the
   // walker reports the formula-recursion limit, as the VM does.

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Hostile-input smoke test for `banger serve` over stdio.
 
-Pipes four request lines into one server: a line past the 64 MiB
+Pipes five request lines into one server: a line past the 64 MiB
 request-line limit, a trial whose formula recursion is too deep for the
-tree-walker, an upload of a 200k-level design hierarchy, and a ping.
-The first three must each get a positioned `limit` error envelope, the
-ping must be answered `pong`, and the server must exit 0.
+tree-walker, an upload of a 200k-level design hierarchy, a trial on the
+default engine (the VM) whose formula recursion nests builtin calls too
+deep for it, and a ping. The first four must each get a positioned
+`limit` error envelope, the ping must be answered `pong`, and the
+server must exit 0.
 
 Usage: python3 tests/serve_hostile_smoke.py path/to/banger
 """
@@ -16,12 +18,11 @@ import sys
 LINE_LIMIT = 64 << 20
 
 
-def walker_recursion_design():
-    # 255 formula frames, each ~100 expression levels deep; the VM
-    # answers r = 24480.
+def deep_formula_design(wrap_open, wrap_close, levels):
+    # 255 formula frames, each wrapping the recursive call `levels` deep.
     body = "f(n - 1)"
-    for _ in range(96):
-        body = f"1 + ({body})"
+    for _ in range(levels):
+        body = f"{wrap_open}{body}{wrap_close}"
     return ("design deep_formula\n"
             "graph deep_formula\n"
             "  store r bytes=8\n"
@@ -31,6 +32,16 @@ def walker_recursion_design():
             "    r := f(255)\n"
             "  }\n"
             "  arc deep -> r var=r bytes=8\n")
+
+
+def walker_recursion_design():
+    # ~100 expression levels per frame; the VM answers r = 24480.
+    return deep_formula_design("1 + (", ")", 96)
+
+
+def vm_recursion_design():
+    # 95 nested builtin calls per frame: past the VM's call-depth bound.
+    return deep_formula_design("abs(", ")", 95)
 
 
 def deep_hierarchy_design(levels=200_000):
@@ -51,6 +62,8 @@ def main():
         json.dumps({"id": "deep", "op": "upload", "name": "deep",
                     "kind": "design",
                     "text": deep_hierarchy_design()}).encode(),
+        json.dumps({"id": "vm", "op": "trial",
+                    "design": vm_recursion_design()}).encode(),
         json.dumps({"id": "ping", "op": "ping"}).encode(),
     ]
     proc = subprocess.run([sys.argv[1], "serve"],
@@ -64,14 +77,14 @@ def main():
     if len(responses) != len(lines):
         failures.append(f"expected {len(lines)} responses, "
                         f"got {len(responses)}")
-    for want_id, resp in zip([None, "walk", "deep"], responses):
+    for want_id, resp in zip([None, "walk", "deep", "vm"], responses):
         error = resp.get("error", {})
         if (resp.get("id") != want_id or resp.get("ok") is not False
                 or error.get("code") != "limit" or "line" not in error):
             failures.append(f"expected a positioned limit error for "
                             f"{want_id!r}, got {json.dumps(resp)[:400]}")
-    if len(responses) == len(lines) and responses[3].get("output") != "pong":
-        failures.append(f"ping not answered: {json.dumps(responses[3])}")
+    if len(responses) == len(lines) and responses[4].get("output") != "pong":
+        failures.append(f"ping not answered: {json.dumps(responses[4])}")
     for failure in failures:
         print("FAIL:", failure)
     if failures:

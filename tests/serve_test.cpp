@@ -516,6 +516,63 @@ TEST(ServeServer, WalkerRecursionGetsLimitEnvelopeAndServerAnswersOn) {
   EXPECT_EQ(field(Json::parse(ping), "output").as_string(), "pong");
 }
 
+TEST(ServeServer, VmCallRecursionGetsLimitEnvelopeAndServerAnswersOn) {
+  // 255 formula frames, each nesting 95 builtin calls: every nested call
+  // recursed natively in the VM until one overflowed the worker's stack.
+  auto design = [](const std::string& open, const std::string& close) {
+    std::string body = "f(n - 1)";
+    for (int i = 0; i < 95; ++i) body = open + body + close;
+    return "design deep_calls\n"
+           "graph deep_calls\n"
+           "  store r bytes=8\n"
+           "  task deep work=1 out=r\n"
+           "  pits {\n"
+           "    formula f(n) := when(n <= 0, 0, " + body + ")\n"
+           "    r := f(255)\n"
+           "  }\n"
+           "  arc deep -> r var=r bytes=8\n";
+  };
+  auto trial = [](const std::string& id, const std::string& text) {
+    return request({{"id", Json::string(id)},
+                    {"op", Json::string("trial")},
+                    {"design", Json::string(text)},
+                    {"engine", Json::string("vm")}});
+  };
+  Server server;
+  std::istringstream in(trial("abs", design("abs(", ")")) + "\n" +
+                        trial("sum", design("sum([", "])")) + "\n" +
+                        request({{"op", Json::string("ping")}}) + "\n");
+  std::ostringstream out;
+  server.serve_stream(in, out);
+  std::istringstream lines(out.str());
+  std::string line;
+  for (const char* id : {"abs", "sum"}) {
+    ASSERT_TRUE(std::getline(lines, line)) << id;
+    const Json resp = Json::parse(line);
+    EXPECT_EQ(field(resp, "id").as_string(), id);
+    EXPECT_EQ(field(field(resp, "error"), "code").as_string(), "limit")
+        << line;
+    EXPECT_EQ(field(field(resp, "error"), "line").as_number(), 1.0) << line;
+  }
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(field(Json::parse(line), "output").as_string(), "pong");
+}
+
+TEST(ServeServer, InputErrorColumnsCountWithinTheInputString) {
+  // An input expression is parsed on its own: a position counts from
+  // the string's first character, not from a hidden assignment.
+  Server server;
+  const Json resp = Json::parse(server.handle_line(request(
+      {{"op", Json::string("trial")},
+       {"design", Json::string(lu_design_text())},
+       {"inputs", Json::object({{"A", Json::string("[4,3,2,8,8,5,4,7,9]")},
+                                {"b", Json::string("[16,, 45]")}})}})));
+  const Json& error = field(resp, "error");
+  EXPECT_EQ(field(error, "code").as_string(), "parse") << resp.dump();
+  EXPECT_EQ(field(error, "line").as_number(), 1.0);
+  EXPECT_EQ(field(error, "column").as_number(), 5.0);
+}
+
 TEST(ServeServer, TooDeepHierarchyUploadGetsPositionedLimit) {
   std::string design = "design chain\n";
   for (int i = 0; i < graph::kMaxHierarchyDepth; ++i) {

@@ -3,9 +3,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -72,6 +77,100 @@ TEST(Strings, FormatDoubleCompact) {
   EXPECT_EQ(format_double(-0.25), "-0.25");
   EXPECT_EQ(format_double(std::nan("")), "nan");
   EXPECT_EQ(format_double(1.0 / 0.0), "inf");
+}
+
+/// The reference format_double must keep matching: printf's `%.*g`.
+std::string printf_g(double v, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+  return buf;
+}
+
+/// Seeded oracle inputs: random bit patterns (every exponent, and the
+/// subnormals among them), explicit subnormals, signed zeros, integers
+/// up to 2^53, powers of ten with their neighbours, and values that
+/// round up into the next decade at 12 digits.
+std::vector<double> formatter_inputs() {
+  std::vector<double> xs = {0.0, -0.0, 9.9999999999995, 99.9999999999995,
+                            0.99999999999995, 9.99999999999949,
+                            999999999999.5, -9.9999999999995e-5};
+  Rng rng(20240917);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    if (std::isfinite(v)) xs.push_back(v);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t bits = rng.next_u64() & ((1ull << 52) - 1);
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);  // exponent 0: subnormal
+    xs.push_back(i % 2 == 0 ? v : -v);
+  }
+  xs.push_back(std::numeric_limits<double>::denorm_min());
+  xs.push_back(std::numeric_limits<double>::min());
+  xs.push_back(std::numeric_limits<double>::max());
+  xs.push_back(std::numeric_limits<double>::lowest());
+  for (int i = 0; i < 2000; ++i) {
+    xs.push_back(static_cast<double>(rng.next_below(1ull << 53)));
+    xs.push_back(-static_cast<double>(rng.next_below(1u << 20)));
+  }
+  xs.push_back(static_cast<double>(1ull << 53));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int e = -320; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    for (double v : {p, std::nextafter(p, 0.0), std::nextafter(p, inf)}) {
+      xs.push_back(v);
+      xs.push_back(-v);
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    // 1e-7 and 1e15 scales, where %g switches notation.
+    xs.push_back(rng.uniform(0.0, 1e-7));
+    xs.push_back(rng.uniform(1e14, 1e16));
+  }
+  return xs;
+}
+
+TEST(Strings, FormatDoubleMatchesPrintfG) {
+  const std::vector<double> xs = formatter_inputs();
+  for (int digits : {1, 4, 6, 12, 15, 17}) {
+    int mismatches = 0;
+    std::string appended = "<";
+    std::string expected = "<";
+    for (double v : xs) {
+      const std::string want = printf_g(v, digits);
+      if (format_double(v, digits) != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "digits " << digits << ": " << printf_g(v, 17)
+                      << " formats as " << format_double(v, digits)
+                      << ", printf gives " << want;
+      }
+      append_double(appended, v, digits);
+      appended += ',';
+      expected += want;
+      expected += ',';
+    }
+    EXPECT_EQ(mismatches, 0) << "digits " << digits;
+    EXPECT_TRUE(appended == expected) << "append_double, digits " << digits;
+  }
+}
+
+TEST(Strings, FormatDoubleSpellsNonFiniteValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int digits : {1, 6, 12, 17}) {
+    EXPECT_EQ(format_double(nan, digits), "nan");
+    EXPECT_EQ(format_double(-nan, digits), "nan");  // printf says -nan
+    EXPECT_EQ(format_double(std::copysign(nan, -1.0), digits), "nan");
+    EXPECT_EQ(format_double(std::numeric_limits<double>::infinity(), digits),
+              "inf");
+    EXPECT_EQ(format_double(-std::numeric_limits<double>::infinity(), digits),
+              "-inf");
+  }
+  std::string out = "x=";
+  append_double(out, -nan, 12);
+  out += ' ';
+  append_double(out, -std::numeric_limits<double>::infinity(), 12);
+  EXPECT_EQ(out, "x=nan -inf");
 }
 
 TEST(Strings, Padding) {

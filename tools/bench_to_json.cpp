@@ -45,6 +45,8 @@ const char* const kHotBenchmarks[] = {
     "BM_ExecStream/1024/real_time",
     "BM_ServeTrialCached",
     "BM_ServeTrialBatch",
+    "BM_EvalInputLine",
+    "BM_RenderRunResult",
     "BM_ScheduleEtf/4096",
     "BM_ScheduleDsh/4096",
 };
