@@ -471,6 +471,28 @@ void BM_CompileDesignCold(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileDesignCold)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// The same per-routine front end on one thread: parse, analysis facts
+// and compile of heat 32x32's 1057 routine texts, into fresh programs
+// every iteration. What BM_CompileDesignCold fans out over the workers.
+void BM_PitsFrontEnd(benchmark::State& state) {
+  const auto flat = workloads::heat_design(32, 32, 4).flatten();
+  std::vector<std::string> sources;
+  for (graph::TaskId t = 0; t < flat.graph.num_tasks(); ++t) {
+    if (!flat.graph.task(t).pits.empty())
+      sources.push_back(flat.graph.task(t).pits);
+  }
+  for (auto _ : state) {
+    for (const std::string& source : sources) {
+      const pits::Program program = pits::Program::parse(source);
+      program.precompile(analyze::compute_facts(program.body()));
+      benchmark::DoNotOptimize(program.compiled_chunk());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(sources.size()));
+}
+BENCHMARK(BM_PitsFrontEnd)->Unit(benchmark::kMillisecond);
+
 // Warm runs alternating between heat 64x64 and heat 32x32: 5.2k
 // distinct routines, more than one 4096-entry generation of the old
 // count-bounded program cache, which recompiled thousands of them per
@@ -526,6 +548,19 @@ void BM_PitlRoundTrip(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 BENCHMARK(BM_PitlRoundTrip);
+
+// GRAPH — `.pitl` text to a validated, flattened design: the graph
+// layer every command starts with, on heat 32x32 (548 KB).
+void BM_ParseDesign(benchmark::State& state) {
+  const std::string text = graph::to_pitl(workloads::heat_design(32, 32, 4));
+  for (auto _ : state) {
+    const graph::Design design = graph::parse_design(text);
+    benchmark::DoNotOptimize(design.validate());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseDesign)->Unit(benchmark::kMillisecond);
 
 void BM_TopologyHops(benchmark::State& state) {
   const auto t = machine::Topology::hypercube(6);

@@ -13,8 +13,8 @@
 #include "analyze/absint.hpp"
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -61,6 +61,7 @@ using pits::ReturnStmt;
 using pits::Stmt;
 using pits::StmtPtr;
 using pits::StringLit;
+using pits::SymId;
 using pits::UnOp;
 using pits::Unary;
 using pits::VarRef;
@@ -248,7 +249,7 @@ AbsVal join(const AbsVal& a, const AbsVal& b) {
   r.num = pick_join(a.may_scalar, a.num, b.may_scalar, b.num, iv_top());
   r.len = pick_join(a.may_vector, a.len, b.may_vector, b.len, kLenTop);
   r.elem = pick_join(a.may_vector, a.elem, b.may_vector, b.elem, iv_top());
-  r.origin = a.origin == b.origin ? a.origin : std::string{};
+  r.origin = a.origin == b.origin ? a.origin : pits::kNoSym;
   return r;
 }
 
@@ -268,9 +269,20 @@ namespace {
 // Abstract machine state
 // ---------------------------------------------------------------------
 
+/// One variable of an AbsState. An absent variable reads as
+/// AbsInterp::default_var().
+struct VarSlot {
+  AbsVal val;
+  bool present = false;
+};
+
 struct AbsState {
   bool reachable = true;
-  std::map<std::string, AbsVal> vars;
+  /// Indexed by symbol and sized to the largest one written, so a copy
+  /// is one allocation. In a formula frame (`params` set) slot i holds
+  /// parameter (*params)[i] instead; such frames are only read.
+  std::vector<VarSlot> vars;
+  const pits::NodeArray<SymId>* params = nullptr;
   /// May/must "formula i registered" bitmasks over the routine's
   /// FormulaDef statements, in collection order (index 63 is shared by
   /// all defs past the 63rd; must-tracking is disabled entirely then).
@@ -298,30 +310,40 @@ class AbsInterp {
   explicit AbsInterp(Config cfg) : cfg_(cfg) {}
 
   void run(const Block& body) {
+    collect_symbols(body);
     collect_formulas(body);
+    chain_formulas();
     AbsState st;
-    if (!cfg_.context_free && cfg_.ctx != nullptr) {
-      for (const std::string& in : cfg_.ctx->inputs) {
-        AbsVal v = AbsVal::top_bound();
-        v.must_assigned = true;
-        v.origin = in;
-        st.vars[in] = v;
+    std::vector<SymId> inputs;
+    std::vector<SymId> outputs;
+    if (cfg_.ctx != nullptr) {
+      resolve_ports(inputs, outputs);
+      if (!cfg_.context_free) {
+        for (const SymId in : inputs) {
+          AbsVal& v = set_var(st, in);
+          v = AbsVal::top_bound();
+          v.must_assigned = true;
+          v.origin = in;
+        }
       }
     }
     exit_acc_.reachable = false;
     exec_block(body, st);
     const AbsState fin = join_state(exit_acc_, st);
     if (cfg_.summary != nullptr && cfg_.ctx != nullptr) {
-      for (const std::string& out : cfg_.ctx->outputs) {
-        cfg_.summary->outputs[out] = peek_var(fin, out);
+      for (std::size_t i = 0; i < outputs.size(); ++i) {
+        cfg_.summary->outputs[cfg_.ctx->outputs[i]] = peek_var(fin, outputs[i]);
       }
     }
   }
 
   /// Positions (file coordinates) of reads proven to hit an assigned
-  /// variable — used to prune BAN101 false positives.
-  [[nodiscard]] const std::set<std::pair<int, int>>& proven_reads() const {
-    return proven_reads_;
+  /// variable — used to prune BAN101 false positives. Sorted, unique.
+  [[nodiscard]] std::vector<std::pair<int, int>> proven_reads() {
+    std::sort(proven_reads_.begin(), proven_reads_.end());
+    proven_reads_.erase(std::unique(proven_reads_.begin(), proven_reads_.end()),
+                        proven_reads_.end());
+    return std::move(proven_reads_);
   }
 
   /// Syntactic companion pass: a statement gets exactly one tick iff its
@@ -367,6 +389,60 @@ class AbsInterp {
  private:
   // ---- setup ----
 
+  /// Per-symbol facts the engine consults on every absent read.
+  struct SymInfo {
+    std::string_view name;
+    bool constant = false;  ///< a calculator constant materialises on read
+  };
+
+  void collect_symbols(const Block& body) {
+    const std::vector<std::string_view> names = pits::symbol_names(body);
+    syms_.resize(names.size());
+    for (std::size_t s = 0; s < names.size(); ++s) add_symbol(s, names[s]);
+  }
+
+  void add_symbol(std::size_t s, std::string_view name) {
+    syms_[s].name = name;
+    syms_[s].constant = pits::constants().contains(name);
+  }
+
+  /// Symbols of the declared inputs and outputs, in declaration order.
+  /// A port the routine never names gets a fresh symbol past the
+  /// routine's own, shared by an input and an output of the same name.
+  void resolve_ports(std::vector<SymId>& inputs, std::vector<SymId>& outputs) {
+    inputs.assign(cfg_.ctx->inputs.size(), pits::kNoSym);
+    outputs.assign(cfg_.ctx->outputs.size(), pits::kNoSym);
+    // Sorted by name: each routine symbol finds its ports by binary
+    // search, and ports of one name sit together.
+    std::vector<std::pair<std::string_view, SymId*>> ports;
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      ports.emplace_back(cfg_.ctx->inputs[i], &inputs[i]);
+    for (std::size_t i = 0; i < outputs.size(); ++i)
+      ports.emplace_back(cfg_.ctx->outputs[i], &outputs[i]);
+    if (ports.empty()) return;
+    std::sort(ports.begin(), ports.end());
+    auto by_name = [](const auto& port, std::string_view name) {
+      return port.first < name;
+    };
+    for (std::size_t s = 0; s < syms_.size(); ++s) {
+      for (auto it = std::lower_bound(ports.begin(), ports.end(),
+                                      syms_[s].name, by_name);
+           it != ports.end() && it->first == syms_[s].name; ++it)
+        *it->second = static_cast<SymId>(s);
+    }
+    for (std::size_t k = 0; k < ports.size(); ++k) {
+      SymId& sym = *ports[k].second;
+      if (sym != pits::kNoSym) continue;
+      if (k > 0 && ports[k - 1].first == ports[k].first) {
+        sym = *ports[k - 1].second;
+      } else {
+        sym = static_cast<SymId>(syms_.size());
+        syms_.emplace_back();
+        add_symbol(sym, ports[k].first);
+      }
+    }
+  }
+
   void collect_formulas(const Block& body) {
     for (const StmtPtr& sp : body) {
       std::visit(
@@ -374,7 +450,6 @@ class AbsInterp {
             using T = std::decay_t<decltype(node)>;
             if constexpr (std::is_same_v<T, FormulaDef>) {
               def_index_[&node] = defs_.size();
-              formula_index_[node.name].push_back(defs_.size());
               defs_.push_back(&node);
             } else if constexpr (std::is_same_v<T, IfStmt>) {
               for (const IfStmt::Arm& arm : node.arms)
@@ -388,6 +463,23 @@ class AbsInterp {
           },
           sp->node);
     }
+  }
+
+  /// Links each symbol's formula defs in collection order.
+  void chain_formulas() {
+    if (defs_.empty()) return;
+    first_def_.assign(syms_.size(), kNoDef);
+    next_def_.assign(defs_.size(), kNoDef);
+    for (std::size_t k = defs_.size(); k > 0; --k) {
+      const std::size_t di = k - 1;
+      const SymId s = defs_[di]->sym;
+      next_def_[di] = first_def_[s];
+      first_def_[s] = static_cast<std::uint32_t>(di);
+    }
+  }
+
+  [[nodiscard]] bool is_formula(SymId s) const {
+    return !first_def_.empty() && first_def_[s] != kNoDef;
   }
 
   [[nodiscard]] bool formula_free(const Expr& e) const {
@@ -404,8 +496,7 @@ class AbsInterp {
           } else if constexpr (std::is_same_v<T, Index>) {
             ok = formula_free(*node.base) && formula_free(*node.index);
           } else if constexpr (std::is_same_v<T, Call>) {
-            if (node.callee != "when" && formula_index_.count(node.callee) > 0)
-              ok = false;
+            if (node.callee != "when" && is_formula(node.sym)) ok = false;
             for (const auto& a : node.args) ok = ok && formula_free(*a);
           }
         },
@@ -415,18 +506,43 @@ class AbsInterp {
 
   // ---- state helpers ----
 
-  [[nodiscard]] AbsVal default_var(const std::string& name) const {
+  [[nodiscard]] AbsVal default_var(SymId s) const {
     AbsVal v = AbsVal::top();
     // Calculator constants materialise on read (no Name error), though
     // the environment may shadow them with any value.
-    if (pits::constants().count(name) > 0) v.may_unbound = false;
+    if (syms_[s].constant) v.may_unbound = false;
     return v;
   }
 
-  [[nodiscard]] AbsVal peek_var(const AbsState& st,
-                                const std::string& name) const {
-    auto it = st.vars.find(name);
-    return it != st.vars.end() ? it->second : default_var(name);
+  /// The value bound to `s` in `st`, or null when it is absent.
+  [[nodiscard]] static const AbsVal* find_var(const AbsState& st, SymId s) {
+    if (st.params != nullptr) {
+      for (std::size_t i = 0; i < st.params->size(); ++i)
+        if ((*st.params)[i] == s) return &st.vars[i].val;
+      return nullptr;
+    }
+    return s < st.vars.size() && st.vars[s].present ? &st.vars[s].val
+                                                     : nullptr;
+  }
+  [[nodiscard]] static AbsVal* find_var(AbsState& st, SymId s) {
+    return const_cast<AbsVal*>(find_var(std::as_const(st), s));
+  }
+
+  /// Binds `s` in a routine-level state; the caller sets the value.
+  static AbsVal& set_var(AbsState& st, SymId s) {
+    if (s >= st.vars.size()) st.vars.resize(s + 1);
+    st.vars[s].present = true;
+    return st.vars[s].val;
+  }
+
+  [[nodiscard]] AbsVal peek_var(const AbsState& st, SymId s) const {
+    const AbsVal* v = find_var(st, s);
+    return v != nullptr ? *v : default_var(s);
+  }
+
+  /// Slot `s` of a routine-level state, or null when it is absent.
+  [[nodiscard]] static const VarSlot* slot_at(const AbsState& st, SymId s) {
+    return s < st.vars.size() && st.vars[s].present ? &st.vars[s] : nullptr;
   }
 
   [[nodiscard]] AbsState join_state(const AbsState& a, const AbsState& b) const {
@@ -435,17 +551,14 @@ class AbsInterp {
     AbsState r;
     r.def_may = a.def_may | b.def_may;
     r.def_must = a.def_must & b.def_must;
-    r.vars = a.vars;
-    for (const auto& [k, v] : b.vars) {
-      auto it = r.vars.find(k);
-      if (it == r.vars.end()) {
-        r.vars.emplace(k, join(default_var(k), v));
-      } else {
-        it->second = join(it->second, v);
-      }
-    }
-    for (auto& [k, v] : r.vars) {
-      if (b.vars.count(k) == 0) v = join(v, default_var(k));
+    r.vars.resize(std::max(a.vars.size(), b.vars.size()));
+    for (SymId s = 0; s < r.vars.size(); ++s) {
+      const VarSlot* x = slot_at(a, s);
+      const VarSlot* y = slot_at(b, s);
+      if (x == nullptr && y == nullptr) continue;
+      r.vars[s] = {join(x != nullptr ? x->val : default_var(s),
+                        y != nullptr ? y->val : default_var(s)),
+                   true};
     }
     return r;
   }
@@ -456,10 +569,13 @@ class AbsInterp {
     r.reachable = next.reachable;
     r.def_may = next.def_may;
     r.def_must = next.def_must;
-    for (const auto& [k, v] : next.vars) {
-      auto it = prev.vars.find(k);
-      r.vars.emplace(k, it != prev.vars.end() ? widen(it->second, v)
-                                              : widen(default_var(k), v));
+    r.vars.resize(next.vars.size());
+    for (SymId s = 0; s < next.vars.size(); ++s) {
+      if (!next.vars[s].present) continue;
+      const VarSlot* p = slot_at(prev, s);
+      r.vars[s] = {widen(p != nullptr ? p->val : default_var(s),
+                         next.vars[s].val),
+                   true};
     }
     return r;
   }
@@ -468,10 +584,15 @@ class AbsInterp {
     if (a.reachable != b.reachable || a.def_may != b.def_may ||
         a.def_must != b.def_must)
       return false;
-    for (const auto& [k, v] : a.vars)
-      if (!(v == peek_var(b, k))) return false;
-    for (const auto& [k, v] : b.vars)
-      if (a.vars.count(k) == 0 && !(v == default_var(k))) return false;
+    const std::size_t n = std::max(a.vars.size(), b.vars.size());
+    for (SymId s = 0; s < n; ++s) {
+      const VarSlot* x = slot_at(a, s);
+      const VarSlot* y = slot_at(b, s);
+      if (x == nullptr && y == nullptr) continue;
+      if (!((x != nullptr ? x->val : default_var(s)) ==
+            (y != nullptr ? y->val : default_var(s))))
+        return false;
+    }
     return true;
   }
 
@@ -500,45 +621,64 @@ class AbsInterp {
     cfg_.sink->push_back(std::move(d));
   }
 
-  /// True if an earlier rule layer already reported one of `codes` at
-  /// the same spot — the cheap-layer report wins, BAN30x stays quiet.
-  [[nodiscard]] bool already(std::initializer_list<std::string_view> codes,
-                             SourcePos pos) const {
-    const SourcePos p = at(pos);
-    const std::string subject =
-        cfg_.ctx != nullptr ? cfg_.ctx->subject : "routine";
-    for (const Diagnostic& d : *cfg_.sink) {
-      if (d.pos.line != p.line || d.pos.column != p.column) continue;
-      if (d.subject != subject) continue;
-      for (std::string_view c : codes)
-        if (d.code == c) return true;
+  /// A report of an earlier rule layer that silences BAN30x at its spot.
+  struct Spot {
+    int line = 0;
+    int column = 0;
+    std::string_view code;  ///< one of kEarlierCodes
+    auto operator<=>(const Spot&) const = default;
+  };
+  static constexpr std::string_view kEarlierCodes[] = {"BAN104", "BAN105",
+                                                       "BAN108"};
+
+  /// True if an earlier rule layer already reported `code` (one of
+  /// kEarlierCodes) at the same spot — the cheap-layer report wins,
+  /// BAN30x stays quiet. The sink's reports are indexed on the first
+  /// call; absint never emits those codes itself, so the index holds.
+  [[nodiscard]] bool already(std::string_view code, SourcePos pos) {
+    if (!earlier_indexed_) {
+      earlier_indexed_ = true;
+      const std::string_view subject =
+          cfg_.ctx != nullptr ? std::string_view(cfg_.ctx->subject)
+                              : std::string_view("routine");
+      for (const Diagnostic& d : *cfg_.sink) {
+        if (d.subject != subject) continue;
+        for (std::string_view c : kEarlierCodes)
+          if (d.code == c) earlier_.push_back({d.pos.line, d.pos.column, c});
+      }
+      std::sort(earlier_.begin(), earlier_.end());
     }
-    return false;
+    const SourcePos p = at(pos);
+    return std::binary_search(earlier_.begin(), earlier_.end(),
+                              Spot{p.line, p.column, code});
   }
 
-  void demand_vector(const AbsState& st, const std::string& origin,
-                     double min_len, SourcePos pos) {
-    if (cfg_.summary == nullptr || origin.empty() || !recording(st)) return;
-    ShapeDemand& d = cfg_.summary->demands[origin];
+  /// The demand record of the input `origin` names, or null when none
+  /// is being collected here.
+  ShapeDemand* demand(const AbsState& st, SymId origin, SourcePos pos) {
+    if (cfg_.summary == nullptr || origin == pits::kNoSym || !recording(st))
+      return nullptr;
+    ShapeDemand& d = cfg_.summary->demands[std::string(syms_[origin].name)];
     if (!d.pos.valid()) d.pos = at(pos);
-    d.needs_vector = true;
-    d.min_len = std::max(d.min_len, min_len);
+    return &d;
   }
 
-  void demand_scalar(const AbsState& st, const std::string& origin,
+  void demand_vector(const AbsState& st, SymId origin, double min_len,
                      SourcePos pos) {
-    if (cfg_.summary == nullptr || origin.empty() || !recording(st)) return;
-    ShapeDemand& d = cfg_.summary->demands[origin];
-    if (!d.pos.valid()) d.pos = at(pos);
-    d.needs_scalar = true;
+    if (ShapeDemand* d = demand(st, origin, pos)) {
+      d->needs_vector = true;
+      d->min_len = std::max(d->min_len, min_len);
+    }
   }
 
-  void demand_elem_len(const AbsState& st, const std::string& origin,
-                       double exact_len, SourcePos pos) {
-    if (cfg_.summary == nullptr || origin.empty() || !recording(st)) return;
-    ShapeDemand& d = cfg_.summary->demands[origin];
-    if (!d.pos.valid()) d.pos = at(pos);
-    if (d.elem_len < 0) d.elem_len = exact_len;
+  void demand_scalar(const AbsState& st, SymId origin, SourcePos pos) {
+    if (ShapeDemand* d = demand(st, origin, pos)) d->needs_scalar = true;
+  }
+
+  void demand_elem_len(const AbsState& st, SymId origin, double exact_len,
+                       SourcePos pos) {
+    if (ShapeDemand* d = demand(st, origin, pos); d && d->elem_len < 0)
+      d->elem_len = exact_len;
   }
 
   // ---- expression evaluation ----
@@ -567,12 +707,12 @@ class AbsInterp {
   }
 
   AbsVal eval_node(const VarRef& node, const Expr& e, AbsState& st) {
-    AbsVal v = peek_var(st, node.name);
+    AbsVal v = peek_var(st, node.sym);
     if (recording(st) && v.must_assigned) {
       if (cfg_.facts != nullptr) cfg_.facts->bound_reads.insert(&node);
       if (cfg_.sink != nullptr) {
         const SourcePos p = at(e.pos);
-        proven_reads_.insert({p.line, p.column});
+        proven_reads_.emplace_back(p.line, p.column);
       }
     }
     v.may_unbound = false;  // a successful read always yields a value
@@ -667,7 +807,7 @@ class AbsInterp {
     if ((op == BinOp::Div || op == BinOp::Mod) && cfg_.sink != nullptr &&
         recording(st) && b.proven_scalar() && b.num.is_exact() &&
         b.num.lo == 0 && !a.proven_string() &&
-        !already({"BAN104"}, node.rhs->pos)) {
+        !already("BAN104", node.rhs->pos)) {
       emit("BAN301", node.rhs->pos,
            std::string(op == BinOp::Div ? "division" : "mod") +
                " by a divisor proven to be zero",
@@ -683,9 +823,9 @@ class AbsInterp {
     }
     // Cross-task demand: an elementwise partner of exact length pins the
     // length an input must have *if* it arrives as a vector.
-    if (!a.origin.empty() && b.proven_vector() && b.len.is_exact())
+    if (b.proven_vector() && b.len.is_exact())
       demand_elem_len(st, a.origin, b.len.lo, e.pos);
-    if (!b.origin.empty() && a.proven_vector() && a.len.is_exact())
+    if (a.proven_vector() && a.len.is_exact())
       demand_elem_len(st, b.origin, a.len.lo, e.pos);
 
     AbsVal r;
@@ -728,7 +868,7 @@ class AbsInterp {
                                const Interval& a, const Interval& b) {
     const auto* lv = std::get_if<VarRef>(&node.lhs->node);
     const auto* rv = std::get_if<VarRef>(&node.rhs->node);
-    const bool same = lv != nullptr && rv != nullptr && lv->name == rv->name;
+    const bool same = lv != nullptr && rv != nullptr && lv->sym == rv->sym;
     if (same) {
       if (op == BinOp::Sub)
         return {0, 0, true, a.maybe_nan || may_inf(a)};  // inf - inf is NaN
@@ -766,18 +906,12 @@ class AbsInterp {
 
   void note_index_site(const AbsVal& base, const AbsVal& idx, const Expr& e,
                        const Expr& index_expr, AbsState& st) {
-    if (!base.origin.empty()) {
-      const double need =
-          idx.may_scalar && idx.num.lo >= 0 && std::isfinite(idx.num.lo)
-              ? std::floor(idx.num.lo) + 1
-              : 1;
-      demand_vector(st, base.origin, need, e.pos);
-    }
-    if (!idx.origin.empty()) demand_scalar(st, idx.origin, index_expr.pos);
+    demand_vector(st, base.origin, min_len_for(idx), e.pos);
+    demand_scalar(st, idx.origin, index_expr.pos);
     if (cfg_.sink == nullptr || !recording(st)) return;
     if (!base.proven_vector() || !idx.proven_scalar() || idx.num.maybe_nan)
       return;
-    if (already({"BAN105"}, index_expr.pos)) return;
+    if (already("BAN105", index_expr.pos)) return;
     const Interval& n = idx.num;
     const bool no_integer =
         !n.integer && std::floor(n.lo) == std::floor(n.hi) &&
@@ -792,6 +926,13 @@ class AbsInterp {
                "] is proven out of range for a vector of length " +
                len_text(base.len));
     }
+  }
+
+  /// Least vector length indexing at `idx` requires.
+  static double min_len_for(const AbsVal& idx) {
+    return idx.may_scalar && idx.num.lo >= 0 && std::isfinite(idx.num.lo)
+               ? std::floor(idx.num.lo) + 1
+               : 1;
   }
 
   static std::string num_text(double v) {
@@ -819,9 +960,9 @@ class AbsInterp {
     AbsVal result;
     bool any = false;
     bool must_formula = false;
-    if (auto it = formula_index_.find(node.callee);
-        it != formula_index_.end()) {
-      for (std::size_t di : it->second) {
+    if (is_formula(node.sym)) {
+      for (std::size_t di = first_def_[node.sym]; di != kNoDef;
+           di = next_def_[di]) {
         const std::uint64_t bit = 1ULL << std::min<std::size_t>(di, 63);
         if ((st.def_may & bit) == 0) continue;
         const bool must =
@@ -849,19 +990,21 @@ class AbsInterp {
     AbsState fst;
     fst.def_may = st.def_may;
     fst.def_must = st.def_must;
+    fst.params = &def.param_syms;
+    fst.vars.resize(def.params.size());
     for (std::size_t i = 0; i < def.params.size(); ++i) {
-      AbsVal a = args[i];
+      AbsVal& a = fst.vars[i].val;
+      a = args[i];
       a.may_unbound = false;
       a.must_assigned = true;
-      a.origin.clear();
-      fst.vars.try_emplace(def.params[i], std::move(a));  // first wins
+      a.origin = pits::kNoSym;
     }
     AbsVal r = eval(*def.body, fst);
     in_flight_.erase(&def);
     --depth_;
     r.may_unbound = false;
     r.must_assigned = false;
-    r.origin.clear();
+    r.origin = pits::kNoSym;
     return r;
   }
 
@@ -872,10 +1015,11 @@ class AbsInterp {
     if (!fresh) return it->second;
     AbsState fst;
     fst.def_may = ~0ULL;  // any formula may be registered by then
-    for (const std::string& p : def.params) {
-      AbsVal a = AbsVal::top_bound();
-      a.must_assigned = true;
-      fst.vars.try_emplace(p, std::move(a));
+    fst.params = &def.param_syms;
+    fst.vars.resize(def.params.size());
+    for (VarSlot& p : fst.vars) {
+      p.val = AbsVal::top_bound();
+      p.val.must_assigned = true;
     }
     ++depth_;
     in_flight_.insert(&def);
@@ -884,7 +1028,7 @@ class AbsInterp {
     --depth_;
     r.may_unbound = false;
     r.must_assigned = false;
-    r.origin.clear();
+    r.origin = pits::kNoSym;
     summaries_[&def] = r;
     return r;
   }
@@ -1111,9 +1255,9 @@ class AbsInterp {
       return;
     }
     if (const auto* v = std::get_if<VarRef>(&cond.node)) {
-      auto it = st.vars.find(v->name);
-      if (it == st.vars.end() || !it->second.proven_scalar()) return;
-      Interval& n = it->second.num;
+      AbsVal* var = find_var(st, v->sym);
+      if (var == nullptr || !var->proven_scalar()) return;
+      Interval& n = var->num;
       if (!want && n.lo <= 0 && n.hi >= 0) {
         // Falsy scalar: exactly zero, and not NaN (NaN is truthy).
         n = iv_exact(0);
@@ -1148,11 +1292,11 @@ class AbsInterp {
     }
     if (const auto* lv = std::get_if<VarRef>(&b->lhs->node)) {
       const AbsVal c = eval_quiet(*b->rhs, st);
-      refine_var_cmp(st, lv->name, b->op, c, want);
+      refine_var_cmp(st, lv->sym, b->op, c, want);
     }
     if (const auto* rv = std::get_if<VarRef>(&b->rhs->node)) {
       const AbsVal c = eval_quiet(*b->lhs, st);
-      refine_var_cmp(st, rv->name, flip(b->op), c, want);
+      refine_var_cmp(st, rv->sym, flip(b->op), c, want);
     }
   }
 
@@ -1166,16 +1310,15 @@ class AbsInterp {
     }
   }
 
-  /// Clamps `name`'s interval knowing `name <op> c` evaluated to `want`.
+  /// Clamps variable `sym`'s interval knowing `sym <op> c` evaluated to
+  /// `want`.
   /// NaN care: the walker's compare maps NaN to "equal", so a false `<`
   /// still admits NaN while a false `<=` excludes it.
-  void refine_var_cmp(AbsState& st, const std::string& name, BinOp op,
-                      const AbsVal& c, bool want) {
-    auto it = st.vars.find(name);
-    if (it == st.vars.end() || !it->second.proven_scalar() ||
-        !c.proven_scalar())
-      return;
-    Interval n = it->second.num;
+  void refine_var_cmp(AbsState& st, SymId sym, BinOp op, const AbsVal& c,
+                      bool want) {
+    AbsVal* var = find_var(st, sym);
+    if (var == nullptr || !var->proven_scalar() || !c.proven_scalar()) return;
+    Interval n = var->num;
     const Interval& k = c.num;
     const bool ints = n.integer && k.integer;
     const auto step_lo = [&](double v) { return ints ? v + 1 : v; };
@@ -1222,7 +1365,7 @@ class AbsInterp {
       if (!n.maybe_nan) st.reachable = false;
       return;
     }
-    it->second.num = n;
+    var->num = n;
   }
 
   // ---- statements ----
@@ -1240,18 +1383,12 @@ class AbsInterp {
     if (node.index != nullptr) {
       const AbsVal idx = eval(*node.index, st);
       const AbsVal val = eval(*node.value, st);
-      const AbsVal cur = peek_var(st, node.target);
-      if (!cur.origin.empty()) {
-        const double need =
-            idx.may_scalar && idx.num.lo >= 0 && std::isfinite(idx.num.lo)
-                ? std::floor(idx.num.lo) + 1
-                : 1;
-        demand_vector(st, cur.origin, need, node.index->pos);
-      }
-      if (!idx.origin.empty()) demand_scalar(st, idx.origin, node.index->pos);
+      const AbsVal cur = peek_var(st, node.sym);
+      demand_vector(st, cur.origin, min_len_for(idx), node.index->pos);
+      demand_scalar(st, idx.origin, node.index->pos);
       if (cfg_.sink != nullptr && recording(st) && cur.proven_vector() &&
           idx.proven_scalar() && !idx.num.maybe_nan &&
-          !already({"BAN105"}, node.index->pos)) {
+          !already("BAN105", node.index->pos)) {
         const Interval& n = idx.num;
         if (n.hi < 0 || (std::isfinite(cur.len.hi) && n.lo >= cur.len.hi)) {
           emit("BAN302", node.index->pos,
@@ -1274,13 +1411,13 @@ class AbsInterp {
       nv.elem = cur.may_vector
                     ? join(cur.elem, val.may_scalar ? val.num : iv_top())
                     : iv_top();
-      st.vars[node.target] = std::move(nv);
+      set_var(st, node.sym) = nv;
       return;
     }
     AbsVal val = eval(*node.value, st);
     val.may_unbound = false;
     val.must_assigned = true;
-    st.vars[node.target] = std::move(val);
+    set_var(st, node.sym) = val;
   }
 
   void exec_node(const ExprStmt& node, const Stmt&, AbsState& st) {
@@ -1346,7 +1483,7 @@ class AbsInterp {
       head = iter >= 2 ? widen_state(head, next) : std::move(next);
       if (iter >= 40) {
         // Safety net; widening should converge far earlier.
-        for (auto& [k, v] : head.vars) v = AbsVal::top();
+        for (VarSlot& v : head.vars) v.val = AbsVal::top();
         break;
       }
     }
@@ -1370,8 +1507,8 @@ class AbsInterp {
              "`while` condition is provably always false — the loop body "
              "never runs");
       } else if (t == Tri::True && !block_returns(node.body) &&
-                 !already({"BAN108"}, s.pos) &&
-                 !already({"BAN108"}, node.cond->pos)) {
+                 !already("BAN108", s.pos) &&
+                 !already("BAN108", node.cond->pos)) {
         emit("BAN304", node.cond->pos,
              "`while` condition is provably always true and the body cannot "
              "return — the loop only ends at the step limit");
@@ -1387,7 +1524,7 @@ class AbsInterp {
 
   void exec_node(const RepeatStmt& node, const Stmt&, AbsState& st) {
     const AbsVal cv = eval(*node.count, st);
-    if (!cv.origin.empty()) demand_scalar(st, cv.origin, node.count->pos);
+    demand_scalar(st, cv.origin, node.count->pos);
     if (!cv.may_scalar) {  // as_scalar always fails: proven runtime error
       st.reachable = false;
       return;
@@ -1417,10 +1554,9 @@ class AbsInterp {
     const AbsVal sv = node.step != nullptr
                           ? eval(*node.step, st)
                           : AbsVal::scalar(iv_exact(1));
-    if (!fv.origin.empty()) demand_scalar(st, fv.origin, node.from->pos);
-    if (!tv.origin.empty()) demand_scalar(st, tv.origin, node.to->pos);
-    if (node.step != nullptr && !sv.origin.empty())
-      demand_scalar(st, sv.origin, node.step->pos);
+    demand_scalar(st, fv.origin, node.from->pos);
+    demand_scalar(st, tv.origin, node.to->pos);
+    if (node.step != nullptr) demand_scalar(st, sv.origin, node.step->pos);
     if (!fv.may_scalar || !tv.may_scalar || !sv.may_scalar) {
       st.reachable = false;  // ToScalar is proven to fail
       return;
@@ -1444,11 +1580,11 @@ class AbsInterp {
     AbsVal lvv = AbsVal::scalar(loop_var_interval(f, t, sp));
     lvv.must_assigned = true;
     AbsState head = stabilize(node.body, st, [&](AbsState& in) {
-      in.vars[node.var] = lvv;
+      set_var(in, node.sym) = lvv;
       if (!body_possible) in.reachable = false;
     });
     AbsState in = head;
-    in.vars[node.var] = lvv;
+    set_var(in, node.sym) = lvv;
     if (!body_possible) in.reachable = false;
     AbsState out = in;
     exec_block(node.body, out);  // recording pass
@@ -1503,16 +1639,24 @@ class AbsInterp {
 
   // ---- members ----
 
+  static constexpr std::uint32_t kNoDef = ~std::uint32_t{0};
+
   Config cfg_;
   bool record_ = true;
   int depth_ = 0;  ///< formula inlining depth; facts/diags only at 0
   AbsState exit_acc_;
+  std::vector<SymInfo> syms_;  ///< the routine's symbols, then unnamed ports
   std::vector<const FormulaDef*> defs_;
   std::unordered_map<const FormulaDef*, std::size_t> def_index_;
-  std::unordered_map<std::string, std::vector<std::size_t>> formula_index_;
+  /// By symbol: its first formula def, or kNoDef; next_def_ links the
+  /// rest in collection order. Empty when the routine defines none.
+  std::vector<std::uint32_t> first_def_;
+  std::vector<std::uint32_t> next_def_;
   std::unordered_map<const FormulaDef*, AbsVal> summaries_;
   std::unordered_set<const FormulaDef*> in_flight_;
-  std::set<std::pair<int, int>> proven_reads_;
+  std::vector<std::pair<int, int>> proven_reads_;
+  bool earlier_indexed_ = false;
+  std::vector<Spot> earlier_;  ///< sorted; see already()
 };
 
 }  // namespace
@@ -1529,6 +1673,7 @@ pits::bc::AnalysisFacts compute_facts(const pits::Block& body) {
   AbsInterp engine(cfg);
   engine.run(body);
   engine.mark_single_ticks(body, facts);
+  facts.seal();
   return facts;
 }
 
@@ -1550,11 +1695,12 @@ ShapeSummary run_absint_rules(const pits::Block& body,
   // Drop BAN101 reports the interpreter proves wrong: the read is
   // reached only with the variable assigned (e.g. a for-loop variable
   // after a loop proven to iterate at least once).
-  const auto& proven = engine.proven_reads();
+  const std::vector<std::pair<int, int>> proven = engine.proven_reads();
   if (!proven.empty()) {
     std::erase_if(sink, [&](const Diagnostic& d) {
       return d.code == "BAN101" && d.subject == context.subject &&
-             proven.count({d.pos.line, d.pos.column}) > 0;
+             std::binary_search(proven.begin(), proven.end(),
+                                std::pair{d.pos.line, d.pos.column});
     });
   }
   return summary;

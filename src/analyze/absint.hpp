@@ -106,9 +106,10 @@ struct AbsVal {
   Interval num;
   Interval len{0, kAbsInf, true, false};
   Interval elem;
-  /// Name of the task input this value is an unmodified copy of, empty
-  /// otherwise. Powers the cross-task shape demands of BAN306.
-  std::string origin;
+  /// Symbol (pits::SymId in the analysed routine) of the task input this
+  /// value is an unmodified copy of, kNoSym otherwise. Powers the
+  /// cross-task shape demands of BAN306.
+  pits::SymId origin = pits::kNoSym;
 
   [[nodiscard]] bool proven_scalar() const {
     return may_scalar && !may_vector && !may_string && !may_unbound;

@@ -61,7 +61,11 @@ void append(std::vector<Diagnostic>& sink, std::vector<Diagnostic>& from) {
 
 std::vector<Diagnostic> analyze_design(const graph::Design& design,
                                        const AnalyzeOptions& options) {
-  const auto flat = design.flatten();
+  return analyze_design(design.flatten(), options);
+}
+
+std::vector<Diagnostic> analyze_design(const graph::FlattenResult& flat,
+                                       const AnalyzeOptions& options) {
   const graph::TaskGraph& g = flat.graph;
 
   std::vector<TaskFindings> found;

@@ -66,6 +66,12 @@ struct AnalyzeOptions {
 std::vector<Diagnostic> analyze_design(const graph::Design& design,
                                        const AnalyzeOptions& options = {});
 
+/// The same analysis over a flattening the caller already holds (what
+/// Design::validate() returned, as Project and serve keep it), so the
+/// design is not flattened again.
+std::vector<Diagnostic> analyze_design(const graph::FlattenResult& flat,
+                                       const AnalyzeOptions& options = {});
+
 /// Context for analysing one PITS routine on its own (the calculator's
 /// per-routine feedback, and the per-task step of analyze_design).
 struct RoutineContext {

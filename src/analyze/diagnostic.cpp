@@ -84,7 +84,10 @@ void sort_and_dedupe(std::vector<Diagnostic>& diagnostics) {
            a.subject == b.subject && a.pos == b.pos && a.code == b.code &&
            a.message == b.message;
   };
-  std::stable_sort(diagnostics.begin(), diagnostics.end(), key_less);
+  // The layers mostly report in position order already; a sorted input
+  // skips the n log n sort.
+  if (!std::is_sorted(diagnostics.begin(), diagnostics.end(), key_less))
+    std::stable_sort(diagnostics.begin(), diagnostics.end(), key_less);
   diagnostics.erase(
       std::unique(diagnostics.begin(), diagnostics.end(), key_eq),
       diagnostics.end());

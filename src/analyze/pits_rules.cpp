@@ -5,12 +5,13 @@
 // interpreter's semantics (interp.cpp): `when` is a 3-argument special
 // form, formula bodies see only their parameters and the constants, for
 // loop variables are assigned only when the body runs, vector indices
-// are 0-based integers.
+// are 0-based integers. Per-variable state is indexed by the parser's
+// symbol ids.
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <optional>
-#include <set>
+#include <string_view>
+#include <vector>
 
 #include "analyze/analyze.hpp"
 #include "pits/builtins.hpp"
@@ -35,6 +36,7 @@ using pits::RepeatStmt;
 using pits::ReturnStmt;
 using pits::Stmt;
 using pits::StringLit;
+using pits::SymId;
 using pits::UnOp;
 using pits::Unary;
 using pits::Value;
@@ -78,18 +80,47 @@ class RoutineAnalyzer {
       : ctx_(context), sink_(sink) {}
 
   void run(const Block& body) {
+    const std::vector<std::string_view> names = pits::symbol_names(body);
+    syms_.resize(names.size());
+    for (std::size_t s = 0; s < names.size(); ++s) {
+      syms_[s].name = names[s];
+      if (auto c = pits::constants().find(names[s]);
+          c != pits::constants().end()) {
+        syms_[s].constant = &c->second;
+      }
+    }
     collect_formulas(body);
     census_block(body, /*in_formula=*/false);
     State st;
-    st.defined.insert(ctx_.inputs.begin(), ctx_.inputs.end());
+    st.defined.assign(syms_.size(), false);
+    st.consts.resize(syms_.size());
+    std::vector<std::string_view> inputs(ctx_.inputs.begin(),
+                                         ctx_.inputs.end());
+    std::sort(inputs.begin(), inputs.end());
+    for (SymId s = 0; s < syms_.size(); ++s) {
+      if (std::binary_search(inputs.begin(), inputs.end(), syms_[s].name))
+        st.defined[s] = true;
+    }
     walk_block(body, st);
     report_dead_stores();
   }
 
  private:
+  /// Both indexed by symbol.
   struct State {
-    std::set<std::string> defined;           // must-assigned here
-    std::map<std::string, Value> consts;     // known constant values
+    std::vector<bool> defined;                // must-assigned here
+    std::vector<std::optional<Value>> consts;  // known constant values
+  };
+
+  /// What the routine as a whole does with one symbol.
+  struct SymFacts {
+    std::string_view name;
+    const double* constant = nullptr;  ///< the calculator constant so named
+    int arity = -1;                    ///< of the first formula so named
+    bool read = false;                 ///< read anywhere
+    bool loop_var = false;             ///< a for-loop variable
+    bool assigned = false;             ///< assigned outside formulas
+    SourcePos first_assign;            ///< first such assignment
   };
 
   // ---- reporting ----
@@ -118,7 +149,8 @@ class RoutineAnalyzer {
   void collect_formulas(const Block& block) {
     for_each_stmt(block, [&](const Stmt& s) {
       if (const auto* def = std::get_if<FormulaDef>(&s.node)) {
-        formulas_.emplace(def->name, def->params.size());
+        if (syms_[def->sym].arity < 0)
+          syms_[def->sym].arity = static_cast<int>(def->params.size());
       }
     });
   }
@@ -136,36 +168,36 @@ class RoutineAnalyzer {
           using T = std::decay_t<decltype(node)>;
           if constexpr (std::is_same_v<T, AssignStmt>) {
             if (node.index) {
-              reads_.insert(node.target);  // element assign reads the vector
-              census_expr(*node.index, {});
+              syms_[node.sym].read = true;  // element assign reads the vector
+              census_expr(*node.index, nullptr);
             }
-            census_expr(*node.value, {});
-            if (!in_formula) {
-              first_assign_.try_emplace(node.target, s.pos);
+            census_expr(*node.value, nullptr);
+            if (!in_formula && !syms_[node.sym].assigned) {
+              syms_[node.sym].assigned = true;
+              syms_[node.sym].first_assign = s.pos;
             }
           } else if constexpr (std::is_same_v<T, IfStmt>) {
             for (const auto& arm : node.arms) {
-              census_expr(*arm.cond, {});
+              census_expr(*arm.cond, nullptr);
               census_block(arm.body, in_formula);
             }
             census_block(node.else_body, in_formula);
           } else if constexpr (std::is_same_v<T, WhileStmt>) {
-            census_expr(*node.cond, {});
+            census_expr(*node.cond, nullptr);
             census_block(node.body, in_formula);
           } else if constexpr (std::is_same_v<T, RepeatStmt>) {
-            census_expr(*node.count, {});
+            census_expr(*node.count, nullptr);
             census_block(node.body, in_formula);
           } else if constexpr (std::is_same_v<T, ForStmt>) {
-            census_expr(*node.from, {});
-            census_expr(*node.to, {});
-            if (node.step) census_expr(*node.step, {});
-            loop_vars_.insert(node.var);
+            census_expr(*node.from, nullptr);
+            census_expr(*node.to, nullptr);
+            if (node.step) census_expr(*node.step, nullptr);
+            syms_[node.sym].loop_var = true;
             census_block(node.body, in_formula);
           } else if constexpr (std::is_same_v<T, FormulaDef>) {
-            census_expr(*node.body,
-                        {node.params.begin(), node.params.end()});
+            census_expr(*node.body, &node.param_syms);
           } else if constexpr (std::is_same_v<T, ExprStmt>) {
-            census_expr(*node.expr, {});
+            census_expr(*node.expr, nullptr);
           } else {
             (void)node;  // ReturnStmt
           }
@@ -173,12 +205,17 @@ class RoutineAnalyzer {
         s.node);
   }
 
-  void census_expr(const Expr& e, const std::set<std::string>& shadowed) {
+  /// `shadowed`: the parameters of the formula `e` is the body of.
+  void census_expr(const Expr& e, const pits::NodeArray<SymId>* shadowed) {
     std::visit(
         [&](const auto& node) {
           using T = std::decay_t<decltype(node)>;
           if constexpr (std::is_same_v<T, VarRef>) {
-            if (!shadowed.contains(node.name)) reads_.insert(node.name);
+            if (shadowed == nullptr ||
+                std::find(shadowed->begin(), shadowed->end(), node.sym) ==
+                    shadowed->end()) {
+              syms_[node.sym].read = true;
+            }
           } else if constexpr (std::is_same_v<T, VectorLit>) {
             for (const auto& el : node.elements) census_expr(*el, shadowed);
           } else if constexpr (std::is_same_v<T, Unary>) {
@@ -216,16 +253,16 @@ class RoutineAnalyzer {
     }
   }
 
-  static std::set<std::string> assigned_in(const Block& block) {
-    std::set<std::string> out;
+  /// Calls fn(sym) for every variable `block` assigns, repeats included.
+  template <typename Fn>
+  static void for_each_assigned(const Block& block, const Fn& fn) {
     for_each_stmt(block, [&](const Stmt& s) {
       if (const auto* a = std::get_if<AssignStmt>(&s.node)) {
-        out.insert(a->target);
+        fn(a->sym);
       } else if (const auto* f = std::get_if<ForStmt>(&s.node)) {
-        out.insert(f->var);
+        fn(f->sym);
       }
     });
-    return out;
   }
 
   static bool returns_in(const Block& block) {
@@ -236,12 +273,12 @@ class RoutineAnalyzer {
     return found;
   }
 
-  static void vars_in(const Expr& e, std::set<std::string>& out) {
+  static void vars_in(const Expr& e, std::vector<SymId>& out) {
     std::visit(
         [&](const auto& node) {
           using T = std::decay_t<decltype(node)>;
           if constexpr (std::is_same_v<T, VarRef>) {
-            out.insert(node.name);
+            out.push_back(node.sym);
           } else if constexpr (std::is_same_v<T, VectorLit>) {
             for (const auto& el : node.elements) vars_in(*el, out);
           } else if constexpr (std::is_same_v<T, Unary>) {
@@ -270,13 +307,8 @@ class RoutineAnalyzer {
           } else if constexpr (std::is_same_v<T, StringLit>) {
             return Value(node.value);
           } else if constexpr (std::is_same_v<T, VarRef>) {
-            if (auto it = st.consts.find(node.name); it != st.consts.end()) {
-              return it->second;
-            }
-            if (auto it = pits::constants().find(node.name);
-                it != pits::constants().end()) {
-              return Value(it->second);
-            }
+            if (st.consts[node.sym]) return st.consts[node.sym];
+            if (const double* c = syms_[node.sym].constant) return Value(*c);
             return std::nullopt;
           } else if constexpr (std::is_same_v<T, VectorLit>) {
             pits::Vector v;
@@ -349,11 +381,13 @@ class RoutineAnalyzer {
 
   // ---- expression walk: reads, calls, constant-derived errors ----
 
-  void check_read(const std::string& name, SourcePos pos, const State& st) {
-    if (st.defined.contains(name)) return;
-    if (pits::constants().contains(name)) return;
-    if (formulas_.contains(name)) return;
-    if (first_assign_.contains(name) || loop_vars_.contains(name)) {
+  void check_read(const std::string& name, SymId sym, SourcePos pos,
+                  const State& st) {
+    const SymFacts& f = syms_[sym];
+    if (st.defined[sym]) return;
+    if (f.constant != nullptr) return;
+    if (f.arity >= 0) return;
+    if (f.assigned || f.loop_var) {
       emit("BAN101", pos,
            "`" + name + "` may be read before it is assigned",
            "assign `" + name + "` on every path before this statement");
@@ -367,7 +401,7 @@ class RoutineAnalyzer {
         [&](const auto& node) {
           using T = std::decay_t<decltype(node)>;
           if constexpr (std::is_same_v<T, VarRef>) {
-            check_read(node.name, e.pos, st);
+            check_read(node.name, node.sym, e.pos, st);
           } else if constexpr (std::is_same_v<T, VectorLit>) {
             for (const auto& el : node.elements) walk_expr(*el, st);
           } else if constexpr (std::is_same_v<T, Unary>) {
@@ -430,11 +464,11 @@ class RoutineAnalyzer {
       }
       return;
     }
-    if (auto it = formulas_.find(node.callee); it != formulas_.end()) {
-      if (static_cast<std::size_t>(n) != it->second) {
+    if (const int arity = syms_[node.sym].arity; arity >= 0) {
+      if (n != arity) {
         emit("BAN107", pos,
              "formula `" + node.callee + "` expects " +
-                 std::to_string(it->second) + " argument(s), got " +
+                 std::to_string(arity) + " argument(s), got " +
                  std::to_string(n));
       }
       return;
@@ -486,19 +520,15 @@ class RoutineAnalyzer {
           using T = std::decay_t<decltype(node)>;
           if constexpr (std::is_same_v<T, AssignStmt>) {
             if (node.index) {
-              check_read(node.target, s.pos, st);
+              check_read(node.target, node.sym, s.pos, st);
               walk_expr(*node.index, st);
               walk_expr(*node.value, st);
-              st.defined.insert(node.target);
-              st.consts.erase(node.target);
+              st.defined[node.sym] = true;
+              st.consts[node.sym].reset();
             } else {
               walk_expr(*node.value, st);
-              st.defined.insert(node.target);
-              if (auto v = fold(*node.value, st)) {
-                st.consts.insert_or_assign(node.target, std::move(*v));
-              } else {
-                st.consts.erase(node.target);
-              }
+              st.defined[node.sym] = true;
+              st.consts[node.sym] = fold(*node.value, st);
             }
           } else if constexpr (std::is_same_v<T, IfStmt>) {
             walk_if(node, st);
@@ -506,19 +536,27 @@ class RoutineAnalyzer {
             walk_while(node, s.pos, st);
           } else if constexpr (std::is_same_v<T, RepeatStmt>) {
             walk_expr(*node.count, st);
-            walk_loop_body(node.body, st, {});
+            walk_loop_body(node.body, st, pits::kNoSym);
           } else if constexpr (std::is_same_v<T, ForStmt>) {
             walk_expr(*node.from, st);
             walk_expr(*node.to, st);
             if (node.step) walk_expr(*node.step, st);
             // The loop variable is assigned only when the body runs, so
             // it is not must-defined after the loop.
-            walk_loop_body(node.body, st, node.var);
+            walk_loop_body(node.body, st, node.sym);
           } else if constexpr (std::is_same_v<T, FormulaDef>) {
-            State formula_scope;  // bodies see only parameters + constants
-            formula_scope.defined.insert(node.params.begin(),
-                                         node.params.end());
-            walk_formula_body(*node.body, node, formula_scope);
+            // Bodies see only parameters + constants. One scope serves
+            // every formula: its parameter bits are set for this body
+            // and cleared after it, and walking a body assigns nothing.
+            if (formula_scope_.defined.size() != syms_.size()) {
+              formula_scope_.defined.assign(syms_.size(), false);
+              formula_scope_.consts.resize(syms_.size());
+            }
+            for (const SymId p : node.param_syms)
+              formula_scope_.defined[p] = true;
+            walk_formula_body(*node.body, node, formula_scope_);
+            for (const SymId p : node.param_syms)
+              formula_scope_.defined[p] = false;
           } else if constexpr (std::is_same_v<T, ExprStmt>) {
             walk_expr(*node.expr, st);
           } else {
@@ -544,26 +582,26 @@ class RoutineAnalyzer {
     State joined = std::move(outcomes.back());
     outcomes.pop_back();
     for (const State& o : outcomes) {
-      std::erase_if(joined.defined, [&](const std::string& v) {
-        return !o.defined.contains(v);
-      });
-      std::erase_if(joined.consts, [&](const auto& kv) {
-        auto it = o.consts.find(kv.first);
-        return it == o.consts.end() || !it->second.equals(kv.second);
-      });
+      for (SymId v = 0; v < syms_.size(); ++v) {
+        if (!o.defined[v]) joined.defined[v] = false;
+        std::optional<Value>& c = joined.consts[v];
+        if (c && !(o.consts[v] && o.consts[v]->equals(*c))) c.reset();
+      }
     }
     st = std::move(joined);
   }
 
   void walk_while(const WhileStmt& node, SourcePos pos, State& st) {
     walk_expr(*node.cond, st);
-    const auto body_assigns = assigned_in(node.body);
     if (auto cond = fold(*node.cond, st); cond && cond->truthy()) {
-      std::set<std::string> cond_vars;
+      std::vector<SymId> cond_vars;
       vars_in(*node.cond, cond_vars);
-      const bool vars_change = std::any_of(
-          cond_vars.begin(), cond_vars.end(),
-          [&](const std::string& v) { return body_assigns.contains(v); });
+      bool vars_change = false;
+      for_each_assigned(node.body, [&](SymId v) {
+        vars_change = vars_change || std::find(cond_vars.begin(),
+                                               cond_vars.end(),
+                                               v) != cond_vars.end();
+      });
       if (!vars_change && !returns_in(node.body)) {
         emit("BAN108", pos,
              "loop condition is always true and nothing in the body changes "
@@ -572,19 +610,18 @@ class RoutineAnalyzer {
              "add a `return`");
       }
     }
-    walk_loop_body(node.body, st, {});
+    walk_loop_body(node.body, st, pits::kNoSym);
   }
 
   /// Analyses a loop body against a state in which every variable the
   /// body assigns has lost its constant (the back edge invalidates first-
   /// iteration knowledge). Definitions made inside the body do not escape
   /// (the body may run zero times).
-  void walk_loop_body(const Block& body, State& st,
-                      const std::string& loop_var) {
-    for (const std::string& v : assigned_in(body)) st.consts.erase(v);
-    if (!loop_var.empty()) st.consts.erase(loop_var);
+  void walk_loop_body(const Block& body, State& st, SymId loop_var) {
+    for_each_assigned(body, [&](SymId v) { st.consts[v].reset(); });
+    if (loop_var != pits::kNoSym) st.consts[loop_var].reset();
     State inner = st;
-    if (!loop_var.empty()) inner.defined.insert(loop_var);
+    if (loop_var != pits::kNoSym) inner.defined[loop_var] = true;
     walk_block(body, inner);
   }
 
@@ -599,14 +636,24 @@ class RoutineAnalyzer {
 
   // ---- dead stores ----
 
+  /// Reported in name order.
   void report_dead_stores() {
-    for (const auto& [var, pos] : first_assign_) {
-      if (reads_.contains(var)) continue;
-      if (std::find(ctx_.outputs.begin(), ctx_.outputs.end(), var) !=
+    std::vector<const SymFacts*> dead;
+    for (const SymFacts& f : syms_) {
+      if (!f.assigned || f.read) continue;
+      if (std::find(ctx_.outputs.begin(), ctx_.outputs.end(), f.name) !=
           ctx_.outputs.end()) {
         continue;
       }
-      emit("BAN102", pos,
+      dead.push_back(&f);
+    }
+    std::sort(dead.begin(), dead.end(),
+              [](const SymFacts* a, const SymFacts* b) {
+                return a->name < b->name;
+              });
+    for (const SymFacts* f : dead) {
+      const std::string var(f->name);
+      emit("BAN102", f->first_assign,
            "`" + var + "` is assigned but its value is never used",
            "remove the assignment, or declare `" + var +
                "` as an output (out=)");
@@ -615,10 +662,8 @@ class RoutineAnalyzer {
 
   const RoutineContext& ctx_;
   std::vector<Diagnostic>& sink_;
-  std::map<std::string, std::size_t> formulas_;  // name -> arity
-  std::set<std::string> reads_;                  // read anywhere
-  std::set<std::string> loop_vars_;              // for-loop variables
-  std::map<std::string, SourcePos> first_assign_;
+  std::vector<SymFacts> syms_;  ///< by symbol
+  State formula_scope_;         ///< see the FormulaDef case of walk_stmt
 };
 
 }  // namespace

@@ -691,8 +691,8 @@ int cmd_check(const Options& o, std::ostream& out) {
   Project project = load_project(o, 0);
   // Shared with the serve daemon's `check` op (pass the same `file`
   // label there for byte-identical diagnostics).
-  const auto r = serve::render_check(project.design(), o.format, o.fail_on,
-                                     o.positional[0]);
+  const auto r = serve::render_check(project.flattened(), o.format,
+                                     o.fail_on, o.positional[0]);
   write_or_print(r.text, o, out);
   return r.exit_code;
 }

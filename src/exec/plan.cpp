@@ -50,6 +50,14 @@ struct HeapBytes {
     return p ? sizeof(T) + (*this)(*p) : 0;
   }
   template <class T>
+  std::size_t operator()(const pits::NodeArray<T>& v) const {
+    std::size_t bytes = v.size() * sizeof(T);
+    if constexpr (!std::is_trivially_copyable_v<T>) {
+      for (const T& x : v) bytes += (*this)(x);
+    }
+    return bytes;
+  }
+  template <class T>
   std::size_t operator()(const std::vector<T>& v) const {
     std::size_t bytes = v.capacity() * sizeof(T);
     if constexpr (!std::is_trivially_copyable_v<T>) {
@@ -108,7 +116,8 @@ struct HeapBytes {
   }
   std::size_t operator()(const pits::ReturnStmt&) const { return 0; }
   std::size_t operator()(const pits::FormulaDef& n) const {
-    return (*this)(n.name) + (*this)(n.params) + (*this)(n.body);
+    return (*this)(n.name) + (*this)(n.params) + (*this)(n.param_syms) +
+           (*this)(n.body);
   }
   std::size_t operator()(const pits::ExprStmt& n) const {
     return (*this)(n.expr);
@@ -262,7 +271,9 @@ ProgramCache::Stats ProgramCache::stats() const {
 }
 
 ProgramCache& program_cache() {
-  static ProgramCache cache;
+  // Never destroyed: freeing every compiled routine at exit is work no
+  // one waits for (thousands of routines on a large design).
+  static ProgramCache& cache = *new ProgramCache;
   return cache;
 }
 

@@ -128,7 +128,8 @@ class ProgramCache {
   Stats stats_;
 };
 
-/// The process-wide instance every execution mode shares.
+/// The process-wide instance every execution mode shares. It lives for
+/// the whole process and is never destroyed, so exit does not free it.
 ProgramCache& program_cache();
 
 // ---- design plans ----------------------------------------------------

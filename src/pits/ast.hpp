@@ -2,16 +2,57 @@
 //
 // Abstract syntax of PITS programs. Nodes are a closed variant set; the
 // interpreter and the pretty-printer visit with std::visit.
+//
+// Symbols: the parser numbers a routine's distinct identifiers densely,
+// from 0, in order of first appearance, and stores the number on every
+// node that names something. Equal names in one parse share a SymId
+// whatever they name (a variable, a formula, a builtin, a parameter),
+// so the analyses and the compiler keep per-name state in arrays
+// indexed by it. The spelling stays on the node for printing, the
+// tree-walker and error messages.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace banger::pits {
+
+/// Dense per-parse identifier number; see the header comment.
+using SymId = std::uint32_t;
+inline constexpr SymId kNoSym = ~SymId{0};
+
+/// A fixed-length array the parser fills once, with a vector's read
+/// interface in a 16-byte handle. Call and FormulaDef use it so that,
+/// with their symbol ids added, every node keeps the size (and malloc
+/// size class) it had without them.
+template <typename T>
+class NodeArray {
+ public:
+  NodeArray() = default;
+  explicit NodeArray(std::vector<T> items)
+      : items_(items.empty() ? nullptr
+                             : std::make_unique<T[]>(items.size())),
+        size_(static_cast<std::uint32_t>(items.size())) {
+    std::move(items.begin(), items.end(), items_.get());
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  const T& operator[](std::size_t i) const { return items_[i]; }
+  const T* begin() const noexcept { return items_.get(); }
+  const T* end() const noexcept { return items_.get() + size_; }
+
+ private:
+  std::unique_ptr<T[]> items_;
+  std::uint32_t size_ = 0;
+};
 
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
@@ -34,6 +75,7 @@ struct StringLit {
 };
 struct VarRef {
   std::string name;
+  SymId sym = kNoSym;
 };
 struct VectorLit {
   std::vector<ExprPtr> elements;
@@ -55,7 +97,8 @@ struct Index {
 /// Builtin (calculator button) invocation: sqrt(x), dot(a,b), ...
 struct Call {
   std::string callee;
-  std::vector<ExprPtr> args;
+  NodeArray<ExprPtr> args;
+  SymId sym = kNoSym;  ///< of `callee`
 };
 
 struct Expr {
@@ -72,6 +115,7 @@ using Block = std::vector<StmtPtr>;
 /// `name := expr` or `name[i] := expr` (element assignment).
 struct AssignStmt {
   std::string target;
+  SymId sym = kNoSym;  ///< of `target`
   ExprPtr index;  ///< null for whole-variable assignment
   ExprPtr value;
 };
@@ -94,6 +138,7 @@ struct RepeatStmt {
 };
 struct ForStmt {
   std::string var;
+  SymId sym = kNoSym;  ///< of `var`
   ExprPtr from;
   ExprPtr to;
   ExprPtr step;  ///< null means step 1
@@ -105,7 +150,9 @@ struct ReturnStmt {};
 /// Formulas may call other formulas (and themselves) defined earlier.
 struct FormulaDef {
   std::string name;
+  SymId sym = kNoSym;  ///< of `name`
   std::vector<std::string> params;
+  NodeArray<SymId> param_syms;  ///< of each of `params`
   ExprPtr body;
 };
 /// Expression evaluated for effect; only calls make sense (print).
@@ -130,8 +177,13 @@ struct Stmt {
 inline constexpr int kMaxNesting = 200;
 
 /// Parses a whole routine body; throws Error{Parse}, positioned, on bad
-/// syntax and on routines nested deeper than kMaxNesting.
+/// syntax and on routines nested deeper than kMaxNesting. Every
+/// name-bearing node gets its SymId.
 Block parse_block(std::string_view source);
+
+/// The spelling of each symbol in `block`, indexed by SymId: one entry
+/// per id up to the largest the block carries. Views the block's nodes.
+std::vector<std::string_view> symbol_names(const Block& block);
 
 /// Renders a Block back to canonical PITS source (used by the calculator
 /// panel's program window and by the round-trip tests).

@@ -49,8 +49,8 @@ Value map1(const Value& v, double (*fn)(double)) {
 
 }  // namespace
 
-const std::map<std::string, double>& constants() {
-  static const std::map<std::string, double> table = {
+const std::map<std::string, double, std::less<>>& constants() {
+  static const std::map<std::string, double, std::less<>> table = {
       {"pi", 3.14159265358979323846},
       {"e", 2.71828182845904523536},
       {"golden", 1.61803398874989484820},

@@ -52,7 +52,8 @@ class BuiltinRegistry {
 };
 
 /// The calculator's constant buttons (pi, e, golden, plus the physical
-/// constants an engineering user expects). Name -> value.
-const std::map<std::string, double>& constants();
+/// constants an engineering user expects). Name -> value; the compare
+/// is transparent, so a string_view looks a name up without a copy.
+const std::map<std::string, double, std::less<>>& constants();
 
 }  // namespace banger::pits

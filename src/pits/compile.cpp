@@ -1,10 +1,12 @@
 // banger/pits/compile.cpp
 //
 // Single-pass AST -> bytecode compiler. Three jobs:
-//   1. Symbol interning: a pre-pass assigns every top-level variable a
+//   1. Slot assignment: a pre-pass gives every top-level variable a
 //      dense frame slot, so the VM reads registers where the tree-walker
 //      did std::map lookups. Calculator constants the Env might shadow
 //      (a task input named `pi`) resolve through CheckVar at run time.
+//      The compiler's own tables are indexed by the parser's symbol
+//      ids; slots, names and constants are numbered in first-use order.
 //   2. Constant folding into a deduplicated pool — only where the
 //      tree-walker could not have raised an error (division by zero,
 //      string negation, ... stay as runtime instructions).
@@ -108,7 +110,6 @@ struct Frame {
   std::uint16_t next_temp = 0;
   std::uint16_t high_water = 0;
   bool in_formula = false;
-  const std::map<std::string, std::uint16_t>* params = nullptr;
   /// readable[slot]: every execution path reaching the instruction now
   /// being emitted has already bound or checked the slot.
   std::vector<char> readable;
@@ -128,8 +129,7 @@ class Compiler {
     f.code.num_regs = f.high_water;
     f.code.first_temp = static_cast<std::uint16_t>(chunk_.vars.size());
     chunk_.main = std::move(f.code);
-    chunk_.num_formula_names =
-        static_cast<std::uint32_t>(formula_table_of_.size());
+    chunk_.num_formula_names = num_formula_names_;
   }
 
   Chunk take() { return std::move(chunk_); }
@@ -137,12 +137,21 @@ class Compiler {
  private:
   // ---- interning ----------------------------------------------------
 
-  std::uint16_t name_id(const std::string& s) {
-    if (auto it = name_ids_.find(s); it != name_ids_.end()) return it->second;
+  static constexpr std::uint16_t kNone = 0xFFFF;  // above kMaxIndex
+
+  /// Entry `sym` of a per-symbol table, growing it as ids appear.
+  template <typename T>
+  static T& by_sym(std::vector<T>& table, SymId sym, T none) {
+    if (sym >= table.size()) table.resize(sym + 1, none);
+    return table[sym];
+  }
+
+  std::uint16_t name_id(SymId sym, const std::string& s) {
+    std::uint16_t& id = by_sym(name_ids_, sym, kNone);
+    if (id != kNone) return id;
     if (chunk_.names.size() >= kMaxIndex) overflow();
-    const auto id = static_cast<std::uint16_t>(chunk_.names.size());
+    id = static_cast<std::uint16_t>(chunk_.names.size());
     chunk_.names.push_back(s);
-    name_ids_.emplace(s, id);
     return id;
   }
 
@@ -179,19 +188,17 @@ class Compiler {
     return id;
   }
 
-  std::uint16_t slot(const std::string& name) {
-    if (auto it = slot_of_.find(name); it != slot_of_.end()) return it->second;
+  void slot(SymId sym, const std::string& name) {
+    if (by_sym(slot_of_, sym, kNone) != kNone) return;
     if (chunk_.vars.size() >= kMaxIndex) overflow();
-    const auto id = static_cast<std::uint16_t>(chunk_.vars.size());
     VarInfo vi;
-    vi.name = name_id(name);
+    vi.name = name_id(sym, name);
     if (auto c = constants().find(name); c != constants().end()) {
       vi.has_const = true;
       vi.const_value = c->second;
     }
+    slot_of_[sym] = static_cast<std::uint16_t>(chunk_.vars.size());
     chunk_.vars.push_back(vi);
-    slot_of_.emplace(name, id);
-    return id;
   }
 
   // ---- pre-pass: slot + formula-name collection ----------------------
@@ -205,7 +212,7 @@ class Compiler {
         [&](const auto& node) {
           using T = std::decay_t<decltype(node)>;
           if constexpr (std::is_same_v<T, AssignStmt>) {
-            slot(node.target);
+            slot(node.sym, node.target);
             if (node.index) collect_expr(*node.index);
             collect_expr(*node.value);
           } else if constexpr (std::is_same_v<T, IfStmt>) {
@@ -221,7 +228,7 @@ class Compiler {
             collect_expr(*node.count);
             collect_block(node.body);
           } else if constexpr (std::is_same_v<T, ForStmt>) {
-            slot(node.var);
+            slot(node.sym, node.var);
             collect_expr(*node.from);
             collect_expr(*node.to);
             if (node.step) collect_expr(*node.step);
@@ -230,11 +237,8 @@ class Compiler {
             // Formula bodies see only their parameters and constants —
             // no top-level slots. Doomed names (shadowing a builtin)
             // still get a table entry; it just never becomes live.
-            if (!formula_table_of_.contains(node.name)) {
-              const auto idx =
-                  static_cast<std::int32_t>(formula_table_of_.size());
-              formula_table_of_.emplace(node.name, idx);
-            }
+            std::int32_t& idx = by_sym(formula_table_of_, node.sym, -1);
+            if (idx < 0) idx = static_cast<std::int32_t>(num_formula_names_++);
           } else if constexpr (std::is_same_v<T, ExprStmt>) {
             collect_expr(*node.expr);
           }
@@ -247,7 +251,7 @@ class Compiler {
         [&](const auto& node) {
           using T = std::decay_t<decltype(node)>;
           if constexpr (std::is_same_v<T, VarRef>) {
-            slot(node.name);
+            slot(node.sym, node.name);
           } else if constexpr (std::is_same_v<T, VectorLit>) {
             for (const auto& el : node.elements) collect_expr(*el);
           } else if constexpr (std::is_same_v<T, Unary>) {
@@ -286,7 +290,7 @@ class Compiler {
             // Formula frames hold only parameters, so there a non-param
             // constant is compile-time known.
             if (!f.in_formula) return std::nullopt;
-            if (f.params->contains(node.name)) return std::nullopt;
+            if (param_reg(node.sym) != kNone) return std::nullopt;
             if (auto c = constants().find(node.name); c != constants().end()) {
               return Value(c->second);
             }
@@ -529,15 +533,15 @@ class Compiler {
 
   Operand compile_var(Frame& f, const VarRef& node, SourcePos pos, int want) {
     if (f.in_formula) {
-      if (auto it = f.params->find(node.name); it != f.params->end()) {
-        return move_to_want(f, {it->second, false}, want);
+      if (const std::uint16_t reg = param_reg(node.sym); reg != kNone) {
+        return move_to_want(f, {reg, false}, want);
       }
       // Not a parameter, not a constant (those folded): the read can
       // only fail, so it lowers to the tree-walker's error.
       return emit_error(f, ErrorCode::Name,
                         "undefined variable `" + node.name + "`", pos, want);
     }
-    const std::uint16_t s = slot_of_.at(node.name);
+    const std::uint16_t s = slot_of_[node.sym];
     if (!f.readable[s]) {
       if (facts_ != nullptr && facts_->bound_reads.contains(&node)) {
         // Proven assigned on every path: the slot is live without a
@@ -669,11 +673,11 @@ class Compiler {
     if (f.code.sites.size() >= kMaxIndex) overflow();
 
     CallSite site;
-    site.name = name_id(node.callee);
+    site.name = name_id(node.sym, node.callee);
     site.builtin = BuiltinRegistry::instance().find(node.callee);
-    if (auto it = formula_table_of_.find(node.callee);
-        it != formula_table_of_.end()) {
-      site.formula = it->second;
+    if (node.sym < formula_table_of_.size() &&
+        formula_table_of_[node.sym] >= 0) {
+      site.formula = formula_table_of_[node.sym];
     }
     const auto site_idx = static_cast<std::uint16_t>(f.code.sites.size());
     f.code.sites.emplace_back();
@@ -856,7 +860,7 @@ class Compiler {
   }
 
   void compile_assign(Frame& f, const AssignStmt& node, SourcePos pos) {
-    const std::uint16_t target = slot_of_.at(node.target);
+    const std::uint16_t target = slot_of_[node.sym];
     const std::uint16_t mark = f.next_temp;
     if (node.index) {
       const bool safe = facts_ != nullptr &&
@@ -960,7 +964,7 @@ class Compiler {
   }
 
   void compile_for(Frame& f, const ForStmt& node, SourcePos pos) {
-    const std::uint16_t target = slot_of_.at(node.var);
+    const std::uint16_t target = slot_of_[node.sym];
     const std::uint16_t mark = f.next_temp;
     const std::uint16_t counter = alloc(f);
     const std::uint16_t limit = alloc(f);
@@ -1040,18 +1044,18 @@ class Compiler {
 
   Formula compile_formula(const FormulaDef& def) {
     Formula fo;
-    fo.name = name_id(def.name);
-    fo.table = formula_table_of_.at(def.name);
-    std::map<std::string, std::uint16_t> params;
+    fo.name = name_id(def.sym, def.name);
+    fo.table = formula_table_of_[def.sym];
     std::uint16_t next_reg = 0;
-    for (const std::string& p : def.params) {
-      if (auto it = params.find(p); it != params.end()) {
+    for (const SymId p : def.param_syms) {
+      std::uint16_t& reg = by_sym(param_reg_, p, kNone);
+      if (reg != kNone) {
         // Duplicate parameter: the tree-walker's emplace keeps the
         // first binding; later arguments still evaluate, then drop.
-        fo.param_reg.push_back(it->second);
+        fo.param_reg.push_back(reg);
         fo.param_bind.push_back(0);
       } else {
-        params.emplace(p, next_reg);
+        reg = next_reg;
         fo.param_reg.push_back(next_reg);
         fo.param_bind.push_back(1);
         ++next_reg;
@@ -1059,10 +1063,10 @@ class Compiler {
     }
     Frame ff;
     ff.in_formula = true;
-    ff.params = &params;
     ff.next_temp = next_reg;
     ff.high_water = next_reg;
     const Operand result = compile_expr(ff, *def.body, -1);
+    for (const SymId p : def.param_syms) param_reg_[p] = kNone;
     fo.result = result.reg;
     ff.code.num_regs = ff.high_water;
     ff.code.first_temp = next_reg;
@@ -1070,14 +1074,23 @@ class Compiler {
     return fo;
   }
 
+  /// Register of the parameter `sym` names in the formula being
+  /// compiled, or kNone.
+  [[nodiscard]] std::uint16_t param_reg(SymId sym) const {
+    return sym < param_reg_.size() ? param_reg_[sym] : kNone;
+  }
+
   Chunk chunk_;
   const AnalysisFacts* facts_ = nullptr;
-  std::map<std::string, std::uint16_t> name_ids_;
   std::map<std::uint64_t, std::uint16_t> scalar_ids_;
   std::map<std::string, std::uint16_t> string_ids_;
   std::map<std::string, std::uint16_t> message_ids_;
-  std::map<std::string, std::uint16_t> slot_of_;
-  std::map<std::string, std::int32_t> formula_table_of_;
+  // By symbol; kNone / -1 where unset.
+  std::vector<std::uint16_t> name_ids_;
+  std::vector<std::uint16_t> slot_of_;
+  std::vector<std::int32_t> formula_table_of_;
+  std::vector<std::uint16_t> param_reg_;  ///< of the formula being compiled
+  std::uint32_t num_formula_names_ = 0;
 };
 
 // ---- peephole fusion -------------------------------------------------

@@ -1,6 +1,4 @@
-#include <cctype>
 #include <charconv>
-#include <unordered_map>
 
 #include "pits/token.hpp"
 
@@ -54,20 +52,49 @@ std::string_view to_string(Tok tok) noexcept {
 
 namespace {
 
-const std::unordered_map<std::string_view, Tok>& keywords() {
-  static const std::unordered_map<std::string_view, Tok> map = {
-      {"if", Tok::KwIf},         {"then", Tok::KwThen},
-      {"elsif", Tok::KwElsif},   {"else", Tok::KwElse},
-      {"end", Tok::KwEnd},       {"while", Tok::KwWhile},
-      {"do", Tok::KwDo},         {"repeat", Tok::KwRepeat},
-      {"times", Tok::KwTimes},   {"for", Tok::KwFor},
-      {"to", Tok::KwTo},         {"step", Tok::KwStep},
-      {"return", Tok::KwReturn}, {"formula", Tok::KwFormula},
-      {"and", Tok::KwAnd},
-      {"or", Tok::KwOr},         {"not", Tok::KwNot},
-      {"mod", Tok::KwMod},
-  };
-  return map;
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_word_start(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+bool is_word(char c) { return is_word_start(c) || is_digit(c); }
+
+/// The keyword spelled `w`, or Tok::Ident.
+Tok keyword(std::string_view w) {
+  switch (w.size()) {
+    case 2:
+      if (w == "if") return Tok::KwIf;
+      if (w == "do") return Tok::KwDo;
+      if (w == "to") return Tok::KwTo;
+      if (w == "or") return Tok::KwOr;
+      break;
+    case 3:
+      if (w == "end") return Tok::KwEnd;
+      if (w == "for") return Tok::KwFor;
+      if (w == "and") return Tok::KwAnd;
+      if (w == "not") return Tok::KwNot;
+      if (w == "mod") return Tok::KwMod;
+      break;
+    case 4:
+      if (w == "then") return Tok::KwThen;
+      if (w == "else") return Tok::KwElse;
+      if (w == "step") return Tok::KwStep;
+      break;
+    case 5:
+      if (w == "elsif") return Tok::KwElsif;
+      if (w == "while") return Tok::KwWhile;
+      if (w == "times") return Tok::KwTimes;
+      break;
+    case 6:
+      if (w == "repeat") return Tok::KwRepeat;
+      if (w == "return") return Tok::KwReturn;
+      break;
+    case 7:
+      if (w == "formula") return Tok::KwFormula;
+      break;
+    default:
+      break;
+  }
+  return Tok::Ident;
 }
 
 }  // namespace
@@ -79,12 +106,12 @@ std::vector<Token> lex(std::string_view src) {
   std::size_t i = 0;
 
   auto pos = [&]() { return SourcePos{line, col}; };
-  auto push = [&](Tok kind, SourcePos p, std::string text = {},
+  auto push = [&](Tok kind, SourcePos p, std::string_view text = {},
                   double number = 0.0) {
     // Collapse runs of separators.
     if (kind == Tok::Newline && (out.empty() || out.back().kind == Tok::Newline))
       return;
-    out.push_back({kind, std::move(text), number, p});
+    out.push_back({kind, text, number, p, nullptr});
   };
   auto advance = [&](std::size_t n = 1) {
     for (std::size_t k = 0; k < n && i < src.size(); ++k) {
@@ -115,9 +142,8 @@ std::vector<Token> lex(std::string_view src) {
       while (i < src.size() && src[i] != '\n') advance();
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < src.size() &&
-         std::isdigit(static_cast<unsigned char>(src[i + 1])))) {
+    if (is_digit(c) ||
+        (c == '.' && i + 1 < src.size() && is_digit(src[i + 1]))) {
       double value = 0;
       const char* begin = src.data() + i;
       const char* end = src.data() + src.size();
@@ -126,42 +152,50 @@ std::vector<Token> lex(std::string_view src) {
         fail(ErrorCode::Parse, "malformed number", p);
       }
       const auto len = static_cast<std::size_t>(ptr - begin);
-      push(Tok::Number, p, std::string(src.substr(i, len)), value);
+      push(Tok::Number, p, src.substr(i, len), value);
       advance(len);
       continue;
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t j = i;
-      while (j < src.size() &&
-             (std::isalnum(static_cast<unsigned char>(src[j])) ||
-              src[j] == '_'))
-        ++j;
-      std::string word(src.substr(i, j - i));
-      auto kw = keywords().find(word);
-      push(kw != keywords().end() ? kw->second : Tok::Ident, p,
-           std::move(word));
-      advance(j - i);
+    if (is_word_start(c)) {
+      std::size_t j = i + 1;
+      while (j < src.size() && is_word(src[j])) ++j;
+      const std::string_view word = src.substr(i, j - i);
+      push(keyword(word), p, word);
+      // A word never spans a line.
+      col += static_cast<int>(j - i);
+      i = j;
       continue;
     }
     if (c == '"') {
-      std::string body;
       std::size_t j = i + 1;
+      bool escaped = false;
       while (j < src.size() && src[j] != '"' && src[j] != '\n') {
         if (src[j] == '\\' && j + 1 < src.size()) {
-          const char esc = src[j + 1];
-          if (esc == 'n') body += '\n';
-          else if (esc == 't') body += '\t';
-          else body += esc;
+          escaped = true;
           j += 2;
         } else {
-          body += src[j];
           ++j;
         }
       }
       if (j >= src.size() || src[j] != '"') {
         fail(ErrorCode::Parse, "unterminated string literal", p);
       }
-      push(Tok::String, p, std::move(body));
+      push(Tok::String, p, src.substr(i + 1, j - i - 1));
+      if (escaped) {
+        auto body = std::make_unique<std::string>();
+        for (std::size_t k = i + 1; k < j; ++k) {
+          if (src[k] == '\\' && k + 1 < j) {
+            const char esc = src[++k];
+            if (esc == 'n') *body += '\n';
+            else if (esc == 't') *body += '\t';
+            else *body += esc;
+          } else {
+            *body += src[k];
+          }
+        }
+        out.back().text = *body;
+        out.back().unescaped = std::move(body);
+      }
       advance(j + 1 - i);
       continue;
     }
@@ -201,7 +235,7 @@ std::vector<Token> lex(std::string_view src) {
     }
   }
   push(Tok::Newline, pos());
-  out.push_back({Tok::Eof, {}, 0.0, pos()});
+  out.push_back({Tok::Eof, {}, 0.0, pos(), nullptr});
   return out;
 }
 

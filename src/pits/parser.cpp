@@ -9,6 +9,7 @@
 // left-associative chains (`a + b + c`, `v[i][j]`) deepen the tree
 // without recursing.
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -43,6 +44,41 @@ std::string_view to_string(UnOp op) noexcept {
 
 namespace {
 
+/// Numbers one parse's distinct identifiers densely, in order of first
+/// appearance: an open-addressing table over views into the source.
+class SymbolTable {
+ public:
+  SymbolTable() { names_.reserve(16); }
+
+  SymId intern(std::string_view name) {
+    if ((names_.size() + 1) * 2 > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = std::hash<std::string_view>{}(name) & mask;;
+         i = (i + 1) & mask) {
+      if (slots_[i] == kNoSym) {
+        slots_[i] = static_cast<SymId>(names_.size());
+        names_.push_back(name);
+        return slots_[i];
+      }
+      if (names_[slots_[i]] == name) return slots_[i];
+    }
+  }
+
+ private:
+  void grow() {
+    slots_.assign(std::max<std::size_t>(32, slots_.size() * 2), kNoSym);
+    const std::size_t mask = slots_.size() - 1;
+    for (SymId s = 0; s < names_.size(); ++s) {
+      std::size_t i = std::hash<std::string_view>{}(names_[s]) & mask;
+      while (slots_[i] != kNoSym) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<SymId> slots_;  ///< power-of-two size, at most half full
+  std::vector<std::string_view> names_;
+};
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -73,6 +109,13 @@ class Parser {
            peek().pos);
     }
     return advance();
+  }
+  /// Consumes the identifier at the cursor into a node's name and
+  /// symbol fields.
+  void take_name(std::string& name, SymId& sym) {
+    const std::string_view text = expect(Tok::Ident).text;
+    name.assign(text);
+    sym = symbols_.intern(text);
   }
   void skip_newlines() {
     while (match(Tok::Newline)) {
@@ -150,7 +193,7 @@ class Parser {
       // Assignment (possibly indexed) or a call statement.
       if (peek(1).kind == Tok::Assign) {
         AssignStmt s;
-        s.target = advance().text;
+        take_name(s.target, s.sym);
         advance();  // :=
         s.value = parse_expr();
         return make_stmt(at, std::move(s));
@@ -169,7 +212,7 @@ class Parser {
         if (j < tokens_.size() && tokens_[j].kind == Tok::RBracket &&
             j + 1 < tokens_.size() && tokens_[j + 1].kind == Tok::Assign) {
           AssignStmt s;
-          s.target = advance().text;
+          take_name(s.target, s.sym);
           expect(Tok::LBracket);
           s.index = parse_expr();
           expect(Tok::RBracket);
@@ -183,7 +226,7 @@ class Parser {
         s.expr = parse_expr();
         return make_stmt(at, std::move(s));
       }
-      error("expected `:=` after `" + peek().text + "`");
+      error("expected `:=` after `" + std::string(peek().text) + "`");
     }
     error("expected a statement");
   }
@@ -234,7 +277,7 @@ class Parser {
     const SourcePos at = peek().pos;
     expect(Tok::KwFor);
     ForStmt s;
-    s.var = expect(Tok::Ident).text;
+    take_name(s.var, s.sym);
     expect(Tok::Assign);
     s.from = parse_expr();
     expect(Tok::KwTo);
@@ -250,19 +293,21 @@ class Parser {
     const SourcePos at = peek().pos;
     expect(Tok::KwFormula);
     FormulaDef def;
-    def.name = expect(Tok::Ident).text;
+    take_name(def.name, def.sym);
     expect(Tok::LParen);
+    std::vector<SymId> param_syms;
     if (!check(Tok::RParen)) {
       do {
-        def.params.push_back(expect(Tok::Ident).text);
+        take_name(def.params.emplace_back(), param_syms.emplace_back());
       } while (match(Tok::Comma));
     }
+    def.param_syms = NodeArray<SymId>(std::move(param_syms));
     expect(Tok::RParen);
     expect(Tok::Assign);
     def.body = parse_expr();
     for (std::size_t i = 0; i < def.params.size(); ++i) {
       for (std::size_t j = i + 1; j < def.params.size(); ++j) {
-        if (def.params[i] == def.params[j]) {
+        if (def.param_syms[i] == def.param_syms[j]) {
           fail(ErrorCode::Parse,
                "duplicate parameter `" + def.params[i] + "`", at);
         }
@@ -426,18 +471,20 @@ class Parser {
     }
     if (check(Tok::String)) {
       set_height(1, at);
-      return make_expr(at, StringLit{advance().text});
+      return make_expr(at, StringLit{std::string(advance().text)});
     }
     if (check(Tok::Ident)) {
-      std::string name = advance().text;
-      if (match(Tok::LParen)) {
+      if (peek(1).kind == Tok::LParen) {
         Call call;
-        call.callee = std::move(name);
-        call.args = parse_list(Tok::RParen, at);
+        take_name(call.callee, call.sym);
+        advance();  // (
+        call.args = NodeArray<ExprPtr>(parse_list(Tok::RParen, at));
         return make_expr(at, std::move(call));
       }
+      VarRef ref;
+      take_name(ref.name, ref.sym);
       set_height(1, at);
-      return make_expr(at, VarRef{std::move(name)});
+      return make_expr(at, std::move(ref));
     }
     if (match(Tok::LParen)) {
       ExprPtr e;
@@ -510,12 +557,96 @@ class Parser {
   int height_ = 0;
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  SymbolTable symbols_;
 };
 
 }  // namespace
 
 Block parse_block(std::string_view source) {
   return Parser(lex(source)).parse_program();
+}
+
+namespace {
+
+struct SymbolNames {
+  std::vector<std::string_view> names;
+
+  void note(SymId sym, std::string_view name) {
+    if (sym >= names.size()) names.resize(sym + 1);
+    names[sym] = name;
+  }
+
+  void expr(const Expr& e) {
+    std::visit(
+        [&](const auto& node) {
+          using T = std::decay_t<decltype(node)>;
+          if constexpr (std::is_same_v<T, VarRef>) {
+            note(node.sym, node.name);
+          } else if constexpr (std::is_same_v<T, VectorLit>) {
+            for (const auto& el : node.elements) expr(*el);
+          } else if constexpr (std::is_same_v<T, Unary>) {
+            expr(*node.operand);
+          } else if constexpr (std::is_same_v<T, Binary>) {
+            expr(*node.lhs);
+            expr(*node.rhs);
+          } else if constexpr (std::is_same_v<T, Index>) {
+            expr(*node.base);
+            expr(*node.index);
+          } else if constexpr (std::is_same_v<T, Call>) {
+            note(node.sym, node.callee);
+            for (const auto& a : node.args) expr(*a);
+          }
+        },
+        e.node);
+  }
+
+  void block(const Block& b) {
+    for (const StmtPtr& s : b) {
+      std::visit(
+          [&](const auto& node) {
+            using T = std::decay_t<decltype(node)>;
+            if constexpr (std::is_same_v<T, AssignStmt>) {
+              note(node.sym, node.target);
+              if (node.index) expr(*node.index);
+              expr(*node.value);
+            } else if constexpr (std::is_same_v<T, IfStmt>) {
+              for (const IfStmt::Arm& arm : node.arms) {
+                expr(*arm.cond);
+                block(arm.body);
+              }
+              block(node.else_body);
+            } else if constexpr (std::is_same_v<T, WhileStmt>) {
+              expr(*node.cond);
+              block(node.body);
+            } else if constexpr (std::is_same_v<T, RepeatStmt>) {
+              expr(*node.count);
+              block(node.body);
+            } else if constexpr (std::is_same_v<T, ForStmt>) {
+              note(node.sym, node.var);
+              expr(*node.from);
+              expr(*node.to);
+              if (node.step) expr(*node.step);
+              block(node.body);
+            } else if constexpr (std::is_same_v<T, FormulaDef>) {
+              note(node.sym, node.name);
+              for (std::size_t i = 0; i < node.params.size(); ++i)
+                note(node.param_syms[i], node.params[i]);
+              expr(*node.body);
+            } else if constexpr (std::is_same_v<T, ExprStmt>) {
+              expr(*node.expr);
+            }
+          },
+          s->node);
+    }
+  }
+};
+
+}  // namespace
+
+std::vector<std::string_view> symbol_names(const Block& block) {
+  SymbolNames walk;
+  walk.block(block);
+  return std::move(walk.names);
 }
 
 }  // namespace banger::pits

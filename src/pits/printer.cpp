@@ -11,7 +11,8 @@ namespace {
 
 void print_expr(const Expr& e, std::string& out);
 
-void print_args(const std::vector<ExprPtr>& args, std::string& out) {
+template <typename List>
+void print_args(const List& args, std::string& out) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i > 0) out += ", ";
     print_expr(*args[i], out);

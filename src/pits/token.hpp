@@ -6,7 +6,9 @@
 // `for/to/step`, infix arithmetic, `--` comments.
 #pragma once
 
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.hpp"
@@ -63,14 +65,20 @@ std::string_view to_string(Tok tok) noexcept;
 
 struct Token {
   Tok kind = Tok::Eof;
-  std::string text;     ///< raw lexeme (identifier name, string body)
+  /// Lexeme: a view into the source for identifiers and numbers; the
+  /// body of a string literal, with its escapes resolved.
+  std::string_view text;
   double number = 0.0;  ///< value for Tok::Number
   SourcePos pos;
+  /// Storage behind `text` for a string literal that has escapes; null
+  /// otherwise. Heap-held so `text` stays valid when the token moves.
+  std::unique_ptr<const std::string> unescaped;
 };
 
 /// Tokenizes PITS source; throws Error{Parse} on illegal characters,
 /// malformed numbers, or unterminated strings. Consecutive newlines are
-/// collapsed; a trailing Eof token is always present.
+/// collapsed; a trailing Eof token is always present. Tokens view
+/// `source`, which must outlive them.
 std::vector<Token> lex(std::string_view source);
 
 }  // namespace banger::pits

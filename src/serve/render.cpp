@@ -126,12 +126,12 @@ TrialBatchRender render_stream_batches(
   return render_blocks(outcomes, "batch", jobs);
 }
 
-CheckRender render_check(const graph::Design& design,
+CheckRender render_check(const graph::FlattenResult& flat,
                          const std::string& format,
                          const std::string& fail_on,
                          const std::string& file_label) {
   const auto diagnostics =
-      analyze::analyze_design(design, analyze::AnalyzeOptions{});
+      analyze::analyze_design(flat, analyze::AnalyzeOptions{});
   analyze::EmitOptions emit;
   emit.file = file_label;
   CheckRender r;

@@ -63,7 +63,8 @@ TrialBatchRender render_stream_batches(
 /// above the --fail-on threshold exist). `file_label` is the file name
 /// stamped into diagnostics; `format` is text|json|sarif. The severity
 /// counts back the structured `summary` object in serve responses and
-/// match the trailer of the text format.
+/// match the trailer of the text format. `flat` is the design's
+/// flattening as Design::validate() returned it.
 struct CheckRender {
   std::string text;
   int exit_code = 0;
@@ -71,7 +72,7 @@ struct CheckRender {
   std::size_t warnings = 0;
   std::size_t notes = 0;
 };
-CheckRender render_check(const graph::Design& design,
+CheckRender render_check(const graph::FlattenResult& flat,
                          const std::string& format,
                          const std::string& fail_on,
                          const std::string& file_label);

@@ -342,7 +342,7 @@ Server::Rendered Server::respond(const Request& req) {
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
       const auto design = design_artifact(cache_, design_text);
       const CheckRender r =
-          render_check(design->design, format, req.fail_on, file);
+          render_check(design->flat, format, req.fail_on, file);
       return std::make_shared<const Rendered>(Rendered{
           r.text, r.exit_code, /*has_summary=*/true, r.errors, r.warnings,
           r.notes});

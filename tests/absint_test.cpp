@@ -15,7 +15,9 @@
 #include "analyze/absint.hpp"
 #include "analyze/analyze.hpp"
 #include "graph/serialize.hpp"
+#include "pits/bytecode.hpp"
 #include "pits/interp.hpp"
+#include "workloads/designs.hpp"
 
 namespace banger::analyze {
 namespace {
@@ -384,6 +386,79 @@ TEST(AnalysisFacts, FormulaCallsAreNeverSingleTick) {
   ASSERT_EQ(body.size(), 3u);
   EXPECT_FALSE(facts.single_tick.contains(body[1].get()));
   EXPECT_TRUE(facts.single_tick.contains(body[2].get()));
+}
+
+// Front-end totals over heat 32x32's 1057 routines, pinned so that a
+// change to how names are resolved cannot move a fact or an instruction.
+TEST(AnalysisFacts, Heat32x32FactsAndChunksArePinned) {
+  const graph::Design design = workloads::heat_design(32, 32, 4);
+  const graph::FlattenResult flat = design.flatten();
+  std::size_t single_tick = 0;
+  std::size_t bound_reads = 0;
+  std::size_t safe_index = 0;
+  std::size_t safe_store = 0;
+  std::size_t instructions = 0;
+  std::size_t consts = 0;
+  std::size_t vars = 0;
+  std::size_t names = 0;
+  std::size_t registers = 0;
+  std::size_t chunks = 0;
+  for (graph::TaskId t = 0; t < flat.graph.num_tasks(); ++t) {
+    const std::string& src = flat.graph.task(t).pits;
+    if (src.empty()) continue;
+    const auto program = pits::Program::parse(src);
+    const auto facts = compute_facts(program.body());
+    single_tick += facts.single_tick.size();
+    bound_reads += facts.bound_reads.size();
+    safe_index += facts.safe_index.size();
+    safe_store += facts.safe_indexed_store.size();
+    program.precompile(facts);
+    const auto chunk = program.compiled_chunk();
+    ASSERT_NE(chunk, nullptr);
+    ++chunks;
+    instructions += chunk->main.ins.size();
+    registers += chunk->main.num_regs;
+    for (const auto& fo : chunk->formulas) {
+      instructions += fo.code.ins.size();
+      registers += fo.code.num_regs;
+    }
+    consts += chunk->consts.size();
+    vars += chunk->vars.size();
+    names += chunk->names.size();
+  }
+  EXPECT_EQ(chunks, 1057u);
+  EXPECT_EQ(single_tick, 10368u);
+  EXPECT_EQ(bound_reads, 18527u);
+  EXPECT_EQ(safe_index, 0u);
+  EXPECT_EQ(safe_store, 0u);
+  EXPECT_EQ(instructions, 55840u);
+  EXPECT_EQ(consts, 4223u);
+  EXPECT_EQ(vars, 11361u);
+  EXPECT_EQ(names, 13442u);
+  EXPECT_EQ(registers, 15555u);
+}
+
+// A declared input that is also an output, which the routine never
+// mentions, reaches the shape summary as the bound input it arrived as.
+TEST(AbsintRules, UnmentionedPassThroughPortKeepsItsSeed) {
+  const auto program = pits::Program::parse("z := 1\n");
+  RoutineContext ctx;
+  ctx.subject = "t";
+  ctx.inputs = {"v", "pi"};
+  ctx.outputs = {"v", "z", "w", "e"};
+  std::vector<Diagnostic> sink;
+  const ShapeSummary summary = run_absint_rules(program.body(), ctx, sink);
+  ASSERT_EQ(summary.outputs.size(), 4u);
+  const AbsVal& v = summary.outputs.at("v");
+  EXPECT_FALSE(v.may_unbound);
+  EXPECT_TRUE(v.must_assigned);
+  EXPECT_TRUE(summary.outputs.at("z").proven_scalar());
+  // Never assigned: an output not seeded as an input may be unbound,
+  // unless it names a calculator constant.
+  EXPECT_TRUE(summary.outputs.at("w").may_unbound);
+  EXPECT_FALSE(summary.outputs.at("e").may_unbound);
+  EXPECT_FALSE(summary.outputs.at("e").must_assigned);
+  EXPECT_TRUE(sink.empty());
 }
 
 TEST(AnalysisFacts, PrecompileOptimizedIsIdempotentAndRunnable) {

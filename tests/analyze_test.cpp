@@ -4,10 +4,15 @@
 // deterministic.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "analyze/absint.hpp"
 #include "analyze/analyze.hpp"
 #include "cli/cli.hpp"
 #include "core/lint.hpp"
@@ -15,6 +20,7 @@
 #include "graph/serialize.hpp"
 #include "pits/ast.hpp"
 #include "scoped_env.hpp"
+#include "util/strings.hpp"
 #include "workloads/designs.hpp"
 #include "workloads/lu.hpp"
 
@@ -711,6 +717,282 @@ TEST(NestingLimit, OneLevelDeeperIsRejectedWithPositions) {
               0u)
         << e.message();
   }
+}
+
+// ------------------------------------------------------- symbol edge cases
+
+/// One task `t` reading each of `ins` from its own store and writing
+/// each of `outs` to its own store; `body` lines are the routine.
+std::string one_task(std::string_view name, std::vector<std::string> ins,
+                     std::vector<std::string> outs, std::string_view body) {
+  std::string pitl = "design " + std::string(name) + "\ngraph " +
+                     std::string(name) + "\n";
+  for (const auto& v : ins) pitl += "  store in_" + v + " bytes=8\n";
+  for (const auto& v : outs) pitl += "  store out_" + v + " bytes=8\n";
+  pitl += "  task t work=1";
+  auto list = [](const std::vector<std::string>& vs) {
+    std::string joined;
+    for (const auto& v : vs) joined += (joined.empty() ? "" : ",") + v;
+    return joined;
+  };
+  if (!ins.empty()) pitl += " in=" + list(ins);
+  if (!outs.empty()) pitl += " out=" + list(outs);
+  pitl += "\n  pits {\n";
+  for (const auto line : util::split(body, '\n')) {
+    if (!line.empty()) pitl += "    " + std::string(line) + "\n";
+  }
+  pitl += "  }\n";
+  for (const auto& v : ins) {
+    pitl += "  arc in_" + v + " -> t var=" + v + " bytes=8\n";
+  }
+  for (const auto& v : outs) {
+    pitl += "  arc t -> out_" + v + " var=" + v + " bytes=8\n";
+  }
+  return pitl;
+}
+
+/// "CODE:line:column" of each diagnostic, in report order.
+std::vector<std::string> spots(const std::vector<Diagnostic>& diags) {
+  std::vector<std::string> out;
+  for (const Diagnostic& d : diags) {
+    out.push_back(d.code + ":" + std::to_string(d.pos.line) + ":" +
+                  std::to_string(d.pos.column));
+  }
+  return out;
+}
+
+// Names that stress the parser's symbol ids must keep every report the
+// analysis has always made, at the same spots.
+TEST(SymbolEdgeCases, DiagnosticsAreUnchanged) {
+  using Spots = std::vector<std::string>;
+  // Long names (past a string's inline buffer).
+  EXPECT_EQ(spots(check(one_task(
+                "long", {"input_with_a_long_name"},
+                {"another_rather_long_name"},
+                "a_rather_long_variable_name := input_with_a_long_name + 1\n"
+                "another_rather_long_name := a_rather_long_variable_name * 2\n"
+                "unused_but_quite_long_name := another_rather_long_name\n"))),
+            (Spots{"BAN009:5:1", "BAN102:9:5"}));
+  // Variables and inputs shadowing calculator constants.
+  EXPECT_EQ(spots(check(one_task("consts", {"r", "pi"}, {"area", "y"},
+                                 "area := pi * r * r\n"
+                                 "e := e + 1\n"
+                                 "y := e + golden / 0\n"))),
+            (Spots{"BAN009:7:1", "BAN009:7:1", "BAN104:11:23",
+                   "BAN005:7:1"}));
+  // Formula parameters named like task variables.
+  EXPECT_EQ(spots(check(one_task("params", {}, {"y", "z"},
+                                 "x := 5\n"
+                                 "formula f(x, y) := x * 2 + y\n"
+                                 "y := f(3, x) + x\n"
+                                 "z := f(y)\n"))),
+            (Spots{"BAN107:10:10"}));
+  // For variables read after their loops.
+  EXPECT_EQ(spots(check(one_task("forvar", {"n"}, {"y", "z"},
+                                 "s := 0\n"
+                                 "for i := 1 to n do\n"
+                                 "  s := s + i\n"
+                                 "end\n"
+                                 "y := i + s\n"
+                                 "for j := 1 to 3 do\n"
+                                 "  s := s + j\n"
+                                 "end\n"
+                                 "z := j\n"))),
+            (Spots{"BAN009:6:1", "BAN101:12:10"}));
+  // Names that differ only in case.
+  EXPECT_EQ(spots(check(one_task("case", {}, {"ABC", "y"},
+                                 "Abc := 1\n"
+                                 "abc := 2\n"
+                                 "ABC := Abc - abc\n"
+                                 "y := aBc\n"))),
+            (Spots{"BAN004:5:1"}));
+  // A declared output the routine never mentions but receives as input.
+  EXPECT_EQ(spots(check("design passthru\n"
+                        "graph passthru\n"
+                        "  store src bytes=8\n"
+                        "  store mid bytes=8\n"
+                        "  store dst bytes=8\n"
+                        "  task p work=1 out=v\n"
+                        "  pits {\n"
+                        "    v := 5\n"
+                        "  }\n"
+                        "  task t work=1 in=v out=v,z\n"
+                        "  pits {\n"
+                        "    z := 1\n"
+                        "  }\n"
+                        "  task c work=1 in=v out=w\n"
+                        "  pits {\n"
+                        "    w := v[0] + len(v)\n"
+                        "  }\n"
+                        "  arc p -> src var=v bytes=8\n"
+                        "  arc src -> t var=v bytes=8\n"
+                        "  arc t -> mid var=v bytes=8\n"
+                        "  arc mid -> c var=v bytes=8\n"
+                        "  arc c -> dst var=w bytes=8\n")),
+            (Spots{"BAN006:10:1", "BAN005:10:1"}));
+  // Interval and cross-task shape reports through long names.
+  EXPECT_EQ(
+      spots(check("design shape\n"
+                  "graph shape\n"
+                  "  store a_rather_long_output_name bytes=8\n"
+                  "  store result bytes=8\n"
+                  "  task producer_with_a_long_name work=1 "
+                  "out=a_rather_long_output_name\n"
+                  "  pits {\n"
+                  "    a_rather_long_output_name := 5\n"
+                  "    k := 0\n"
+                  "    for i := 1 to 3 do\n"
+                  "      k := k * 0\n"
+                  "    end\n"
+                  "    q := 1 / k\n"
+                  "  }\n"
+                  "  task consumer work=1 in=a_rather_long_output_name out=w\n"
+                  "  pits {\n"
+                  "    w := a_rather_long_output_name[2] + 1\n"
+                  "  }\n"
+                  "  arc producer_with_a_long_name -> "
+                  "a_rather_long_output_name "
+                  "var=a_rather_long_output_name bytes=8\n"
+                  "  arc a_rather_long_output_name -> consumer "
+                  "var=a_rather_long_output_name bytes=8\n"
+                  "  arc consumer -> result var=w bytes=8\n")),
+      (Spots{"BAN301:12:14", "BAN306:16:35", "BAN102:12:5"}));
+}
+
+// ------------------------------------------------------------- scaling
+//
+// Each test times a small and a large input, alternating, and bounds the
+// ratio of their best-of-seven times, so the bound holds in optimised
+// and sanitizer builds alike. The inputs are single-task designs, which
+// analyze_design runs on the calling thread, so the clock is that
+// thread's CPU time: other processes on a busy machine do not count.
+
+template <typename Small, typename Large>
+std::pair<double, double> best_seconds(Small&& small, Large&& large) {
+  auto seconds = [](auto&& fn) {
+    auto now = [] {
+      timespec ts{};
+      clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+      return static_cast<double>(ts.tv_sec) +
+             1e-9 * static_cast<double>(ts.tv_nsec);
+    };
+    const double start = now();
+    fn();
+    return now() - start;
+  };
+  double best_small = 1e30;
+  double best_large = 1e30;
+  for (int rep = 0; rep < 7; ++rep) {
+    best_small = std::min(best_small, seconds(small));
+    best_large = std::min(best_large, seconds(large));
+  }
+  return {best_small, best_large};
+}
+
+// One routine of `n` lines `x := a / 0`: every line is a BAN104, and
+// absint must find the earlier report at each site without rescanning
+// all of them (quadratic before).
+TEST(CheckScaling, DivisionReportsAreLinearInRoutineSize) {
+  auto design = [](int n) {
+    std::string body;
+    for (int k = 0; k < n; ++k) body += "x := a / 0\n";
+    return graph::parse_design(one_task("divs", {"a"}, {"x"}, body));
+  };
+  const graph::Design small = design(10000);
+  const graph::Design large = design(40000);
+  std::vector<Diagnostic> large_diags;
+  const auto [t_small, t_large] =
+      best_seconds([&] { (void)analyze_design(small); },
+                   [&] { large_diags = analyze_design(large); });
+  EXPECT_LE(t_large, 6 * t_small)
+      << "10k lines: " << t_small << " s, 40k lines: " << t_large << " s";
+  ASSERT_EQ(large_diags.size(), 40001u);  // one BAN104 per line + BAN009
+  EXPECT_EQ(large_diags.front().code, "BAN009");
+  for (std::size_t i = 1; i < large_diags.size(); ++i) {
+    ASSERT_EQ(large_diags[i].code, "BAN104") << i;
+    ASSERT_EQ(large_diags[i].pos.line, static_cast<int>(i) + 6);
+  }
+}
+
+// One routine assigning `n` distinct variables once each: analysis and
+// a run (the VM below 60000 names, the walker past it) stay linear.
+TEST(CheckScaling, DistinctNamesAreLinearInRoutineSize) {
+  auto routine = [](int n) {
+    std::string body;
+    for (int k = 0; k < n; ++k) {
+      body += "v" + std::to_string(k) + " := " + std::to_string(k) + "\n";
+    }
+    return body;
+  };
+  const std::string small_src = routine(7000);
+  const std::string large_src = routine(70000);
+  const graph::Design small =
+      graph::parse_design(one_task("names", {}, {"v0"}, small_src));
+  const graph::Design large =
+      graph::parse_design(one_task("names", {}, {"v0"}, large_src));
+  auto run = [](const std::string& src) {
+    pits::Env env;
+    pits::Program::parse(src).execute(env);
+    return env.size();
+  };
+  std::size_t warnings = 0;
+  std::size_t bound = 0;
+  const auto [t_small, t_large] = best_seconds(
+      [&] {
+        (void)analyze_design(small);
+        (void)run(small_src);
+      },
+      [&] {
+        warnings = analyze_design(large).size();
+        bound = run(large_src);
+      });
+  EXPECT_LE(t_large, 20 * t_small)
+      << "7k names: " << t_small << " s, 70k names: " << t_large << " s";
+  EXPECT_EQ(warnings, 69999u);  // a BAN102 for every v but the output v0
+  EXPECT_EQ(bound, 70000u);
+}
+
+// One formula per line, each called once: formula frames and scopes
+// hold only their parameters, whatever the routine's size.
+TEST(CheckScaling, FormulasAreLinearInRoutineSize) {
+  auto routine = [](int n) {
+    std::string body;
+    for (int k = 0; k < n; ++k) {
+      const std::string f = "f" + std::to_string(k);
+      body += "formula " + f + "(x) := x + " + std::to_string(k) + "\n";
+      body += "y" + std::to_string(k) + " := " + f + "(1)\n";
+    }
+    return body;
+  };
+  const std::string small_src = routine(2000);
+  const std::string large_src = routine(20000);
+  const graph::Design small =
+      graph::parse_design(one_task("formulas", {}, {"y0"}, small_src));
+  const graph::Design large =
+      graph::parse_design(one_task("formulas", {}, {"y0"}, large_src));
+  auto run = [](const std::string& src) {
+    pits::Env env;
+    const pits::Program program = pits::Program::parse(src);
+    precompile_optimized(program);
+    program.execute(env);
+    return env;
+  };
+  std::size_t warnings = 0;
+  pits::Env env;
+  const auto [t_small, t_large] = best_seconds(
+      [&] {
+        (void)analyze_design(small);
+        (void)run(small_src);
+      },
+      [&] {
+        warnings = analyze_design(large).size();
+        env = run(large_src);
+      });
+  EXPECT_LE(t_large, 20 * t_small)
+      << "2k formulas: " << t_small << " s, 20k formulas: " << t_large
+      << " s";
+  EXPECT_EQ(warnings, 19999u);  // a BAN102 for every y but the output y0
+  EXPECT_EQ(env.at("y19999"), pits::Value(20000.0));
 }
 
 }  // namespace

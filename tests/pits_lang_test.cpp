@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <variant>
+#include <vector>
 
 #include "pits/ast.hpp"
 #include "pits/token.hpp"
@@ -284,6 +287,124 @@ TEST(Analysis, ForLoopVarIsAssigned) {
   auto block = parse_block("for i := 0 to n do\ns := s + i\nend");
   const auto free = free_variables(block);
   EXPECT_EQ(free, (std::vector<std::string>{"n", "s"}));
+}
+
+// ---- symbols ----
+
+/// "name#sym" for every name-bearing node, in source order. Walks only
+/// the constructs the tests below use.
+std::vector<std::string> symbols_of(const Block& block) {
+  std::vector<std::string> out;
+  auto tag = [&](const std::string& name, SymId sym) {
+    out.push_back(name + "#" + std::to_string(sym));
+  };
+  struct Walk {
+    decltype(tag)& note;
+    void expr(const Expr& e) {
+      std::visit(
+          [&](const auto& n) {
+            using T = std::decay_t<decltype(n)>;
+            if constexpr (std::is_same_v<T, VarRef>) {
+              note(n.name, n.sym);
+            } else if constexpr (std::is_same_v<T, Call>) {
+              note(n.callee, n.sym);
+              for (const auto& a : n.args) expr(*a);
+            } else if constexpr (std::is_same_v<T, Binary>) {
+              expr(*n.lhs);
+              expr(*n.rhs);
+            } else if constexpr (std::is_same_v<T, Index>) {
+              expr(*n.base);
+              expr(*n.index);
+            }
+          },
+          e.node);
+    }
+    void block(const Block& b) {
+      for (const StmtPtr& s : b) {
+        std::visit(
+            [&](const auto& n) {
+              using T = std::decay_t<decltype(n)>;
+              if constexpr (std::is_same_v<T, AssignStmt>) {
+                note(n.target, n.sym);
+                if (n.index) expr(*n.index);
+                expr(*n.value);
+              } else if constexpr (std::is_same_v<T, ForStmt>) {
+                note(n.var, n.sym);
+                expr(*n.from);
+                expr(*n.to);
+                block(n.body);
+              } else if constexpr (std::is_same_v<T, FormulaDef>) {
+                note(n.name, n.sym);
+                for (std::size_t i = 0; i < n.params.size(); ++i)
+                  note(n.params[i], n.param_syms[i]);
+                expr(*n.body);
+              } else if constexpr (std::is_same_v<T, ExprStmt>) {
+                expr(*n.expr);
+              }
+            },
+            s->node);
+      }
+    }
+  };
+  Walk{tag}.block(block);
+  return out;
+}
+
+TEST(Symbols, DenseInFirstAppearanceOrderAcrossRoles) {
+  // A formula, its parameter, a variable and a callee that share a
+  // spelling share one id; ids count up from 0 as names first appear.
+  const Block block = parse_block(
+      "x := 5\n"
+      "formula f(x, y) := x * 2 + y\n"
+      "y := f(3, x) + x\n"
+      "for i := 0 to y do\n"
+      "  z := sqrt(i)\n"
+      "end\n"
+      "f2 := z[i]\n");
+  EXPECT_EQ(symbols_of(block),
+            (std::vector<std::string>{"x#0", "f#1", "x#0", "y#2", "x#0",
+                                      "y#2", "y#2", "f#1", "x#0", "x#0",
+                                      "i#3", "y#2", "z#4", "sqrt#5", "i#3",
+                                      "f2#6", "z#4", "i#3"}));
+  EXPECT_EQ(symbol_names(block),
+            (std::vector<std::string_view>{"x", "f", "y", "i", "z", "sqrt",
+                                           "f2"}));
+}
+
+TEST(Symbols, CaseAndLengthMatter) {
+  // Names that differ only in case are different; names longer than a
+  // string's inline buffer intern like short ones.
+  const std::string long_a(40, 'a');
+  const std::string long_b = long_a + "b";
+  const Block block = parse_block("Abc := abc + ABC\n" + long_a + " := " +
+                                  long_b + "\n" + long_b + " := " + long_a +
+                                  " + Abc\n");
+  EXPECT_EQ(symbols_of(block),
+            (std::vector<std::string>{"Abc#0", "abc#1", "ABC#2",
+                                      long_a + "#3", long_b + "#4",
+                                      long_b + "#4", long_a + "#3", "Abc#0"}));
+}
+
+TEST(Symbols, EachParseNumbersFromZero) {
+  const Block a = parse_block("p := q\n");
+  const Block b = parse_block("q := p\n");
+  EXPECT_EQ(symbols_of(a), (std::vector<std::string>{"p#0", "q#1"}));
+  EXPECT_EQ(symbols_of(b), (std::vector<std::string>{"q#0", "p#1"}));
+  EXPECT_TRUE(symbol_names(parse_block("")).empty());
+}
+
+TEST(Symbols, ManyDistinctNames) {
+  // Enough names to grow the parser's table several times.
+  std::string src;
+  for (int k = 0; k < 5000; ++k) {
+    src += "v" + std::to_string(k) + " := v" + std::to_string(k / 2) + "\n";
+  }
+  const Block block = parse_block(src);
+  const auto names = symbol_names(block);
+  ASSERT_EQ(names.size(), 5000u);
+  for (int k = 0; k < 5000; ++k) {
+    ASSERT_EQ(names[static_cast<std::size_t>(k)], "v" + std::to_string(k));
+  }
 }
 
 }  // namespace

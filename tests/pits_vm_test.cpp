@@ -187,6 +187,64 @@ TEST(PitsVmDifferential, InputsFlowThrough) {
   expect_identical("x := pi + 1\n", shadow);
 }
 
+// Routines whose names stress the parser's symbol ids: long names,
+// constants shadowed by variables and inputs, formula parameters that
+// share a task variable's name, a for variable read after its loop,
+// names that differ only in case. Each also pins the value the engines
+// have always produced.
+TEST(PitsVmDifferential, SymbolEdgeCases) {
+  struct Case {
+    const char* src;
+    Env inputs;
+    const char* name;
+    Value want;
+  };
+  const std::string long_a(24, 'a');
+  const std::string long_b = long_a + "_b";
+  const std::string long_src = long_a + " := input_with_a_long_name + 1\n" +
+                               long_b + " := " + long_a + " * 2\n";
+  const Case cases[] = {
+      {long_src.c_str(), {{"input_with_a_long_name", 4.0}}, long_b.c_str(),
+       10.0},
+      {"area := pi * r * r\ne := e + 1\n", {{"r", 2.0}, {"pi", 3.0}},
+       "area", 12.0},
+      {"e := e + 1\ny := e * golden\n", {}, "y",
+       (2.71828182845904523536 + 1) * 1.61803398874989484820},
+      {"x := 5\nformula f(x, y) := x * 2 + y\ny := f(3, x) + x\n", {}, "y",
+       16.0},
+      {"formula g(pi) := pi + 1\nz := g(2) + pi\n", {}, "z",
+       3 + 3.14159265358979323846},
+      {"s := 0\nfor i := 1 to n do\n  s := s + i\nend\ny := i + s\n",
+       {{"n", 4.0}}, "y", 14.0},
+      {"Abc := 1\nabc := 2\nABC := Abc - abc\n", {}, "ABC", -1.0},
+  };
+  for (const Case& c : cases) {
+    expect_identical(c.src, c.inputs);
+    Env env = c.inputs;
+    Program::parse(c.src).execute(env);
+    EXPECT_EQ(env.at(c.name), c.want) << c.src;
+  }
+  // A for variable read after a loop that never ran is still unbound.
+  expect_identical("for i := 1 to 0 do\n  s := i\nend\ny := i\n");
+}
+
+// More distinct names than the VM's 16-bit operands address: the chunk
+// is refused and the walker runs the routine, with the same results.
+TEST(PitsVmDifferential, SeventyThousandNamesFallBackToTheWalker) {
+  std::string src;
+  for (int k = 0; k < 70000; ++k) {
+    src += "v" + std::to_string(k) + " := " + std::to_string(k) + "\n";
+  }
+  src += "total := v0 + v69999\n";
+  const Program program = Program::parse(src);
+  EXPECT_EQ(program.compiled_chunk(), nullptr);
+  Env env;
+  program.execute(env);
+  EXPECT_EQ(env.size(), 70001u);
+  EXPECT_EQ(env.at("total"), Value(69999.0));
+  expect_identical(src);
+}
+
 TEST(PitsVmDifferential, StepLimitAbortsIdentically) {
   // Loop-heavy program; sweep tight limits so the abort lands on every
   // kind of tick site (statement, loop back-edge, formula call).

@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """Hostile-input smoke test for `banger serve` over stdio.
 
-Pipes five request lines into one server: a line past the 64 MiB
+Pipes six request lines into one server: a line past the 64 MiB
 request-line limit, a trial whose formula recursion is too deep for the
 tree-walker, an upload of a 200k-level design hierarchy, a trial on the
 default engine (the VM) whose formula recursion nests builtin calls too
-deep for it, and a ping. The first four must each get a positioned
-`limit` error envelope, the ping must be answered `pong`, and the
-server must exit 0.
+deep for it, a `check` of one routine with 40k division-by-zero lines,
+and a ping. The first four must each get a positioned `limit` error
+envelope. The check must report all 40k divisions within 30 s (its
+cost once grew with the square of the reports). The ping must be
+answered `pong`, and the server must exit 0.
 
 Usage: python3 tests/serve_hostile_smoke.py path/to/banger
 """
 import json
 import subprocess
 import sys
+import time
 
 LINE_LIMIT = 64 << 20
 
@@ -44,6 +47,19 @@ def vm_recursion_design():
     return deep_formula_design("abs(", ")", 95)
 
 
+def division_design(lines=40_000):
+    # One BAN104 per line, plus BAN009 for the unbound input `a`.
+    body = "    x := a / 0\n" * lines
+    return ("design divs\n"
+            "graph divs\n"
+            "  store in_a bytes=8\n"
+            "  store out_x bytes=8\n"
+            "  task t work=1 in=a out=x\n"
+            "  pits {\n" + body + "  }\n"
+            "  arc in_a -> t var=a bytes=8\n"
+            "  arc t -> out_x var=x bytes=8\n")
+
+
 def deep_hierarchy_design(levels=200_000):
     parts = ["design chain\n"]
     for i in range(levels - 1):
@@ -64,11 +80,15 @@ def main():
                     "text": deep_hierarchy_design()}).encode(),
         json.dumps({"id": "vm", "op": "trial",
                     "design": vm_recursion_design()}).encode(),
+        json.dumps({"id": "check", "op": "check",
+                    "design": division_design()}).encode(),
         json.dumps({"id": "ping", "op": "ping"}).encode(),
     ]
+    started = time.monotonic()
     proc = subprocess.run([sys.argv[1], "serve"],
                           input=b"\n".join(lines) + b"\n",
                           capture_output=True, timeout=300, check=False)
+    elapsed = time.monotonic() - started
     responses = [json.loads(r) for r in proc.stdout.decode().splitlines()]
     failures = []
     if proc.returncode != 0:
@@ -83,8 +103,17 @@ def main():
                 or error.get("code") != "limit" or "line" not in error):
             failures.append(f"expected a positioned limit error for "
                             f"{want_id!r}, got {json.dumps(resp)[:400]}")
-    if len(responses) == len(lines) and responses[4].get("output") != "pong":
-        failures.append(f"ping not answered: {json.dumps(responses[4])}")
+    if len(responses) == len(lines):
+        check = responses[4]
+        summary = check.get("summary", {})
+        if (check.get("id") != "check" or check.get("ok") is not True
+                or check.get("exit") != 1 or summary.get("errors") != 40_001):
+            failures.append(f"expected 40001 errors from the check, got "
+                            f"{json.dumps(check)[:400]}")
+        if elapsed > 30:
+            failures.append(f"the requests took {elapsed:.1f} s")
+        if responses[5].get("output") != "pong":
+            failures.append(f"ping not answered: {json.dumps(responses[5])}")
     for failure in failures:
         print("FAIL:", failure)
     if failures:

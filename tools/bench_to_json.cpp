@@ -39,6 +39,8 @@ const char* const kHotBenchmarks[] = {
     "BM_PitsCompile",
     "BM_AnalyzeDesign/real_time",
     "BM_CompileDesignCold/real_time",
+    "BM_PitsFrontEnd",
+    "BM_ParseDesign",
     "BM_ExecRunAlternating/real_time",
     "BM_ExecRunVm",
     "BM_ExecRunBatch/4096",
