@@ -438,6 +438,30 @@ void BM_ExecStream(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecStream)->Arg(64)->Arg(1024)->UseRealTime();
 
+// One warm scheduled run of heat 32x32 (1057 tiny tasks) under MH on a
+// 4-processor hypercube: what `banger run` pays once the routines are
+// compiled. Executor::run is the stream runtime on one batch, so this
+// guards that path. Wall time: the lanes run on worker threads.
+void BM_ExecRunScheduled(benchmark::State& state) {
+  const auto flat = workloads::heat_design(32, 32, 4).flatten();
+  machine::MachineParams params;
+  params.processor_speed = 1.0;
+  params.message_startup = 0.05;
+  params.bytes_per_second = 1024;
+  const machine::Machine m(machine::Topology::hypercube(2), params);
+  const auto schedule = sched::MhScheduler().run(flat.graph, m);
+  pits::Vector rod(128, 0.0);
+  for (std::size_t i = 0; i < rod.size(); i += 16) rod[i] = 100.0;
+  const std::map<std::string, pits::Value> inputs = {
+      {"rod", pits::Value(std::move(rod))}};
+  const exec::Executor executor(flat, m);
+  benchmark::DoNotOptimize(executor.run(schedule, inputs));  // compile once
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(executor.run(schedule, inputs));
+  }
+}
+BENCHMARK(BM_ExecRunScheduled)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // FRONT END — the per-routine work of `banger check` and of a cold
 // `banger trial` on the 32x32 heat rod (1057 routines), which fans out
 // over util::default_jobs() workers (BANGER_JOBS sets the width). Wall

@@ -1,69 +1,101 @@
 #include "exec/executor.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "exec/plan.hpp"
 #include "obs/trace.hpp"
-#include "pits/bytecode.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
-#include "util/strings.hpp"
 
 namespace banger::exec {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using pits::Env;
-using pits::Value;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-}  // namespace
-
-RunResult run_sequential(const FlattenResult& flat,
-                         const std::map<std::string, pits::Value>& inputs,
-                         const RunOptions& options) {
-  const DesignPlan plan = build_plan(flat, options, TakePlan{});
+/// One trial: every task once, in topological order, on the calling
+/// thread. Throws the first task error.
+RunResult run_trial(const FlattenResult& flat, const DesignPlan& plan,
+                    const std::vector<TaskId>& order,
+                    const ExternalInputs& external, const RunOptions& options,
+                    TaskScratch& scratch) {
   const auto t0 = Clock::now();
-
   RunResult result;
-  obs::TraceRecorder* rec = obs::current();
-  TaskScratch scratch;
   std::vector<std::optional<TaskOutputs>> task_outputs(flat.graph.num_tasks());
-  for (TaskId t : flat.graph.topo_order()) {
-    Env env;
+  for (TaskId t : order) {
+    pits::Env env;
     const bool slots =
-        bind_task(flat, plan, t, inputs, task_outputs, scratch, env);
+        bind_task(flat, plan, t, external, task_outputs, scratch, env);
     TaskRun run;
     run.task = t;
     run.proc = 0;
     run.wall_start = seconds_since(t0);
-    task_outputs[t] =
-        execute_task(flat, plan, t, slots, std::move(env), scratch, options,
-                     inputs, task_outputs, &result.transcript);
+    task_outputs[t] = execute_task(flat, plan, t, slots, std::move(env),
+                                   scratch, options, external, task_outputs,
+                                   &result.transcript);
     run.wall_finish = seconds_since(t0);
-    if (rec) {
-      rec->span(obs::Domain::Wall, obs::kTrackExec, 0, run.wall_start,
-                run.wall_finish, flat.graph.task(t).name, "task");
-      rec->bump("exec.tasks");
-    }
     result.runs.push_back(run);
   }
-  collect_stores(flat, plan, task_outputs, inputs, result);
+  collect_stores(flat, plan, task_outputs, external, result);
   result.wall_seconds = seconds_since(t0);
-  if (rec) {
-    rec->bump("exec.runs");
-    rec->bump("exec.wall_seconds", result.wall_seconds);
+  return result;
+}
+
+}  // namespace
+
+void record_run(obs::TraceRecorder& rec, const graph::TaskGraph& g,
+                const RunResult& result) {
+  // Where each task's first copy finished: the source of its flows.
+  std::vector<const TaskRun*> first(g.num_tasks(), nullptr);
+  for (const TaskRun& run : result.runs) {
+    const TaskRun*& f = first[run.task];
+    if (f == nullptr || run.wall_finish < f->wall_finish) f = &run;
   }
+  for (const TaskRun& run : result.runs) {
+    std::string args = "\"proc\": " + std::to_string(run.proc);
+    if (run.duplicate) args += ", \"duplicate\": true";
+    if (run.rescued) args += ", \"rescued\": true";
+    rec.span(obs::Domain::Wall, obs::kTrackExec, run.proc, run.wall_start,
+             run.wall_finish, g.task(run.task).name, "task", args);
+    for (graph::EdgeId e : g.in_edges(run.task)) {
+      const TaskRun* from = first[g.edge(e).from];
+      if (from == nullptr || from->proc == run.proc) continue;
+      const std::string name = "edge" + std::to_string(e);
+      rec.flow_point(obs::Domain::Wall, obs::kTrackExec, from->proc,
+                     from->wall_finish, true, static_cast<int>(e), name,
+                     "msg");
+      rec.flow_point(obs::Domain::Wall, obs::kTrackExec, run.proc,
+                     run.wall_start, false, static_cast<int>(e), name, "msg");
+      rec.bump("exec.messages");
+    }
+  }
+  rec.bump("exec.tasks", static_cast<double>(result.runs.size()));
+  rec.bump("exec.runs");
+  rec.bump("exec.wall_seconds", result.wall_seconds);
+  rec.bump("exec.workers_died", static_cast<double>(result.workers_died));
+  rec.bump("exec.tasks_rescued", static_cast<double>(result.tasks_rescued));
+}
+
+RunResult run_sequential(const FlattenResult& flat,
+                         const std::map<std::string, pits::Value>& inputs,
+                         const RunOptions& options) {
+  const DesignPlan plan = build_plan(flat, options);
+  obs::TraceRecorder* rec = obs::current();
+  TaskScratch scratch;
+  RunResult result;
+  try {
+    result = run_trial(flat, plan, flat.graph.topo_order(), inputs, options,
+                       scratch);
+  } catch (const Error&) {
+    if (rec) rec->bump("exec.worker_failures");
+    throw;
+  }
+  if (rec) record_run(*rec, flat.graph, result);
   return result;
 }
 
@@ -71,7 +103,7 @@ std::vector<TrialOutcome> run_trials(
     const FlattenResult& flat,
     const std::vector<std::map<std::string, pits::Value>>& inputs,
     const RunOptions& options, int jobs) {
-  const DesignPlan plan = build_plan(flat, options, TakePlan{});
+  const DesignPlan plan = build_plan(flat, options);
   const std::vector<TaskId> order = flat.graph.topo_order();
   obs::TraceRecorder* rec = obs::current();
 
@@ -79,28 +111,8 @@ std::vector<TrialOutcome> run_trials(
                        TaskScratch& scratch) -> TrialOutcome {
     TrialOutcome out;
     try {
-      const auto t0 = Clock::now();
-      RunResult result;
-      std::vector<std::optional<TaskOutputs>> task_outputs(
-          flat.graph.num_tasks());
-      for (TaskId t : order) {
-        Env env;
-        const bool slots =
-            bind_task(flat, plan, t, external, task_outputs, scratch, env);
-        TaskRun run;
-        run.task = t;
-        run.proc = 0;
-        run.wall_start = seconds_since(t0);
-        task_outputs[t] =
-            execute_task(flat, plan, t, slots, std::move(env), scratch,
-                         options, external, task_outputs, &result.transcript);
-        run.wall_finish = seconds_since(t0);
-        result.runs.push_back(run);
-      }
-      collect_stores(flat, plan, task_outputs, external, result);
-      result.wall_seconds = seconds_since(t0);
+      out.result = run_trial(flat, plan, order, external, options, scratch);
       out.ok = true;
-      out.result = std::move(result);
     } catch (const Error& e) {
       // Exactly what the one-shot run would have thrown for this input;
       // neighbouring trials are unaffected.
@@ -136,315 +148,14 @@ Executor::Executor(const FlattenResult& flat, const Machine& machine)
 RunResult Executor::run(const Schedule& schedule,
                         const std::map<std::string, pits::Value>& inputs,
                         const RunOptions& options) const {
-  const graph::TaskGraph& g = flat_.graph;
-  if (schedule.num_procs() != machine_.num_procs()) {
-    fail(ErrorCode::Schedule, "schedule/machine processor count mismatch");
-  }
-  const fault::FaultPlan* plan =
-      (options.faults != nullptr && !options.faults->empty()) ? options.faults
-                                                              : nullptr;
-  if (plan != nullptr) plan->validate(machine_.num_procs());
-
-  // Takes are counted per scheduled run: duplicate copies re-bind the
-  // same producer value and the duplicate cross-check below re-reads it,
-  // both reflected in the use counts; an active fault plan disables
-  // moves entirely (rescue re-binds are unpredictable).
-  const DesignPlan design =
-      build_plan(flat_, options, TakePlan{true, &schedule, plan != nullptr});
-
-  // Per-processor lanes in schedule order.
-  std::vector<std::vector<sched::Placement>> lanes = schedule.lanes();
-  {
-    std::vector<int> seen(g.num_tasks(), 0);
-    for (const auto& lane : lanes)
-      for (const auto& pl : lane)
-        if (!pl.duplicate) ++seen[pl.task];
-    for (TaskId t = 0; t < g.num_tasks(); ++t) {
-      if (seen[t] != 1) {
-        fail(ErrorCode::Schedule, "task `" + g.task(t).name +
-                                      "` has no unique primary placement");
-      }
-    }
-  }
-
-  // Shared state.
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<std::optional<TaskOutputs>> task_outputs(g.num_tasks());
-  std::vector<bool> completed(g.num_tasks(), false);
-  // Where and when each task's primary copy completed (for the trace
-  // layer's cross-processor flow arrows). Guarded by `mutex`.
-  std::vector<ProcId> completed_on(g.num_tasks(), -1);
-  std::vector<double> completed_at(g.num_tasks(), 0.0);
-  std::size_t completed_count = 0;
-  std::vector<sched::Placement> orphans;  // stranded lanes of dead workers
-  bool failed = false;
-  // Bumped (with a broadcast) on every state change a waiting worker
-  // could care about — completion, failure, worker death — so idle
-  // workers wake immediately instead of discovering progress at the
-  // next rescue-poll tick. Guarded by `mutex`.
-  std::uint64_t activity = 0;
-  // Every worker-thread failure, in arrival order. The first one is
-  // rethrown after the join with its processor attached; the rest are
-  // preserved in the trace layer instead of being dropped.
-  struct WorkerFailure {
-    ProcId proc = -1;
-    ErrorCode code = ErrorCode::Runtime;
-    std::string message;
-    SourcePos pos;
-  };
-  std::vector<WorkerFailure> failures;
+  TrialOutcome out = run_batch(flat_, schedule, machine_, inputs, options);
   obs::TraceRecorder* rec = obs::current();
-  RunResult result;
-  const auto t0 = Clock::now();
-  // Pure fallback under a fault plan: orphan adoptability can change
-  // with time-based crash schedules, so idle rescuers still rescan at
-  // this cadence even with no new activity.
-  const auto poll =
-      std::chrono::duration<double>(std::max(1e-4, options.rescue_poll_seconds));
-
-  auto preds_done = [&](TaskId t) {
-    for (graph::EdgeId e : g.in_edges(t)) {
-      if (!completed[g.edge(e).from]) return false;
-    }
-    return true;
-  };
-
-  // Mutex held: claims the first orphan whose inputs are available,
-  // discarding orphans of tasks that completed meanwhile.
-  auto claim_orphan = [&]() -> std::optional<sched::Placement> {
-    for (std::size_t i = 0; i < orphans.size();) {
-      if (completed[orphans[i].task]) {
-        orphans.erase(orphans.begin() + static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      if (preds_done(orphans[i].task)) {
-        const sched::Placement pl = orphans[i];
-        orphans.erase(orphans.begin() + static_cast<std::ptrdiff_t>(i));
-        return pl;
-      }
-      ++i;
-    }
-    return std::nullopt;
-  };
-
-  // Runs one placement on `proc` (predecessors must already be complete)
-  // and records the outcome.
-  auto execute_placement = [&](const sched::Placement& pl, ProcId proc,
-                               bool rescued, TaskScratch& scratch) {
-    const TaskId t = pl.task;
-    Env env;
-    bool slots = false;
-    {
-      std::lock_guard lock(mutex);
-      if (failed) return;
-      slots = bind_task(flat_, design, t, inputs, task_outputs, scratch, env);
-    }
-
-    TaskRun run;
-    run.task = t;
-    run.proc = proc;
-    run.duplicate = pl.duplicate;
-    run.rescued = rescued;
-    run.wall_start = seconds_since(t0);
-    std::string transcript;
-    TaskOutputs outputs =
-        execute_task(flat_, design, t, slots, std::move(env), scratch,
-                     options, inputs, task_outputs, &transcript);
-    run.wall_finish = seconds_since(t0);
-
-    if (rec) {
-      std::string args = "\"proc\": " + std::to_string(proc);
-      if (pl.duplicate) args += ", \"duplicate\": true";
-      if (rescued) args += ", \"rescued\": true";
-      rec->span(obs::Domain::Wall, obs::kTrackExec, proc, run.wall_start,
-                run.wall_finish, g.task(t).name, "task", args);
-      rec->bump("exec.tasks");
-      // Cross-processor input flows: one arrow per in-edge whose
-      // producer finished on another processor (the executor's moral
-      // equivalent of a message send).
-      std::lock_guard lock(mutex);
-      for (graph::EdgeId e : g.in_edges(t)) {
-        const TaskId from = g.edge(e).from;
-        if (completed_on[from] < 0 || completed_on[from] == proc) continue;
-        const std::string name = "edge" + std::to_string(e);
-        rec->flow_point(obs::Domain::Wall, obs::kTrackExec,
-                        completed_on[from], completed_at[from], true,
-                        static_cast<int>(e), name, "msg");
-        rec->flow_point(obs::Domain::Wall, obs::kTrackExec, proc,
-                        run.wall_start, false, static_cast<int>(e), name,
-                        "msg");
-        rec->bump("exec.messages");
-      }
-    }
-
-    std::lock_guard lock(mutex);
-    if (failed) return;
-    if (!completed[t]) {
-      task_outputs[t] = std::move(outputs);
-      completed[t] = true;
-      completed_on[t] = proc;
-      completed_at[t] = run.wall_finish;
-      ++completed_count;
-      result.transcript += transcript;
-    } else if (task_outputs[t].has_value() && !(*task_outputs[t] == outputs)) {
-      // Duplicate copies must agree — PITS is deterministic.
-      fail(ErrorCode::Runtime, "duplicate copies of task `" +
-                                   g.task(t).name +
-                                   "` produced different outputs");
-    }
-    if (rescued) {
-      ++result.tasks_rescued;
-      result.recovery_overhead_seconds += run.wall_finish - run.wall_start;
-    }
-    result.runs.push_back(run);
-    ++activity;
-    cv.notify_all();
-  };
-
-  // Structured failure path: record what died where (trace layer +
-  // failure list) instead of swallowing the exception anonymously; the
-  // first failure is rethrown after the join.
-  auto worker_failed = [&](ProcId proc, ErrorCode code, std::string message,
-                           SourcePos pos) {
-    if (rec) {
-      rec->instant(obs::Domain::Wall, obs::kTrackExec, proc,
-                   seconds_since(t0), "worker failure", "error",
-                   "\"proc\": " + std::to_string(proc) + ", \"message\": \"" +
-                       obs::json_escape(message) + "\"");
-      rec->bump("exec.worker_failures");
-    }
-    std::lock_guard lock(mutex);
-    failures.push_back({proc, code, std::move(message), pos});
-    failed = true;
-    ++activity;
-    cv.notify_all();
-  };
-
-  auto worker = [&](ProcId proc) {
-    // The ambient recorder is thread-local: adopt the launching
-    // thread's recorder so PITS engine counters bumped inside task
-    // routines land in the same place they would for a sequential run.
-    std::optional<obs::ScopedRecorder> ambient;
-    if (rec != nullptr) ambient.emplace(*rec);
-    TaskScratch scratch;
-    try {
-      const auto& lane = lanes[static_cast<std::size_t>(proc)];
-      std::optional<double> crash_at;
-      if (plan != nullptr) crash_at = plan->crash_time(proc);
-
-      for (std::size_t i = 0; i < lane.size(); ++i) {
-        const sched::Placement& pl = lane[i];
-        if (crash_at.has_value() && pl.start >= *crash_at - 1e-12) {
-          // Fail-stop: this worker dies here; the rest of its lane is
-          // stranded for the survivors to adopt.
-          std::lock_guard lock(mutex);
-          ++result.workers_died;
-          orphans.insert(orphans.end(), lane.begin() + static_cast<std::ptrdiff_t>(i),
-                         lane.end());
-          ++activity;
-          cv.notify_all();
-          return;
-        }
-
-        // Wait for predecessors; under a fault plan, rescue stranded
-        // work instead of sleeping.
-        {
-          std::unique_lock lock(mutex);
-          if (plan == nullptr) {
-            cv.wait(lock, [&] { return failed || preds_done(pl.task); });
-            if (failed) return;
-          } else {
-            for (;;) {
-              if (failed) return;
-              if (preds_done(pl.task)) break;
-              if (auto orphan = claim_orphan()) {
-                lock.unlock();
-                execute_placement(*orphan, proc, /*rescued=*/true, scratch);
-                lock.lock();
-                continue;
-              }
-              // Sleep until something happens (a completion may unblock
-              // this task or make an orphan adoptable); the timeout is
-              // only the fault-plan rescan fallback.
-              const std::uint64_t seen = activity;
-              cv.wait_for(lock, poll,
-                          [&] { return failed || activity != seen; });
-            }
-          }
-        }
-        execute_placement(pl, proc, /*rescued=*/false, scratch);
-      }
-
-      // Own lane done: survivors drain the orphan queue until the whole
-      // program has completed.
-      if (plan != nullptr) {
-        std::unique_lock lock(mutex);
-        for (;;) {
-          if (failed || completed_count == g.num_tasks()) return;
-          if (auto orphan = claim_orphan()) {
-            lock.unlock();
-            execute_placement(*orphan, proc, /*rescued=*/true, scratch);
-            lock.lock();
-            continue;
-          }
-          const std::uint64_t seen = activity;
-          cv.wait_for(lock, poll, [&] { return failed || activity != seen; });
-        }
-      }
-    } catch (const Error& e) {
-      worker_failed(proc, e.code(), e.message(), e.pos());
-    } catch (const std::exception& e) {
-      worker_failed(proc, ErrorCode::Runtime, e.what(), {});
-    } catch (...) {
-      worker_failed(proc, ErrorCode::Runtime,
-                    "non-standard exception in worker thread", {});
-    }
-  };
-
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(lanes.size());
-    for (ProcId p = 0; p < machine_.num_procs(); ++p) {
-      if (!lanes[static_cast<std::size_t>(p)].empty()) {
-        threads.emplace_back(worker, p);
-      }
-    }
-  }  // join
-
-  if (failed) {
-    BANGER_ASSERT(!failures.empty(), "failed set without a recorded failure");
-    const WorkerFailure& first = failures.front();
-    std::string message =
-        "worker " + std::to_string(first.proc) + ": " + first.message;
-    if (failures.size() > 1) {
-      message += " (and " + std::to_string(failures.size() - 1) +
-                 " more worker failure" + (failures.size() > 2 ? "s" : "") +
-                 ")";
-    }
-    fail(first.code, std::move(message), first.pos);
+  if (!out.ok) {
+    if (rec) rec->bump("exec.worker_failures");
+    fail(out.error_code, std::move(out.error), out.error_pos);
   }
-  if (plan != nullptr && completed_count != g.num_tasks()) {
-    fail(ErrorCode::Runtime,
-         "all capable workers crashed: " +
-             std::to_string(g.num_tasks() - completed_count) +
-             " tasks never executed");
-  }
-
-  std::sort(result.runs.begin(), result.runs.end(),
-            [](const TaskRun& a, const TaskRun& b) {
-              return a.wall_start < b.wall_start;
-            });
-  collect_stores(flat_, design, task_outputs, inputs, result);
-  result.wall_seconds = seconds_since(t0);
-  if (rec) {
-    rec->bump("exec.runs");
-    rec->bump("exec.wall_seconds", result.wall_seconds);
-    rec->bump("exec.workers_died", static_cast<double>(result.workers_died));
-    rec->bump("exec.tasks_rescued",
-              static_cast<double>(result.tasks_rescued));
-  }
-  return result;
+  if (rec) record_run(*rec, flat_.graph, out.result);
+  return std::move(out.result);
 }
 
 }  // namespace banger::exec

@@ -4,10 +4,12 @@
 //
 //   run_sequential  — one thread, topological order: the environment's
 //                     "trial run of an entire program" feedback feature.
-//   Executor::run   — one host thread per machine processor, tasks
-//                     executed in schedule lane order, values flowing
-//                     through thread-safe mailboxes: the stand-in for the
-//                     code generators the paper left as future work.
+//                     It is one trial of run_trials.
+//   Executor::run   — the schedule's placements as per-processor lanes,
+//                     run in schedule order on worker threads as a
+//                     stream of one batch (exec/stream.hpp): the
+//                     stand-in for the code generators the paper left as
+//                     future work.
 //
 // Task semantics: a task's PITS routine sees its declared input variables
 // bound (from predecessor outputs or from the design's input stores) and
@@ -36,29 +38,25 @@ using sched::Schedule;
 
 struct RunOptions {
   pits::ExecOptions pits;  ///< step limit / seed base for task routines
-  /// Capture print() output (per task, stitched in completion order).
+  /// Capture print() output (per task, stitched in run order).
   /// Turning this off only drops the transcript text; `runs` and all
   /// other result fields are still populated.
   bool capture_transcript = true;
   /// Optional fault plan: a worker whose processor has a registered
   /// crash fail-stops at the first lane placement whose *scheduled*
-  /// start is at or past the crash time (so injection is deterministic
-  /// regardless of wall-clock jitter). Surviving workers adopt the dead
-  /// worker's stranded tasks. Not owned; must outlive run().
+  /// start is at or past the crash time, so injection does not depend
+  /// on wall-clock jitter. The rest of its lane is rescued by the
+  /// lowest-numbered processor whose lane did not crash. Not owned; must
+  /// outlive run().
   const fault::FaultPlan* faults = nullptr;
-  /// Fault-plan rescan fallback only: completion and failure always
-  /// notify waiting workers immediately, so this bounds how long an
-  /// idle rescuer can sleep before re-scanning the orphan queue even
-  /// when nothing new has happened.
-  double rescue_poll_seconds = 0.01;
 };
 
 struct TaskRun {
   TaskId task = graph::kNoTask;
   ProcId proc = -1;
   bool duplicate = false;
-  bool rescued = false;      ///< re-run by a survivor after a worker died
-  double wall_start = 0.0;   ///< seconds since run start
+  bool rescued = false;      ///< run by a survivor after a worker died
+  double wall_start = 0.0;   ///< seconds since the run (batch) started
   double wall_finish = 0.0;
 };
 
@@ -73,13 +71,13 @@ struct RunResult {
   // ---- Fault recovery accounting (non-zero only with RunOptions::faults).
   int workers_died = 0;
   std::size_t tasks_rescued = 0;
-  /// Wall seconds survivors spent re-running stranded work.
+  /// Wall seconds survivors spent running rescued work.
   double recovery_overhead_seconds = 0.0;
 };
 
-/// One-thread reference execution in topological order. Throws the first
-/// task error (Error{Runtime}/Error{Type}/...) with the task name in the
-/// message.
+/// One-thread reference execution in topological order: one trial of
+/// run_trials. Throws the first task error (Error{Runtime}/Error{Type}/
+/// ...) with the task name in the message.
 RunResult run_sequential(const FlattenResult& flat,
                          const std::map<std::string, pits::Value>& inputs,
                          const RunOptions& options = {});
@@ -113,11 +111,13 @@ class Executor {
  public:
   Executor(const FlattenResult& flat, const Machine& machine);
 
-  /// Runs on real threads (one per processor the schedule uses). Throws
-  /// the first task error after all workers have stopped. The result's
-  /// outputs are bitwise identical to run_sequential's — including under
-  /// an injected worker crash, as long as at least one worker survives
-  /// (all workers dead is Error{Runtime}).
+  /// Runs each processor's lane in schedule order on worker threads, no
+  /// more than the lanes or util::default_jobs(). Throws the
+  /// earliest-scheduled task error as "worker P: " + the message
+  /// run_sequential gives, P being the processor that ran the task. Stores and outputs are bitwise identical to
+  /// run_sequential's, also under an injected crash as long as one
+  /// processor's lane survives (all crashed is Error{Runtime}); the
+  /// transcript and `runs` follow schedule order.
   [[nodiscard]] RunResult run(
       const Schedule& schedule,
       const std::map<std::string, pits::Value>& inputs,

@@ -279,8 +279,7 @@ ProgramCache& program_cache() {
 
 // ---- design plans ----------------------------------------------------
 
-DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options,
-                      const TakePlan& takes) {
+DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options) {
   const graph::TaskGraph& g = flat.graph;
   DesignPlan plan;
   plan.vm_engine = pits::resolve_engine(options.pits.engine) ==
@@ -409,69 +408,40 @@ DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options,
       }
     }
   }
-  // Count every read of each produced value over the whole run —
-  // consumer bindings (weighted by how many scheduled copies of the
-  // consumer execute), pass-through re-resolves at collection time, and
-  // store writers. A value read exactly once can be moved to its
-  // consumer instead of copied, which matters when tasks hand large
+  // Count every read of each produced value in a run that executes each
+  // task once: consumer bindings, pass-through re-resolves at collection
+  // time, and store writers. A value read exactly once can be moved to
+  // its consumer instead of copied, which matters when tasks hand large
   // vectors down a chain.
-  if (takes.allow) {
-    // How many times each task executes: once without a schedule, once
-    // per placement (duplicates included) with one.
-    std::vector<std::uint32_t> mult(g.num_tasks(), 1);
-    if (takes.schedule != nullptr) {
-      for (TaskId t = 0; t < g.num_tasks(); ++t) {
-        const std::size_t copies = takes.schedule->copies_of(t).size();
-        mult[t] = copies == 0 ? 1u : static_cast<std::uint32_t>(copies);
+  std::vector<std::vector<std::uint32_t>> uses(g.num_tasks());
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    uses[t].assign(g.task(t).outputs.size(), 0);
+  }
+  auto count_use = [&](const InputBinding& b) {
+    if (b.kind == InputBinding::Kind::Producer &&
+        b.producer_out < uses[b.producer].size()) {
+      ++uses[b.producer][b.producer_out];
+    }
+  };
+  for (const TaskPlan& tp : plan.tasks) {
+    for (const InputBinding& b : tp.inputs) count_use(b);
+    for (const OutputPlan& op : tp.outputs) {
+      if (op.pass_input >= 0) {
+        count_use(tp.inputs[static_cast<std::size_t>(op.pass_input)]);
       }
     }
-    // An active fault plan allows rescue re-runs, which re-bind every
-    // consumed value once more; doubling each consumer's weight pushes
-    // every producer-bound value to >= 2 uses, disabling all takes.
-    const std::uint32_t fault_factor = takes.faults ? 2u : 1u;
-    std::vector<std::vector<std::uint32_t>> uses(g.num_tasks());
-    for (TaskId t = 0; t < g.num_tasks(); ++t) {
-      uses[t].assign(g.task(t).outputs.size(), 0);
+  }
+  // collect_stores reads each writer's stored output once at the end.
+  for (const auto& writers : plan.store_writers) {
+    for (const StoreWriter& w : writers) {
+      if (w.out < uses[w.task].size()) ++uses[w.task][w.out];
     }
-    auto count_use = [&](const InputBinding& b, std::uint32_t weight) {
-      if (b.kind == InputBinding::Kind::Producer &&
-          b.producer_out < uses[b.producer].size()) {
-        uses[b.producer][b.producer_out] += weight;
-      }
-    };
-    for (TaskId t = 0; t < g.num_tasks(); ++t) {
-      const TaskPlan& tp = plan.tasks[t];
-      const std::uint32_t weight = mult[t] * fault_factor;
-      for (const InputBinding& b : tp.inputs) count_use(b, weight);
-      for (const OutputPlan& op : tp.outputs) {
-        if (op.pass_input >= 0) {
-          count_use(tp.inputs[static_cast<std::size_t>(op.pass_input)],
-                    weight);
-        }
-      }
-    }
-    // collect_stores reads each writer's stored output once at the end.
-    for (const auto& writers : plan.store_writers) {
-      for (const StoreWriter& w : writers) {
-        if (w.out < uses[w.task].size()) ++uses[w.task][w.out];
-      }
-    }
-    // The executor's duplicate cross-check compares fresh outputs of a
-    // duplicated task against the stored value — one extra read of every
-    // output of any task with more than one placement.
-    if (takes.schedule != nullptr) {
-      for (TaskId t = 0; t < g.num_tasks(); ++t) {
-        if (mult[t] > 1) {
-          for (std::uint32_t& u : uses[t]) ++u;
-        }
-      }
-    }
-    for (TaskPlan& tp : plan.tasks) {
-      for (InputBinding& b : tp.inputs) {
-        b.take = b.kind == InputBinding::Kind::Producer &&
-                 b.producer_out < uses[b.producer].size() &&
-                 uses[b.producer][b.producer_out] == 1;
-      }
+  }
+  for (TaskPlan& tp : plan.tasks) {
+    for (InputBinding& b : tp.inputs) {
+      b.take = b.kind == InputBinding::Kind::Producer &&
+               b.producer_out < uses[b.producer].size() &&
+               uses[b.producer][b.producer_out] == 1;
     }
   }
   return plan;

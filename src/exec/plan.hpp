@@ -1,9 +1,9 @@
 // banger/exec/plan.hpp
 //
-// Internal machinery shared by the batch executor (executor.cpp) and the
-// streaming executor (stream.cpp): the process-wide compiled-routine
-// cache and the per-design execution plan — which predecessor (and which
-// of its outputs) feeds each task input, which chunk slot each variable
+// Internal machinery shared by the trial runner (executor.cpp) and the
+// stream runtime (stream.cpp): the process-wide compiled-routine cache
+// and the per-design execution plan — which predecessor (and which of
+// its outputs) feeds each task input, which chunk slot each variable
 // lives in, which writer supplies each store — resolved once so the
 // per-task hot path binds VM registers directly instead of building a
 // std::map environment per task.
@@ -29,8 +29,11 @@
 
 #include "exec/executor.hpp"
 #include "pits/bytecode.hpp"
-#include "sched/schedule.hpp"
 #include "util/strings.hpp"
+
+namespace banger::obs {
+class TraceRecorder;
+}  // namespace banger::obs
 
 namespace banger::exec {
 
@@ -147,11 +150,11 @@ struct InputBinding {
   graph::TaskId producer = graph::kNoTask;
   std::uint32_t producer_out = 0;  ///< index into the producer's outputs
   std::int32_t slot = -1;          ///< chunk slot, -1 when not in the chunk
-  /// True when this binding is the only read of the producer's value
-  /// across the whole run (no other consumer binding — scheduled
-  /// duplicates included — no pass-through re-resolve, no store writer,
-  /// no duplicate cross-check), so resolving may move it out instead of
-  /// copying.
+  /// True when this binding is the only read of the producer's value in
+  /// a run that executes every task once (no other consumer binding, no
+  /// pass-through re-resolve, no store writer), so resolving may move it
+  /// out instead of copying. The stream resolves only external inputs
+  /// through the plan, so its duplicate copies never see a moved value.
   bool take = false;
 };
 
@@ -185,28 +188,7 @@ struct DesignPlan {
   bool vm_engine = false;
 };
 
-/// Controls the sole-use move optimization. Moving a produced value to
-/// its consumer (instead of copying) is sound only when that value is
-/// read exactly once over the whole run, so the counting must reflect
-/// how often each task actually executes:
-///   - schedule == nullptr: every task runs exactly once
-///     (run_sequential / run_trials).
-///   - schedule != nullptr: each consumer binding is counted once per
-///     scheduled placement of the consumer (duplicate copies re-bind the
-///     same producer value), and every output of a task with duplicate
-///     placements gains one extra use for the executor's duplicate
-///     cross-check, which compares fresh outputs against the stored
-///     value.
-///   - faults: a fault plan makes rescue re-binds possible, so every
-///     consumer binding is counted twice — which disables all takes.
-struct TakePlan {
-  bool allow = true;
-  const sched::Schedule* schedule = nullptr;
-  bool faults = false;
-};
-
-DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options,
-                      const TakePlan& takes);
+DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options);
 
 // ---- per-thread execution scratch ------------------------------------
 
@@ -341,5 +323,20 @@ TaskOutputs execute_task(const FlattenResult& flat, const DesignPlan& plan,
 void collect_stores(const FlattenResult& flat, const DesignPlan& plan,
                     const std::vector<std::optional<TaskOutputs>>& task_outputs,
                     const ExternalInputs& external, RunResult& result);
+
+// ---- scheduled runs --------------------------------------------------
+
+/// Executor::run's runtime (stream.cpp): `schedule` run as a stream of
+/// one batch, with `options.faults` applied to its wiring. The outcome
+/// carries the batch's earliest-scheduled error instead of throwing it.
+TrialOutcome run_batch(const FlattenResult& flat, const Schedule& schedule,
+                       const Machine& machine, const ExternalInputs& inputs,
+                       const RunOptions& options);
+
+/// Records a finished run on the recorder: one Wall span per task run
+/// on track 3, a flow arrow per input whose producer first finished on
+/// another processor, and the exec.* counters.
+void record_run(obs::TraceRecorder& rec, const graph::TaskGraph& g,
+                const RunResult& result);
 
 }  // namespace banger::exec

@@ -9,6 +9,14 @@
 // threads than processors still make progress and can never deadlock on
 // their own queues.
 //
+// Faults. Before sources are chosen, the lane of a processor with a
+// registered crash is split at its first placement scheduled at or
+// after the crash. The tail becomes a *rescue* lane run by the
+// lowest-numbered processor whose lane was not split. Its placements
+// keep their scheduled starts and processors, so source selection and
+// the argument below are unchanged; a same-lane read across the split
+// becomes a queue read.
+//
 // Value flow. For every producer-bound input of a stage, one source
 // copy of the producer is chosen with the schedule validator's own
 // arrival criterion (copy.finish + comm_time <= consumer.start): a
@@ -23,12 +31,19 @@
 // batch and always reaches completion — on success, on task error
 // (packets carry ok=false), and on skip (an upstream stage of the batch
 // failed). Queues therefore never misalign across batches and
-// downstream stages always unblock.
+// downstream stages always unblock. In each batch the first copy of a
+// duplicated task to complete keeps its outputs, and every later copy
+// must match them.
 //
 // Wakeups use an eventcount: a generation counter bumped (with a
 // broadcast) after any round of progress; a worker snapshots the
 // counter before scanning its lanes and sleeps only if the scan made no
 // progress and the counter is unchanged — no lost wakeups, no polling.
+//
+// One batch. Executor::run is run_batch(): it admits its batch and
+// closes the stream before any worker starts, drives worker 0's lanes
+// on the calling thread, sizes every queue to the one packet that
+// crosses it, and builds no report.
 #include "exec/stream.hpp"
 
 #include <algorithm>
@@ -59,6 +74,8 @@ using pits::Value;
 // Matches sched::Schedule::validate, so any schedule that validates
 // wires up without arrival errors.
 constexpr double kArrivalTolerance = 1e-9;
+// A crash at time c kills the first placement starting at c or later.
+constexpr double kCrashTolerance = 1e-12;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -119,13 +136,22 @@ class SpscQueue {
   std::atomic<std::uint64_t> tail_{0};
 };
 
+/// The two ends of one queue, named only when a report is built.
+struct QueueEnds {
+  TaskId producer = graph::kNoTask;
+  ProcId producer_proc = -1;
+  TaskId consumer = graph::kNoTask;
+  ProcId consumer_proc = -1;
+  std::uint32_t var = 0;  ///< index into the consumer's inputs
+};
+
 /// Where one producer-bound input of a stage comes from. Kind::None
 /// marks bindings the shared plan resolves without a producer
 /// (external stores / nothing) — those are handled at bind time.
 struct StageSource {
   enum class Kind : std::uint8_t { None, Local, Queue };
   Kind kind = Kind::None;
-  int queue = -1;        ///< Kind::Queue: index into Impl::queues_
+  int queue = -1;        ///< Kind::Queue: index into Pipeline::queues
   int local_stage = -1;  ///< Kind::Local: producer position in this lane
   std::uint32_t producer_out = 0;
 };
@@ -152,10 +178,12 @@ struct Stage {
 /// A lane and its cooperative state machine. Everything below `stages`
 /// is owned by the single worker thread driving the lane.
 struct Lane {
-  ProcId proc = -1;
+  ProcId proc = -1;      ///< runs the lane: for a rescue lane, the survivor
+  bool rescue = false;   ///< the tail of a crashed processor's lane
   std::vector<Stage> stages;
 
   std::uint64_t batch = 0;  ///< global index of the batch being worked
+  Clock::time_point batch_started;  ///< admission of `batch`
   std::size_t stage_idx = 0;
   bool batch_open = false;
   std::shared_ptr<const ExternalInputs> inputs;
@@ -179,10 +207,11 @@ struct Lane {
   bool push_stall_counted = false;
 };
 
-/// All mutable per-batch bookkeeping, guarded by Impl::mu.
+/// All mutable per-batch bookkeeping, guarded by Pipeline::mu.
 struct BatchState {
   std::shared_ptr<const ExternalInputs> inputs;
-  std::vector<std::optional<TaskOutputs>> task_outputs;  // store writers only
+  /// First completed copy of each store writer and duplicated task.
+  std::vector<std::optional<TaskOutputs>> task_outputs;
   std::vector<std::string> transcripts;  // indexed by stage order
   std::vector<TaskRun> runs;             // indexed by stage order
   std::size_t remaining = 0;
@@ -190,26 +219,26 @@ struct BatchState {
   ErrorCode error_code = ErrorCode::Runtime;
   std::string error;
   SourcePos error_pos;
-  double error_start = 0.0;
-  ProcId error_proc = -1;
-  bool error_dup = false;
-  double started = 0.0;  ///< seconds since stream start at admission
+  std::size_t error_order = 0;  ///< stage order of the kept failure
+  ProcId error_proc = -1;       ///< the processor that ran it
+  Clock::time_point started;    ///< admission
   bool done = false;
   TrialOutcome outcome;
 };
 
 }  // namespace
 
-struct StreamExecutor::Impl {
+struct Pipeline {
   const FlattenResult& flat;
   const Machine& machine;
   StreamOptions opt;
   DesignPlan plan;
-  std::vector<bool> writes_store;  // per task: appears in store_writers
+  std::vector<bool> keeps_outputs;  // per task: store writer or duplicated
   std::vector<Lane> lanes;
   std::vector<std::unique_ptr<SpscQueue>> queues;
-  std::vector<std::string> queue_names;
+  std::vector<QueueEnds> queue_ends;
   std::size_t stage_count = 0;
+  int workers_died = 0;  ///< lanes split by the fault plan
   std::size_t threads_n = 1;
   std::size_t window_cap = 4;
 
@@ -226,19 +255,33 @@ struct StreamExecutor::Impl {
   std::string fatal_msg;
   Clock::time_point t0;
   obs::TraceRecorder* rec = nullptr;
-  std::vector<std::jthread> workers;
-  bool finished = false;
-  StreamReport report;
   // resolve_binding scratch for External/Nothing kinds (never touched).
   std::vector<std::optional<TaskOutputs>> no_outs;
+  bool finished = false;
+  StreamReport report;
+  std::vector<std::jthread> workers;  // last: joined before the rest dies
 
-  Impl(const FlattenResult& f, const Schedule& schedule, const Machine& m,
-       StreamOptions options);
+  Pipeline(const FlattenResult& f, const Schedule& schedule, const Machine& m,
+           StreamOptions options);
 
   void wire(const Schedule& schedule);
+  void start_workers();
+  // mu held, or no worker started yet.
+  void admit(std::shared_ptr<const ExternalInputs> inputs);
   void bump_gen() {
     {
       std::lock_guard lock(mu);
+      ++gen;
+    }
+    cv.notify_all();
+  }
+  /// A failure no batch can carry: every worker leaves, and the next
+  /// push, pop or finish raises `message`.
+  void stop(std::string message) {
+    {
+      std::lock_guard lock(mu);
+      fatal = true;
+      fatal_msg = std::move(message);
       ++gen;
     }
     cv.notify_all();
@@ -251,70 +294,128 @@ struct StreamExecutor::Impl {
   StreamReport build_report();
 };
 
-StreamExecutor::Impl::Impl(const FlattenResult& f, const Schedule& schedule,
-                           const Machine& m, StreamOptions options)
+Pipeline::Pipeline(const FlattenResult& f, const Schedule& schedule,
+                   const Machine& m, StreamOptions options)
     : flat(f), machine(m), opt(std::move(options)) {
   if (schedule.num_procs() != machine.num_procs()) {
     fail(ErrorCode::Schedule, "schedule/machine processor count mismatch");
   }
   if (opt.run.faults != nullptr && !opt.run.faults->empty()) {
-    fail(ErrorCode::Runtime,
-         "fault plans are not supported in streaming mode");
+    opt.run.faults->validate(machine.num_procs());
   }
-  // The stream manages value lifetimes itself (each consumer owns the
-  // packet it popped), so the plan's sole-use move machinery stays off.
-  plan = build_plan(flat, opt.run, TakePlan{/*allow=*/false});
-  writes_store.assign(flat.graph.num_tasks(), false);
+  plan = build_plan(flat, opt.run);
+  keeps_outputs.assign(flat.graph.num_tasks(), false);
   for (const auto& writers : plan.store_writers) {
-    for (const StoreWriter& w : writers) writes_store[w.task] = true;
+    for (const StoreWriter& w : writers) keeps_outputs[w.task] = true;
+  }
+  for (const sched::Placement& pl : schedule.placements()) {
+    if (pl.duplicate) keeps_outputs[pl.task] = true;
   }
   wire(schedule);
 
   const std::size_t usable_lanes = std::max<std::size_t>(lanes.size(), 1);
   threads_n = std::min<std::size_t>(
       static_cast<std::size_t>(util::resolve_jobs(opt.jobs)), usable_lanes);
-  if (threads_n == 0) threads_n = 1;
   window_cap = opt.window != 0 ? opt.window
                                : std::max<std::size_t>(2 * threads_n, 4);
   rec = obs::current();
   t0 = Clock::now();
-  workers.reserve(lanes.empty() ? 0 : threads_n);
-  if (!lanes.empty()) {
+}
+
+void Pipeline::start_workers() {
+  if (lanes.empty()) return;
+  workers.reserve(threads_n);
+  try {
     for (std::size_t w = 0; w < threads_n; ++w) {
       workers.emplace_back([this, w] { worker_main(w); });
     }
+  } catch (...) {
+    stop("could not start a stream worker");  // the started ones leave
+    throw;
   }
 }
 
-void StreamExecutor::Impl::wire(const Schedule& schedule) {
+void Pipeline::admit(std::shared_ptr<const ExternalInputs> inputs) {
+  BatchState& bs = batches.emplace_back();
+  bs.inputs = std::move(inputs);
+  bs.remaining = stage_count;
+  bs.task_outputs.resize(flat.graph.num_tasks());
+  bs.transcripts.resize(stage_count);
+  bs.runs.resize(stage_count);
+  bs.started = Clock::now();
+  ++pushed;
+  // Degenerate pipeline (no stages): the batch is already complete.
+  if (bs.remaining == 0) finalize_batch(bs);
+  ++gen;
+}
+
+void Pipeline::wire(const Schedule& schedule) {
   const graph::TaskGraph& g = flat.graph;
-  std::vector<std::vector<sched::Placement>> all = schedule.lanes();
-  for (ProcId p = 0; p < machine.num_procs(); ++p) {
-    const auto& src = all[static_cast<std::size_t>(p)];
-    if (src.empty()) continue;
-    Lane ln;
-    ln.proc = p;
-    ln.stages.reserve(src.size());
-    for (const sched::Placement& pl : src) {
-      Stage st;
-      st.pl = pl;
-      st.primary = !pl.duplicate;
-      ln.stages.push_back(std::move(st));
-    }
-    lanes.push_back(std::move(ln));
-  }
-  // Same validation Executor::run applies.
+  const std::vector<std::vector<sched::Placement>> all = schedule.lanes();
   {
     std::vector<int> seen(g.num_tasks(), 0);
-    for (const Lane& ln : lanes)
-      for (const Stage& st : ln.stages)
-        if (st.primary) ++seen[st.pl.task];
+    for (const auto& lane : all)
+      for (const sched::Placement& pl : lane)
+        if (!pl.duplicate) ++seen[pl.task];
     for (TaskId t = 0; t < g.num_tasks(); ++t) {
       if (seen[t] != 1) {
         fail(ErrorCode::Schedule, "task `" + g.task(t).name +
                                       "` has no unique primary placement");
       }
     }
+  }
+  // Fail-stop: a crashed processor's lane ends at its first placement
+  // scheduled at or after the crash (`cut`); the rest is rescued.
+  const fault::FaultPlan* faults = opt.run.faults;
+  std::vector<std::size_t> cut(all.size());
+  ProcId survivor = -1;
+  for (std::size_t p = 0; p < all.size(); ++p) {
+    const auto& lane = all[p];
+    cut[p] = lane.size();
+    if (faults != nullptr) {
+      if (const auto crash = faults->crash_time(static_cast<ProcId>(p))) {
+        cut[p] = static_cast<std::size_t>(
+            std::find_if(lane.begin(), lane.end(),
+                         [&](const sched::Placement& pl) {
+                           return pl.start >= *crash - kCrashTolerance;
+                         }) -
+            lane.begin());
+      }
+    }
+    if (cut[p] < lane.size()) {
+      ++workers_died;
+    } else if (!lane.empty() && survivor < 0) {
+      survivor = static_cast<ProcId>(p);
+    }
+  }
+  if (workers_died > 0 && survivor < 0) {
+    std::vector<bool> kept(g.num_tasks(), false);
+    for (std::size_t p = 0; p < all.size(); ++p) {
+      for (std::size_t i = 0; i < cut[p]; ++i) kept[all[p][i].task] = true;
+    }
+    fail(ErrorCode::Runtime,
+         "all capable workers crashed: " +
+             std::to_string(std::count(kept.begin(), kept.end(), false)) +
+             " tasks never executed");
+  }
+  auto add_lane = [&](ProcId proc, bool rescue, const auto& lane,
+                      std::size_t from, std::size_t to) {
+    if (from == to) return;
+    Lane& ln = lanes.emplace_back();
+    ln.proc = proc;
+    ln.rescue = rescue;
+    ln.stages.reserve(to - from);
+    for (std::size_t i = from; i < to; ++i) {
+      Stage& st = ln.stages.emplace_back();
+      st.pl = lane[i];
+      st.primary = !lane[i].duplicate;
+    }
+  };
+  for (std::size_t p = 0; p < all.size(); ++p) {
+    add_lane(static_cast<ProcId>(p), false, all[p], 0, cut[p]);
+  }
+  for (std::size_t p = 0; p < all.size(); ++p) {
+    add_lane(survivor, true, all[p], cut[p], all[p].size());
   }
   // Canonical stage order (error canonicalisation, transcript/run
   // assembly) and the copy lookup used by source selection.
@@ -435,15 +536,12 @@ void StreamExecutor::Impl::wire(const Schedule& schedule) {
           }
           src.kind = StageSource::Kind::Queue;
           src.queue = static_cast<int>(queues.size());
-          queues.push_back(
-              std::make_unique<SpscQueue>(opt.queue_capacity));
+          queues.push_back(std::make_unique<SpscQueue>(opt.queue_capacity));
           Stage& prod = lanes[static_cast<std::size_t>(q_lane)]
                             .stages[static_cast<std::size_t>(q_pos)];
           prod.pushes.push_back({src.queue, b.producer_out});
-          queue_names.push_back(
-              g.task(b.producer).name + "@" + std::to_string(prod.pl.proc) +
-              "->" + task.name + "@" + std::to_string(st.pl.proc) + ":" +
-              task.inputs[b.var]);
+          queue_ends.push_back(
+              {b.producer, prod.pl.proc, st.pl.task, st.pl.proc, b.var});
         }
         st.sources[bi] = src;
       }
@@ -451,8 +549,7 @@ void StreamExecutor::Impl::wire(const Schedule& schedule) {
   }
 }
 
-void StreamExecutor::Impl::execute_stage(Lane& ln, Stage& st,
-                                         TaskScratch& scratch) {
+void Pipeline::execute_stage(Lane& ln, Stage& st, TaskScratch& scratch) {
   const graph::TaskGraph& g = flat.graph;
   const graph::Task& task = g.task(st.pl.task);
   const TaskPlan& tp = plan.tasks[st.pl.task];
@@ -464,6 +561,7 @@ void StreamExecutor::Impl::execute_stage(Lane& ln, Stage& st,
   ln.run.task = st.pl.task;
   ln.run.proc = ln.proc;
   ln.run.duplicate = st.pl.duplicate;
+  ln.run.rescued = ln.rescue;
 
   bool skip = false;
   for (std::size_t i = 0; i < st.sources.size(); ++i) {
@@ -481,7 +579,8 @@ void StreamExecutor::Impl::execute_stage(Lane& ln, Stage& st,
     ln.executed = true;
   } else {
     const auto begin = Clock::now();
-    ln.run.wall_start = seconds_since(t0);
+    ln.run.wall_start =
+        std::chrono::duration<double>(begin - ln.batch_started).count();
     try {
       Env env;
       const bool slots = plan.vm_engine && tp.chunk != nullptr;
@@ -524,9 +623,10 @@ void StreamExecutor::Impl::execute_stage(Lane& ln, Stage& st,
       ln.error = e.message();
       ln.error_pos = e.pos();
     }
-    ln.run.wall_finish = seconds_since(t0);
-    st.busy_seconds += std::chrono::duration<double>(Clock::now() - begin)
-                           .count();
+    const auto end = Clock::now();
+    ln.run.wall_finish =
+        std::chrono::duration<double>(end - ln.batch_started).count();
+    st.busy_seconds += std::chrono::duration<double>(end - begin).count();
     ln.executed = true;
   }
 
@@ -543,30 +643,38 @@ void StreamExecutor::Impl::execute_stage(Lane& ln, Stage& st,
   }
 }
 
-void StreamExecutor::Impl::complete_stage(Lane& ln, Stage& st) {
+void Pipeline::complete_stage(Lane& ln, Stage& st) {
   {
     std::lock_guard lock(mu);
     BatchState& bs = batches[static_cast<std::size_t>(ln.batch - window_base)];
+    // The earliest-scheduled failure wins, whatever the arrival order.
+    auto keep_error = [&](ErrorCode code, std::string message, SourcePos pos) {
+      if (bs.has_error && bs.error_order < st.order) return;
+      bs.has_error = true;
+      bs.error_code = code;
+      bs.error = std::move(message);
+      bs.error_pos = pos;
+      bs.error_order = st.order;
+      bs.error_proc = ln.proc;
+    };
     if (ln.exec_ok) {
-      if (st.primary) {
-        if (writes_store[st.pl.task]) {
-          bs.task_outputs[st.pl.task] = ln.outputs;  // copy; local may read
+      if (keeps_outputs[st.pl.task]) {
+        std::optional<TaskOutputs>& kept = bs.task_outputs[st.pl.task];
+        if (!kept.has_value()) {
+          kept = ln.outputs;  // copy; a later same-lane stage may read them
+        } else if (!(*kept == ln.outputs)) {
+          // Duplicate copies must agree — PITS is deterministic.
+          keep_error(ErrorCode::Runtime,
+                     "duplicate copies of task `" +
+                         flat.graph.task(st.pl.task).name +
+                         "` produced different outputs",
+                     {});
         }
-        bs.transcripts[st.order] = std::move(ln.transcript);
       }
+      if (st.primary) bs.transcripts[st.order] = std::move(ln.transcript);
       bs.runs[st.order] = ln.run;
     } else if (ln.has_error) {
-      if (!bs.has_error ||
-          std::tie(st.pl.start, st.pl.proc, st.pl.duplicate) <
-              std::tie(bs.error_start, bs.error_proc, bs.error_dup)) {
-        bs.has_error = true;
-        bs.error_code = ln.error_code;
-        bs.error = ln.error;
-        bs.error_pos = ln.error_pos;
-        bs.error_start = st.pl.start;
-        bs.error_proc = st.pl.proc;
-        bs.error_dup = st.pl.duplicate;
-      }
+      keep_error(ln.error_code, std::move(ln.error), ln.error_pos);
     }
     --bs.remaining;
     if (bs.remaining == 0) finalize_batch(bs);
@@ -581,27 +689,27 @@ void StreamExecutor::Impl::complete_stage(Lane& ln, Stage& st) {
   ln.outputs.clear();
 }
 
-void StreamExecutor::Impl::finalize_batch(BatchState& bs) {
+void Pipeline::finalize_batch(BatchState& bs) {
   bs.done = true;
   TrialOutcome& out = bs.outcome;
   if (bs.has_error) {
     out.ok = false;
     out.error_code = bs.error_code;
-    // The exact wrapper Executor::run applies when rethrowing a worker
-    // failure (single-failure case).
     out.error = "worker " + std::to_string(bs.error_proc) + ": " + bs.error;
     out.error_pos = bs.error_pos;
   } else {
     out.ok = true;
-    RunResult r;
-    r.runs.reserve(bs.runs.size());
-    for (std::size_t i = 0; i < bs.runs.size(); ++i) {
-      r.transcript += bs.transcripts[i];
-      r.runs.push_back(bs.runs[i]);
+    RunResult& r = out.result;
+    for (const std::string& text : bs.transcripts) r.transcript += text;
+    r.runs = std::move(bs.runs);
+    r.workers_died = workers_died;
+    for (const TaskRun& run : r.runs) {
+      if (!run.rescued) continue;
+      ++r.tasks_rescued;
+      r.recovery_overhead_seconds += run.wall_finish - run.wall_start;
     }
     collect_stores(flat, plan, bs.task_outputs, *bs.inputs, r);
-    r.wall_seconds = seconds_since(t0) - bs.started;
-    out.result = std::move(r);
+    r.wall_seconds = seconds_since(bs.started);
   }
   ++completed;
   // Free per-batch bookkeeping early; only the outcome must survive
@@ -612,7 +720,7 @@ void StreamExecutor::Impl::finalize_batch(BatchState& bs) {
   bs.inputs.reset();
 }
 
-bool StreamExecutor::Impl::try_advance(Lane& ln, TaskScratch& scratch) {
+bool Pipeline::try_advance(Lane& ln, TaskScratch& scratch) {
   if (ln.stages.empty()) return false;
   bool progress = false;
   for (;;) {
@@ -622,6 +730,7 @@ bool StreamExecutor::Impl::try_advance(Lane& ln, TaskScratch& scratch) {
       BatchState& bs =
           batches[static_cast<std::size_t>(ln.batch - window_base)];
       ln.inputs = bs.inputs;
+      ln.batch_started = bs.started;
       ln.batch_open = true;
       ln.stage_idx = 0;
       ln.local.assign(ln.stages.size(), std::nullopt);
@@ -702,7 +811,7 @@ bool StreamExecutor::Impl::try_advance(Lane& ln, TaskScratch& scratch) {
   }
 }
 
-void StreamExecutor::Impl::worker_main(std::size_t worker_idx) {
+void Pipeline::worker_main(std::size_t worker_idx) {
   // Adopt the launching thread's ambient recorder so PITS engine
   // counters bumped inside task routines aggregate as usual.
   std::optional<obs::ScopedRecorder> ambient;
@@ -742,21 +851,13 @@ void StreamExecutor::Impl::worker_main(std::size_t worker_idx) {
       cv.wait(lock, [&] { return gen != seen || fatal; });
     }
   } catch (const std::exception& e) {
-    std::lock_guard lock(mu);
-    fatal = true;
-    fatal_msg = std::string("internal error in stream worker: ") + e.what();
-    ++gen;
-    cv.notify_all();
+    stop(std::string("internal error in stream worker: ") + e.what());
   } catch (...) {
-    std::lock_guard lock(mu);
-    fatal = true;
-    fatal_msg = "internal error in stream worker";
-    ++gen;
-    cv.notify_all();
+    stop("internal error in stream worker");
   }
 }
 
-StreamReport StreamExecutor::Impl::build_report() {
+StreamReport Pipeline::build_report() {
   StreamReport rep;
   rep.batches = completed;
   rep.wall_seconds = seconds_since(t0);
@@ -783,8 +884,13 @@ StreamReport StreamExecutor::Impl::build_report() {
   }
   for (std::size_t q = 0; q < queues.size(); ++q) {
     const SpscQueue& sq = *queues[q];
+    const QueueEnds& ends = queue_ends[q];
+    const graph::Task& consumer = flat.graph.task(ends.consumer);
     QueueStats s;
-    s.name = queue_names[q];
+    s.name = flat.graph.task(ends.producer).name + "@" +
+             std::to_string(ends.producer_proc) + "->" + consumer.name + "@" +
+             std::to_string(ends.consumer_proc) + ":" +
+             consumer.inputs[ends.var];
     s.capacity = sq.capacity();
     s.pushes = sq.pushes;
     s.max_occupancy = sq.max_occupancy;
@@ -876,8 +982,10 @@ void StreamReport::record(obs::TraceRecorder& rec) const {
 StreamExecutor::StreamExecutor(const FlattenResult& flat,
                                const Schedule& schedule,
                                const Machine& machine, StreamOptions options)
-    : impl_(std::make_unique<Impl>(flat, schedule, machine,
-                                   std::move(options))) {}
+    : impl_(std::make_unique<Pipeline>(flat, schedule, machine,
+                                       std::move(options))) {
+  impl_->start_workers();
+}
 
 StreamExecutor::~StreamExecutor() {
   if (impl_ != nullptr && !impl_->finished) {
@@ -892,33 +1000,20 @@ StreamExecutor::~StreamExecutor() {
 }
 
 void StreamExecutor::push(std::map<std::string, pits::Value> inputs) {
-  Impl& im = *impl_;
+  Pipeline& im = *impl_;
   std::unique_lock lock(im.mu);
   if (im.closing) fail(ErrorCode::Runtime, "push on a finished stream");
   im.cv.wait(lock, [&] {
     return im.fatal || im.pushed - im.completed < im.window_cap;
   });
   if (im.fatal) fail(ErrorCode::Runtime, im.fatal_msg);
-  BatchState bs;
-  bs.inputs = std::make_shared<const ExternalInputs>(std::move(inputs));
-  bs.remaining = im.stage_count;
-  bs.task_outputs.resize(im.flat.graph.num_tasks());
-  bs.transcripts.resize(im.stage_count);
-  bs.runs.resize(im.stage_count);
-  bs.started = seconds_since(im.t0);
-  im.batches.push_back(std::move(bs));
-  ++im.pushed;
-  if (im.batches.back().remaining == 0) {
-    // Degenerate pipeline (no stages): the batch is already complete.
-    im.finalize_batch(im.batches.back());
-  }
-  ++im.gen;
+  im.admit(std::make_shared<const ExternalInputs>(std::move(inputs)));
   lock.unlock();
   im.cv.notify_all();
 }
 
 std::optional<TrialOutcome> StreamExecutor::try_pop() {
-  Impl& im = *impl_;
+  Pipeline& im = *impl_;
   std::lock_guard lock(im.mu);
   if (im.fatal) fail(ErrorCode::Runtime, im.fatal_msg);
   if (im.batches.empty() || !im.batches.front().done) return std::nullopt;
@@ -930,7 +1025,7 @@ std::optional<TrialOutcome> StreamExecutor::try_pop() {
 }
 
 TrialOutcome StreamExecutor::pop() {
-  Impl& im = *impl_;
+  Pipeline& im = *impl_;
   std::unique_lock lock(im.mu);
   if (im.pushed == im.delivered) {
     fail(ErrorCode::Runtime, "pop with no outstanding batch");
@@ -947,13 +1042,13 @@ TrialOutcome StreamExecutor::pop() {
 }
 
 std::uint64_t StreamExecutor::outstanding() const {
-  const Impl& im = *impl_;
+  const Pipeline& im = *impl_;
   std::lock_guard lock(im.mu);
   return im.pushed - im.delivered;
 }
 
 StreamReport StreamExecutor::finish() {
-  Impl& im = *impl_;
+  Pipeline& im = *impl_;
   {
     std::lock_guard lock(im.mu);
     if (im.finished) return im.report;
@@ -987,6 +1082,36 @@ StreamResult run_stream(const FlattenResult& flat, const Schedule& schedule,
   }
   out.report = ex.finish();
   return out;
+}
+
+TrialOutcome run_batch(const FlattenResult& flat, const Schedule& schedule,
+                       const Machine& machine, const ExternalInputs& inputs,
+                       const RunOptions& options) {
+  StreamOptions opt;
+  opt.run = options;
+  opt.queue_capacity = 1;  // one packet crosses each queue per batch
+  Pipeline im(flat, schedule, machine, std::move(opt));
+  // Admitted and closed before any worker starts, so each worker leaves
+  // once its lanes have run the batch. The batch borrows the caller's
+  // inputs, which outlive the run.
+  im.admit(std::shared_ptr<const ExternalInputs>(std::shared_ptr<void>(),
+                                                 &inputs));
+  im.closing = true;
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(im.threads_n - 1);
+    try {
+      for (std::size_t w = 1; w < im.threads_n; ++w) {
+        helpers.emplace_back([&im, w] { im.worker_main(w); });
+      }
+    } catch (...) {
+      im.stop("could not start a stream worker");  // the started ones leave
+      throw;
+    }
+    im.worker_main(0);
+  }  // join
+  if (im.fatal) fail(ErrorCode::Runtime, im.fatal_msg);
+  return std::move(im.batches.front().outcome);
 }
 
 }  // namespace banger::exec

@@ -10,15 +10,14 @@
 // shared DesignPlan) and reused for every batch.
 //
 // Guarantees:
-//   - Per-batch outputs (stores, outputs, transcript, errors) are
-//     byte-identical to calling Executor::run once per batch with the
-//     same schedule and options, for both engines. (Two documented
-//     divergences for inherently racy cases: transcripts are stitched in
-//     deterministic schedule order rather than completion-race order,
-//     and a batch where several tasks fail independently reports the
-//     canonical earliest-scheduled failure instead of a racy first
-//     arrival. Executor::run is only deterministic in those cases by
-//     accident, if at all.)
+//   - Per-batch results (stores, outputs, transcript, runs, errors) are
+//     exactly what Executor::run gives for that batch with the same
+//     schedule and options, on both engines: Executor::run is this
+//     runtime on a stream of one batch. Stores and outputs equal
+//     run_sequential's; a batch where several tasks fail reports the
+//     earliest-scheduled failure.
+//   - A fault plan splits every crashed lane the same way in every
+//     batch (see RunOptions::faults).
 //   - Outcomes are delivered strictly in push order.
 //   - A failing batch does not disturb its neighbours (run_trials
 //     semantics): the error that Executor::run would have thrown is
@@ -42,9 +41,10 @@ class TraceRecorder;
 
 namespace banger::exec {
 
+struct Pipeline;  ///< the lanes, queues and batches (stream.cpp)
+
 struct StreamOptions {
-  /// Per-batch execution options. Fault plans are rejected: fault
-  /// injection is defined against a single scheduled run.
+  /// Per-batch execution options, fault plan included.
   RunOptions run;
   /// Bounded capacity of every inter-stage queue, in packets (>= 1).
   /// One packet crosses each queue per batch, so capacity is the number
@@ -53,9 +53,9 @@ struct StreamOptions {
   /// Maximum batches admitted but not yet fully executed; push() blocks
   /// at the limit (backpressure). 0 = auto (2x worker threads, min 4).
   std::size_t window = 0;
-  /// Worker threads driving the lanes. <= 0 = one per hardware core;
-  /// always clamped to the number of non-empty schedule lanes. Outputs
-  /// are identical for every value.
+  /// Worker threads driving the lanes. <= 0 = util::default_jobs()
+  /// (BANGER_JOBS, else one per core); always clamped to the number of
+  /// lanes. Outputs are identical for every value.
   int jobs = 0;
 };
 
@@ -151,8 +151,7 @@ class StreamExecutor {
   StreamReport finish();
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<Pipeline> impl_;
 };
 
 /// One-shot wrapper: streams `batches` through the pipeline and returns

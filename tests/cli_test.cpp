@@ -8,6 +8,7 @@
 #include "cli/cli.hpp"
 #include "graph/serialize.hpp"
 #include "machine/serialize.hpp"
+#include "scoped_env.hpp"
 #include "serve/json.hpp"
 #include "workloads/lu.hpp"
 
@@ -184,6 +185,42 @@ TEST_F(CliFiles, RunMatchesTrial) {
                          "A=[4,3,2,8,8,5,4,7,9]", "--input", "b=[16,39,45]"});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("x = [1, 2, 3]"), std::string::npos);
+}
+
+/// `text` up to the first `marker` (all of it when absent).
+std::string before(const std::string& text, const std::string& marker) {
+  return text.substr(0, text.find(marker));
+}
+
+TEST(CliSamples, RunWithFaultPlanMatchesTrial) {
+  const std::string dir = std::string(BANGER_SOURCE_DIR) + "/samples";
+  const std::string design = dir + "/sqrt_fanout.pitl";
+  const std::string machine = dir + "/ipsc_hypercube8.machine";
+  const std::string input = "xs=[4,9,16,25,36,49,64,81]";
+  const auto trial = invoke({"trial", design, "--input", input});
+  ASSERT_EQ(trial.code, 0) << trial.err;
+  // demo.fault crashes processor 1 after its last scheduled start; the
+  // second plan crashes it before anything starts, so its lane is
+  // rescued by processor 0.
+  const std::string early = testing::TempDir() + "/cli_early.fault";
+  std::ofstream(early) << "faultplan early seed=1\ncrash proc=1 at=0\n";
+  const std::pair<std::string, std::string> plans[] = {
+      {dir + "/demo.fault",
+       "fault plan `demo`: 0 workers died, 0 tasks rescued"},
+      {early, "fault plan `early`: 1 workers died, 1 tasks rescued"}};
+  for (const auto& [plan, want] : plans) {
+    for (const char* jobs : {"1", "4"}) {
+      const tests::ScopedEnv env("BANGER_JOBS", jobs);
+      const auto r = invoke({"run", design, machine, "--input", input,
+                             "--fault-plan", plan});
+      ASSERT_EQ(r.code, 0) << r.err;
+      EXPECT_EQ(before(r.out, "\n("), before(trial.out, "\n("));
+      const std::size_t at = r.out.find("fault plan ");
+      ASSERT_NE(at, std::string::npos) << r.out;
+      EXPECT_EQ(before(r.out.substr(at), ", recovery overhead"), want)
+          << "BANGER_JOBS=" << jobs;
+    }
+  }
 }
 
 TEST_F(CliFiles, InputsAreFullPitsExpressions) {

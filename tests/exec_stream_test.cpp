@@ -1,13 +1,15 @@
 // Streaming executor tests: differential byte-identity against
-// per-batch Executor::run on both engines, mid-stream error isolation,
-// bounded-queue backpressure, duplicate schedules, and the incremental
-// push/drain API.
+// per-batch Executor::run (the same runtime on one batch) and against
+// run_sequential as an independent oracle, on both engines; mid-stream
+// error isolation, bounded-queue backpressure, duplicate schedules,
+// crashes, and the incremental push/drain API.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "exec/executor.hpp"
 #include "exec/stream.hpp"
+#include "fault/fault.hpp"
 #include "obs/trace.hpp"
 #include "sched/heuristics.hpp"
 #include "workloads/designs.hpp"
@@ -53,6 +55,41 @@ void expect_same_result(const RunResult& stream, const RunResult& ref,
   EXPECT_EQ(stream.runs.size(), ref.runs.size()) << label;
 }
 
+/// Executor::run is the stream on one batch, so run_sequential is the
+/// independent oracle: stores and outputs are bit-identical to it.
+void expect_sequential_values(const RunResult& got, const RunResult& seq,
+                              const std::string& label) {
+  EXPECT_EQ(got.outputs, seq.outputs) << label;
+  EXPECT_EQ(got.stores, seq.stores) << label;
+}
+
+/// The error run_sequential throws for `inputs`, prefixed as a scheduled
+/// run reports it when processor `proc` ran the failing task.
+std::string sequential_error(const FlattenResult& flat,
+                             const std::map<std::string, Value>& inputs,
+                             const RunOptions& options, ProcId proc) {
+  try {
+    (void)run_sequential(flat, inputs, options);
+  } catch (const Error& e) {
+    return "worker " + std::to_string(proc) + ": " + e.message();
+  }
+  ADD_FAILURE() << "expected run_sequential to throw";
+  return {};
+}
+
+/// The processor of `name`'s primary placement.
+ProcId primary_proc(const FlattenResult& flat, const Schedule& schedule,
+                    const std::string& name) {
+  for (TaskId t = 0; t < flat.graph.num_tasks(); ++t) {
+    if (flat.graph.task(t).name != name) continue;
+    for (const sched::Placement& pl : schedule.copies_of(t)) {
+      if (!pl.duplicate) return pl.proc;
+    }
+  }
+  ADD_FAILURE() << "no primary placement of " << name;
+  return -1;
+}
+
 TEST(Stream, MatchesPerBatchRunBothEnginesAllJobCounts) {
   auto flat = workloads::lu3x3_design().flatten();
   auto m = make_machine(3);
@@ -67,6 +104,8 @@ TEST(Stream, MatchesPerBatchRunBothEnginesAllJobCounts) {
     std::vector<RunResult> refs;
     for (const auto& b : batches) {
       refs.push_back(executor.run(schedule, b, run_opts));
+      expect_sequential_values(refs.back(), run_sequential(flat, b, run_opts),
+                               "run");
     }
     for (const int jobs : {1, 2, 8, 0}) {
       StreamOptions opts;
@@ -166,10 +205,14 @@ TEST(Stream, MidStreamErrorMatchesExecutorAndIsolatesNeighbours) {
         lu_inputs(1.0), bad, lu_inputs(3.0)};
     const StreamResult sr = run_stream(flat, schedule, m, batches, opts);
     ASSERT_EQ(sr.outcomes.size(), 3u);
-    // The failing batch carries exactly the error Executor::run threw.
+    // The failing batch carries exactly the error Executor::run threw,
+    // which is run_sequential's, prefixed with fan1's processor.
     EXPECT_FALSE(sr.outcomes[1].ok);
     EXPECT_EQ(sr.outcomes[1].error_code, ref_code);
     EXPECT_EQ(sr.outcomes[1].error, ref_message);
+    EXPECT_EQ(sr.outcomes[1].error,
+              sequential_error(flat, bad, opts.run,
+                               primary_proc(flat, schedule, "fan1")));
     EXPECT_EQ(sr.outcomes[1].error_pos.line, ref_pos.line);
     EXPECT_EQ(sr.outcomes[1].error_pos.column, ref_pos.column);
     // Its neighbours are untouched.
@@ -338,15 +381,53 @@ TEST(Stream, IncrementalPushDrainApi) {
   EXPECT_THROW((void)ex.pop(), Error);
 }
 
-TEST(Stream, RejectsFaultPlans) {
+TEST(Stream, CrashedStreamMatchesSequentialPerBatch) {
+  // The fault plan splits the crashed lane once, at wiring time, and
+  // every batch runs the same rescue.
   auto flat = workloads::lu3x3_design().flatten();
-  auto m = make_machine(2);
+  auto m = make_machine(3);
   const auto schedule = sched::MhScheduler().run(flat.graph, m);
-  fault::FaultPlan plan;
-  plan.add_crash(0, 0.0);
+  const sched::Placement last = schedule.lane(0).back();
+  const auto plan = fault::plan_crash(0, last.start);
   StreamOptions opts;
   opts.run.faults = &plan;
-  EXPECT_THROW(StreamExecutor(flat, schedule, m, opts), Error);
+  const auto batches = lu_batches(3);
+  const StreamResult sr = run_stream(flat, schedule, m, batches, opts);
+  ASSERT_EQ(sr.outcomes.size(), batches.size());
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    ASSERT_TRUE(sr.outcomes[i].ok) << sr.outcomes[i].error;
+    const RunResult& got = sr.outcomes[i].result;
+    const std::string label = "batch " + std::to_string(i);
+    expect_sequential_values(got, run_sequential(flat, batches[i]), label);
+    EXPECT_EQ(got.workers_died, 1) << label;
+    EXPECT_GE(got.tasks_rescued, 1u) << label;
+    std::size_t rescued = 0;
+    for (const TaskRun& r : got.runs) rescued += r.rescued;
+    EXPECT_EQ(rescued, got.tasks_rescued) << label;
+  }
+  EXPECT_EQ(sr.outcomes[0].result.tasks_rescued,
+            sr.outcomes[2].result.tasks_rescued);
+}
+
+TEST(Stream, RunTimesLieWithinTheirBatch) {
+  // Each batch's task runs are timed from that batch's admission, like
+  // its wall_seconds, however late in the stream it comes.
+  auto flat = workloads::lu3x3_design().flatten();
+  auto m = make_machine(3);
+  const auto schedule = sched::MhScheduler().run(flat.graph, m);
+  const StreamResult sr =
+      run_stream(flat, schedule, m, lu_batches(64), StreamOptions{});
+  ASSERT_EQ(sr.outcomes.size(), 64u);
+  for (std::size_t i = 0; i < sr.outcomes.size(); ++i) {
+    ASSERT_TRUE(sr.outcomes[i].ok);
+    const RunResult& r = sr.outcomes[i].result;
+    ASSERT_EQ(r.runs.size(), flat.graph.num_tasks());
+    for (const TaskRun& run : r.runs) {
+      EXPECT_LE(0.0, run.wall_start) << "batch " << i;
+      EXPECT_LE(run.wall_start, run.wall_finish) << "batch " << i;
+      EXPECT_LE(run.wall_finish, r.wall_seconds) << "batch " << i;
+    }
+  }
 }
 
 TEST(Stream, ReportRendersAndPublishesMetrics) {

@@ -536,63 +536,6 @@ TEST(ProgramCache, ReportsEntriesAndBytes) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(TakePlan, SoleUseMoveReenabledWithoutDuplicates) {
-  // Follow-up to the duplicated-consumer fix: disabling moves for every
-  // scheduled run was overkill. With a schedule where each value is
-  // bound exactly once, the sole-use binding must be a take again.
-  auto g = workloads::chain_graph(3, 1.0, 8.0);
-  workloads::synthesize_pits(g);
-  auto flat = workloads::as_flatten(std::move(g));
-  auto m = make_machine(2);
-  const auto schedule = sched::MhScheduler().run(flat.graph, m);
-  ASSERT_EQ(schedule.num_duplicates(), 0);
-
-  const DesignPlan plan =
-      build_plan(flat, RunOptions{}, TakePlan{true, &schedule, false});
-  bool any_take = false;
-  for (const TaskPlan& tp : plan.tasks) {
-    for (const InputBinding& b : tp.inputs) {
-      any_take = any_take || b.take;
-    }
-  }
-  EXPECT_TRUE(any_take);
-}
-
-TEST(TakePlan, DuplicatedConsumerCountsEveryScheduledCopy) {
-  // The 031c342 scenario, now asserted at the plan level: `mid` has a
-  // duplicate placement, so src->mid is bound twice and must not be a
-  // take — while a schedule without the duplicate may move it.
-  auto g = workloads::chain_graph(3, 1.0, 8.0);
-  workloads::synthesize_pits(g);
-  auto flat = workloads::as_flatten(std::move(g));
-  auto m = make_machine(2);
-  const double d = m.task_time(1.0, 0);
-  const double gap = 0.02;
-  sched::Schedule schedule(2, "manual");
-  schedule.place(0, 0, 0.0, d);
-  schedule.place(1, 0, d + gap, 2 * d + gap);
-  schedule.place(1, 1, d + gap, 2 * d + gap, /*duplicate=*/true);
-  schedule.place(2, 1, 2 * d + 2 * gap, 3 * d + 2 * gap);
-  schedule.validate(flat.graph, m);
-
-  const DesignPlan plan =
-      build_plan(flat, RunOptions{}, TakePlan{true, &schedule, false});
-  // Task 1 (duplicated) reads task 0's value from two copies: no take.
-  for (const InputBinding& b : plan.tasks[1].inputs) {
-    if (b.kind == InputBinding::Kind::Producer) {
-      EXPECT_FALSE(b.take);
-    }
-  }
-  // A fault plan disables takes outright (rescue re-binds).
-  const DesignPlan faulty =
-      build_plan(flat, RunOptions{}, TakePlan{true, &schedule, true});
-  for (const TaskPlan& tp : faulty.tasks) {
-    for (const InputBinding& b : tp.inputs) {
-      EXPECT_FALSE(b.take);
-    }
-  }
-}
-
 TEST(Parallel, PureSyncTasksAllowed) {
   graph::TaskGraph g;
   g.add_task({"barrier", 1, "", {}, {}});
@@ -679,6 +622,46 @@ TEST(FrontEnd, FirstErrorInTaskOrderForAnyJobs) {
         EXPECT_EQ(f.message, want.message) << "BANGER_JOBS=" << jobs;
         EXPECT_EQ(f.pos, want.pos) << "BANGER_JOBS=" << jobs;
       }
+    }
+  }
+}
+
+TEST(Parallel, IndependentFailuresReportTheEarliestScheduledError) {
+  // Two tasks fail independently. `late` fails at once, `early` only
+  // after a loop, but `early` is scheduled first, so every run reports
+  // it, with the worker that ran it, whatever the thread count.
+  graph::TaskGraph g;
+  graph::Task early;
+  early.name = "early";
+  early.work = 1;
+  early.pits =
+      "s := 0\nfor i := 1 to 20000 do\n  s := s + i\nend\n"
+      "v := [1, 2]\nx := v[s]\n";
+  early.outputs = {"x"};
+  g.add_task(std::move(early));
+  graph::Task late;
+  late.name = "late";
+  late.work = 1;
+  late.pits = "y := 1 / 0\n";
+  late.outputs = {"y"};
+  g.add_task(std::move(late));
+  const auto flat = workloads::as_flatten(std::move(g));
+  const Machine m = make_machine(2);
+  sched::Schedule schedule(2, "manual");
+  schedule.place(0, 1, 0.0, 1.0);
+  schedule.place(1, 0, 0.5, 1.5);
+
+  const Failure seq = failure_of([&] { (void)run_sequential(flat, {}); });
+  ASSERT_NE(seq.message.find("`early`"), std::string::npos) << seq.message;
+  for (const char* jobs : {"1", "4"}) {
+    const tests::ScopedEnv env("BANGER_JOBS", jobs);
+    for (int round = 0; round < 50; ++round) {
+      const Failure f =
+          failure_of([&] { (void)Executor(flat, m).run(schedule, {}); });
+      EXPECT_EQ(f.code, seq.code);
+      EXPECT_EQ(f.message, "worker 1: " + seq.message)
+          << "BANGER_JOBS=" << jobs << " round " << round;
+      EXPECT_EQ(f.pos, seq.pos);
     }
   }
 }

@@ -554,24 +554,33 @@ TEST(ExecFault, SurvivorsRescueACrashedWorker) {
       [](const sched::Placement& a, const sched::Placement& b) {
         return a.start < b.start;
       });
+  ASSERT_EQ(last->proc, 1);
   const auto plan = fault::plan_crash(last->proc, last->start);
 
   exec::Executor executor(flat, m);
   exec::RunOptions opts;
   opts.faults = &plan;
-  opts.rescue_poll_seconds = 0.001;
-  const auto par = executor.run(schedule, lu_inputs(), opts);
   const auto seq = exec::run_sequential(flat, lu_inputs());
-
-  EXPECT_EQ(par.outputs.at("x"), seq.outputs.at("x"));
-  EXPECT_EQ(par.stores.at("U"), seq.stores.at("U"));
-  EXPECT_EQ(par.workers_died, 1);
-  EXPECT_GE(par.tasks_rescued, 1u);
-  EXPECT_GT(par.recovery_overhead_seconds, 0.0);
-  const bool any_rescued =
-      std::any_of(par.runs.begin(), par.runs.end(),
-                  [](const exec::TaskRun& r) { return r.rescued; });
-  EXPECT_TRUE(any_rescued);
+  // The rescue is wired before the run, so every repetition rescues the
+  // same stage on the same survivor (processor 0, the lowest whose lane
+  // did not crash).
+  for (int round = 0; round < 20; ++round) {
+    const auto par = executor.run(schedule, lu_inputs(), opts);
+    EXPECT_EQ(par.outputs, seq.outputs);
+    EXPECT_EQ(par.stores, seq.stores);
+    EXPECT_EQ(par.workers_died, 1);
+    EXPECT_EQ(par.tasks_rescued, 1u);
+    ASSERT_EQ(par.runs.size(), 9u);
+    EXPECT_GT(par.recovery_overhead_seconds, 0.0);
+    for (const exec::TaskRun& r : par.runs) {
+      if (r.task == last->task) {
+        EXPECT_TRUE(r.rescued);
+        EXPECT_EQ(r.proc, 0);
+      } else {
+        EXPECT_FALSE(r.rescued);
+      }
+    }
+  }
 }
 
 TEST(ExecFault, AllWorkersDeadFails) {
@@ -583,7 +592,65 @@ TEST(ExecFault, AllWorkersDeadFails) {
   exec::Executor executor(flat, m);
   exec::RunOptions opts;
   opts.faults = &plan;
-  EXPECT_THROW((void)executor.run(schedule, lu_inputs(), opts), Error);
+  try {
+    (void)executor.run(schedule, lu_inputs(), opts);
+    FAIL() << "expected every worker to crash";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Runtime);
+    EXPECT_EQ(e.message(), "all capable workers crashed: 9 tasks never executed");
+  }
+  // Crashing each processor at its last scheduled start strands just
+  // those last placements; the count names them.
+  fault::FaultPlan tails("tails");
+  int lanes_used = 0;
+  for (ProcId p = 0; p < 3; ++p) {
+    const auto lane = schedule.lane(p);
+    if (lane.empty()) continue;
+    tails.add_crash(p, lane.back().start);
+    ++lanes_used;
+  }
+  opts.faults = &tails;
+  try {
+    (void)executor.run(schedule, lu_inputs(), opts);
+    FAIL() << "expected every worker to crash";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.message(), "all capable workers crashed: " +
+                               std::to_string(lanes_used) +
+                               " tasks never executed");
+  }
+}
+
+TEST(ExecFault, CrashOnDuplicatingScheduleMatchesSequential) {
+  // DSH duplicates on an expensive network; crashing the busiest lane
+  // halfway strands primaries and duplicate copies alike.
+  auto g = workloads::fork_join(6, 0.05, 8.0);
+  workloads::synthesize_pits(g);
+  auto flat = workloads::as_flatten(std::move(g));
+  machine::MachineParams p;
+  p.processor_speed = 1.0;
+  p.message_startup = 2.0;
+  Machine m(machine::Topology::fully_connected(4), p);
+  const auto schedule = sched::DshScheduler().run(flat.graph, m);
+  ASSERT_GT(schedule.num_duplicates(), 0);
+  const auto plan = fault::plan_crash_busiest(schedule, 0.5);
+
+  exec::Executor executor(flat, m);
+  exec::RunOptions opts;
+  opts.faults = &plan;
+  const auto seq = exec::run_sequential(flat, {});
+  const auto par = executor.run(schedule, {}, opts);
+  EXPECT_EQ(par.outputs, seq.outputs);
+  EXPECT_EQ(par.stores, seq.stores);
+  EXPECT_EQ(par.workers_died, 1);
+  EXPECT_GT(par.tasks_rescued, 0u);
+  EXPECT_EQ(par.runs.size(), schedule.placements().size());
+  // The rescuer is the lowest-numbered processor whose lane survived.
+  const ProcId crashed = plan.crashes().front().proc;
+  ASSERT_EQ(crashed, 0);
+  ASSERT_FALSE(schedule.lane(3).empty());
+  for (const exec::TaskRun& r : par.runs) {
+    if (r.rescued) EXPECT_EQ(r.proc, 1);
+  }
 }
 
 TEST(ExecFault, EmptyPlanChangesNothing) {

@@ -45,6 +45,8 @@ const char* const kHotBenchmarks[] = {
     "BM_ExecRunVm",
     "BM_ExecRunBatch/4096",
     "BM_ExecStream/1024/real_time",
+    "BM_ExecPerBatchRun/64/real_time",
+    "BM_ExecRunScheduled/real_time",
     "BM_ServeTrialCached",
     "BM_ServeTrialBatch",
     "BM_EvalInputLine",
