@@ -286,18 +286,15 @@ void BM_PitsCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_PitsCompile);
 
-// The headline pair: one 1024-statement routine, identical semantics,
-// executed by the bytecode VM vs the tree-walking reference. The VM
-// compiles with abstract-interpretation facts (check elision + tick
-// batching), matching what the executor and calculator panel do.
+// One 1024-statement routine on the bytecode VM, compiled with
+// abstract-interpretation facts (check elision + tick batching),
+// matching what the executor and calculator panel do.
 void BM_PitsExecVm(benchmark::State& state) {
   const auto program = pits::Program::parse(pits_heavy_source(1024));
   analyze::precompile_optimized(program);
-  pits::ExecOptions opts;
-  opts.engine = pits::ExecOptions::Engine::Vm;
   for (auto _ : state) {
     pits::Env env;
-    program.execute(env, opts);
+    program.execute(env);
     benchmark::DoNotOptimize(env);
   }
   state.SetItemsProcessed(state.iterations() * 1024 * 100);
@@ -309,43 +306,25 @@ BENCHMARK(BM_PitsExecVm);
 void BM_PitsExecVmNoElide(benchmark::State& state) {
   const auto program = pits::Program::parse(pits_heavy_source(1024));
   program.precompile();
-  pits::ExecOptions opts;
-  opts.engine = pits::ExecOptions::Engine::Vm;
   for (auto _ : state) {
     pits::Env env;
-    program.execute(env, opts);
+    program.execute(env);
     benchmark::DoNotOptimize(env);
   }
   state.SetItemsProcessed(state.iterations() * 1024 * 100);
 }
 BENCHMARK(BM_PitsExecVmNoElide);
 
-void BM_PitsExecWalk(benchmark::State& state) {
-  const auto program = pits::Program::parse(pits_heavy_source(1024));
-  pits::ExecOptions opts;
-  opts.engine = pits::ExecOptions::Engine::Walk;
-  for (auto _ : state) {
-    pits::Env env;
-    program.execute(env, opts);
-    benchmark::DoNotOptimize(env);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024 * 100);
-}
-BENCHMARK(BM_PitsExecWalk);
-
 // Whole-run view: the LU design end to end (flatten result reused, so
-// this measures compile_all + task execution + store routing) on each
-// engine. The PITS share of a real run is modest; the pair bounds the
-// end-to-end win.
+// this measures planning against the warm program cache + task
+// execution + store routing).
 void BM_ExecRunVm(benchmark::State& state) {
   const auto flat = workloads::lu3x3_design().flatten();
   const std::map<std::string, pits::Value> inputs = {
       {"A", pits::Value(pits::Vector{4, 3, 2, 8, 8, 5, 4, 7, 9})},
       {"b", pits::Value(pits::Vector{16, 39, 45})}};
-  exec::RunOptions opts;
-  opts.pits.engine = pits::ExecOptions::Engine::Vm;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exec::run_sequential(flat, inputs, opts));
+    benchmark::DoNotOptimize(exec::run_sequential(flat, inputs));
   }
 }
 BENCHMARK(BM_ExecRunVm);
@@ -366,10 +345,8 @@ void BM_ExecRunBatch(benchmark::State& state) {
         {{"A", pits::Value(pits::Vector{4, 3, 2, 8, 8, 5, 4, 7, 9})},
          {"b", pits::Value(pits::Vector{16 + d, 39, 45 - d})}});
   }
-  exec::RunOptions opts;
-  opts.pits.engine = pits::ExecOptions::Engine::Vm;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exec::run_trials(flat, inputs, opts));
+    benchmark::DoNotOptimize(exec::run_trials(flat, inputs));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -541,19 +518,6 @@ void BM_ExecRunAlternating(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecRunAlternating)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_ExecRunWalk(benchmark::State& state) {
-  const auto flat = workloads::lu3x3_design().flatten();
-  const std::map<std::string, pits::Value> inputs = {
-      {"A", pits::Value(pits::Vector{4, 3, 2, 8, 8, 5, 4, 7, 9})},
-      {"b", pits::Value(pits::Vector{16, 39, 45})}};
-  exec::RunOptions opts;
-  opts.pits.engine = pits::ExecOptions::Engine::Walk;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exec::run_sequential(flat, inputs, opts));
-  }
-}
-BENCHMARK(BM_ExecRunWalk);
-
 void BM_FlattenLu(benchmark::State& state) {
   const auto design = workloads::lu3x3_design();
   for (auto _ : state) {
@@ -720,6 +684,30 @@ void BM_ServeTrialBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTrials);
 }
 BENCHMARK(BM_ServeTrialBatch);
+
+// The JSON layer on its own: the ~548 KB heat 32x32 schedule request,
+// parsed from its line and dumped back to one. Every serve request pays
+// the parse; every response the dump.
+void BM_JsonParse(benchmark::State& state) {
+  const std::string request = serve_schedule_request();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::Json::parse(request));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(request.size()));
+}
+BENCHMARK(BM_JsonParse);
+
+void BM_JsonDump(benchmark::State& state) {
+  const std::string request = serve_schedule_request();
+  const serve::Json doc = serve::Json::parse(request);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(doc.dump());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(request.size()));
+}
+BENCHMARK(BM_JsonDump);
 
 // ---------------------------------------------------------------------------
 // Batch text I/O: the two per-input costs `trial --inputs` and `stream`

@@ -44,7 +44,6 @@ struct Options {
   std::vector<int> sizes{1, 2, 4, 8};
   std::map<std::string, pits::Value> inputs;
   std::string inputs_file;  ///< --inputs FILE: batched trials, one per line
-  pits::ExecOptions::Engine pits_engine = pits::ExecOptions::Engine::Auto;
   bool contention = false;
   std::size_t events = 20;
   std::string task;             ///< --task filter for explain
@@ -128,16 +127,6 @@ Options parse_options(const std::vector<std::string>& args,
       o.inputs[var] = pits::eval_expression(kv.substr(eq + 1), {});
     } else if (a == "--inputs") {
       o.inputs_file = next();
-    } else if (a == "--pits-engine") {
-      const std::string& engine = next();
-      if (engine == "vm") {
-        o.pits_engine = pits::ExecOptions::Engine::Vm;
-      } else if (engine == "walk") {
-        o.pits_engine = pits::ExecOptions::Engine::Walk;
-      } else {
-        usage_error("--pits-engine expects `vm` or `walk`, got `" + engine +
-                    "`");
-      }
     } else if (a == "--task") {
       o.task = next();
     } else if (a == "--fault-plan") {
@@ -392,7 +381,6 @@ std::vector<std::map<std::string, pits::Value>> load_trial_inputs(
 int cmd_trial(const Options& o, std::ostream& out) {
   Project project = load_project(o, 0);
   exec::RunOptions run_opts;
-  run_opts.pits.engine = o.pits_engine;
   if (!o.inputs_file.empty()) {
     if (!o.inputs.empty()) {
       usage_error("give either --input VAR=EXPR or --inputs FILE, not both");
@@ -414,7 +402,6 @@ int cmd_run(const Options& o, std::ostream& out) {
   Project project = load_project(o, 0);
   project.set_machine(load_machine_arg(o, 1));
   exec::RunOptions run_opts;
-  run_opts.pits.engine = o.pits_engine;
   fault::FaultPlan plan;
   if (!o.fault_plan_file.empty()) {
     plan = fault::FaultPlan::load(o.fault_plan_file);
@@ -442,7 +429,6 @@ int cmd_stream(const Options& o, std::ostream& out, std::ostream& err) {
   }
   const auto batches = load_trial_inputs(o.inputs_file, o.jobs);
   exec::StreamOptions stream_opts;
-  stream_opts.run.pits.engine = o.pits_engine;
   stream_opts.queue_capacity = static_cast<std::size_t>(o.queue_cap);
   stream_opts.jobs = o.jobs;
   const auto result = project.run_stream(batches, o.scheduler, stream_opts);
@@ -814,9 +800,6 @@ std::string usage() {
       "  --trials N         faults: Monte Carlo over N seed-varied runs\n"
       "  --queue-cap N      stream: bounded inter-stage queue capacity in\n"
       "                     packets (default 8); backpressure, never loss\n"
-      "  --pits-engine E    run/trial: PITS execution engine, `vm` (default)\n"
-      "                     or `walk` (reference tree-walker); results are\n"
-      "                     identical either way\n"
       "  --metrics FILE     write a flat JSON metrics summary of the command\n"
       "                     (scheduler rounds, cache hits, sim/exec/recovery\n"
       "                     counters) to FILE\n"

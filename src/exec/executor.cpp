@@ -28,16 +28,13 @@ RunResult run_trial(const FlattenResult& flat, const DesignPlan& plan,
   RunResult result;
   std::vector<std::optional<TaskOutputs>> task_outputs(flat.graph.num_tasks());
   for (TaskId t : order) {
-    pits::Env env;
-    const bool slots =
-        bind_task(flat, plan, t, external, task_outputs, scratch, env);
+    bind_task(flat, plan, t, external, task_outputs, scratch);
     TaskRun run;
     run.task = t;
     run.proc = 0;
     run.wall_start = seconds_since(t0);
-    task_outputs[t] = execute_task(flat, plan, t, slots, std::move(env),
-                                   scratch, options, external, task_outputs,
-                                   &result.transcript);
+    task_outputs[t] = execute_task(flat, plan, t, scratch, options, external,
+                                   task_outputs, &result.transcript);
     run.wall_finish = seconds_since(t0);
     result.runs.push_back(run);
   }
@@ -84,7 +81,7 @@ void record_run(obs::TraceRecorder& rec, const graph::TaskGraph& g,
 RunResult run_sequential(const FlattenResult& flat,
                          const std::map<std::string, pits::Value>& inputs,
                          const RunOptions& options) {
-  const DesignPlan plan = build_plan(flat, options);
+  const DesignPlan plan = build_plan(flat);
   obs::TraceRecorder* rec = obs::current();
   TaskScratch scratch;
   RunResult result;
@@ -103,7 +100,7 @@ std::vector<TrialOutcome> run_trials(
     const FlattenResult& flat,
     const std::vector<std::map<std::string, pits::Value>>& inputs,
     const RunOptions& options, int jobs) {
-  const DesignPlan plan = build_plan(flat, options);
+  const DesignPlan plan = build_plan(flat);
   const std::vector<TaskId> order = flat.graph.topo_order();
   obs::TraceRecorder* rec = obs::current();
 

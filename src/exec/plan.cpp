@@ -14,7 +14,6 @@ namespace banger::exec {
 
 namespace {
 
-using pits::Env;
 using pits::Value;
 
 /// Does this (possibly comma-joined) edge variable list carry `var`?
@@ -207,7 +206,7 @@ std::vector<ProgramCache::Lookup> ProgramCache::get_all(
       if (const auto hit = index_.find(*source); hit != index_.end()) {
         ++stats_.hits;
         touch_locked(hit->second, call);
-        out.push_back({hit->second->program, hit->second->chunk, nullptr});
+        out.push_back({hit->second->chunk, nullptr});
         continue;
       }
       const auto [it, first] = miss_index.try_emplace(*source, misses.size());
@@ -257,7 +256,7 @@ std::vector<ProgramCache::Lookup> ProgramCache::get_all(
                                std::prev(recency_.end()))
                     .first;
       }
-      compiled[m] = {found->second->program, found->second->chunk, nullptr};
+      compiled[m] = {found->second->chunk, nullptr};
     }
     evict_locked(call);
   }
@@ -279,11 +278,9 @@ ProgramCache& program_cache() {
 
 // ---- design plans ----------------------------------------------------
 
-DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options) {
+DesignPlan build_plan(const FlattenResult& flat) {
   const graph::TaskGraph& g = flat.graph;
   DesignPlan plan;
-  plan.vm_engine = pits::resolve_engine(options.pits.engine) ==
-                   pits::ExecOptions::Engine::Vm;
   plan.tasks.resize(g.num_tasks());
 
   // The routines of every task before the first one that declares
@@ -317,9 +314,7 @@ DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options) {
              e.pos());
       }
     }
-    tp.program = std::move(found[i].program);
     tp.chunk = std::move(found[i].chunk);
-    tp.runnable = true;
   }
   if (stop < g.num_tasks()) {
     fail(ErrorCode::Runtime, "task `" + g.task(stop).name +
@@ -329,8 +324,7 @@ DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options) {
   for (TaskId t = 0; t < g.num_tasks(); ++t) {
     const graph::Task& task = g.task(t);
     TaskPlan& tp = plan.tasks[t];
-    const pits::bc::Chunk* chunk =
-        plan.vm_engine ? tp.chunk.get() : nullptr;
+    const pits::bc::Chunk* chunk = tp.chunk.get();
     auto slot_of = [&](const std::string& var) -> std::int32_t {
       if (chunk == nullptr) return -1;
       for (std::size_t s = 0; s < chunk->vars.size(); ++s) {
@@ -482,38 +476,32 @@ Value resolve_binding(const graph::Task& task, const InputBinding& b,
   fail_bound_to_nothing(task, b.var);
 }
 
-bool bind_task(const FlattenResult& flat, const DesignPlan& plan,
+void bind_task(const FlattenResult& flat, const DesignPlan& plan,
                graph::TaskId t, const ExternalInputs& external,
                std::vector<std::optional<TaskOutputs>>& outs,
-               TaskScratch& scratch, Env& env) {
+               TaskScratch& scratch) {
   const graph::Task& task = flat.graph.task(t);
   const TaskPlan& tp = plan.tasks[t];
-  const bool slots = plan.vm_engine && tp.chunk != nullptr;
-  if (slots) scratch.frame.prepare(*tp.chunk);
+  if (tp.chunk != nullptr) scratch.frame.prepare(*tp.chunk);
   for (const InputBinding& b : tp.inputs) {
     Value v = resolve_binding(task, b, external, outs);
-    if (slots) {
-      if (b.slot >= 0) {
-        scratch.frame.bind(static_cast<std::uint16_t>(b.slot), std::move(v));
-      }
-      // Inputs the routine never mentions have no slot; pass-through
-      // outputs re-resolve them at collection time.
-    } else {
-      env[task.inputs[b.var]] = std::move(v);
+    // Inputs the routine never mentions have no slot; pass-through
+    // outputs re-resolve them at collection time.
+    if (b.slot >= 0) {
+      scratch.frame.bind(static_cast<std::uint32_t>(b.slot), std::move(v));
     }
   }
-  return slots;
 }
 
 TaskOutputs execute_task(const FlattenResult& flat, const DesignPlan& plan,
-                         graph::TaskId t, bool slots, Env env,
-                         TaskScratch& scratch, const RunOptions& options,
+                         graph::TaskId t, TaskScratch& scratch,
+                         const RunOptions& options,
                          const ExternalInputs& external,
                          std::vector<std::optional<TaskOutputs>>& outs,
                          std::string* transcript) {
   const graph::Task& task = flat.graph.task(t);
   return execute_task_with(
-      flat, plan, t, slots, std::move(env), scratch, options,
+      flat, plan, t, scratch, options,
       [&](const InputBinding& b) {
         return resolve_binding(task, b, external, outs);
       },

@@ -69,8 +69,9 @@ inline std::uint64_t seed_for(const std::string& task_name,
 class ProgramCache {
  public:
   /// The process-wide budget. A compiled heat routine is charged
-  /// ~8.5 KB (~9.7 KB of real heap), so the 32x32 and 64x64 heat rods
-  /// together, 5.2k routines, take a third of it.
+  /// ~9.0 KB (~10.2 KB of real heap, 32-bit operands), so the 32x32 and
+  /// 64x64 heat rods together, 5.2k routines (4.2k distinct, 36 MiB),
+  /// take under a third of it.
   static constexpr std::size_t kDefaultBudget = std::size_t{128} << 20;
 
   explicit ProgramCache(std::size_t budget = kDefaultBudget)
@@ -79,8 +80,7 @@ class ProgramCache {
   /// One result of get_all(): the compiled routine, or the error its
   /// parse/compile raised.
   struct Lookup {
-    pits::Program program;
-    std::shared_ptr<const pits::bc::Chunk> chunk;  ///< null -> walker only
+    std::shared_ptr<const pits::bc::Chunk> chunk;  ///< null on error
     std::exception_ptr error;
   };
 
@@ -164,9 +164,8 @@ struct OutputPlan {
 };
 
 struct TaskPlan {
-  pits::Program program;
+  /// The compiled routine; null exactly when the task has none.
   std::shared_ptr<const pits::bc::Chunk> chunk;
-  bool runnable = false;
   /// False when a variable repeats in Task::outputs: collection then
   /// copies values instead of moving them out of the frame.
   bool unique_outputs = true;
@@ -184,11 +183,9 @@ struct DesignPlan {
   /// Per flat.stores entry: writers that actually declare the store's
   /// variable, in writer order (the last one present wins).
   std::vector<std::vector<StoreWriter>> store_writers;
-  /// True when the resolved PITS engine is the VM (slot-frame path).
-  bool vm_engine = false;
 };
 
-DesignPlan build_plan(const FlattenResult& flat, const RunOptions& options);
+DesignPlan build_plan(const FlattenResult& flat);
 
 // ---- per-thread execution scratch ------------------------------------
 
@@ -233,30 +230,29 @@ pits::Value resolve_binding(const graph::Task& task, const InputBinding& b,
                             const ExternalInputs& external,
                             std::vector<std::optional<TaskOutputs>>& outs);
 
-/// Resolves task `t`'s inputs. Slot path (VM engine + compiled chunk):
-/// binds values straight into scratch.frame. Walker path: fills `env`.
-/// Returns true when the slot path is active.
-bool bind_task(const FlattenResult& flat, const DesignPlan& plan,
+/// Resolves task `t`'s inputs and binds them straight into
+/// scratch.frame's chunk slots. A task without a routine still resolves
+/// every input, so its bind errors surface in task order.
+void bind_task(const FlattenResult& flat, const DesignPlan& plan,
                graph::TaskId t, const ExternalInputs& external,
                std::vector<std::optional<TaskOutputs>>& outs,
-               TaskScratch& scratch, pits::Env& env);
+               TaskScratch& scratch);
 
 /// Executes task `t` after binding and collects its declared outputs in
-/// declaration order. `env` is consumed (walker path only). Declared
-/// outputs the routine never assigns but receives as inputs are
-/// re-resolved through `pass` (a callable taking the InputBinding and
-/// returning the value) — the batch executor re-reads the producer's
-/// stored outputs, the streaming executor its gathered packets.
+/// declaration order. Declared outputs the routine never assigns but
+/// receives as inputs are re-resolved through `pass` (a callable taking
+/// the InputBinding and returning the value) — the batch executor
+/// re-reads the producer's stored outputs, the streaming executor its
+/// gathered packets.
 template <class PassThrough>
 TaskOutputs execute_task_with(const FlattenResult& flat,
                               const DesignPlan& plan, graph::TaskId t,
-                              bool slots, pits::Env env, TaskScratch& scratch,
-                              const RunOptions& options, PassThrough&& pass,
-                              std::string* transcript) {
+                              TaskScratch& scratch, const RunOptions& options,
+                              PassThrough&& pass, std::string* transcript) {
   const graph::Task& task = flat.graph.task(t);
   const TaskPlan& tp = plan.tasks[t];
   TaskOutputs outputs;
-  if (!tp.runnable) return outputs;
+  if (tp.chunk == nullptr) return outputs;
 
   const bool capture = transcript != nullptr && options.capture_transcript;
   scratch.transcript.text.clear();
@@ -264,40 +260,28 @@ TaskOutputs execute_task_with(const FlattenResult& flat,
   exec_opts.seed = seed_for(task.name, options.pits.seed);
   exec_opts.out = capture ? &scratch.transcript_stream : nullptr;
   try {
-    if (slots) {
-      pits::bc::run_frame(*tp.chunk, scratch.frame, exec_opts);
-    } else {
-      tp.program.execute(env, exec_opts);
-    }
+    pits::bc::run_frame(*tp.chunk, scratch.frame, exec_opts);
   } catch (const Error& e) {
     fail(e.code(), "in task `" + task.name + "`: " + e.message(), e.pos());
   }
   outputs.reserve(task.outputs.size());
   for (std::size_t i = 0; i < task.outputs.size(); ++i) {
     const OutputPlan& op = tp.outputs[i];
-    if (slots) {
-      if (op.slot >= 0 &&
-          scratch.frame.states[static_cast<std::size_t>(op.slot)] ==
-              pits::bc::kSlotBound) {
-        if (tp.unique_outputs) {
-          outputs.push_back(std::move(
-              scratch.frame.regs[static_cast<std::size_t>(op.slot)]));
-        } else {
-          outputs.push_back(
-              scratch.frame.regs[static_cast<std::size_t>(op.slot)]);
-        }
-        continue;
+    if (op.slot >= 0 &&
+        scratch.frame.states[static_cast<std::size_t>(op.slot)] ==
+            pits::bc::kSlotBound) {
+      if (tp.unique_outputs) {
+        outputs.push_back(std::move(
+            scratch.frame.regs[static_cast<std::size_t>(op.slot)]));
+      } else {
+        outputs.push_back(scratch.frame.regs[static_cast<std::size_t>(op.slot)]);
       }
-      if (op.pass_input >= 0) {
-        outputs.push_back(
-            pass(tp.inputs[static_cast<std::size_t>(op.pass_input)]));
-        continue;
-      }
-    } else {
-      if (auto it = env.find(task.outputs[i]); it != env.end()) {
-        outputs.push_back(it->second);
-        continue;
-      }
+      continue;
+    }
+    if (op.pass_input >= 0) {
+      outputs.push_back(
+          pass(tp.inputs[static_cast<std::size_t>(op.pass_input)]));
+      continue;
     }
     fail(ErrorCode::Runtime, "task `" + task.name +
                                  "` never assigned its output `" +
@@ -312,8 +296,8 @@ TaskOutputs execute_task_with(const FlattenResult& flat,
 /// execute_task_with specialised to the batch executors' pass-through:
 /// re-resolve from the producer's stored outputs.
 TaskOutputs execute_task(const FlattenResult& flat, const DesignPlan& plan,
-                         graph::TaskId t, bool slots, pits::Env env,
-                         TaskScratch& scratch, const RunOptions& options,
+                         graph::TaskId t, TaskScratch& scratch,
+                         const RunOptions& options,
                          const ExternalInputs& external,
                          std::vector<std::optional<TaskOutputs>>& outs,
                          std::string* transcript);

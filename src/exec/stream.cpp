@@ -68,7 +68,6 @@ namespace banger::exec {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using pits::Env;
 using pits::Value;
 
 // Matches sched::Schedule::validate, so any schedule that validates
@@ -303,7 +302,7 @@ Pipeline::Pipeline(const FlattenResult& f, const Schedule& schedule,
   if (opt.run.faults != nullptr && !opt.run.faults->empty()) {
     opt.run.faults->validate(machine.num_procs());
   }
-  plan = build_plan(flat, opt.run);
+  plan = build_plan(flat);
   keeps_outputs.assign(flat.graph.num_tasks(), false);
   for (const auto& writers : plan.store_writers) {
     for (const StoreWriter& w : writers) keeps_outputs[w.task] = true;
@@ -582,9 +581,7 @@ void Pipeline::execute_stage(Lane& ln, Stage& st, TaskScratch& scratch) {
     ln.run.wall_start =
         std::chrono::duration<double>(begin - ln.batch_started).count();
     try {
-      Env env;
-      const bool slots = plan.vm_engine && tp.chunk != nullptr;
-      if (slots) scratch.frame.prepare(*tp.chunk);
+      if (tp.chunk != nullptr) scratch.frame.prepare(*tp.chunk);
       for (std::size_t i = 0; i < tp.inputs.size(); ++i) {
         const InputBinding& b = tp.inputs[i];
         Value v;
@@ -596,17 +593,12 @@ void Pipeline::execute_stage(Lane& ln, Stage& st, TaskScratch& scratch) {
           Packet& pk = *ln.gathered[i];
           v = st.keep_after_bind[i] ? pk.value : std::move(pk.value);
         }
-        if (slots) {
-          if (b.slot >= 0) {
-            scratch.frame.bind(static_cast<std::uint16_t>(b.slot),
-                               std::move(v));
-          }
-        } else {
-          env[task.inputs[b.var]] = std::move(v);
+        if (b.slot >= 0) {
+          scratch.frame.bind(static_cast<std::uint32_t>(b.slot), std::move(v));
         }
       }
       ln.outputs = execute_task_with(
-          flat, plan, st.pl.task, slots, std::move(env), scratch, opt.run,
+          flat, plan, st.pl.task, scratch, opt.run,
           [&](const InputBinding& b) -> Value {
             if (st.sources[b.var].kind == StageSource::Kind::None) {
               return resolve_binding(task, b, *ln.inputs, no_outs);
@@ -812,7 +804,7 @@ bool Pipeline::try_advance(Lane& ln, TaskScratch& scratch) {
 }
 
 void Pipeline::worker_main(std::size_t worker_idx) {
-  // Adopt the launching thread's ambient recorder so PITS engine
+  // Adopt the launching thread's ambient recorder so PITS VM
   // counters bumped inside task routines aggregate as usual.
   std::optional<obs::ScopedRecorder> ambient;
   if (rec != nullptr) ambient.emplace(*rec);

@@ -12,8 +12,8 @@
 // Guarantees:
 //   - Per-batch results (stores, outputs, transcript, runs, errors) are
 //     exactly what Executor::run gives for that batch with the same
-//     schedule and options, on both engines: Executor::run is this
-//     runtime on a stream of one batch. Stores and outputs equal
+//     schedule and options: Executor::run is this runtime on a stream
+//     of one batch. Stores and outputs equal
 //     run_sequential's; a batch where several tasks fail reports the
 //     earliest-scheduled failure.
 //   - A fault plan splits every crashed lane the same way in every

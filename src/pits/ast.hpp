@@ -8,8 +8,8 @@
 // node that names something. Equal names in one parse share a SymId
 // whatever they name (a variable, a formula, a builtin, a parameter),
 // so the analyses and the compiler keep per-name state in arrays
-// indexed by it. The spelling stays on the node for printing, the
-// tree-walker and error messages.
+// indexed by it. The spelling stays on the node for printing, error
+// messages and the reference tree-walker in tests/.
 #pragma once
 
 #include <algorithm>

@@ -1,14 +1,14 @@
 // banger/pits/bytecode.hpp
 //
-// Register bytecode for PITS routines. The tree-walk interpreter in
-// interp.cpp resolves every variable through a std::map on every read;
-// the compiler in compile.cpp interns each name to a dense frame slot
+// Register bytecode for PITS routines, the one engine that runs them.
+// The compiler in compile.cpp interns each name to a dense frame slot
 // once, folds constant subexpressions into a pool, and lowers loops and
 // calls to direct opcodes so the VM in vm.cpp touches the Env map only
-// at entry/exit. Semantics are bit-for-bit those of the tree-walker —
-// same step accounting, same error codes/messages/positions, same
-// print/trace transcripts, same rand() stream — which the differential
-// fuzz suite (tests/pits_vm_test.cpp) enforces.
+// at entry/exit. Semantics are bit-for-bit those of the reference
+// tree-walker in tests/reference_walker.hpp — same step accounting,
+// same error codes/messages/positions, same print/trace transcripts,
+// same rand() stream — which the differential suites
+// (tests/pits_vm_test.cpp, tests/pits_fuzz_test.cpp) enforce.
 #pragma once
 
 #include <cstdint>
@@ -96,9 +96,9 @@ inline constexpr std::uint8_t kFinish = 16U;
 struct Instr {
   Op op = Op::Halt;
   std::uint8_t flags = 0;
-  std::uint16_t a = 0;
-  std::uint16_t b = 0;
-  std::uint16_t c = 0;
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+  std::uint32_t c = 0;
   std::int32_t d = 0;
   SourcePos pos;
 };
@@ -109,12 +109,12 @@ struct Instr {
 struct ArgRange {
   std::uint32_t begin = 0;  ///< first instruction of the argument
   std::uint32_t end = 0;    ///< one past the last
-  std::uint16_t reg = 0;    ///< register holding the result
+  std::uint32_t reg = 0;    ///< register holding the result
   std::uint8_t temp = 0;    ///< 1 = result may be moved out
 };
 
 struct CallSite {
-  std::uint16_t name = 0;   ///< names[] index of the callee
+  std::uint32_t name = 0;   ///< names[] index of the callee
   const Builtin* builtin = nullptr;  ///< pre-resolved; null if unknown
   std::int32_t formula = -1;  ///< runtime formula-table index, -1 if never a formula
   std::vector<ArgRange> args;
@@ -124,19 +124,19 @@ struct CallSite {
 struct Code {
   std::vector<Instr> ins;
   std::vector<CallSite> sites;
-  std::uint16_t num_regs = 0;
+  std::uint32_t num_regs = 0;
   /// First non-named register: main-frame slots (or formula parameters)
   /// occupy [0, first_temp). The peephole pass may only elide writes to
   /// registers at or above this boundary.
-  std::uint16_t first_temp = 0;
+  std::uint32_t first_temp = 0;
 };
 
 struct Formula {
-  std::uint16_t name = 0;  ///< names[] index
+  std::uint32_t name = 0;  ///< names[] index
   std::int32_t table = 0;  ///< runtime formula-table index it registers under
-  std::vector<std::uint16_t> param_reg;  ///< frame register per declared param
+  std::vector<std::uint32_t> param_reg;  ///< frame register per declared param
   std::vector<std::uint8_t> param_bind;  ///< 0 for duplicate params (first wins)
-  std::uint16_t result = 0;  ///< register holding the body's value
+  std::uint32_t result = 0;  ///< register holding the body's value
   Code code;
 };
 
@@ -144,7 +144,7 @@ struct Formula {
 // of the main frame; `const_value` backs CheckVar materialization for
 // calculator constants (pi, e, ...) that the Env may shadow at entry.
 struct VarInfo {
-  std::uint16_t name = 0;  ///< names[] index
+  std::uint32_t name = 0;  ///< names[] index
   bool has_const = false;
   double const_value = 0.0;
 };
@@ -179,9 +179,8 @@ struct AnalysisFacts;
 
 /// Compiles a parsed routine. Total for any parseable AST — statically
 /// invalid-but-conditionally-executed code lowers to runtime-faulting
-/// instructions. Throws Error{Limit} only for routines exceeding the
-/// 16-bit register/name space (the caller falls back to the walker).
-/// With `facts` (proofs from the abstract interpreter in
+/// instructions, and operands are 32-bit, so no routine a process can
+/// hold overflows them. With `facts` (proofs from the abstract interpreter in
 /// src/analyze/absint.cpp), statement ticks batch into TickN, proven
 /// in-bounds index sites drop their checks, and proven-bound reads
 /// drop CheckVar — observable behavior is unchanged.
@@ -215,7 +214,7 @@ struct Frame {
     states.assign(chunk.vars.size(), kSlotUnbound);
   }
 
-  void bind(std::uint16_t slot, Value v) {
+  void bind(std::uint32_t slot, Value v) {
     regs[slot] = std::move(v);
     states[slot] = kSlotBound;
   }

@@ -43,15 +43,6 @@ namespace banger::pits::bc {
 
 namespace {
 
-// Registers, pool indices, and name indices are 16-bit; a routine that
-// exhausts them (unreachable for human-written programs) makes the
-// caller fall back to the tree-walker.
-constexpr std::size_t kMaxIndex = 60000;
-
-[[noreturn]] void overflow() {
-  fail(ErrorCode::Limit, "PITS routine too large to compile");
-}
-
 /// Scalar arithmetic foldable only when the tree-walker could not have
 /// raised: division/mod by zero and NaN-from-real pow stay runtime.
 std::optional<double> fold_scalar_op(BinOp op, double a, double b) {
@@ -97,7 +88,7 @@ Op arith_op(BinOp op) {
 /// A compiled operand: the register holding the value and whether that
 /// register is a dead temporary after one use (movable by the consumer).
 struct Operand {
-  std::uint16_t reg = 0;
+  std::uint32_t reg = 0;
   bool temp = false;
 };
 
@@ -107,8 +98,8 @@ struct Operand {
 /// elided on re-reads.
 struct Frame {
   Code code;
-  std::uint16_t next_temp = 0;
-  std::uint16_t high_water = 0;
+  std::uint32_t next_temp = 0;
+  std::uint32_t high_water = 0;
   bool in_formula = false;
   /// readable[slot]: every execution path reaching the instruction now
   /// being emitted has already bound or checked the slot.
@@ -121,13 +112,13 @@ class Compiler {
       : facts_(facts) {
     collect_block(body);
     Frame f;
-    f.next_temp = static_cast<std::uint16_t>(chunk_.vars.size());
+    f.next_temp = static_cast<std::uint32_t>(chunk_.vars.size());
     f.high_water = f.next_temp;
     f.readable.assign(chunk_.vars.size(), 0);
     compile_block(f, body);
     emit(f, {.op = Op::Halt});
     f.code.num_regs = f.high_water;
-    f.code.first_temp = static_cast<std::uint16_t>(chunk_.vars.size());
+    f.code.first_temp = static_cast<std::uint32_t>(chunk_.vars.size());
     chunk_.main = std::move(f.code);
     chunk_.num_formula_names = num_formula_names_;
   }
@@ -137,7 +128,7 @@ class Compiler {
  private:
   // ---- interning ----------------------------------------------------
 
-  static constexpr std::uint16_t kNone = 0xFFFF;  // above kMaxIndex
+  static constexpr std::uint32_t kNone = UINT32_MAX;
 
   /// Entry `sym` of a per-symbol table, growing it as ids appear.
   template <typename T>
@@ -146,18 +137,16 @@ class Compiler {
     return table[sym];
   }
 
-  std::uint16_t name_id(SymId sym, const std::string& s) {
-    std::uint16_t& id = by_sym(name_ids_, sym, kNone);
+  std::uint32_t name_id(SymId sym, const std::string& s) {
+    std::uint32_t& id = by_sym(name_ids_, sym, kNone);
     if (id != kNone) return id;
-    if (chunk_.names.size() >= kMaxIndex) overflow();
-    id = static_cast<std::uint16_t>(chunk_.names.size());
+    id = static_cast<std::uint32_t>(chunk_.names.size());
     chunk_.names.push_back(s);
     return id;
   }
 
-  std::uint16_t const_id(Value v) {
-    if (chunk_.consts.size() >= kMaxIndex) overflow();
-    const auto next = static_cast<std::uint16_t>(chunk_.consts.size());
+  std::uint32_t const_id(Value v) {
+    const auto next = static_cast<std::uint32_t>(chunk_.consts.size());
     if (v.is_scalar()) {
       // Dedup by bit pattern: -0.0 and 0.0 display differently, and NaN
       // never compares equal to itself.
@@ -177,12 +166,11 @@ class Compiler {
     return next;
   }
 
-  std::uint16_t message_id(std::string s) {
+  std::uint32_t message_id(std::string s) {
     if (auto it = message_ids_.find(s); it != message_ids_.end()) {
       return it->second;
     }
-    if (chunk_.messages.size() >= kMaxIndex) overflow();
-    const auto id = static_cast<std::uint16_t>(chunk_.messages.size());
+    const auto id = static_cast<std::uint32_t>(chunk_.messages.size());
     message_ids_.emplace(s, id);
     chunk_.messages.push_back(std::move(s));
     return id;
@@ -190,14 +178,13 @@ class Compiler {
 
   void slot(SymId sym, const std::string& name) {
     if (by_sym(slot_of_, sym, kNone) != kNone) return;
-    if (chunk_.vars.size() >= kMaxIndex) overflow();
     VarInfo vi;
     vi.name = name_id(sym, name);
     if (auto c = constants().find(name); c != constants().end()) {
       vi.has_const = true;
       vi.const_value = c->second;
     }
-    slot_of_[sym] = static_cast<std::uint16_t>(chunk_.vars.size());
+    slot_of_[sym] = static_cast<std::uint32_t>(chunk_.vars.size());
     chunk_.vars.push_back(vi);
   }
 
@@ -438,17 +425,16 @@ class Compiler {
     f.code.ins[at].d = static_cast<std::int32_t>(f.code.ins.size());
   }
 
-  static std::uint16_t alloc(Frame& f) {
-    if (f.next_temp >= kMaxIndex) overflow();
-    const std::uint16_t r = f.next_temp++;
+  static std::uint32_t alloc(Frame& f) {
+    const std::uint32_t r = f.next_temp++;
     f.high_water = std::max(f.high_water, f.next_temp);
     return r;
   }
 
   /// Destination register for an expression: the caller-requested one,
   /// or a fresh temp.
-  static std::uint16_t dst_reg(Frame& f, int want) {
-    return want >= 0 ? static_cast<std::uint16_t>(want) : alloc(f);
+  static std::uint32_t dst_reg(Frame& f, int want) {
+    return want >= 0 ? static_cast<std::uint32_t>(want) : alloc(f);
   }
 
   static std::uint8_t temp_flags(const Operand& b) {
@@ -474,7 +460,7 @@ class Compiler {
   Operand compile_expr(Frame& f, const Expr& e, int want) {
     if (auto v = fold(e, f)) {
       if (!is_literal(e)) ++chunk_.folded;
-      const std::uint16_t dst = dst_reg(f, want);
+      const std::uint32_t dst = dst_reg(f, want);
       emit(f, {.op = Op::LoadConst,
                .a = dst,
                .b = const_id(std::move(*v)),
@@ -492,10 +478,10 @@ class Compiler {
           } else if constexpr (std::is_same_v<T, VectorLit>) {
             return compile_vector_lit(f, node, e.pos, want);
           } else if constexpr (std::is_same_v<T, Unary>) {
-            const std::uint16_t mark = f.next_temp;
+            const std::uint32_t mark = f.next_temp;
             const Operand v = compile_expr(f, *node.operand, -1);
             f.next_temp = mark;
-            const std::uint16_t dst = dst_reg(f, want);
+            const std::uint32_t dst = dst_reg(f, want);
             emit(f, {.op = node.op == UnOp::Not ? Op::NotOp : Op::Neg,
                      .flags = temp_flags(v),
                      .a = dst,
@@ -507,7 +493,7 @@ class Compiler {
           } else if constexpr (std::is_same_v<T, Index>) {
             const bool safe =
                 facts_ != nullptr && facts_->safe_index.contains(&e);
-            const std::uint16_t mark = f.next_temp;
+            const std::uint32_t mark = f.next_temp;
             const Operand base = compile_expr(f, *node.base, -1);
             if (safe) {
               chunk_.elided += 1;
@@ -516,7 +502,7 @@ class Compiler {
             }
             const Operand idx = compile_expr(f, *node.index, -1);
             f.next_temp = mark;
-            const std::uint16_t dst = dst_reg(f, want);
+            const std::uint32_t dst = dst_reg(f, want);
             emit(f, {.op = Op::IndexLoad,
                      .flags = safe ? kNoCheck : std::uint8_t{0},
                      .a = dst,
@@ -533,7 +519,7 @@ class Compiler {
 
   Operand compile_var(Frame& f, const VarRef& node, SourcePos pos, int want) {
     if (f.in_formula) {
-      if (const std::uint16_t reg = param_reg(node.sym); reg != kNone) {
+      if (const std::uint32_t reg = param_reg(node.sym); reg != kNone) {
         return move_to_want(f, {reg, false}, want);
       }
       // Not a parameter, not a constant (those folded): the read can
@@ -541,7 +527,7 @@ class Compiler {
       return emit_error(f, ErrorCode::Name,
                         "undefined variable `" + node.name + "`", pos, want);
     }
-    const std::uint16_t s = slot_of_[node.sym];
+    const std::uint32_t s = slot_of_[node.sym];
     if (!f.readable[s]) {
       if (facts_ != nullptr && facts_->bound_reads.contains(&node)) {
         // Proven assigned on every path: the slot is live without a
@@ -558,18 +544,18 @@ class Compiler {
   /// Routes a value already living in a register to the requested
   /// destination (a copy for named slots, a move for temps).
   Operand move_to_want(Frame& f, Operand r, int want) {
-    if (want < 0 || r.reg == static_cast<std::uint16_t>(want)) return r;
+    if (want < 0 || r.reg == static_cast<std::uint32_t>(want)) return r;
     emit(f, {.op = Op::Move,
              .flags = temp_flags(r),
-             .a = static_cast<std::uint16_t>(want),
+             .a = static_cast<std::uint32_t>(want),
              .b = r.reg});
-    return {static_cast<std::uint16_t>(want), false};
+    return {static_cast<std::uint32_t>(want), false};
   }
 
   Operand emit_error(Frame& f, ErrorCode code, std::string msg, SourcePos pos,
                      int want) {
     emit(f, {.op = Op::ErrAlways,
-             .a = static_cast<std::uint16_t>(code),
+             .a = static_cast<std::uint32_t>(code),
              .b = message_id(std::move(msg)),
              .pos = pos});
     return {dst_reg(f, want), want < 0};
@@ -580,14 +566,14 @@ class Compiler {
     // Always built in a fresh temp: elements may read the assignment
     // target (`v := [v[1], v[0]]`), so the destination slot must keep
     // its old value until the vector is complete.
-    const std::uint16_t mark = f.next_temp;
-    const std::uint16_t vec = alloc(f);
+    const std::uint32_t mark = f.next_temp;
+    const std::uint32_t vec = alloc(f);
     emit(f, {.op = Op::NewVector,
              .a = vec,
              .d = static_cast<std::int32_t>(node.elements.size()),
              .pos = pos});
     for (const auto& el : node.elements) {
-      const std::uint16_t inner = f.next_temp;
+      const std::uint32_t inner = f.next_temp;
       const Operand r = compile_expr(f, *el, -1);
       emit(f, {.op = Op::PushScalar, .a = vec, .b = r.reg, .pos = el->pos});
       f.next_temp = inner;
@@ -595,10 +581,10 @@ class Compiler {
     if (want >= 0) {
       emit(f, {.op = Op::Move,
                .flags = kTempB,
-               .a = static_cast<std::uint16_t>(want),
+               .a = static_cast<std::uint32_t>(want),
                .b = vec});
       f.next_temp = mark;
-      return {static_cast<std::uint16_t>(want), false};
+      return {static_cast<std::uint32_t>(want), false};
     }
     return {vec, true};
   }
@@ -608,11 +594,11 @@ class Compiler {
     if (node.op == BinOp::And || node.op == BinOp::Or) {
       return compile_logical(f, node, want);
     }
-    const std::uint16_t mark = f.next_temp;
+    const std::uint32_t mark = f.next_temp;
     const Operand lhs = compile_expr(f, *node.lhs, -1);
     const Operand rhs = compile_expr(f, *node.rhs, -1);
     f.next_temp = mark;
-    const std::uint16_t dst = dst_reg(f, want);
+    const std::uint32_t dst = dst_reg(f, want);
     emit(f, {.op = arith_op(node.op),
              .flags = temp_flags(lhs, rhs),
              .a = dst,
@@ -630,23 +616,23 @@ class Compiler {
       // it), or the result is just truthy(rhs).
       ++chunk_.folded;
       if (lv->truthy() == is_and) {
-        const std::uint16_t mark = f.next_temp;
+        const std::uint32_t mark = f.next_temp;
         const Operand r = compile_expr(f, *node.rhs, -1);
         f.next_temp = mark;
-        const std::uint16_t dst = dst_reg(f, want);
+        const std::uint32_t dst = dst_reg(f, want);
         emit(f, {.op = Op::Truthy,
                  .flags = temp_flags(r),
                  .a = dst,
                  .b = r.reg});
         return {dst, want < 0};
       }
-      const std::uint16_t dst = dst_reg(f, want);
+      const std::uint32_t dst = dst_reg(f, want);
       emit(f, {.op = Op::LoadConst,
                .a = dst,
                .b = const_id(Value(is_and ? 0.0 : 1.0))});
       return {dst, want < 0};
     }
-    const std::uint16_t mark = f.next_temp;
+    const std::uint32_t mark = f.next_temp;
     const Operand lhs = compile_expr(f, *node.lhs, -1);
     const std::size_t skip = emit(
         f, {.op = is_and ? Op::JumpIfFalsy : Op::JumpIfTruthy, .b = lhs.reg});
@@ -657,7 +643,7 @@ class Compiler {
     const Operand rhs = compile_expr(f, *node.rhs, -1);
     f.readable = std::move(saved);
     f.next_temp = mark;
-    const std::uint16_t dst = dst_reg(f, want);
+    const std::uint32_t dst = dst_reg(f, want);
     emit(f, {.op = Op::Truthy, .flags = temp_flags(rhs), .a = dst, .b = rhs.reg});
     const std::size_t done = emit(f, {.op = Op::Jump});
     patch(f, skip);
@@ -670,7 +656,6 @@ class Compiler {
 
   Operand compile_call(Frame& f, const Call& node, SourcePos pos, int want) {
     if (node.callee == "when") return compile_when(f, node, pos, want);
-    if (f.code.sites.size() >= kMaxIndex) overflow();
 
     CallSite site;
     site.name = name_id(node.sym, node.callee);
@@ -679,19 +664,19 @@ class Compiler {
         formula_table_of_[node.sym] >= 0) {
       site.formula = formula_table_of_[node.sym];
     }
-    const auto site_idx = static_cast<std::uint16_t>(f.code.sites.size());
+    const auto site_idx = static_cast<std::uint32_t>(f.code.sites.size());
     f.code.sites.emplace_back();
 
-    const std::uint16_t mark = f.next_temp;
-    const std::uint16_t dst = dst_reg(f, want);
+    const std::uint32_t mark = f.next_temp;
+    const std::uint32_t dst = dst_reg(f, want);
     const std::size_t call_at = emit(
         f, {.op = Op::CallOp, .a = dst, .b = site_idx, .pos = pos});
     // Argument code is embedded after the call instruction; the VM runs
     // each range only after resolving the callee and checking arity
     // (the tree-walker's order), then resumes at `d`.
     for (const auto& a : node.args) {
-      const std::uint16_t areg = alloc(f);
-      const std::uint16_t inner = f.next_temp;
+      const std::uint32_t areg = alloc(f);
+      const std::uint32_t inner = f.next_temp;
       ArgRange ar;
       ar.begin = static_cast<std::uint32_t>(f.code.ins.size());
       ar.reg = areg;
@@ -703,7 +688,7 @@ class Compiler {
     }
     patch(f, call_at);
     f.code.sites[site_idx] = std::move(site);
-    f.next_temp = want >= 0 ? mark : static_cast<std::uint16_t>(dst + 1);
+    f.next_temp = want >= 0 ? mark : dst + 1;
     return {dst, want < 0};
   }
 
@@ -712,12 +697,12 @@ class Compiler {
       return emit_error(f, ErrorCode::Type,
                         "when() expects (condition, then, else)", pos, want);
     }
-    const std::uint16_t mark = f.next_temp;
+    const std::uint32_t mark = f.next_temp;
     const Operand cond = compile_expr(f, *node.args[0], -1);
     const std::size_t to_else =
         emit(f, {.op = Op::JumpIfFalsy, .b = cond.reg});
     f.next_temp = mark;
-    const std::uint16_t dst = dst_reg(f, want);
+    const std::uint32_t dst = dst_reg(f, want);
     // Each arm executes on its own path; CheckVar knowledge survives
     // the join only when proven on both.
     const std::vector<char> before = f.readable;
@@ -729,7 +714,7 @@ class Compiler {
     compile_expr(f, *node.args[2], dst);
     patch(f, done);
     intersect(f.readable, after_then);
-    f.next_temp = want >= 0 ? mark : static_cast<std::uint16_t>(dst + 1);
+    f.next_temp = want >= 0 ? mark : dst + 1;
     return {dst, want < 0};
   }
 
@@ -805,8 +790,7 @@ class Compiler {
 
   void emit_batch(Frame& f, const Block& block, std::size_t i,
                   std::size_t end, const PendingTick* pending) {
-    if (chunk_.runs.size() >= kMaxIndex) overflow();
-    const auto run_idx = static_cast<std::uint16_t>(chunk_.runs.size());
+    const auto run_idx = static_cast<std::uint32_t>(chunk_.runs.size());
     chunk_.runs.emplace_back();  // reserve the slot; nested batches append
     const std::size_t count = (pending != nullptr ? 1 : 0) + (end - i);
     emit(f, {.op = Op::TickN,
@@ -851,7 +835,7 @@ class Compiler {
           } else if constexpr (std::is_same_v<T, FormulaDef>) {
             compile_formula_def(f, node, s.pos);
           } else if constexpr (std::is_same_v<T, ExprStmt>) {
-            const std::uint16_t mark = f.next_temp;
+            const std::uint32_t mark = f.next_temp;
             compile_expr(f, *node.expr, -1);
             f.next_temp = mark;
           }
@@ -860,8 +844,8 @@ class Compiler {
   }
 
   void compile_assign(Frame& f, const AssignStmt& node, SourcePos pos) {
-    const std::uint16_t target = slot_of_[node.sym];
-    const std::uint16_t mark = f.next_temp;
+    const std::uint32_t target = slot_of_[node.sym];
+    const std::uint32_t mark = f.next_temp;
     if (node.index) {
       const bool safe = facts_ != nullptr &&
                         facts_->safe_indexed_store.contains(&node);
@@ -893,7 +877,7 @@ class Compiler {
     std::vector<std::size_t> done_jumps;
     std::vector<std::vector<char>> ends;
     for (const auto& arm : node.arms) {
-      const std::uint16_t mark = f.next_temp;
+      const std::uint32_t mark = f.next_temp;
       const Operand cond = compile_expr(f, *arm.cond, -1);
       f.next_temp = mark;
       const std::size_t to_next =
@@ -912,7 +896,7 @@ class Compiler {
 
   void compile_while(Frame& f, const WhileStmt& node, SourcePos pos) {
     const auto head = static_cast<std::int32_t>(f.code.ins.size());
-    const std::uint16_t mark = f.next_temp;
+    const std::uint32_t mark = f.next_temp;
     const Operand cond = compile_expr(f, *node.cond, -1);
     f.next_temp = mark;
     const std::size_t exit_jump =
@@ -933,16 +917,16 @@ class Compiler {
   }
 
   void compile_repeat(Frame& f, const RepeatStmt& node, SourcePos pos) {
-    const std::uint16_t mark = f.next_temp;
-    const std::uint16_t counter = alloc(f);
-    const std::uint16_t limit = alloc(f);
+    const std::uint32_t mark = f.next_temp;
+    const std::uint32_t counter = alloc(f);
+    const std::uint32_t limit = alloc(f);
     const Operand count = compile_expr(f, *node.count, -1);
     emit(f, {.op = Op::RepeatInit,
              .a = counter,
              .b = limit,
              .c = count.reg,
              .pos = pos});
-    f.next_temp = static_cast<std::uint16_t>(limit + 1);
+    f.next_temp = limit + 1;
     const auto head = static_cast<std::int32_t>(f.code.ins.size());
     const std::size_t exit_jump =
         emit(f, {.op = Op::RepeatNext,
@@ -964,11 +948,11 @@ class Compiler {
   }
 
   void compile_for(Frame& f, const ForStmt& node, SourcePos pos) {
-    const std::uint16_t target = slot_of_[node.sym];
-    const std::uint16_t mark = f.next_temp;
-    const std::uint16_t counter = alloc(f);
-    const std::uint16_t limit = alloc(f);
-    const std::uint16_t step = alloc(f);
+    const std::uint32_t target = slot_of_[node.sym];
+    const std::uint32_t mark = f.next_temp;
+    const std::uint32_t counter = alloc(f);
+    const std::uint32_t limit = alloc(f);
+    const std::uint32_t step = alloc(f);
     // from/to/step evaluate once, each coerced to a scalar immediately
     // (interleaved with evaluation, like the tree-walker's as_scalar).
     compile_bound(f, *node.from, counter);
@@ -1009,8 +993,8 @@ class Compiler {
     f.next_temp = mark;
   }
 
-  void compile_bound(Frame& f, const Expr& e, std::uint16_t into) {
-    const std::uint16_t inner = f.next_temp;
+  void compile_bound(Frame& f, const Expr& e, std::uint32_t into) {
+    const std::uint32_t inner = f.next_temp;
     const Operand r = compile_expr(f, e, -1);
     emit(f, {.op = Op::ToScalar, .a = into, .b = r.reg, .pos = e.pos});
     f.next_temp = inner;
@@ -1036,8 +1020,7 @@ class Compiler {
                  "formula `" + node.name + "` would shadow a constant", pos, 0);
       return;
     }
-    if (chunk_.formulas.size() >= kMaxIndex) overflow();
-    const auto idx = static_cast<std::uint16_t>(chunk_.formulas.size());
+    const auto idx = static_cast<std::uint32_t>(chunk_.formulas.size());
     chunk_.formulas.push_back(compile_formula(node));
     emit(f, {.op = Op::DefFormula, .b = idx, .pos = pos});
   }
@@ -1046,9 +1029,9 @@ class Compiler {
     Formula fo;
     fo.name = name_id(def.sym, def.name);
     fo.table = formula_table_of_[def.sym];
-    std::uint16_t next_reg = 0;
+    std::uint32_t next_reg = 0;
     for (const SymId p : def.param_syms) {
-      std::uint16_t& reg = by_sym(param_reg_, p, kNone);
+      std::uint32_t& reg = by_sym(param_reg_, p, kNone);
       if (reg != kNone) {
         // Duplicate parameter: the tree-walker's emplace keeps the
         // first binding; later arguments still evaluate, then drop.
@@ -1076,20 +1059,20 @@ class Compiler {
 
   /// Register of the parameter `sym` names in the formula being
   /// compiled, or kNone.
-  [[nodiscard]] std::uint16_t param_reg(SymId sym) const {
+  [[nodiscard]] std::uint32_t param_reg(SymId sym) const {
     return sym < param_reg_.size() ? param_reg_[sym] : kNone;
   }
 
   Chunk chunk_;
   const AnalysisFacts* facts_ = nullptr;
-  std::map<std::uint64_t, std::uint16_t> scalar_ids_;
-  std::map<std::string, std::uint16_t> string_ids_;
-  std::map<std::string, std::uint16_t> message_ids_;
+  std::map<std::uint64_t, std::uint32_t> scalar_ids_;
+  std::map<std::string, std::uint32_t> string_ids_;
+  std::map<std::string, std::uint32_t> message_ids_;
   // By symbol; kNone / -1 where unset.
-  std::vector<std::uint16_t> name_ids_;
-  std::vector<std::uint16_t> slot_of_;
+  std::vector<std::uint32_t> name_ids_;
+  std::vector<std::uint32_t> slot_of_;
   std::vector<std::int32_t> formula_table_of_;
-  std::vector<std::uint16_t> param_reg_;  ///< of the formula being compiled
+  std::vector<std::uint32_t> param_reg_;  ///< of the formula being compiled
   std::uint32_t num_formula_names_ = 0;
 };
 
@@ -1215,7 +1198,7 @@ Op const_form(Op op) {
 /// Attempts to fuse the adjacent pair (cur, next). Returns the single
 /// replacement instruction, or nullopt when the pair must stay split.
 std::optional<Instr> try_fuse(const Instr& cur, const Instr& next,
-                              std::uint16_t first_temp,
+                              std::uint32_t first_temp,
                               const std::vector<Value>& consts) {
   // Store fusion: value-producing instruction + FinishAssign on the
   // same slot. The trace echo prints only the line number, so the pair
@@ -1255,8 +1238,8 @@ std::optional<Instr> try_fuse(const Instr& cur, const Instr& next,
   if (cur.op == Op::LoadConst && cur.a >= first_temp &&
       consts[cur.b].scalar_if() != nullptr && next.b != next.c) {
     if (const Op k = const_form(next.op); k != next.op) {
-      const std::uint16_t t = cur.a;
-      std::uint16_t src = 0;
+      const std::uint32_t t = cur.a;
+      std::uint32_t src = 0;
       bool swapped = false;
       if (next.c == t && next.b != t) {
         src = next.b;

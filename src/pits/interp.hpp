@@ -23,13 +23,6 @@ namespace banger::pits {
 using Env = std::map<std::string, Value>;
 
 struct ExecOptions {
-  /// Which execution engine runs the routine. Both are observably
-  /// identical (same results, transcripts, errors, rand() stream); the
-  /// tree-walker is kept as the reference oracle for differential
-  /// testing. Auto resolves via the BANGER_PITS_ENGINE environment
-  /// variable ("walk" selects the tree-walker), defaulting to the VM.
-  enum class Engine : std::uint8_t { Auto, Vm, Walk };
-
   /// Abort with Error{Limit} after this many evaluated statements —
   /// non-programmers write infinite loops, and instant feedback must not
   /// hang the environment.
@@ -41,7 +34,6 @@ struct ExecOptions {
   /// Single-step trace: every assignment is echoed as
   /// "line N: var = value" (the calculator's step mode). Null disables.
   std::ostream* trace = nullptr;
-  Engine engine = Engine::Auto;
 };
 
 namespace bc {
@@ -64,8 +56,9 @@ class Program {
   [[nodiscard]] bool empty() const noexcept { return body_->empty(); }
   [[nodiscard]] const Block& body() const noexcept { return *body_; }
 
-  /// Runs the routine, mutating `env`. Throws Error{Runtime} (division by
-  /// zero, bad index, unknown name...), Error{Type}, or Error{Limit}.
+  /// Runs the routine on the bytecode VM, mutating `env`. Throws
+  /// Error{Runtime} (division by zero, bad index, unknown name...),
+  /// Error{Type}, or Error{Limit}.
   void execute(Env& env, const ExecOptions& options = {}) const;
 
   /// Compiles to bytecode now instead of on first execute(). Idempotent,
@@ -76,7 +69,7 @@ class Program {
   /// check elision and statement-tick batching. The compiled form is
   /// once-initialized, so only the first compilation of this Program
   /// (across all copies) takes effect; later calls are no-ops either
-  /// way. Elided chunks stay observably identical to the walker.
+  /// way. Elided chunks stay observably identical to plain ones.
   void precompile(const bc::AnalysisFacts& facts) const;
 
   /// Canonical source text (pretty-printed AST).
@@ -88,9 +81,8 @@ class Program {
   /// Variables the routine assigns — the candidate outputs.
   [[nodiscard]] std::vector<std::string> outputs() const;
 
-  /// The cached chunk, compiling on first use; null when the routine
-  /// exceeds the compact ISA limits (the walker then takes over).
-  /// `facts` is consulted only by the compiling call. Callers that
+  /// The cached chunk, compiling on first use; never null. `facts` is
+  /// consulted only by the compiling call. Callers that
   /// drive the VM directly (the executor's slot-frame hot path) hold
   /// the shared_ptr and run bc::run_frame against it.
   [[nodiscard]] std::shared_ptr<const bc::Chunk> compiled_chunk(
@@ -104,11 +96,6 @@ class Program {
   std::shared_ptr<const Block> body_;
   std::shared_ptr<Compiled> compiled_;
 };
-
-/// Resolves Engine::Auto to the concrete engine execute() would use
-/// (BANGER_PITS_ENGINE, read once per process); returns other values
-/// unchanged. Lets callers pick a VM-only fast path up front.
-[[nodiscard]] ExecOptions::Engine resolve_engine(ExecOptions::Engine engine);
 
 /// Convenience: parse and evaluate a single expression against an
 /// environment (the calculator's display line). Error positions are

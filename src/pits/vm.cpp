@@ -8,8 +8,8 @@
 //
 // Every observable behaviour — step accounting, error codes, messages,
 // positions, print/trace transcripts, the rand() stream — must match
-// the tree-walk interpreter exactly; tests/pits_vm_test.cpp compares
-// the two engines byte for byte.
+// the reference tree-walker (tests/reference_walker.hpp) exactly;
+// tests/pits_vm_test.cpp compares the two byte for byte.
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -141,7 +141,7 @@ class Vm {
                     << " = " << regs[in.a].to_display() << "\n";
   }
 
-  const std::string& var_name(std::uint16_t slot) const {
+  const std::string& var_name(std::uint32_t slot) const {
     return chunk_.names[chunk_.vars[slot].name];
   }
 

@@ -72,13 +72,6 @@ Request parse_request(const Json& doc) {
       }
     } else if (key == "file") {
       req.file = expect_string(key, value);
-    } else if (key == "engine") {
-      req.engine = expect_string(key, value);
-      if (req.engine != "auto" && req.engine != "vm" &&
-          req.engine != "walk") {
-        usage("request field `engine` expects `auto`, `vm` or `walk`, got `" +
-              req.engine + "`");
-      }
     } else if (key == "name") {
       req.name = expect_string(key, value);
     } else if (key == "kind") {

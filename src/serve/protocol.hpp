@@ -36,7 +36,6 @@ struct Request {
   std::string format;           ///< op-specific default; validated per op
   std::string fail_on = "error";
   std::string file;             ///< file label stamped into check diagnostics
-  std::string engine = "auto";  ///< trial: auto|vm|walk
   std::string name;             ///< upload: session name
   std::string kind;             ///< upload: design|machine
   std::string text;             ///< upload: payload text

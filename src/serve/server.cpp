@@ -1,11 +1,11 @@
 #include "serve/server.hpp"
 
 #include <cstdio>
-#include <initializer_list>
 #include <istream>
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -32,18 +32,46 @@ struct DesignArtifact {
   graph::FlattenResult flat;
 };
 
-// Unit separator: cannot appear in JSON string payloads' semantics, so
-// joined cache keys never collide across field boundaries.
-constexpr char kSep = '\x1f';
-
-std::string join_key(std::initializer_list<std::string_view> parts) {
-  std::string key;
-  for (const auto part : parts) {
-    key += part;
-    key += kSep;
+/// The content hash of a cache key, fed its parts in order. Every part
+/// enters the hash behind its length, and every list behind its count,
+/// so the bytes hashed spell out the parts unambiguously: two different
+/// requests never hash the same bytes, whatever their fields contain.
+class KeyHash {
+ public:
+  KeyHash& add(std::string_view part) {
+    count(part.size());
+    hash_ = util::fnv1a64(part, hash_);
+    return *this;
   }
-  return key;
-}
+
+  /// A VAR -> EXPR object, in key order.
+  KeyHash& add(const std::map<std::string, std::string>& inputs) {
+    count(inputs.size());
+    for (const auto& [var, expr] : inputs) add(var).add(expr);
+    return *this;
+  }
+
+  /// A list of VAR -> EXPR objects, in order.
+  KeyHash& add(const std::vector<std::map<std::string, std::string>>& list) {
+    count(list.size());
+    for (const auto& inputs : list) add(inputs);
+    return *this;
+  }
+
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  void count(std::size_t n) {
+    char bytes[8];
+    for (char& b : bytes) {
+      b = static_cast<char>(n & 0xFFU);
+      n >>= 8U;
+    }
+    hash_ = util::fnv1a64(std::string_view(bytes, sizeof bytes), hash_);
+  }
+
+  std::uint64_t hash_ = util::kFnvOffsetBasis;
+};
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -89,7 +117,7 @@ LineRead read_line(std::istream& in, std::string& line, std::size_t limit) {
 
 std::shared_ptr<const DesignArtifact> design_artifact(
     ArtifactCache& cache, const std::string& text) {
-  const CacheKey key{"design", util::fnv1a64(text)};
+  const CacheKey key{"design", KeyHash().add(text).value()};
   return cache.get_or_build<DesignArtifact>(key, [&] {
     graph::Design design = graph::parse_design(text);
     graph::FlattenResult flat = design.validate();
@@ -100,7 +128,7 @@ std::shared_ptr<const DesignArtifact> design_artifact(
 
 std::shared_ptr<const machine::Machine> machine_artifact(
     ArtifactCache& cache, const std::string& text) {
-  const CacheKey key{"machine", util::fnv1a64(text)};
+  const CacheKey key{"machine", KeyHash().add(text).value()};
   return cache.get_or_build<machine::Machine>(key, [&] {
     return std::make_shared<const machine::Machine>(
         machine::parse_machine(text));
@@ -113,7 +141,7 @@ std::shared_ptr<const sched::Schedule> schedule_artifact(
     const DesignArtifact& design, const machine::Machine& machine) {
   const CacheKey key{
       "schedule",
-      util::fnv1a64(join_key({design_text, machine_text, heuristic}))};
+      KeyHash().add(design_text).add(machine_text).add(heuristic).value()};
   return cache.get_or_build<sched::Schedule>(key, [&] {
     const auto scheduler = sched::make_scheduler(heuristic);
     sched::Schedule schedule = scheduler->run(design.flat.graph, machine);
@@ -174,10 +202,13 @@ Server::Rendered Server::respond(const Request& req) {
         format != "trace") {
       fail(ErrorCode::Usage, "unknown schedule format `" + format + "`");
     }
-    const CacheKey key{
-        "response", util::fnv1a64(join_key({"schedule", design_text,
-                                            machine_text, req.scheduler,
-                                            format}))};
+    const CacheKey key{"response", KeyHash()
+                                       .add("schedule")
+                                       .add(design_text)
+                                       .add(machine_text)
+                                       .add(req.scheduler)
+                                       .add(format)
+                                       .value()};
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
       const auto design = design_artifact(cache_, design_text);
       const auto machine = machine_artifact(cache_, machine_text);
@@ -198,32 +229,14 @@ Server::Rendered Server::respond(const Request& req) {
            "op `trial` runs sequentially; it does not take a machine");
     }
     const std::string design_text = resolve(req, false);
-    const auto engine_of = [&req] {
-      exec::RunOptions run_opts;
-      if (req.engine == "vm") {
-        run_opts.pits.engine = pits::ExecOptions::Engine::Vm;
-      } else if (req.engine == "walk") {
-        run_opts.pits.engine = pits::ExecOptions::Engine::Walk;
-      }
-      return run_opts;
-    };
     if (req.has_inputs_batch) {
       // Batch envelope: the whole batch is one request — one admission
       // slot, one cache entry keyed over every trial's inputs in order.
-      std::string inputs_key;
-      for (const auto& trial : req.inputs_batch) {
-        for (const auto& [var, expr] : trial) {
-          inputs_key += var;
-          inputs_key += '=';
-          inputs_key += expr;
-          inputs_key += kSep;
-        }
-        inputs_key += kSep;  // trial boundary
-      }
-      const CacheKey key{
-          "response",
-          util::fnv1a64(join_key({"trial_batch", design_text, req.engine}) +
-                        inputs_key)};
+      const CacheKey key{"response", KeyHash()
+                                         .add("trial_batch")
+                                         .add(design_text)
+                                         .add(req.inputs_batch)
+                                         .value()};
       const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
         const auto design = design_artifact(cache_, design_text);
         std::vector<std::map<std::string, pits::Value>> inputs;
@@ -237,32 +250,23 @@ Server::Rendered Server::respond(const Request& req) {
         // jobs=1: concurrency belongs to the request loop, not inside a
         // single cached build (which would multiply threads per slot).
         const auto outcomes =
-            exec::run_trials(design->flat, inputs, engine_of(), /*jobs=*/1);
+            exec::run_trials(design->flat, inputs, {}, /*jobs=*/1);
         const TrialBatchRender r = render_trial_batch(outcomes, /*jobs=*/1);
         return std::make_shared<const Rendered>(
             Rendered{r.text, r.exit_code});
       });
       return *rendered;
     }
-    std::string inputs_key;
-    for (const auto& [var, expr] : req.inputs) {
-      inputs_key += var;
-      inputs_key += '=';
-      inputs_key += expr;
-      inputs_key += kSep;
-    }
     const CacheKey key{
         "response",
-        util::fnv1a64(join_key({"trial", design_text, req.engine}) +
-                      inputs_key)};
+        KeyHash().add("trial").add(design_text).add(req.inputs).value()};
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
       const auto design = design_artifact(cache_, design_text);
       std::map<std::string, pits::Value> inputs;
       for (const auto& [var, expr] : req.inputs) {
         inputs[var] = pits::eval_expression(expr, {});
       }
-      const auto result =
-          exec::run_sequential(design->flat, inputs, engine_of());
+      const auto result = exec::run_sequential(design->flat, inputs);
       return std::make_shared<const Rendered>(
           Rendered{render_run_result(result, /*include_wall=*/false), 0});
     });
@@ -276,21 +280,13 @@ Server::Rendered Server::respond(const Request& req) {
     }
     const std::string design_text = resolve(req, false);
     const std::string machine_text = resolve(req, true);
-    std::string inputs_key;
-    for (const auto& batch : req.inputs_stream) {
-      for (const auto& [var, expr] : batch) {
-        inputs_key += var;
-        inputs_key += '=';
-        inputs_key += expr;
-        inputs_key += kSep;
-      }
-      inputs_key += kSep;  // batch boundary
-    }
-    const CacheKey key{
-        "response",
-        util::fnv1a64(join_key({"stream", design_text, machine_text,
-                                req.scheduler, req.engine}) +
-                      inputs_key)};
+    const CacheKey key{"response", KeyHash()
+                                       .add("stream")
+                                       .add(design_text)
+                                       .add(machine_text)
+                                       .add(req.scheduler)
+                                       .add(req.inputs_stream)
+                                       .value()};
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
       const auto design = design_artifact(cache_, design_text);
       const auto machine = machine_artifact(cache_, machine_text);
@@ -306,11 +302,6 @@ Server::Rendered Server::respond(const Request& req) {
         }
       }
       exec::StreamOptions stream_opts;
-      if (req.engine == "vm") {
-        stream_opts.run.pits.engine = pits::ExecOptions::Engine::Vm;
-      } else if (req.engine == "walk") {
-        stream_opts.run.pits.engine = pits::ExecOptions::Engine::Walk;
-      }
       // jobs=1: concurrency belongs to the request loop, not inside a
       // single cached build. One thread drives every lane cooperatively;
       // outputs are identical for any value.
@@ -336,9 +327,13 @@ Server::Rendered Server::respond(const Request& req) {
         !req.file.empty() ? req.file
         : !req.design_ref.empty() ? req.design_ref
                                   : std::string("<design>");
-    const CacheKey key{
-        "response", util::fnv1a64(join_key(
-                        {"check", design_text, format, req.fail_on, file}))};
+    const CacheKey key{"response", KeyHash()
+                                       .add("check")
+                                       .add(design_text)
+                                       .add(format)
+                                       .add(req.fail_on)
+                                       .add(file)
+                                       .value()};
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
       const auto design = design_artifact(cache_, design_text);
       const CheckRender r =
@@ -353,11 +348,13 @@ Server::Rendered Server::respond(const Request& req) {
   if (req.op == "trace") {
     const std::string design_text = resolve(req, false);
     const std::string machine_text = resolve(req, true);
-    const CacheKey key{
-        "response",
-        util::fnv1a64(join_key({"trace", design_text, machine_text,
-                                req.scheduler,
-                                req.contention ? "1" : "0"}))};
+    const CacheKey key{"response", KeyHash()
+                                       .add("trace")
+                                       .add(design_text)
+                                       .add(machine_text)
+                                       .add(req.scheduler)
+                                       .add(req.contention ? "1" : "0")
+                                       .value()};
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
       const auto design = design_artifact(cache_, design_text);
       const auto machine = machine_artifact(cache_, machine_text);

@@ -467,9 +467,7 @@ TEST(AnalysisFacts, PrecompileOptimizedIsIdempotentAndRunnable) {
   precompile_optimized(program);
   precompile_optimized(program);  // second call is a no-op
   pits::Env env;
-  pits::ExecOptions options;
-  options.engine = pits::ExecOptions::Engine::Vm;
-  program.execute(env, options);
+  program.execute(env);
   ASSERT_TRUE(env.contains("s"));
   EXPECT_EQ(env.at("s").as_scalar(), 0 + 1 + 2 + 3);
 }

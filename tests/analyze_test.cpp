@@ -915,7 +915,7 @@ TEST(CheckScaling, DivisionReportsAreLinearInRoutineSize) {
 }
 
 // One routine assigning `n` distinct variables once each: analysis and
-// a run (the VM below 60000 names, the walker past it) stay linear.
+// a run on the VM stay linear.
 TEST(CheckScaling, DistinctNamesAreLinearInRoutineSize) {
   auto routine = [](int n) {
     std::string body;

@@ -539,6 +539,15 @@ TEST_F(CliFiles, BadOptionIsUsageError) {
   EXPECT_NE(r.err.find("unknown option"), std::string::npos);
 }
 
+TEST_F(CliFiles, RetiredEngineOptionIsUsageError) {
+  // The VM is the only PITS engine; the option that once chose between
+  // it and the tree-walker is an unknown option like any other.
+  const auto r = invoke({"trial", design_path_, "--pits-engine", "vm"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown option `--pits-engine`"), std::string::npos)
+      << r.err;
+}
+
 TEST_F(CliFiles, BadInputSyntax) {
   const auto r = invoke({"trial", design_path_, "--input", "no_equals"});
   EXPECT_EQ(r.code, 2);

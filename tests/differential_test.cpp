@@ -1,6 +1,6 @@
 // Differential testing: every corpus program must produce *identical*
-// output through (a) the tree-walking interpreter and (b) the generated
-// C++ translated by codegen — the strongest guarantee the environment
+// output through (a) the PITS VM (a sequential trial run) and (b) the
+// generated C++ translated by codegen — the strongest guarantee the environment
 // can give that "generate code" means what "trial run" showed.
 //
 // All corpus programs become tasks of one generated program, so the

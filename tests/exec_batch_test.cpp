@@ -1,17 +1,25 @@
 // Differential tests for batched trial runs: run_trials must produce,
 // for every input set in the batch, exactly what run_sequential produces
 // for the same input — same outputs, same stores, same transcript, same
-// task order, same error text — across engines, step limits, error
-// inputs mid-batch, and every --jobs value. The batch path reuses
-// compiled programs and VM frames; these tests are what keep that
-// reuse observationally invisible.
+// task order, same error text — across step limits, error inputs
+// mid-batch, and every --jobs value. Both must also bind task inputs the
+// way an independent Env-binding runner on the reference walker does.
+// The batch path reuses compiled programs and VM frames; these tests are
+// what keep that reuse observationally invisible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/executor.hpp"
+#include "exec/plan.hpp"
+#include "reference_walker.hpp"
+#include "util/strings.hpp"
 #include "workloads/designs.hpp"
 #include "workloads/lu.hpp"
 
@@ -49,47 +57,125 @@ void expect_same_run(const RunResult& got, const RunResult& want,
   }
 }
 
-RunOptions engine_options(pits::ExecOptions::Engine engine) {
-  RunOptions options;
-  options.pits.engine = engine;
-  return options;
+/// Does the (possibly comma-joined) edge variable list carry `var`?
+bool edge_carries(const std::string& edge_var, const std::string& var) {
+  for (const auto part : util::split(edge_var, ',')) {
+    if (util::trim(part) == var) return true;
+  }
+  return false;
 }
 
-TEST(Batch, MatchesOneShotOnBothEngines) {
+/// A test-side sequential runner, sharing no code with the executor's
+/// plan: every task once in topological order, each input bound into an
+/// Env in the order InputBinding documents — a labelled in-edge whose
+/// producer declares the variable, then any producing predecessor, then
+/// an external input store — and each routine run on the reference
+/// walker. It checks the executor's slot binding from the outside.
+RunResult reference_run(const FlattenResult& flat,
+                        const std::map<std::string, Value>& inputs) {
+  const graph::TaskGraph& g = flat.graph;
+  const auto declares = [&g](TaskId t, const std::string& var) {
+    const auto& outs = g.task(t).outputs;
+    return std::find(outs.begin(), outs.end(), var) != outs.end();
+  };
+  std::vector<pits::Env> produced(g.num_tasks());  // declared outputs only
+  RunResult result;
+  for (const TaskId t : g.topo_order()) {
+    const graph::Task& task = g.task(t);
+    pits::Env env;
+    for (const std::string& var : task.inputs) {
+      const Value* value = nullptr;
+      for (const graph::EdgeId e : g.in_edges(t)) {
+        const graph::Edge& edge = g.edge(e);
+        if (edge_carries(edge.var, var) && declares(edge.from, var)) {
+          value = &produced[edge.from].at(var);
+          break;
+        }
+      }
+      for (const graph::EdgeId e : g.in_edges(t)) {
+        if (value != nullptr) break;
+        if (declares(g.edge(e).from, var)) {
+          value = &produced[g.edge(e).from].at(var);
+        }
+      }
+      if (value == nullptr) {
+        const graph::FlatStore* store = flat.find_store(var);
+        const auto it = inputs.find(var);
+        if (store == nullptr || !store->writers.empty() || it == inputs.end()) {
+          throw std::runtime_error("reference_run: no value for `" + var + "`");
+        }
+        value = &it->second;
+      }
+      env[var] = *value;
+    }
+    TaskRun run;
+    run.task = t;
+    result.runs.push_back(run);
+    if (util::trim(task.pits).empty()) continue;
+    std::ostringstream transcript;
+    pits::ExecOptions options;
+    options.seed = seed_for(task.name, options.seed);
+    options.out = &transcript;
+    pits::reference::walk(pits::Program::parse(task.pits), env, options);
+    for (const std::string& var : task.outputs) {
+      produced[t][var] = env.at(var);
+    }
+    if (!transcript.str().empty()) {
+      result.transcript += "[" + task.name + "]\n" + transcript.str();
+    }
+  }
+  for (const graph::FlatStore& store : flat.stores) {
+    if (store.writers.empty()) {
+      if (const auto it = inputs.find(store.var); it != inputs.end()) {
+        result.stores[store.var] = it->second;
+      }
+      continue;
+    }
+    for (const TaskId w : store.writers) {
+      if (declares(w, store.var)) {
+        result.stores[store.var] = produced[w].at(store.var);
+      }
+    }
+    if (store.readers.empty() && result.stores.contains(store.var)) {
+      result.outputs[store.var] = result.stores.at(store.var);
+    }
+  }
+  return result;
+}
+
+TEST(Batch, MatchesOneShot) {
   const auto flat = workloads::lu3x3_design().flatten();
   const auto batch = lu_batch(8);
-  for (const auto engine : {pits::ExecOptions::Engine::Vm,
-                            pits::ExecOptions::Engine::Walk}) {
-    const RunOptions options = engine_options(engine);
-    const auto outcomes = run_trials(flat, batch, options);
-    ASSERT_EQ(outcomes.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-      expect_same_run(outcomes[i].result,
-                      run_sequential(flat, batch[i], options),
-                      "trial " + std::to_string(i));
-    }
+  const auto outcomes = run_trials(flat, batch);
+  ASSERT_EQ(outcomes.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+    expect_same_run(outcomes[i].result, run_sequential(flat, batch[i]),
+                    "trial " + std::to_string(i));
   }
 }
 
-TEST(Batch, VmAndWalkerAgreeTrialByTrial) {
-  const auto flat = workloads::heat_design(3, 6, 8).flatten();
-  std::vector<std::map<std::string, Value>> batch;
+TEST(Batch, SlotBindingMatchesTheEnvReferenceRunner) {
+  std::vector<std::map<std::string, Value>> rods;
   for (int t = 0; t < 6; ++t) {
     Vector rod(3 * 8, 0.0);
     rod[static_cast<std::size_t>(t) * 4] = 100.0;
-    batch.push_back({{"rod", Value(rod)}});
+    rods.push_back({{"rod", Value(rod)}});
   }
-  const auto vm =
-      run_trials(flat, batch, engine_options(pits::ExecOptions::Engine::Vm));
-  const auto walk =
-      run_trials(flat, batch, engine_options(pits::ExecOptions::Engine::Walk));
-  ASSERT_EQ(vm.size(), walk.size());
-  for (std::size_t i = 0; i < vm.size(); ++i) {
-    ASSERT_TRUE(vm[i].ok) << vm[i].error;
-    ASSERT_TRUE(walk[i].ok) << walk[i].error;
-    expect_same_run(vm[i].result, walk[i].result,
-                    "trial " + std::to_string(i));
+  const std::pair<graph::FlattenResult,
+                  std::vector<std::map<std::string, Value>>>
+      cases[] = {{workloads::heat_design(3, 6, 8).flatten(), rods},
+                 {workloads::lu3x3_design().flatten(), lu_batch(8)}};
+  for (const auto& [flat, batch] : cases) {
+    const auto outcomes = run_trials(flat, batch);
+    ASSERT_EQ(outcomes.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+      const RunResult want = reference_run(flat, batch[i]);
+      EXPECT_FALSE(want.outputs.empty());
+      expect_same_run(outcomes[i].result, want,
+                      flat.graph.task(0).name + " trial " + std::to_string(i));
+    }
   }
 }
 
@@ -97,28 +183,23 @@ TEST(Batch, ErrorMidBatchDoesNotPoisonNeighbours) {
   const auto flat = workloads::lu3x3_design().flatten();
   auto batch = lu_batch(5);
   batch[2]["A"] = Value(Vector{0, 3, 2, 8, 8, 5, 4, 7, 9});  // zero pivot
-  for (const auto engine : {pits::ExecOptions::Engine::Vm,
-                            pits::ExecOptions::Engine::Walk}) {
-    const RunOptions options = engine_options(engine);
-    const auto outcomes = run_trials(flat, batch, options);
-    ASSERT_EQ(outcomes.size(), 5u);
-    for (const std::size_t i : {0u, 1u, 3u, 4u}) {
-      ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-      expect_same_run(outcomes[i].result,
-                      run_sequential(flat, batch[i], options),
-                      "trial " + std::to_string(i));
-    }
-    // The failed trial reports exactly what the one-shot run throws.
-    EXPECT_FALSE(outcomes[2].ok);
-    try {
-      (void)run_sequential(flat, batch[2], options);
-      FAIL() << "expected division by zero";
-    } catch (const Error& e) {
-      EXPECT_EQ(outcomes[2].error_code, e.code());
-      EXPECT_EQ(outcomes[2].error, e.message());
-      EXPECT_EQ(outcomes[2].error_pos.line, e.pos().line);
-      EXPECT_EQ(outcomes[2].error_pos.column, e.pos().column);
-    }
+  const auto outcomes = run_trials(flat, batch);
+  ASSERT_EQ(outcomes.size(), 5u);
+  for (const std::size_t i : {0u, 1u, 3u, 4u}) {
+    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+    expect_same_run(outcomes[i].result, run_sequential(flat, batch[i]),
+                    "trial " + std::to_string(i));
+  }
+  // The failed trial reports exactly what the one-shot run throws.
+  EXPECT_FALSE(outcomes[2].ok);
+  try {
+    (void)run_sequential(flat, batch[2]);
+    FAIL() << "expected division by zero";
+  } catch (const Error& e) {
+    EXPECT_EQ(outcomes[2].error_code, e.code());
+    EXPECT_EQ(outcomes[2].error, e.message());
+    EXPECT_EQ(outcomes[2].error_pos.line, e.pos().line);
+    EXPECT_EQ(outcomes[2].error_pos.column, e.pos().column);
   }
 }
 

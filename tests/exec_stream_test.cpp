@@ -1,8 +1,8 @@
 // Streaming executor tests: differential byte-identity against
 // per-batch Executor::run (the same runtime on one batch) and against
-// run_sequential as an independent oracle, on both engines; mid-stream
-// error isolation, bounded-queue backpressure, duplicate schedules,
-// crashes, and the incremental push/drain API.
+// run_sequential as an independent oracle; mid-stream error isolation,
+// bounded-queue backpressure, duplicate schedules, crashes, and the
+// incremental push/drain API.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -90,39 +90,30 @@ ProcId primary_proc(const FlattenResult& flat, const Schedule& schedule,
   return -1;
 }
 
-TEST(Stream, MatchesPerBatchRunBothEnginesAllJobCounts) {
+TEST(Stream, MatchesPerBatchRunAllJobCounts) {
   auto flat = workloads::lu3x3_design().flatten();
   auto m = make_machine(3);
   const auto schedule = sched::MhScheduler().run(flat.graph, m);
   Executor executor(flat, m);
   const auto batches = lu_batches(6);
 
-  for (const auto engine :
-       {pits::ExecOptions::Engine::Vm, pits::ExecOptions::Engine::Walk}) {
-    RunOptions run_opts;
-    run_opts.pits.engine = engine;
-    std::vector<RunResult> refs;
-    for (const auto& b : batches) {
-      refs.push_back(executor.run(schedule, b, run_opts));
-      expect_sequential_values(refs.back(), run_sequential(flat, b, run_opts),
-                               "run");
+  std::vector<RunResult> refs;
+  for (const auto& b : batches) {
+    refs.push_back(executor.run(schedule, b));
+    expect_sequential_values(refs.back(), run_sequential(flat, b), "run");
+  }
+  for (const int jobs : {1, 2, 8, 0}) {
+    StreamOptions opts;
+    opts.jobs = jobs;
+    const StreamResult sr = run_stream(flat, schedule, m, batches, opts);
+    ASSERT_EQ(sr.outcomes.size(), batches.size());
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      ASSERT_TRUE(sr.outcomes[i].ok);
+      expect_same_result(sr.outcomes[i].result, refs[i],
+                         "jobs=" + std::to_string(jobs) +
+                             " batch=" + std::to_string(i));
     }
-    for (const int jobs : {1, 2, 8, 0}) {
-      StreamOptions opts;
-      opts.run = run_opts;
-      opts.jobs = jobs;
-      const StreamResult sr = run_stream(flat, schedule, m, batches, opts);
-      ASSERT_EQ(sr.outcomes.size(), batches.size());
-      for (std::size_t i = 0; i < batches.size(); ++i) {
-        ASSERT_TRUE(sr.outcomes[i].ok);
-        expect_same_result(
-            sr.outcomes[i].result, refs[i],
-            "engine=" + std::to_string(static_cast<int>(engine)) +
-                " jobs=" + std::to_string(jobs) + " batch=" +
-                std::to_string(i));
-      }
-      EXPECT_EQ(sr.report.batches, batches.size());
-    }
+    EXPECT_EQ(sr.report.batches, batches.size());
   }
 }
 
@@ -197,32 +188,28 @@ TEST(Stream, MidStreamErrorMatchesExecutorAndIsolatesNeighbours) {
     ref_pos = e.pos();
   }
 
-  for (const auto engine :
-       {pits::ExecOptions::Engine::Vm, pits::ExecOptions::Engine::Walk}) {
-    StreamOptions opts;
-    opts.run.pits.engine = engine;
-    std::vector<std::map<std::string, Value>> batches = {
-        lu_inputs(1.0), bad, lu_inputs(3.0)};
-    const StreamResult sr = run_stream(flat, schedule, m, batches, opts);
-    ASSERT_EQ(sr.outcomes.size(), 3u);
-    // The failing batch carries exactly the error Executor::run threw,
-    // which is run_sequential's, prefixed with fan1's processor.
-    EXPECT_FALSE(sr.outcomes[1].ok);
-    EXPECT_EQ(sr.outcomes[1].error_code, ref_code);
-    EXPECT_EQ(sr.outcomes[1].error, ref_message);
-    EXPECT_EQ(sr.outcomes[1].error,
-              sequential_error(flat, bad, opts.run,
-                               primary_proc(flat, schedule, "fan1")));
-    EXPECT_EQ(sr.outcomes[1].error_pos.line, ref_pos.line);
-    EXPECT_EQ(sr.outcomes[1].error_pos.column, ref_pos.column);
-    // Its neighbours are untouched.
-    ASSERT_TRUE(sr.outcomes[0].ok);
-    ASSERT_TRUE(sr.outcomes[2].ok);
-    const auto ref0 = executor.run(schedule, batches[0]);
-    const auto ref2 = executor.run(schedule, batches[2]);
-    expect_same_result(sr.outcomes[0].result, ref0, "before error");
-    expect_same_result(sr.outcomes[2].result, ref2, "after error");
-  }
+  StreamOptions opts;
+  std::vector<std::map<std::string, Value>> batches = {
+      lu_inputs(1.0), bad, lu_inputs(3.0)};
+  const StreamResult sr = run_stream(flat, schedule, m, batches, opts);
+  ASSERT_EQ(sr.outcomes.size(), 3u);
+  // The failing batch carries exactly the error Executor::run threw,
+  // which is run_sequential's, prefixed with fan1's processor.
+  EXPECT_FALSE(sr.outcomes[1].ok);
+  EXPECT_EQ(sr.outcomes[1].error_code, ref_code);
+  EXPECT_EQ(sr.outcomes[1].error, ref_message);
+  EXPECT_EQ(sr.outcomes[1].error,
+            sequential_error(flat, bad, opts.run,
+                             primary_proc(flat, schedule, "fan1")));
+  EXPECT_EQ(sr.outcomes[1].error_pos.line, ref_pos.line);
+  EXPECT_EQ(sr.outcomes[1].error_pos.column, ref_pos.column);
+  // Its neighbours are untouched.
+  ASSERT_TRUE(sr.outcomes[0].ok);
+  ASSERT_TRUE(sr.outcomes[2].ok);
+  const auto ref0 = executor.run(schedule, batches[0]);
+  const auto ref2 = executor.run(schedule, batches[2]);
+  expect_same_result(sr.outcomes[0].result, ref0, "before error");
+  expect_same_result(sr.outcomes[2].result, ref2, "after error");
 }
 
 TEST(Stream, MissingExternalInputFailsPerBatch) {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "pits/interp.hpp"
+#include "reference_walker.hpp"
 #include "util/error.hpp"
 
 namespace banger::pits {
@@ -238,16 +239,16 @@ std::string deep_formula(const std::string& open, const std::string& close,
 
 TEST(Interp, WalkerBoundsNativeRecursionWithPositionedLimit) {
   // Formula recursion multiplies expression nesting past what the
-  // parser's nesting cap bounds; the walker once overflowed its thread
-  // stack here, while the VM runs the arithmetic shape.
-  ExecOptions walk;
-  walk.engine = ExecOptions::Engine::Walk;
+  // parser's nesting cap bounds; the reference walker's DepthGuard stops
+  // it with a positioned limit instead of overflowing the thread stack
+  // (which would crash the differential suites), while the VM runs the
+  // arithmetic shape.
   const std::pair<std::string, std::string> shapes[] = {
       {"1 + (", ")"}, {"abs(", ")"}, {"-(", ")"}, {"[", "][0]"}};
   for (const auto& [open, close] : shapes) {
     Env env;
     try {
-      Program::parse(deep_formula(open, close, 95, 255)).execute(env, walk);
+      reference::walk(Program::parse(deep_formula(open, close, 95, 255)), env);
       ADD_FAILURE() << "walker finished " << open;
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::Limit) << e.what();
@@ -256,10 +257,8 @@ TEST(Interp, WalkerBoundsNativeRecursionWithPositionedLimit) {
           << e.what();
     }
   }
-  ExecOptions vm;
-  vm.engine = ExecOptions::Engine::Vm;
   Env env;
-  Program::parse(deep_formula("1 + (", ")", 96, 255)).execute(env, vm);
+  Program::parse(deep_formula("1 + (", ")", 96, 255)).execute(env);
   EXPECT_DOUBLE_EQ(env.at("r").as_scalar(), 24480.0);
 }
 
@@ -267,14 +266,12 @@ TEST(Interp, VmBoundsNativeCallRecursionWithPositionedLimit) {
   // Every nested builtin call recurses through the VM's interpreter
   // loop, and formula recursion multiplies it: both nests once overflowed
   // the VM's thread stack.
-  ExecOptions vm;
-  vm.engine = ExecOptions::Engine::Vm;
   const std::pair<std::string, std::string> nests[] = {{"abs(", ")"},
                                                        {"sum([", "])"}};
   for (const auto& [open, close] : nests) {
     Env env;
     try {
-      Program::parse(deep_formula(open, close, 95, 255)).execute(env, vm);
+      Program::parse(deep_formula(open, close, 95, 255)).execute(env);
       ADD_FAILURE() << "VM finished " << open;
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::Limit) << e.what();
@@ -287,24 +284,29 @@ TEST(Interp, VmBoundsNativeCallRecursionWithPositionedLimit) {
   // The bound leaves room for deep formulas: 256 frames that each nest
   // seven builtin calls reach 2041 levels and finish.
   Env env;
-  Program::parse(deep_formula("abs(", ")", 7, 255)).execute(env, vm);
+  Program::parse(deep_formula("abs(", ")", 7, 255)).execute(env);
   EXPECT_DOUBLE_EQ(env.at("r").as_scalar(), 0.0);
 }
 
 TEST(Interp, ShallowFormulaRecursionStillHitsTheFrameLimitFirst) {
   // 257 frames of a shallow body stay inside the native bound, so the
-  // walker reports the formula-recursion limit, as the VM does.
-  ExecOptions walk;
-  walk.engine = ExecOptions::Engine::Walk;
-  Env env;
-  try {
-    Program::parse(deep_formula("1 + (", ")", 2, 300)).execute(env, walk);
-    FAIL() << "expected the formula recursion limit";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::Limit);
-    EXPECT_NE(e.message().find("formula recursion deeper than 256"),
-              std::string::npos)
-        << e.what();
+  // reference walker reports the formula-recursion limit, as the VM does.
+  const Program program = Program::parse(deep_formula("1 + (", ")", 2, 300));
+  for (const bool walker : {true, false}) {
+    Env env;
+    try {
+      if (walker) {
+        reference::walk(program, env);
+      } else {
+        program.execute(env);
+      }
+      ADD_FAILURE() << "expected the formula recursion limit";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Limit);
+      EXPECT_NE(e.message().find("formula recursion deeper than 256"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "pits/interp.hpp"
+#include "reference_walker.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -168,13 +169,17 @@ TEST_P(PitsFuzz, FusedVmMatchesWalker) {
   // hand-picked suites might miss.
   ProgramGen gen(GetParam() ^ 0xf05edull);
   const std::string src = gen.program(6);
-  auto outcome = [&](ExecOptions::Engine engine) -> std::string {
+  auto outcome = [&](bool walker) -> std::string {
     ExecOptions opts;
     opts.step_limit = 200000;
-    opts.engine = engine;
     Env env;
     try {
-      Program::parse(src).execute(env, opts);
+      const Program program = Program::parse(src);
+      if (walker) {
+        reference::walk(program, env, opts);
+      } else {
+        program.execute(env, opts);
+      }
     } catch (const Error& e) {
       return std::string("error: ") + e.what();
     }
@@ -184,9 +189,7 @@ TEST_P(PitsFuzz, FusedVmMatchesWalker) {
     }
     return state;
   };
-  EXPECT_EQ(outcome(ExecOptions::Engine::Vm),
-            outcome(ExecOptions::Engine::Walk))
-      << src;
+  EXPECT_EQ(outcome(/*walker=*/false), outcome(/*walker=*/true)) << src;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PitsFuzz,

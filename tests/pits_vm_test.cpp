@@ -1,10 +1,12 @@
 // Differential testing of the PITS bytecode VM against the tree-walking
-// reference interpreter. The two engines must be observably identical:
+// reference interpreter (tests/reference_walker.hpp). The two must be
+// observably identical:
 // same final environments, same print/trace transcripts, same error
 // codes, messages, and positions, same step-limit aborts — for random
 // programs, for the shipped design corpus, and under concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <sstream>
@@ -18,6 +20,7 @@
 #include "obs/trace.hpp"
 #include "pits/bytecode.hpp"
 #include "pits/interp.hpp"
+#include "reference_walker.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workloads/designs.hpp"
@@ -35,14 +38,15 @@ struct Outcome {
   std::string trace;       ///< single-step trace lines
 };
 
-Outcome run_with(const std::string& src, ExecOptions::Engine engine,
-                 const Env& inputs, std::uint64_t step_limit = 200000,
-                 bool with_facts = false) {
+/// Who runs the routine: the reference walker, or the product's VM.
+enum class Runner : std::uint8_t { Walk, Vm };
+
+Outcome run_with(const std::string& src, Runner runner, const Env& inputs,
+                 std::uint64_t step_limit = 200000, bool with_facts = false) {
   Outcome out;
   std::ostringstream transcript;
   std::ostringstream trace;
   ExecOptions opts;
-  opts.engine = engine;
   opts.step_limit = step_limit;
   opts.out = &transcript;
   opts.trace = &trace;
@@ -50,7 +54,11 @@ Outcome run_with(const std::string& src, ExecOptions::Engine engine,
   try {
     const Program program = Program::parse(src);
     if (with_facts) analyze::precompile_optimized(program);
-    program.execute(env, opts);
+    if (runner == Runner::Walk) {
+      reference::walk(program, env, opts);
+    } else {
+      program.execute(env, opts);
+    }
     out.ok = true;
   } catch (const Error& e) {
     out.ok = false;
@@ -70,11 +78,10 @@ Outcome run_with(const std::string& src, ExecOptions::Engine engine,
 /// unsound analysis fact shows up here as a three-way divergence.
 void expect_identical(const std::string& src, const Env& inputs = {},
                       std::uint64_t step_limit = 200000) {
-  const Outcome walk =
-      run_with(src, ExecOptions::Engine::Walk, inputs, step_limit);
-  const Outcome vm = run_with(src, ExecOptions::Engine::Vm, inputs, step_limit);
-  const Outcome elided = run_with(src, ExecOptions::Engine::Vm, inputs,
-                                  step_limit, /*with_facts=*/true);
+  const Outcome walk = run_with(src, Runner::Walk, inputs, step_limit);
+  const Outcome vm = run_with(src, Runner::Vm, inputs, step_limit);
+  const Outcome elided =
+      run_with(src, Runner::Vm, inputs, step_limit, /*with_facts=*/true);
   for (const Outcome* got : {&vm, &elided}) {
     const char* label = got == &vm ? "vm" : "vm+facts";
     EXPECT_EQ(got->ok, walk.ok) << label << ": " << src;
@@ -228,21 +235,82 @@ TEST(PitsVmDifferential, SymbolEdgeCases) {
   expect_identical("for i := 1 to 0 do\n  s := i\nend\ny := i\n");
 }
 
-// More distinct names than the VM's 16-bit operands address: the chunk
-// is refused and the walker runs the routine, with the same results.
-TEST(PitsVmDifferential, SeventyThousandNamesFallBackToTheWalker) {
+// Routines past 65,535 of each operand kind the ISA indexes: each gets a
+// chunk, and the VM (with and without facts) matches the walker.
+constexpr std::uint32_t kPast16Bits = 0xFFFF;
+
+// More named slots (and names) than 16 bits address.
+TEST(PitsVmDifferential, SeventyThousandNamesRunOnTheVm) {
   std::string src;
   for (int k = 0; k < 70000; ++k) {
     src += "v" + std::to_string(k) + " := " + std::to_string(k) + "\n";
   }
   src += "total := v0 + v69999\n";
   const Program program = Program::parse(src);
-  EXPECT_EQ(program.compiled_chunk(), nullptr);
+  const auto chunk = program.compiled_chunk();
+  ASSERT_NE(chunk, nullptr);
+  EXPECT_GT(chunk->vars.size(), kPast16Bits);
+  EXPECT_GT(chunk->names.size(), kPast16Bits);
   Env env;
   program.execute(env);
   EXPECT_EQ(env.size(), 70001u);
   EXPECT_EQ(env.at("total"), Value(69999.0));
   expect_identical(src);
+}
+
+// More distinct constants than 16 bits address, read by fused AddK
+// instructions whose pool index is past 65,535.
+TEST(PitsVmDifferential, SeventyThousandConstantsRunOnTheVm) {
+  std::string src;
+  for (int k = 0; k < 70000; ++k) {
+    src += "s := s + " + std::to_string(k) + ".5\n";
+  }
+  const Program program = Program::parse(src);
+  const auto chunk = program.compiled_chunk();
+  ASSERT_NE(chunk, nullptr);
+  EXPECT_GT(chunk->consts.size(), kPast16Bits);
+  std::uint32_t widest = 0;
+  for (const bc::Instr& in : chunk->main.ins) {
+    if (in.op == bc::Op::AddK) widest = std::max(widest, in.c);
+  }
+  EXPECT_GT(widest, kPast16Bits);
+  const Env inputs{{"s", Value(0.25)}};
+  Env env = inputs;
+  program.execute(env);
+  double want = 0.25;
+  for (int k = 0; k < 70000; ++k) want += k + 0.5;
+  EXPECT_EQ(env.at("s"), Value(want));
+  expect_identical(src, inputs);
+}
+
+// More registers and argument ranges than 16 bits address: one call
+// with 70,000 arguments, each evaluated into its own register.
+TEST(PitsVmDifferential, SeventyThousandArgumentsRunOnTheVm) {
+  std::string src = "y := max(";
+  Env inputs;
+  for (int k = 0; k < 70000; ++k) {
+    if (k > 0) src += ", ";
+    src += "x" + std::to_string(k);
+    const double x = static_cast<double>((k * 7919) % 70001);
+    inputs["x" + std::to_string(k)] = Value(x);
+  }
+  src += ")\n";
+  const Program program = Program::parse(src);
+  const auto chunk = program.compiled_chunk();
+  ASSERT_NE(chunk, nullptr);
+  EXPECT_GT(chunk->main.num_regs, kPast16Bits);
+  ASSERT_EQ(chunk->main.sites.size(), 1u);
+  const auto& args = chunk->main.sites.front().args;
+  ASSERT_EQ(args.size(), 70000u);
+  EXPECT_GT(args.back().reg, kPast16Bits);
+  Env env = inputs;
+  program.execute(env);
+  double want = 0;
+  for (const auto& [name, value] : inputs) {
+    want = std::max(want, value.as_scalar());
+  }
+  EXPECT_EQ(env.at("y"), Value(want));
+  expect_identical(src, inputs);
 }
 
 TEST(PitsVmDifferential, StepLimitAbortsIdentically) {
@@ -527,8 +595,7 @@ TEST(PitsVmConcurrency, SharedProgramAcrossThreads) {
       "v := [1, 2, 3] * s\n";
   const Program program = Program::parse(src);
 
-  const Outcome expected =
-      run_with(src, ExecOptions::Engine::Vm, {});
+  const Outcome expected = run_with(src, Runner::Vm, {});
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   threads.reserve(8);
@@ -536,9 +603,7 @@ TEST(PitsVmConcurrency, SharedProgramAcrossThreads) {
     threads.emplace_back([&]() {
       for (int i = 0; i < 32; ++i) {
         Env env;
-        ExecOptions opts;
-        opts.engine = ExecOptions::Engine::Vm;
-        program.execute(env, opts);
+        program.execute(env);
         std::string state;
         for (const auto& [name, value] : env) {
           state += name + "=" + value.to_display() + ";";

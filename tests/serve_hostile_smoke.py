@@ -2,14 +2,16 @@
 """Hostile-input smoke test for `banger serve` over stdio.
 
 Pipes six request lines into one server: a line past the 64 MiB
-request-line limit, a trial whose formula recursion is too deep for the
-tree-walker, an upload of a 200k-level design hierarchy, a trial on the
-default engine (the VM) whose formula recursion nests builtin calls too
-deep for it, a `check` of one routine with 40k division-by-zero lines,
-and a ping. The first four must each get a positioned `limit` error
-envelope. The check must report all 40k divisions within 30 s (its
-cost once grew with the square of the reports). The ping must be
-answered `pong`, and the server must exit 0.
+request-line limit, a trial whose formula recursion nests ~100
+expression levels per frame (it once overflowed a tree-walker's stack;
+the VM answers `r = 24480`), an upload of a 200k-level design
+hierarchy, a trial whose formula recursion nests builtin calls too deep
+for the VM, a `check` of one routine with 40k division-by-zero lines,
+and a ping. The first, third and fourth must each get a positioned
+`limit` error envelope; the second must answer `r = 24480`. The check
+must report all 40k divisions within 30 s (its cost once grew with the
+square of the reports). The ping must be answered `pong`, and the
+server must exit 0.
 
 Usage: python3 tests/serve_hostile_smoke.py path/to/banger
 """
@@ -37,7 +39,7 @@ def deep_formula_design(wrap_open, wrap_close, levels):
             "  arc deep -> r var=r bytes=8\n")
 
 
-def walker_recursion_design():
+def deep_expression_design():
     # ~100 expression levels per frame; the VM answers r = 24480.
     return deep_formula_design("1 + (", ")", 96)
 
@@ -73,8 +75,8 @@ def main():
         sys.exit(__doc__)
     lines = [
         b"x" * (LINE_LIMIT + 1),
-        json.dumps({"id": "walk", "op": "trial", "engine": "walk",
-                    "design": walker_recursion_design()}).encode(),
+        json.dumps({"id": "deep_expr", "op": "trial",
+                    "design": deep_expression_design()}).encode(),
         json.dumps({"id": "deep", "op": "upload", "name": "deep",
                     "kind": "design",
                     "text": deep_hierarchy_design()}).encode(),
@@ -97,13 +99,21 @@ def main():
     if len(responses) != len(lines):
         failures.append(f"expected {len(lines)} responses, "
                         f"got {len(responses)}")
-    for want_id, resp in zip([None, "walk", "deep", "vm"], responses):
+    for want_id, resp in zip([None, "deep", "vm"],
+                             [responses[i] for i in (0, 2, 3)
+                              if i < len(responses)]):
         error = resp.get("error", {})
         if (resp.get("id") != want_id or resp.get("ok") is not False
                 or error.get("code") != "limit" or "line" not in error):
             failures.append(f"expected a positioned limit error for "
                             f"{want_id!r}, got {json.dumps(resp)[:400]}")
     if len(responses) == len(lines):
+        deep_expr = responses[1]
+        if (deep_expr.get("id") != "deep_expr"
+                or deep_expr.get("ok") is not True
+                or "r = 24480" not in deep_expr.get("output", "")):
+            failures.append(f"expected r = 24480 from the deep expression "
+                            f"trial, got {json.dumps(deep_expr)[:400]}")
         check = responses[4]
         summary = check.get("summary", {})
         if (check.get("id") != "check" or check.get("ok") is not True

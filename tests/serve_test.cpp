@@ -474,9 +474,11 @@ TEST(ServeServer, LineAtTheLimitWithoutNewlineIsStillRead) {
   EXPECT_EQ(field(field(resp, "error"), "code").as_string(), "parse");
 }
 
-TEST(ServeServer, WalkerRecursionGetsLimitEnvelopeAndServerAnswersOn) {
+TEST(ServeServer, DeepFormulaRecursionRunsOnTheVmAndServerAnswersOn) {
   // 255 formula frames, each ~100 expression levels deep: the VM runs
-  // it, and the tree-walker once overflowed the worker's stack on it.
+  // it (a tree-walker once overflowed the worker's stack on it). The
+  // `engine` field that once chose between the two is gone: a request
+  // that still names it gets the unknown-field usage envelope.
   std::string body = "f(n - 1)";
   for (int i = 0; i < 96; ++i) body = "1 + (" + body + ")";
   const std::string design =
@@ -489,31 +491,77 @@ TEST(ServeServer, WalkerRecursionGetsLimitEnvelopeAndServerAnswersOn) {
       "    r := f(255)\n"
       "  }\n"
       "  arc deep -> r var=r bytes=8\n";
-  auto trial = [&](const char* engine) {
-    return request({{"id", Json::string(engine)},
-                    {"op", Json::string("trial")},
-                    {"design", Json::string(design)},
-                    {"engine", Json::string(engine)}});
-  };
   Server server;
-  std::istringstream in(trial("walk") + "\n" + trial("vm") + "\n" +
-                        request({{"op", Json::string("ping")}}) + "\n");
+  std::istringstream in(
+      request({{"id", Json::string("vm")},
+               {"op", Json::string("trial")},
+               {"design", Json::string(design)}}) +
+      "\n" +
+      request({{"id", Json::string("engine")},
+               {"op", Json::string("trial")},
+               {"design", Json::string(design)},
+               {"engine", Json::string("walk")}}) +
+      "\n" + request({{"op", Json::string("ping")}}) + "\n");
   std::ostringstream out;
   server.serve_stream(in, out);
   std::istringstream lines(out.str());
-  std::string walk;
   std::string vm;
+  std::string engine;
   std::string ping;
-  ASSERT_TRUE(std::getline(lines, walk));
   ASSERT_TRUE(std::getline(lines, vm));
+  ASSERT_TRUE(std::getline(lines, engine));
   ASSERT_TRUE(std::getline(lines, ping));
-  const Json walked = Json::parse(walk);
-  EXPECT_EQ(field(field(walked, "error"), "code").as_string(), "limit");
-  EXPECT_EQ(field(field(walked, "error"), "line").as_number(), 1.0);
   EXPECT_NE(field(Json::parse(vm), "output").as_string().find("r = 24480"),
             std::string::npos)
       << vm;
+  const Json rejected = Json::parse(engine);
+  EXPECT_FALSE(field(rejected, "ok").as_bool());
+  EXPECT_EQ(field(rejected, "exit").as_number(), 2.0);
+  EXPECT_EQ(field(field(rejected, "error"), "code").as_string(), "usage");
+  EXPECT_NE(field(field(rejected, "error"), "message")
+                .as_string()
+                .find("unknown request field `engine`"),
+            std::string::npos)
+      << engine;
   EXPECT_EQ(field(Json::parse(ping), "output").as_string(), "pong");
+}
+
+TEST(ServeServer, ResponseKeysDoNotCollideAcrossFieldBoundaries) {
+  // Keys once joined fields with an unescaped U+001F, so one input whose
+  // text spells `1<US>b=2` hashed like the two inputs a=1, b=2 and was
+  // answered from that request's cache entry.
+  const std::string design =
+      "design add\n"
+      "graph add\n"
+      "  store a bytes=8\n"
+      "  store b bytes=8\n"
+      "  store c bytes=8\n"
+      "  task sum work=1 in=a,b out=c\n"
+      "  pits {\n"
+      "    c := a + b\n"
+      "  }\n"
+      "  arc a -> sum var=a bytes=8\n"
+      "  arc b -> sum var=b bytes=8\n"
+      "  arc sum -> c var=c bytes=8\n";
+  auto trial = [&](Json::Object inputs) {
+    return request({{"op", Json::string("trial")},
+                    {"design", Json::string(design)},
+                    {"inputs", Json::object(std::move(inputs))}});
+  };
+  Server server;
+  const Json two = Json::parse(server.handle_line(
+      trial({{"a", Json::string("1")}, {"b", Json::string("2")}})));
+  ASSERT_TRUE(field(two, "ok").as_bool()) << two.dump();
+  EXPECT_NE(field(two, "output").as_string().find("c = 3"), std::string::npos)
+      << two.dump();
+  const std::string spliced = trial({{"a", Json::string("1\x1f" "b=2")}});
+  const Json after = Json::parse(server.handle_line(spliced));
+  EXPECT_FALSE(field(after, "ok").as_bool()) << after.dump();
+  EXPECT_EQ(field(field(after, "error"), "code").as_string(), "parse")
+      << after.dump();
+  // The same answer a fresh server gives it.
+  Server fresh;
+  EXPECT_EQ(after.dump(), Json::parse(fresh.handle_line(spliced)).dump());
 }
 
 TEST(ServeServer, VmCallRecursionGetsLimitEnvelopeAndServerAnswersOn) {
@@ -535,8 +583,7 @@ TEST(ServeServer, VmCallRecursionGetsLimitEnvelopeAndServerAnswersOn) {
   auto trial = [](const std::string& id, const std::string& text) {
     return request({{"id", Json::string(id)},
                     {"op", Json::string("trial")},
-                    {"design", Json::string(text)},
-                    {"engine", Json::string("vm")}});
+                    {"design", Json::string(text)}});
   };
   Server server;
   std::istringstream in(trial("abs", design("abs(", ")")) + "\n" +

@@ -18,6 +18,10 @@
 // benchmark (the named VM / executor / serve paths below) is more than
 // 25% slower per op than the normalised baseline. A uniform slowdown
 // (slower CI box) passes; a hot path regressing against its peers fails.
+// A hot benchmark the baseline records but the fresh run lacks fails too
+// (a renamed or deleted benchmark must leave the baseline with it); one
+// the baseline lacks is skipped, since each BENCH_*.json holds only its
+// own layer's rows.
 // Benchmarks are compared by CPU time per op, except wall-clock ones
 // (registered with UseRealTime(), so named `.../real_time`): threaded
 // work runs off the benchmark's own thread, so only their real time counts.
@@ -49,6 +53,8 @@ const char* const kHotBenchmarks[] = {
     "BM_ExecRunScheduled/real_time",
     "BM_ServeTrialCached",
     "BM_ServeTrialBatch",
+    "BM_JsonParse",
+    "BM_JsonDump",
     "BM_EvalInputLine",
     "BM_RenderRunResult",
     "BM_ScheduleEtf/4096",
@@ -240,9 +246,13 @@ int run_check(const std::string& baseline_path, std::istream& in) {
   for (const char* hot : kHotBenchmarks) {
     const auto base = baseline.find(hot);
     const auto now = fresh.find(hot);
-    if (base == baseline.end() || now == fresh.end()) {
-      std::printf("  %-30s SKIP (missing from %s)\n", hot,
-                  base == baseline.end() ? "baseline" : "fresh run");
+    if (base == baseline.end()) {
+      std::printf("  %-30s SKIP (missing from baseline)\n", hot);
+      continue;
+    }
+    if (now == fresh.end()) {
+      std::printf("  %-30s FAIL (missing from fresh run)\n", hot);
+      ++failures;
       continue;
     }
     const double normalized = (now->second / base->second) / median;
@@ -254,8 +264,8 @@ int run_check(const std::string& baseline_path, std::istream& in) {
   }
   if (failures > 0) {
     std::fprintf(stderr,
-                 "bench_to_json: %d hot benchmark(s) regressed more than "
-                 "%.0f%% per op\n",
+                 "bench_to_json: %d hot benchmark(s) missing or regressed "
+                 "more than %.0f%% per op\n",
                  failures, (kMaxRegression - 1.0) * 100.0);
     return 1;
   }
