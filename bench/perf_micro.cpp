@@ -440,9 +440,10 @@ void BM_ExecRunScheduled(benchmark::State& state) {
 BENCHMARK(BM_ExecRunScheduled)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // FRONT END — the per-routine work of `banger check` and of a cold
-// `banger trial` on the 32x32 heat rod (1057 routines), which fans out
-// over util::default_jobs() workers (BANGER_JOBS sets the width). Wall
-// time, since the benchmark thread only waits.
+// `banger trial` on the 32x32 heat rod: 1057 routines keyed, 36 routine
+// shapes parsed, analysed and compiled, across util::default_jobs()
+// workers (BANGER_JOBS sets the width). Wall time, since the benchmark
+// thread only waits.
 
 void BM_AnalyzeDesign(benchmark::State& state) {
   const graph::Design design = workloads::heat_design(32, 32, 4);
@@ -452,20 +453,26 @@ void BM_AnalyzeDesign(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeDesign)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// A cold trial: each iteration builds the design with a new diffusion
-// coefficient, so every routine misses the process-wide program cache
-// and the run pays parse, facts and compile for all of them.
+// A cold trial: each iteration gives every routine a leading line with a
+// literal no earlier iteration used, so each of the design's 36 routine
+// shapes misses the process-wide program cache. The run pays keying for
+// all 1057 routines, then parse, facts and compile once per shape.
 void BM_CompileDesignCold(benchmark::State& state) {
   pits::Vector rod(128, 0.0);
   for (std::size_t i = 0; i < rod.size(); i += 16) rod[i] = 100.0;
   const std::map<std::string, pits::Value> inputs = {
       {"rod", pits::Value(std::move(rod))}};
+  const graph::FlattenResult base = workloads::heat_design(32, 32, 4).flatten();
   graph::FlattenResult flat;
-  double alpha = 0.2;
+  std::uint64_t iteration = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    alpha += 1e-9;
-    flat = workloads::heat_design(32, 32, 4, alpha).flatten();
+    flat = base;
+    const std::string fresh =
+        "cold := " + std::to_string(++iteration) + "\n";
+    for (graph::TaskId t = 0; t < flat.graph.num_tasks(); ++t) {
+      flat.graph.task(t).pits.insert(0, fresh);
+    }
     state.ResumeTiming();
     benchmark::DoNotOptimize(exec::run_sequential(flat, inputs));
   }
@@ -495,10 +502,11 @@ void BM_PitsFrontEnd(benchmark::State& state) {
 BENCHMARK(BM_PitsFrontEnd)->Unit(benchmark::kMillisecond);
 
 // Warm runs alternating between heat 64x64 and heat 32x32: 5.2k
-// distinct routines, more than one 4096-entry generation of the old
+// routines, more than one 4096-entry generation of the old
 // count-bounded program cache, which recompiled thousands of them per
-// pair. Under the byte budget both designs stay resident, so every
-// iteration is two warm runs. Wall time, since a recompile fans out.
+// pair. Their ~100 shapes stay resident, so every iteration is two warm
+// runs, each keying all of its design's routines. Wall time, since the
+// keying fans out.
 void BM_ExecRunAlternating(benchmark::State& state) {
   const auto rod = [](std::size_t cells) {
     pits::Vector v(cells, 0.0);

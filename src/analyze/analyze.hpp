@@ -58,11 +58,15 @@ struct AnalyzeOptions {
 /// (Error{Graph} propagates otherwise). Returns diagnostics sorted and
 /// deduplicated by sort_and_dedupe().
 ///
-/// The per-routine layers (interface BAN001-BAN007, pits, absint) run as
-/// one pass over the tasks on util::default_jobs() workers, so
-/// BANGER_JOBS sets the width. Each routine is parsed once; each task's
-/// findings go to its own buffer, and the buffers merge in task order,
-/// so the output is byte-identical for any number of workers.
+/// The per-routine layers (interface BAN001-BAN007, pits, absint) run on
+/// util::default_jobs() workers, so BANGER_JOBS sets the width. Tasks
+/// are grouped by their routine's shape (pits/shape.hpp) plus their
+/// ports in the body's numbering, and the layers run on the first task
+/// of each group. When it reports nothing, so does every task of the
+/// group, each with its renamed shape summary; otherwise each task is
+/// analysed on its own. Each task's findings go to its own buffer, and
+/// the buffers merge in task order, so the output is byte-identical for
+/// any number of workers, and to analysing every task on its own.
 std::vector<Diagnostic> analyze_design(const graph::Design& design,
                                        const AnalyzeOptions& options = {});
 

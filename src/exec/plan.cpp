@@ -1,10 +1,11 @@
 #include "exec/plan.hpp"
 
+#include <algorithm>
+#include <array>
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
-#include <variant>
 
 #include "analyze/absint.hpp"
 #include "util/error.hpp"
@@ -17,11 +18,13 @@ namespace {
 using pits::Value;
 
 /// Does this (possibly comma-joined) edge variable list carry `var`?
-bool edge_carries(const std::string& edge_var, const std::string& var) {
-  for (auto part : util::split(edge_var, ',')) {
-    if (util::trim(part) == var) return true;
+bool edge_carries(std::string_view edge_var, const std::string& var) {
+  for (;;) {
+    const std::size_t comma = edge_var.find(',');
+    if (util::trim(edge_var.substr(0, comma)) == var) return true;
+    if (comma == std::string_view::npos) return false;
+    edge_var.remove_prefix(comma + 1);
   }
-  return false;
 }
 
 std::optional<std::uint32_t> output_index(const graph::Task& task,
@@ -38,23 +41,11 @@ std::optional<std::uint32_t> output_index(const graph::Task& task,
 
 namespace {
 
-/// Heap bytes behind a routine's source, AST and chunk, read off the
-/// container capacities. Allocator headers are left out.
+/// Heap bytes behind a shape's key and chunk, read off the container
+/// capacities. Allocator headers are left out.
 struct HeapBytes {
   std::size_t operator()(const std::string& s) const {
     return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
-  }
-  template <class T>
-  std::size_t operator()(const std::unique_ptr<T>& p) const {
-    return p ? sizeof(T) + (*this)(*p) : 0;
-  }
-  template <class T>
-  std::size_t operator()(const pits::NodeArray<T>& v) const {
-    std::size_t bytes = v.size() * sizeof(T);
-    if constexpr (!std::is_trivially_copyable_v<T>) {
-      for (const T& x : v) bytes += (*this)(x);
-    }
-    return bytes;
   }
   template <class T>
   std::size_t operator()(const std::vector<T>& v) const {
@@ -63,63 +54,6 @@ struct HeapBytes {
       for (const T& x : v) bytes += (*this)(x);
     }
     return bytes;
-  }
-  template <class... Ts>
-  std::size_t operator()(const std::variant<Ts...>& v) const {
-    return std::visit(*this, v);
-  }
-
-  std::size_t operator()(const pits::Expr& e) const { return (*this)(e.node); }
-  std::size_t operator()(const pits::NumberLit&) const { return 0; }
-  std::size_t operator()(const pits::StringLit& n) const {
-    return (*this)(n.value);
-  }
-  std::size_t operator()(const pits::VarRef& n) const {
-    return (*this)(n.name);
-  }
-  std::size_t operator()(const pits::VectorLit& n) const {
-    return (*this)(n.elements);
-  }
-  std::size_t operator()(const pits::Unary& n) const {
-    return (*this)(n.operand);
-  }
-  std::size_t operator()(const pits::Binary& n) const {
-    return (*this)(n.lhs) + (*this)(n.rhs);
-  }
-  std::size_t operator()(const pits::Index& n) const {
-    return (*this)(n.base) + (*this)(n.index);
-  }
-  std::size_t operator()(const pits::Call& n) const {
-    return (*this)(n.callee) + (*this)(n.args);
-  }
-
-  std::size_t operator()(const pits::Stmt& s) const { return (*this)(s.node); }
-  std::size_t operator()(const pits::AssignStmt& n) const {
-    return (*this)(n.target) + (*this)(n.index) + (*this)(n.value);
-  }
-  std::size_t operator()(const pits::IfStmt::Arm& n) const {
-    return (*this)(n.cond) + (*this)(n.body);
-  }
-  std::size_t operator()(const pits::IfStmt& n) const {
-    return (*this)(n.arms) + (*this)(n.else_body);
-  }
-  std::size_t operator()(const pits::WhileStmt& n) const {
-    return (*this)(n.cond) + (*this)(n.body);
-  }
-  std::size_t operator()(const pits::RepeatStmt& n) const {
-    return (*this)(n.count) + (*this)(n.body);
-  }
-  std::size_t operator()(const pits::ForStmt& n) const {
-    return (*this)(n.var) + (*this)(n.from) + (*this)(n.to) +
-           (*this)(n.step) + (*this)(n.body);
-  }
-  std::size_t operator()(const pits::ReturnStmt&) const { return 0; }
-  std::size_t operator()(const pits::FormulaDef& n) const {
-    return (*this)(n.name) + (*this)(n.params) + (*this)(n.param_syms) +
-           (*this)(n.body);
-  }
-  std::size_t operator()(const pits::ExprStmt& n) const {
-    return (*this)(n.expr);
   }
 
   std::size_t operator()(const pits::Value& v) const {
@@ -146,21 +80,40 @@ struct HeapBytes {
   }
 };
 
+/// Below this much routine text, keying runs on the calling thread: a
+/// worker pool costs more to start than it saves. Warm get_all() of heat
+/// routines on a 4-vCPU VM, serial against 4 workers (minimum of 41
+/// calls, three runs): 64 routines (10 KB) 68-98 against 125-171 us,
+/// 137 (29-34 KB) 193-230 against 212-249 us, 1057 (276 KB) 1.7-2.5
+/// against 0.90-0.91 ms.
+constexpr std::size_t kParallelKeyingBytes = std::size_t{32} << 10;
+
+/// The error `source` raises on its own: a routine of a shape whose
+/// build failed fails the same way, with its own names and positions.
+std::exception_ptr own_error(const std::string& source,
+                             std::exception_ptr shared) {
+  try {
+    (void)pits::Program::parse(source);
+  } catch (...) {
+    return std::current_exception();
+  }
+  return shared;
+}
+
 }  // namespace
 
-ProgramCache::Entry ProgramCache::build(const std::string& source) {
+ProgramCache::Entry ProgramCache::build(const std::string& source,
+                                        std::string key) {
   Entry entry;
-  entry.source = source;
-  entry.program = pits::Program::parse(source);
+  entry.key = std::move(key);
+  const pits::Program program = pits::Program::parse(source);
   // The abstract interpreter supplies proofs that let the compiler
   // elide bounds/binding checks and batch statement ticks.
-  analyze::precompile_optimized(entry.program);
-  entry.chunk = entry.program.compiled_chunk();
+  analyze::precompile_optimized(program);
+  entry.chunk = program.compiled_chunk();
   const HeapBytes heap;
-  entry.bytes = sizeof(Entry) + heap(entry.source) + sizeof(pits::Block) +
-                heap(entry.program.body()) +
-                (entry.chunk ? sizeof(pits::bc::Chunk) + heap(*entry.chunk)
-                             : 0);
+  entry.bytes = sizeof(Entry) + heap(entry.key) + sizeof(pits::bc::Chunk) +
+                heap(*entry.chunk);
   return entry;
 }
 
@@ -175,7 +128,7 @@ void ProgramCache::evict_locked(std::uint64_t call) {
   while (stats_.bytes > budget_ && !recency_.empty() &&
          recency_.front().call < call) {
     const Entry& victim = recency_.front();
-    index_.erase(victim.source);  // before the text its key views dies
+    index_.erase(victim.key);  // before the key its index entry views dies
     stats_.bytes -= victim.bytes;
     --stats_.entries;
     ++stats_.evictions;
@@ -191,60 +144,109 @@ ProgramCache::Lookup ProgramCache::get(const std::string& source) {
 
 std::vector<ProgramCache::Lookup> ProgramCache::get_all(
     const std::vector<const std::string*>& sources) {
-  std::vector<Lookup> out;
-  out.reserve(sources.size());
-  // The distinct misses in first-seen order, and for each position that
-  // missed, the miss it waits for.
-  std::vector<const std::string*> misses;
-  std::vector<std::pair<std::size_t, std::size_t>> waiting;
+  std::vector<Lookup> out(sources.size());
   std::uint64_t call = 0;
   {
-    std::unordered_map<std::string_view, std::size_t> miss_index;
     std::lock_guard lock(mutex_);
     call = ++calls_;
-    for (const std::string* source : sources) {
-      if (const auto hit = index_.find(*source); hit != index_.end()) {
-        ++stats_.hits;
-        touch_locked(hit->second, call);
-        out.push_back({hit->second->chunk, nullptr});
-        continue;
-      }
-      const auto [it, first] = miss_index.try_emplace(*source, misses.size());
+  }
+  // Sources are keyed in runs: a run's keys go one after another into
+  // per-thread storage and are looked up under one lock, so a hit
+  // copies nothing but the source's names; the key of a miss is copied
+  // for the cache. A lexical error stays with its source and never
+  // reaches the cache.
+  const std::size_t n = sources.size();
+  std::size_t text = 0;
+  for (const std::string* source : sources) text += source->size();
+  std::vector<std::string> missed(n);  // empty: no miss
+  constexpr std::size_t kRun = 32;
+  util::parallel_for(
+      (n + kRun - 1) / kRun,
+      text >= kParallelKeyingBytes ? util::default_jobs() : 1,
+      [&](std::size_t run) {
+        thread_local pits::ShapeKeyer keyer;
+        thread_local std::string keys;
+        keys.clear();
+        const std::size_t begin = run * kRun;
+        const std::size_t end = std::min(n, begin + kRun);
+        // The key of source begin + k is keys[at[k], at[k + 1]).
+        std::array<std::size_t, kRun + 1> at{};
+        for (std::size_t i = begin; i < end; ++i) {
+          try {
+            const pits::Shape& shape = keyer(*sources[i]);
+            out[i].names = shape.names;
+            keys += shape.key;
+          } catch (...) {
+            out[i].error = std::current_exception();
+          }
+          at[i - begin + 1] = keys.size();
+        }
+        const auto key = [&](std::size_t i) {
+          return std::string_view(keys).substr(
+              at[i - begin], at[i - begin + 1] - at[i - begin]);
+        };
+        std::array<bool, kRun> miss{};
+        {
+          std::lock_guard lock(mutex_);
+          for (std::size_t i = begin; i < end; ++i) {
+            if (out[i].error) continue;
+            if (const auto hit = index_.find(key(i)); hit != index_.end()) {
+              ++stats_.hits;
+              touch_locked(hit->second, call);
+              out[i].chunk = hit->second->chunk;
+            } else {
+              miss[i - begin] = true;
+            }
+          }
+        }
+        for (std::size_t i = begin; i < end; ++i) {
+          if (miss[i - begin]) missed[i] = key(i);
+        }
+      });
+
+  // The distinct missing shapes in source order (by the source that
+  // showed each first), and for each source that missed, the miss it
+  // waits for.
+  std::vector<std::size_t> misses;
+  std::vector<std::pair<std::size_t, std::size_t>> waiting;
+  std::uint64_t repeats = 0;  // a repeat shares the first sighting's compile
+  {
+    std::unordered_map<std::string_view, std::size_t> miss_index;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (missed[i].empty()) continue;
+      const auto [it, first] = miss_index.try_emplace(missed[i], misses.size());
       if (first) {
-        misses.push_back(source);
+        misses.push_back(i);
       } else {
-        ++stats_.hits;  // a repeat shares the first sighting's compile
+        ++repeats;
       }
-      waiting.emplace_back(out.size(), it->second);
-      out.emplace_back();
+      waiting.emplace_back(i, it->second);
     }
   }
-  if (misses.empty()) return out;  // warm: no workers, no second lock
+  if (misses.empty()) return out;  // warm: no compile
 
-  // Compile outside the lock, each miss on whichever worker takes it;
-  // errors stay with their source.
+  // Compile outside the lock, each miss on whichever worker takes it,
+  // from the first source of its shape; errors stay with their shape.
   std::vector<Entry> built(misses.size());
   std::vector<std::exception_ptr> errors(misses.size());
   util::parallel_for(misses.size(), util::default_jobs(), [&](std::size_t m) {
     try {
-      built[m] = build(*misses[m]);
+      built[m] = build(*sources[misses[m]], std::move(missed[misses[m]]));
     } catch (...) {
       errors[m] = std::current_exception();
     }
   });
 
-  std::vector<Lookup> compiled(misses.size());
+  std::vector<std::shared_ptr<const pits::bc::Chunk>> compiled(misses.size());
   {
     std::lock_guard lock(mutex_);
+    stats_.hits += repeats;
     for (std::size_t m = 0; m < misses.size(); ++m) {
-      if (errors[m]) {
-        compiled[m].error = errors[m];
-        continue;
-      }
+      if (errors[m]) continue;
       ++stats_.misses;  // a compile happened, even if the race below loses
-      // A concurrent call may have compiled the same source first: share
-      // its entry instead of holding the text twice.
-      auto found = index_.find(*misses[m]);
+      // A concurrent call may have compiled the same shape first: share
+      // its entry instead of holding the chunk twice.
+      auto found = index_.find(built[m].key);
       if (found != index_.end()) {
         touch_locked(found->second, call);
       } else {
@@ -252,15 +254,21 @@ std::vector<ProgramCache::Lookup> ProgramCache::get_all(
         stats_.bytes += built[m].bytes;
         ++stats_.entries;
         recency_.push_back(std::move(built[m]));
-        found = index_.emplace(recency_.back().source,
-                               std::prev(recency_.end()))
+        found = index_.emplace(recency_.back().key, std::prev(recency_.end()))
                     .first;
       }
-      compiled[m] = {found->second->chunk, nullptr};
+      compiled[m] = found->second->chunk;
     }
     evict_locked(call);
   }
-  for (const auto& [at, m] : waiting) out[at] = compiled[m];
+  for (const auto& [at, m] : waiting) {
+    if (!errors[m]) {
+      out[at].chunk = compiled[m];
+    } else {
+      out[at].error =
+          at == misses[m] ? errors[m] : own_error(*sources[at], errors[m]);
+    }
+  }
   return out;
 }
 
@@ -303,8 +311,10 @@ DesignPlan build_plan(const FlattenResult& flat) {
     owners.push_back(stop);
   }
   std::vector<ProgramCache::Lookup> found = program_cache().get_all(sources);
+  std::vector<const std::vector<std::string_view>*> names(g.num_tasks());
   for (std::size_t i = 0; i < found.size(); ++i) {
     TaskPlan& tp = plan.tasks[owners[i]];
+    names[owners[i]] = &found[i].names;
     if (found[i].error) {
       try {
         std::rethrow_exception(found[i].error);
@@ -325,12 +335,16 @@ DesignPlan build_plan(const FlattenResult& flat) {
     const graph::Task& task = g.task(t);
     TaskPlan& tp = plan.tasks[t];
     const pits::bc::Chunk* chunk = tp.chunk.get();
+    // The task's names give the variable's shape number, which is what
+    // the shared chunk knows the slot by.
     auto slot_of = [&](const std::string& var) -> std::int32_t {
       if (chunk == nullptr) return -1;
+      const std::vector<std::string_view>& own = *names[t];
+      const auto at = std::find(own.begin(), own.end(), var);
+      if (at == own.end()) return -1;
+      const auto sym = static_cast<pits::SymId>(at - own.begin());
       for (std::size_t s = 0; s < chunk->vars.size(); ++s) {
-        if (chunk->names[chunk->vars[s].name] == var) {
-          return static_cast<std::int32_t>(s);
-        }
+        if (chunk->vars[s].sym == sym) return static_cast<std::int32_t>(s);
       }
       return -1;
     };

@@ -53,53 +53,61 @@ inline std::uint64_t seed_for(const std::string& task_name,
 //
 // Parsing, abstract interpretation, and bytecode compilation used to
 // happen once per run; on the trial hot path they dwarfed execution
-// itself. The cache is process-wide and keyed by routine source text,
-// so repeated runs of a design (or many designs sharing routines) pay
-// for the front end exactly once. Parse/compile failures are not
-// cached: they re-raise per run, exactly as before.
+// itself. The cache is process-wide and keyed by routine shape
+// (pits/shape.hpp): every routine is lexed to its key, but the front end
+// runs once per shape, so repeated runs of a design, the renamed copies
+// of one routine inside it, and designs sharing routines all share one
+// chunk. Each task reads the chunk through its own text. Parse failures
+// are not cached: they re-raise per run from the failing task's text.
 
 /// One LRU list charged in bytes. Each entry is charged what it holds —
-/// its source, AST and chunk — once, when it is built. A get_all() call
+/// its key and chunk — once, when it is built. A get_all() call
 /// resolves a design's routines as a unit: its hits move to the
-/// most-recent end, its misses join them there, and eviction then drops
+/// most-recent end (in source order when it keys on one thread, in any
+/// order among themselves when across workers), its misses join them
+/// there in source order, and eviction then drops
 /// least-recent entries while the total is over budget, stopping at the
 /// first entry the call itself uses. A design larger than the whole
 /// budget therefore compiles each routine once per run and stays
 /// resident until a later call needs the room.
 class ProgramCache {
  public:
-  /// The process-wide budget. A compiled heat routine is charged
-  /// ~9.0 KB (~10.2 KB of real heap, 32-bit operands), so the 32x32 and
-  /// 64x64 heat rods together, 5.2k routines (4.2k distinct, 36 MiB),
-  /// take under a third of it.
+  /// The process-wide budget. A compiled heat routine shape is charged a
+  /// few KB, so the 32x32 and 64x64 heat rods together, 5.2k routines of
+  /// under two hundred shapes, take a small fraction of it.
   static constexpr std::size_t kDefaultBudget = std::size_t{128} << 20;
 
   explicit ProgramCache(std::size_t budget = kDefaultBudget)
       : budget_(budget) {}
 
-  /// One result of get_all(): the compiled routine, or the error its
-  /// parse/compile raised.
+  /// One result of get_all(): the compiled routine with the source's
+  /// own names, or the error its lex/parse raised.
   struct Lookup {
     std::shared_ptr<const pits::bc::Chunk> chunk;  ///< null on error
+    /// Per shape number, the source's own spelling (views into the
+    /// source); a chunk slot carries its shape number as VarInfo::sym.
+    std::vector<std::string_view> names;
     std::exception_ptr error;
   };
 
-  /// One source's entry; throws its parse/compile error.
+  /// One source's entry; throws its lex/parse error.
   Lookup get(const std::string& source);
 
-  /// Looks up a whole design's routines at once. The hits are served in
-  /// one pass under the lock. Each distinct miss compiles once, outside
-  /// the lock and across util::default_jobs() workers when there are
-  /// several; no worker starts when everything hits. Compiled entries
-  /// enter the cache in source order. Returns one Lookup per source, in
-  /// order.
+  /// Looks up a whole design's routines at once. Each source is lexed
+  /// to its shape key and looked up straight away, across
+  /// util::default_jobs() workers when there are many; only a missing
+  /// shape's key is copied, for the cache to keep. Each distinct missing
+  /// shape then compiles once, from the first source of that shape,
+  /// outside the lock and across the workers when there are several.
+  /// Compiled entries enter the cache in source order. Returns one
+  /// Lookup per source, in order.
   std::vector<Lookup> get_all(const std::vector<const std::string*>& sources);
 
   struct Stats {
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;     ///< compiles (first sight of a source)
+    std::uint64_t misses = 0;     ///< compiles (first sight of a shape)
     std::uint64_t evictions = 0;  ///< entries dropped to make room
-    std::uint64_t entries = 0;    ///< entries resident now
+    std::uint64_t entries = 0;    ///< shapes resident now
     std::uint64_t bytes = 0;      ///< bytes the resident entries hold
   };
   [[nodiscard]] Stats stats() const;
@@ -107,15 +115,15 @@ class ProgramCache {
 
  private:
   struct Entry {
-    std::string source;
-    pits::Program program;
+    std::string key;  ///< the shape key
     std::shared_ptr<const pits::bc::Chunk> chunk;
     std::size_t bytes = 0;
     std::uint64_t call = 0;  ///< the get_all() that last used it
   };
   using Recency = std::list<Entry>;  ///< least recently used first
 
-  static Entry build(const std::string& source);
+  /// Parses, analyses and compiles `source`; the AST is dropped.
+  static Entry build(const std::string& source, std::string key);
   /// Mutex held. Moves `it` to the most-recent end as used by `call`.
   void touch_locked(Recency::iterator it, std::uint64_t call);
   /// Mutex held. Drops least-recent entries while over budget, up to the
@@ -125,7 +133,8 @@ class ProgramCache {
   std::size_t budget_;
   mutable std::mutex mutex_;
   Recency recency_;
-  /// Keyed by a view of each entry's own source text.
+  /// Keyed by a view of each entry's own shape key. The hash only picks
+  /// the bucket; keys compare in full.
   std::unordered_map<std::string_view, Recency::iterator> index_;
   std::uint64_t calls_ = 0;
   Stats stats_;
@@ -164,7 +173,8 @@ struct OutputPlan {
 };
 
 struct TaskPlan {
-  /// The compiled routine; null exactly when the task has none.
+  /// The compiled routine, shared by every task of its shape and read
+  /// through the task's own text; null exactly when the task has none.
   std::shared_ptr<const pits::bc::Chunk> chunk;
   /// False when a variable repeats in Task::outputs: collection then
   /// copies values instead of moving them out of the frame.
@@ -260,7 +270,7 @@ TaskOutputs execute_task_with(const FlattenResult& flat,
   exec_opts.seed = seed_for(task.name, options.pits.seed);
   exec_opts.out = capture ? &scratch.transcript_stream : nullptr;
   try {
-    pits::bc::run_frame(*tp.chunk, scratch.frame, exec_opts);
+    pits::bc::run_frame(*tp.chunk, task.pits, scratch.frame, exec_opts);
   } catch (const Error& e) {
     fail(e.code(), "in task `" + task.name + "`: " + e.message(), e.pos());
   }

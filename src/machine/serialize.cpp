@@ -1,6 +1,8 @@
 #include "machine/serialize.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -51,6 +53,34 @@ int kv_int(const std::unordered_map<std::string, std::string>& kv,
   return static_cast<int>(parse_num(it->second, line));
 }
 
+/// Rejects a topology of more than kMaxProcs processors at its line,
+/// before anything is allocated. Counts are doubles, so no product of
+/// the keys overflows.
+void check_size(const std::string& kind,
+                const std::unordered_map<std::string, std::string>& kv,
+                int line) {
+  auto num = [&](const std::string& key) -> double {
+    auto it = kv.find(key);
+    return it == kv.end() ? 0 : parse_num(it->second, line);
+  };
+  double procs = 0;
+  if (kind == "hypercube") {
+    const double dim = num("dim");
+    if (dim > 12) procs = std::pow(2.0, std::min(dim, 64.0));
+  } else if (kind == "mesh" || kind == "torus") {
+    procs = std::max(0.0, num("rows")) * std::max(0.0, num("cols"));
+  } else {
+    procs = num("procs");
+  }
+  if (procs > kMaxProcs) {
+    fail(ErrorCode::Limit,
+         "topology " + kind + " has " + util::format_double(procs) +
+             " processors, more than the " + std::to_string(kMaxProcs) +
+             " supported",
+         {line, 1});
+  }
+}
+
 Topology parse_topology(const std::vector<std::string_view>& tokens,
                         int line) {
   if (tokens.size() < 2) {
@@ -58,6 +88,7 @@ Topology parse_topology(const std::vector<std::string_view>& tokens,
   }
   const std::string kind = util::to_lower(tokens[1]);
   auto kv = parse_kv(tokens, 2, line);
+  check_size(kind, kv, line);
   if (kind == "hypercube") return Topology::hypercube(kv_int(kv, "dim", line));
   if (kind == "mesh")
     return Topology::mesh(kv_int(kv, "rows", line), kv_int(kv, "cols", line));

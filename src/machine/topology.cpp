@@ -8,11 +8,16 @@
 namespace banger::machine {
 
 namespace {
-void check_procs(int num_procs, int minimum = 1) {
+void check_procs(std::int64_t num_procs, int minimum = 1) {
   if (num_procs < minimum) {
     fail(ErrorCode::Machine, "topology needs at least " +
                                  std::to_string(minimum) + " processors, got " +
                                  std::to_string(num_procs));
+  }
+  if (num_procs > kMaxProcs) {
+    fail(ErrorCode::Limit, "topology has " + std::to_string(num_procs) +
+                               " processors, more than the " +
+                               std::to_string(kMaxProcs) + " supported");
   }
 }
 }  // namespace
@@ -88,6 +93,7 @@ Topology Topology::hypercube(int dim) {
          "hypercube dimension must be in [0,20], got " + std::to_string(dim));
   }
   const int p = 1 << dim;
+  check_procs(p);
   Topology t(TopologyKind::Hypercube,
              "hypercube" + std::to_string(p), p);
   for (ProcId a = 0; a < p; ++a) {
@@ -103,6 +109,7 @@ Topology Topology::hypercube(int dim) {
 Topology Topology::mesh(int rows, int cols) {
   check_procs(rows);
   check_procs(cols);
+  check_procs(std::int64_t{rows} * cols);
   const int p = rows * cols;
   Topology t(TopologyKind::Mesh,
              "mesh" + std::to_string(rows) + "x" + std::to_string(cols), p);
@@ -120,6 +127,7 @@ Topology Topology::mesh(int rows, int cols) {
 Topology Topology::torus(int rows, int cols) {
   check_procs(rows);
   check_procs(cols);
+  check_procs(std::int64_t{rows} * cols);
   const int p = rows * cols;
   Topology t(TopologyKind::Torus,
              "torus" + std::to_string(rows) + "x" + std::to_string(cols), p);

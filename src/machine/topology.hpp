@@ -16,6 +16,11 @@ namespace banger::machine {
 
 using ProcId = std::int32_t;
 
+/// The most processors a topology may have. The hop matrix alone is
+/// quadratic (a 16000-processor ring took 3.6 s and 982 MiB to build),
+/// and serve takes machine text from its clients.
+inline constexpr int kMaxProcs = 4096;
+
 enum class TopologyKind : std::uint8_t {
   FullyConnected,
   Hypercube,
@@ -30,6 +35,7 @@ enum class TopologyKind : std::uint8_t {
 
 std::string_view to_string(TopologyKind kind) noexcept;
 
+/// Every factory throws Error{Limit} past kMaxProcs processors.
 class Topology {
  public:
   /// Every processor linked to every other.

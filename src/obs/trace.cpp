@@ -41,24 +41,33 @@ const char* track_label(int pid) {
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
+  json_escape(s, out);
+  return out;
+}
+
+void json_escape(std::string_view s, std::string& out) {
+  std::size_t run = 0;  // start of the pending run of safe bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
-  return out;
+  out.append(s, run, s.size() - run);
 }
 
 std::string json_number(double v) {

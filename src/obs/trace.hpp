@@ -38,6 +38,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace banger::obs {
@@ -83,6 +84,9 @@ struct ExportOptions {
 
 /// Escape a string for embedding in a JSON string literal.
 std::string json_escape(const std::string& s);
+/// json_escape appended to `out`: runs of bytes that need no escape are
+/// copied whole, the rest escaped in place.
+void json_escape(std::string_view s, std::string& out);
 
 /// Render a double deterministically: integral values print without a
 /// fraction ("3"), everything else via %.17g round-trip formatting.

@@ -176,10 +176,15 @@ struct Stmt {
 /// well inside a worker thread's stack whatever the input.
 inline constexpr int kMaxNesting = 200;
 
+struct Token;  // pits/token.hpp
+
 /// Parses a whole routine body; throws Error{Parse}, positioned, on bad
 /// syntax and on routines nested deeper than kMaxNesting. Every
 /// name-bearing node gets its SymId.
 Block parse_block(std::string_view source);
+/// parse_block over tokens already lexed: parse_block(source) is this
+/// over lex(source).
+Block parse_block(std::vector<Token> tokens);
 
 /// The spelling of each symbol in `block`, indexed by SymId: one entry
 /// per id up to the largest the block carries. Views the block's nodes.

@@ -70,7 +70,7 @@ const BuiltinRegistry& BuiltinRegistry::instance() {
   return registry;
 }
 
-const Builtin* BuiltinRegistry::find(const std::string& name) const {
+const Builtin* BuiltinRegistry::find(std::string_view name) const {
   auto it = table_.find(name);
   return it == table_.end() ? nullptr : &it->second;
 }

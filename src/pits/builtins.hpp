@@ -12,6 +12,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pits/value.hpp"
@@ -39,7 +40,7 @@ class BuiltinRegistry {
   static const BuiltinRegistry& instance();
 
   /// nullptr when no such function exists.
-  [[nodiscard]] const Builtin* find(const std::string& name) const;
+  [[nodiscard]] const Builtin* find(std::string_view name) const;
   /// All function names, sorted.
   [[nodiscard]] std::vector<std::string> names() const;
   /// Names within one button group, sorted.
@@ -48,7 +49,7 @@ class BuiltinRegistry {
 
  private:
   BuiltinRegistry();
-  std::map<std::string, Builtin> table_;
+  std::map<std::string, Builtin, std::less<>> table_;
 };
 
 /// The calculator's constant buttons (pi, e, golden, plus the physical

@@ -4,7 +4,12 @@
 // The compiler in compile.cpp interns each name to a dense frame slot
 // once, folds constant subexpressions into a pool, and lowers loops and
 // calls to direct opcodes so the VM in vm.cpp touches the Env map only
-// at entry/exit. Semantics are bit-for-bit those of the reference
+// at entry/exit.
+//
+// A chunk is shared by every routine of one shape (pits/shape.hpp): it
+// holds token indices where it would hold source positions or names,
+// and the VM reads them through the running routine's own Binding.
+// Semantics are bit-for-bit those of the reference
 // tree-walker in tests/reference_walker.hpp — same step accounting,
 // same error codes/messages/positions, same print/trace transcripts,
 // same rand() stream — which the differential suites
@@ -17,6 +22,7 @@
 
 #include "pits/ast.hpp"
 #include "pits/interp.hpp"
+#include "pits/shape.hpp"
 #include "pits/value.hpp"
 
 namespace banger::pits {
@@ -28,7 +34,7 @@ namespace banger::pits::bc {
 // One opcode per operation the tree-walker performs between two Env
 // touches. Operand conventions: `a` is usually the destination
 // register, `b`/`c` sources, `d` a jump target / resume index / count.
-// `pos` is the source position any error raised by the instruction
+// `pos` is the token whose position any error raised by the instruction
 // carries, chosen to match the tree-walker exactly.
 enum class Op : std::uint8_t {
   LoadConst,   // r[a] = consts[b]
@@ -61,6 +67,8 @@ enum class Op : std::uint8_t {
   CallOp,      // r[a] = call sites[b]; args inline before resume point d
   DefFormula,  // register formulas[b] in the runtime formula table
   ErrAlways,   // throw Error{code a, messages[b]} — statically doomed code
+  ErrUndefined,  // throw "undefined variable `names[b]`" — a formula
+                 //   body reading neither a parameter nor a constant
   Halt,        // return from the routine
   // ---- fused superinstructions (peephole pass over the stream above).
   // Each is observably identical to the pair it replaces: same result
@@ -100,7 +108,7 @@ struct Instr {
   std::uint32_t b = 0;
   std::uint32_t c = 0;
   std::int32_t d = 0;
-  SourcePos pos;
+  TokenIndex pos = kNoToken;
 };
 
 // Argument expressions compile to an inline code range executed only
@@ -145,12 +153,13 @@ struct Formula {
 // calculator constants (pi, e, ...) that the Env may shadow at entry.
 struct VarInfo {
   std::uint32_t name = 0;  ///< names[] index
+  SymId sym = 0;           ///< the variable's shape number
   bool has_const = false;
   double const_value = 0.0;
 };
 
 // Slow-path metadata for one TickN instruction: per batched statement,
-// its source position (the tick the walker would charge) and the main
+// its first token (the tick the walker would charge) and the main
 // instruction range that executes it. `bounds` has one more entry than
 // `pos`; range j is [bounds[j], bounds[j+1]). Only consulted when the
 // fast path sees the step limit inside the batch, so the limit error
@@ -158,14 +167,15 @@ struct VarInfo {
 // would produce.
 struct StmtRun {
   std::vector<std::uint32_t> bounds;
-  std::vector<SourcePos> pos;
+  std::vector<TokenIndex> pos;
 };
 
 struct Chunk {
   Code main;
   std::vector<Formula> formulas;
   std::vector<Value> consts;
-  std::vector<std::string> names;
+  /// Each name's first token; a Binding spells it.
+  std::vector<TokenIndex> names;
   std::vector<std::string> messages;  ///< ErrAlways texts
   std::vector<VarInfo> vars;          ///< named slots, in slot order
   std::vector<StmtRun> runs;          ///< TickN slow-path tables
@@ -177,18 +187,25 @@ struct Chunk {
 
 struct AnalysisFacts;
 
-/// Compiles a parsed routine. Total for any parseable AST — statically
-/// invalid-but-conditionally-executed code lowers to runtime-faulting
-/// instructions, and operands are 32-bit, so no routine a process can
-/// hold overflows them. With `facts` (proofs from the abstract interpreter in
-/// src/analyze/absint.cpp), statement ticks batch into TickN, proven
-/// in-bounds index sites drop their checks, and proven-bound reads
-/// drop CheckVar — observable behavior is unchanged.
-Chunk compile(const Block& body, const AnalysisFacts* facts = nullptr);
+/// Compiles a parsed routine; `tokens` binds the tokens it was parsed
+/// from (Binding(lex(source)), which carries first()), and maps its
+/// positions and symbols to token indices. Total for
+/// any parseable AST — statically invalid-but-conditionally-executed
+/// code lowers to runtime-faulting instructions, and operands are
+/// 32-bit, so no routine a process can hold overflows them. With `facts`
+/// (proofs from the abstract interpreter in src/analyze/absint.cpp),
+/// statement ticks batch into TickN, proven in-bounds index sites drop
+/// their checks, and proven-bound reads drop CheckVar — observable
+/// behavior is unchanged. The chunk depends on the text only through
+/// its shape, so it runs any routine of that shape.
+Chunk compile(const Block& body, const Binding& tokens,
+              const AnalysisFacts* facts = nullptr);
 
-/// Runs a compiled routine with tree-walker-identical semantics. The
-/// chunk is immutable and safely shared across concurrent runs.
-void run(const Chunk& chunk, Env& env, const ExecOptions& options);
+/// Runs a compiled routine with tree-walker-identical semantics, reading
+/// names and positions through `binding` (the running routine's own).
+/// The chunk is immutable and safely shared across concurrent runs.
+void run(const Chunk& chunk, const Binding& binding, Env& env,
+         const ExecOptions& options);
 
 // Slot binding states for the top-level frame (see Frame). A
 // const-materialized slot reads like a bound one but never writes back
@@ -224,6 +241,9 @@ struct Frame {
 /// Env map — identical semantics, errors, transcripts, and rand stream
 /// to run(); only the entry/exit marshalling differs. On return (success
 /// or error unwind) bound slots hold the routine's final values.
-void run_frame(const Chunk& chunk, Frame& frame, const ExecOptions& options);
+/// `source` is the running routine's text: it is lexed into a Binding
+/// only when an error or a trace echo needs a position or a name.
+void run_frame(const Chunk& chunk, std::string_view source, Frame& frame,
+               const ExecOptions& options);
 
 }  // namespace banger::pits::bc

@@ -7,6 +7,8 @@
 //      (a task input named `pi`) resolve through CheckVar at run time.
 //      The compiler's own tables are indexed by the parser's symbol
 //      ids; slots, names and constants are numbered in first-use order.
+//      Positions and names lower to token indices, which is what lets
+//      every routine of one shape share the chunk.
 //   2. Constant folding into a deduplicated pool — only where the
 //      tree-walker could not have raised an error (division by zero,
 //      string negation, ... stay as runtime instructions).
@@ -108,8 +110,9 @@ struct Frame {
 
 class Compiler {
  public:
-  explicit Compiler(const Block& body, const AnalysisFacts* facts)
-      : facts_(facts) {
+  Compiler(const Block& body, const Binding& tokens,
+           const AnalysisFacts* facts)
+      : tokens_(tokens), facts_(facts) {
     collect_block(body);
     Frame f;
     f.next_temp = static_cast<std::uint32_t>(chunk_.vars.size());
@@ -137,11 +140,16 @@ class Compiler {
     return table[sym];
   }
 
-  std::uint32_t name_id(SymId sym, const std::string& s) {
+  /// The token a position names; every AST position is a token start.
+  [[nodiscard]] TokenIndex at(SourcePos p) const { return tokens_.token_at(p); }
+
+  std::uint32_t name_id(SymId sym) {
     std::uint32_t& id = by_sym(name_ids_, sym, kNone);
     if (id != kNone) return id;
     id = static_cast<std::uint32_t>(chunk_.names.size());
-    chunk_.names.push_back(s);
+    BANGER_ASSERT(sym < tokens_.first().size(),
+                  "compile needs the binding of the tokens it parsed");
+    chunk_.names.push_back(tokens_.first()[sym]);
     return id;
   }
 
@@ -179,7 +187,8 @@ class Compiler {
   void slot(SymId sym, const std::string& name) {
     if (by_sym(slot_of_, sym, kNone) != kNone) return;
     VarInfo vi;
-    vi.name = name_id(sym, name);
+    vi.name = name_id(sym);
+    vi.sym = sym;
     if (auto c = constants().find(name); c != constants().end()) {
       vi.has_const = true;
       vi.const_value = c->second;
@@ -464,7 +473,7 @@ class Compiler {
       emit(f, {.op = Op::LoadConst,
                .a = dst,
                .b = const_id(std::move(*v)),
-               .pos = e.pos});
+               .pos = at(e.pos)});
       return {dst, want < 0};
     }
     return std::visit(
@@ -474,9 +483,9 @@ class Compiler {
                         std::is_same_v<T, StringLit>) {
             BANGER_ASSERT(false, "literals always fold");
           } else if constexpr (std::is_same_v<T, VarRef>) {
-            return compile_var(f, node, e.pos, want);
+            return compile_var(f, node, at(e.pos), want);
           } else if constexpr (std::is_same_v<T, VectorLit>) {
-            return compile_vector_lit(f, node, e.pos, want);
+            return compile_vector_lit(f, node, at(e.pos), want);
           } else if constexpr (std::is_same_v<T, Unary>) {
             const std::uint32_t mark = f.next_temp;
             const Operand v = compile_expr(f, *node.operand, -1);
@@ -486,10 +495,10 @@ class Compiler {
                      .flags = temp_flags(v),
                      .a = dst,
                      .b = v.reg,
-                     .pos = e.pos});
+                     .pos = at(e.pos)});
             return {dst, want < 0};
           } else if constexpr (std::is_same_v<T, Binary>) {
-            return compile_binary(f, node, e.pos, want);
+            return compile_binary(f, node, at(e.pos), want);
           } else if constexpr (std::is_same_v<T, Index>) {
             const bool safe =
                 facts_ != nullptr && facts_->safe_index.contains(&e);
@@ -498,7 +507,9 @@ class Compiler {
             if (safe) {
               chunk_.elided += 1;
             } else {
-              emit(f, {.op = Op::CheckIndexable, .a = base.reg, .pos = e.pos});
+              emit(f, {.op = Op::CheckIndexable,
+                       .a = base.reg,
+                       .pos = at(e.pos)});
             }
             const Operand idx = compile_expr(f, *node.index, -1);
             f.next_temp = mark;
@@ -508,24 +519,25 @@ class Compiler {
                      .a = dst,
                      .b = base.reg,
                      .c = idx.reg,
-                     .pos = node.index->pos});
+                     .pos = at(node.index->pos)});
             return {dst, want < 0};
           } else if constexpr (std::is_same_v<T, Call>) {
-            return compile_call(f, node, e.pos, want);
+            return compile_call(f, node, at(e.pos), want);
           }
         },
         e.node);
   }
 
-  Operand compile_var(Frame& f, const VarRef& node, SourcePos pos, int want) {
+  Operand compile_var(Frame& f, const VarRef& node, TokenIndex pos, int want) {
     if (f.in_formula) {
       if (const std::uint32_t reg = param_reg(node.sym); reg != kNone) {
         return move_to_want(f, {reg, false}, want);
       }
       // Not a parameter, not a constant (those folded): the read can
-      // only fail, so it lowers to the tree-walker's error.
-      return emit_error(f, ErrorCode::Name,
-                        "undefined variable `" + node.name + "`", pos, want);
+      // only fail, so it lowers to the tree-walker's error, which names
+      // the variable through the running routine's binding.
+      emit(f, {.op = Op::ErrUndefined, .b = name_id(node.sym), .pos = pos});
+      return {dst_reg(f, want), want < 0};
     }
     const std::uint32_t s = slot_of_[node.sym];
     if (!f.readable[s]) {
@@ -552,7 +564,7 @@ class Compiler {
     return {static_cast<std::uint32_t>(want), false};
   }
 
-  Operand emit_error(Frame& f, ErrorCode code, std::string msg, SourcePos pos,
+  Operand emit_error(Frame& f, ErrorCode code, std::string msg, TokenIndex pos,
                      int want) {
     emit(f, {.op = Op::ErrAlways,
              .a = static_cast<std::uint32_t>(code),
@@ -561,7 +573,7 @@ class Compiler {
     return {dst_reg(f, want), want < 0};
   }
 
-  Operand compile_vector_lit(Frame& f, const VectorLit& node, SourcePos pos,
+  Operand compile_vector_lit(Frame& f, const VectorLit& node, TokenIndex pos,
                              int want) {
     // Always built in a fresh temp: elements may read the assignment
     // target (`v := [v[1], v[0]]`), so the destination slot must keep
@@ -575,7 +587,7 @@ class Compiler {
     for (const auto& el : node.elements) {
       const std::uint32_t inner = f.next_temp;
       const Operand r = compile_expr(f, *el, -1);
-      emit(f, {.op = Op::PushScalar, .a = vec, .b = r.reg, .pos = el->pos});
+      emit(f, {.op = Op::PushScalar, .a = vec, .b = r.reg, .pos = at(el->pos)});
       f.next_temp = inner;
     }
     if (want >= 0) {
@@ -589,7 +601,7 @@ class Compiler {
     return {vec, true};
   }
 
-  Operand compile_binary(Frame& f, const Binary& node, SourcePos pos,
+  Operand compile_binary(Frame& f, const Binary& node, TokenIndex pos,
                          int want) {
     if (node.op == BinOp::And || node.op == BinOp::Or) {
       return compile_logical(f, node, want);
@@ -654,11 +666,11 @@ class Compiler {
     return {dst, want < 0};
   }
 
-  Operand compile_call(Frame& f, const Call& node, SourcePos pos, int want) {
+  Operand compile_call(Frame& f, const Call& node, TokenIndex pos, int want) {
     if (node.callee == "when") return compile_when(f, node, pos, want);
 
     CallSite site;
-    site.name = name_id(node.sym, node.callee);
+    site.name = name_id(node.sym);
     site.builtin = BuiltinRegistry::instance().find(node.callee);
     if (node.sym < formula_table_of_.size() &&
         formula_table_of_[node.sym] >= 0) {
@@ -692,7 +704,7 @@ class Compiler {
     return {dst, want < 0};
   }
 
-  Operand compile_when(Frame& f, const Call& node, SourcePos pos, int want) {
+  Operand compile_when(Frame& f, const Call& node, TokenIndex pos, int want) {
     if (node.args.size() != 3) {
       return emit_error(f, ErrorCode::Type,
                         "when() expects (condition, then, else)", pos, want);
@@ -730,7 +742,7 @@ class Compiler {
   /// with an optional instruction (for-loop SetLoopVar) that belongs
   /// between that tick and the first statement.
   struct PendingTick {
-    SourcePos pos;
+    TokenIndex pos = kNoToken;
     bool has_prologue = false;
     Instr prologue;
   };
@@ -804,7 +816,7 @@ class Compiler {
       run.bounds.push_back(static_cast<std::uint32_t>(f.code.ins.size()));
     }
     for (std::size_t k = i; k < end; ++k) {
-      run.pos.push_back(block[k]->pos);
+      run.pos.push_back(at(block[k]->pos));
       compile_stmt_body(f, *block[k]);
       run.bounds.push_back(static_cast<std::uint32_t>(f.code.ins.size()));
     }
@@ -812,7 +824,7 @@ class Compiler {
   }
 
   void compile_stmt(Frame& f, const Stmt& s) {
-    emit(f, {.op = Op::Tick, .pos = s.pos});
+    emit(f, {.op = Op::Tick, .pos = at(s.pos)});
     compile_stmt_body(f, s);
   }
 
@@ -821,19 +833,19 @@ class Compiler {
         [&](const auto& node) {
           using T = std::decay_t<decltype(node)>;
           if constexpr (std::is_same_v<T, AssignStmt>) {
-            compile_assign(f, node, s.pos);
+            compile_assign(f, node, at(s.pos));
           } else if constexpr (std::is_same_v<T, IfStmt>) {
             compile_if(f, node);
           } else if constexpr (std::is_same_v<T, WhileStmt>) {
-            compile_while(f, node, s.pos);
+            compile_while(f, node, at(s.pos));
           } else if constexpr (std::is_same_v<T, RepeatStmt>) {
-            compile_repeat(f, node, s.pos);
+            compile_repeat(f, node, at(s.pos));
           } else if constexpr (std::is_same_v<T, ForStmt>) {
-            compile_for(f, node, s.pos);
+            compile_for(f, node, at(s.pos));
           } else if constexpr (std::is_same_v<T, ReturnStmt>) {
-            emit(f, {.op = Op::Halt, .pos = s.pos});
+            emit(f, {.op = Op::Halt, .pos = at(s.pos)});
           } else if constexpr (std::is_same_v<T, FormulaDef>) {
-            compile_formula_def(f, node, s.pos);
+            compile_formula_def(f, node, at(s.pos));
           } else if constexpr (std::is_same_v<T, ExprStmt>) {
             const std::uint32_t mark = f.next_temp;
             compile_expr(f, *node.expr, -1);
@@ -843,7 +855,7 @@ class Compiler {
         s.node);
   }
 
-  void compile_assign(Frame& f, const AssignStmt& node, SourcePos pos) {
+  void compile_assign(Frame& f, const AssignStmt& node, TokenIndex pos) {
     const std::uint32_t target = slot_of_[node.sym];
     const std::uint32_t mark = f.next_temp;
     if (node.index) {
@@ -864,7 +876,7 @@ class Compiler {
                .a = target,
                .b = idx.reg,
                .c = value.reg,
-               .pos = node.index->pos});
+               .pos = at(node.index->pos)});
     } else {
       compile_expr(f, *node.value, target);
       f.readable[target] = 1;
@@ -894,7 +906,7 @@ class Compiler {
     for (const auto& end : ends) intersect(f.readable, end);
   }
 
-  void compile_while(Frame& f, const WhileStmt& node, SourcePos pos) {
+  void compile_while(Frame& f, const WhileStmt& node, TokenIndex pos) {
     const auto head = static_cast<std::int32_t>(f.code.ins.size());
     const std::uint32_t mark = f.next_temp;
     const Operand cond = compile_expr(f, *node.cond, -1);
@@ -916,7 +928,7 @@ class Compiler {
     f.readable = at_cond;
   }
 
-  void compile_repeat(Frame& f, const RepeatStmt& node, SourcePos pos) {
+  void compile_repeat(Frame& f, const RepeatStmt& node, TokenIndex pos) {
     const std::uint32_t mark = f.next_temp;
     const std::uint32_t counter = alloc(f);
     const std::uint32_t limit = alloc(f);
@@ -947,7 +959,7 @@ class Compiler {
     f.next_temp = mark;
   }
 
-  void compile_for(Frame& f, const ForStmt& node, SourcePos pos) {
+  void compile_for(Frame& f, const ForStmt& node, TokenIndex pos) {
     const std::uint32_t target = slot_of_[node.sym];
     const std::uint32_t mark = f.next_temp;
     const std::uint32_t counter = alloc(f);
@@ -996,11 +1008,11 @@ class Compiler {
   void compile_bound(Frame& f, const Expr& e, std::uint32_t into) {
     const std::uint32_t inner = f.next_temp;
     const Operand r = compile_expr(f, e, -1);
-    emit(f, {.op = Op::ToScalar, .a = into, .b = r.reg, .pos = e.pos});
+    emit(f, {.op = Op::ToScalar, .a = into, .b = r.reg, .pos = at(e.pos)});
     f.next_temp = inner;
   }
 
-  void compile_formula_def(Frame& f, const FormulaDef& node, SourcePos pos) {
+  void compile_formula_def(Frame& f, const FormulaDef& node, TokenIndex pos) {
     // The tree-walker validates the name every time the definition
     // executes; all three checks are static, so a doomed definition
     // lowers to its error and a valid one to a table registration.
@@ -1027,7 +1039,7 @@ class Compiler {
 
   Formula compile_formula(const FormulaDef& def) {
     Formula fo;
-    fo.name = name_id(def.sym, def.name);
+    fo.name = name_id(def.sym);
     fo.table = formula_table_of_[def.sym];
     std::uint32_t next_reg = 0;
     for (const SymId p : def.param_syms) {
@@ -1064,6 +1076,7 @@ class Compiler {
   }
 
   Chunk chunk_;
+  const Binding& tokens_;
   const AnalysisFacts* facts_ = nullptr;
   std::map<std::uint64_t, std::uint32_t> scalar_ids_;
   std::map<std::string, std::uint32_t> string_ids_;
@@ -1199,13 +1212,16 @@ Op const_form(Op op) {
 /// replacement instruction, or nullopt when the pair must stay split.
 std::optional<Instr> try_fuse(const Instr& cur, const Instr& next,
                               std::uint32_t first_temp,
-                              const std::vector<Value>& consts) {
+                              const std::vector<Value>& consts,
+                              const Binding& tokens) {
   // Store fusion: value-producing instruction + FinishAssign on the
   // same slot. The trace echo prints only the line number, so the pair
   // must agree on it (FinishAssign carries the statement position, the
-  // value op its expression position).
+  // value op its expression position). Only a newline token can put two
+  // tokens on different lines, so every routine of the shape agrees.
   if (next.op == Op::FinishAssign && cur.a == next.a &&
-      cur.pos.line == next.pos.line && (cur.flags & kFinish) == 0 &&
+      tokens.pos(cur.pos).line == tokens.pos(next.pos).line &&
+      (cur.flags & kFinish) == 0 &&
       finish_fusable(cur.op)) {
     Instr out = cur;
     out.flags = static_cast<std::uint8_t>(out.flags | kFinish);
@@ -1271,7 +1287,8 @@ std::optional<Instr> try_fuse(const Instr& cur, const Instr& next,
 /// One fusion pass over `code`. Returns true when anything fused (the
 /// caller iterates to a fixpoint — e.g. LoadConst+Lt fuses to LtK in
 /// one pass, LtK+JumpIfFalsy to LtKBr in the next).
-bool fuse_pass(Chunk& chunk, Code& code, bool top_level) {
+bool fuse_pass(Chunk& chunk, Code& code, bool top_level,
+               const Binding& tokens) {
   const std::size_t n = code.ins.size();
   if (n < 2) return false;
   // Leader set: indices control flow (or an argument range / TickN
@@ -1303,7 +1320,7 @@ bool fuse_pass(Chunk& chunk, Code& code, bool top_level) {
     map[i] = static_cast<std::uint32_t>(out.size());
     if (i + 1 < n && leader[i + 1] == 0) {
       if (auto fused = try_fuse(code.ins[i], code.ins[i + 1],
-                                code.first_temp, chunk.consts)) {
+                                code.first_temp, chunk.consts, tokens)) {
         out.push_back(*fused);
         map[i + 1] = map[i];  // dead index: nothing targets a non-leader
         ++i;
@@ -1337,21 +1354,22 @@ bool fuse_pass(Chunk& chunk, Code& code, bool top_level) {
   return true;
 }
 
-void peephole(Chunk& chunk) {
-  while (fuse_pass(chunk, chunk.main, /*top_level=*/true)) {
+void peephole(Chunk& chunk, const Binding& tokens) {
+  while (fuse_pass(chunk, chunk.main, /*top_level=*/true, tokens)) {
   }
   for (Formula& fo : chunk.formulas) {
-    while (fuse_pass(chunk, fo.code, /*top_level=*/false)) {
+    while (fuse_pass(chunk, fo.code, /*top_level=*/false, tokens)) {
     }
   }
 }
 
 }  // namespace
 
-Chunk compile(const Block& body, const AnalysisFacts* facts) {
+Chunk compile(const Block& body, const Binding& tokens,
+              const AnalysisFacts* facts) {
   if (facts != nullptr && facts->empty()) facts = nullptr;
-  Chunk chunk = Compiler(body, facts).take();
-  peephole(chunk);
+  Chunk chunk = Compiler(body, tokens, facts).take();
+  peephole(chunk, tokens);
   return chunk;
 }
 

@@ -8,6 +8,7 @@
 #include "obs/trace.hpp"
 #include "pits/builtins.hpp"
 #include "pits/bytecode.hpp"
+#include "pits/shape.hpp"
 
 namespace banger::pits {
 
@@ -18,22 +19,36 @@ struct Program::Compiled {
   std::shared_ptr<const bc::Chunk> chunk;
 };
 
-Program::Program()
-    : body_(std::make_shared<Block>()),
-      compiled_(std::make_shared<Compiled>()) {}
+/// Never moved once built: the binding views `source`.
+struct Program::Text {
+  std::string source;
+  Binding binding;
+};
 
-Program::Program(std::shared_ptr<const Block> body)
-    : body_(std::move(body)), compiled_(std::make_shared<Compiled>()) {}
+Program::Program()
+    : Program(std::make_shared<Block>(), std::make_shared<Text>()) {}
+
+Program::Program(std::shared_ptr<const Block> body,
+                 std::shared_ptr<const Text> text)
+    : body_(std::move(body)),
+      text_(std::move(text)),
+      compiled_(std::make_shared<Compiled>()) {}
 
 Program Program::parse(std::string_view source) {
   if (obs::TraceRecorder* rec = obs::current()) rec->bump("pits.parse");
-  return Program(std::make_shared<Block>(parse_block(source)));
+  auto text = std::make_shared<Text>();
+  text->source.assign(source);
+  std::vector<Token> tokens = lex(text->source);
+  text->binding = Binding(tokens);
+  auto body = std::make_shared<Block>(parse_block(std::move(tokens)));
+  return Program(std::move(body), std::move(text));
 }
 
 std::shared_ptr<const bc::Chunk> Program::compiled_chunk(
     const bc::AnalysisFacts* facts) const {
   std::call_once(compiled_->once, [&] {
-    auto chunk = std::make_shared<const bc::Chunk>(bc::compile(*body_, facts));
+    auto chunk = std::make_shared<const bc::Chunk>(
+        bc::compile(*body_, text_->binding, facts));
     if (obs::TraceRecorder* rec = obs::current()) {
       rec->bump("pits.compile.count");
       rec->bump("pits.compile.slots", static_cast<double>(chunk->vars.size()));
@@ -60,7 +75,7 @@ void Program::precompile(const bc::AnalysisFacts& facts) const {
 }
 
 void Program::execute(Env& env, const ExecOptions& options) const {
-  bc::run(*compiled_chunk(), env, options);
+  bc::run(*compiled_chunk(), text_->binding, env, options);
 }
 
 std::vector<std::string> Program::inputs() const {

@@ -44,13 +44,16 @@ struct AnalysisFacts;
 /// An immutable, shareable parsed routine. The first execution (or an
 /// explicit precompile()) lowers the AST to register bytecode once; the
 /// compiled form is cached behind a thread-safe once-init and shared by
-/// all copies of the Program, so the executor, the calculator panel,
-/// and the codegen reference path reuse one compilation.
+/// all copies of the Program, so the calculator panel and the codegen
+/// reference path reuse one compilation. A Program keeps its own text
+/// and binds the chunk to it, so errors and transcripts carry its names
+/// and positions.
 class Program {
  public:
   Program();
 
-  /// Parses PITS source; throws Error{Parse} with positions.
+  /// Parses PITS source (keeping a copy of it); throws Error{Parse} with
+  /// positions.
   static Program parse(std::string_view source);
 
   [[nodiscard]] bool empty() const noexcept { return body_->empty(); }
@@ -82,18 +85,21 @@ class Program {
   [[nodiscard]] std::vector<std::string> outputs() const;
 
   /// The cached chunk, compiling on first use; never null. `facts` is
-  /// consulted only by the compiling call. Callers that
-  /// drive the VM directly (the executor's slot-frame hot path) hold
-  /// the shared_ptr and run bc::run_frame against it.
+  /// consulted only by the compiling call. The chunk runs any routine
+  /// of this one's shape (pits/shape.hpp): the executor's program cache
+  /// compiles one Program per shape and runs its chunk with
+  /// bc::run_frame against each task's own text.
   [[nodiscard]] std::shared_ptr<const bc::Chunk> compiled_chunk(
       const bc::AnalysisFacts* facts = nullptr) const;
 
  private:
   struct Compiled;  // once-initialized bytecode cache, defined in interp.cpp
+  struct Text;      // the source and its binding, defined in interp.cpp
 
-  explicit Program(std::shared_ptr<const Block> body);
+  Program(std::shared_ptr<const Block> body, std::shared_ptr<const Text> text);
 
   std::shared_ptr<const Block> body_;
+  std::shared_ptr<const Text> text_;
   std::shared_ptr<Compiled> compiled_;
 };
 

@@ -9,11 +9,11 @@
 // left-associative chains (`a + b + c`, `v[i][j]`) deepen the tree
 // without recursing.
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <utility>
 
 #include "pits/ast.hpp"
+#include "pits/shape.hpp"
 #include "pits/token.hpp"
 
 namespace banger::pits {
@@ -43,41 +43,6 @@ std::string_view to_string(UnOp op) noexcept {
 }
 
 namespace {
-
-/// Numbers one parse's distinct identifiers densely, in order of first
-/// appearance: an open-addressing table over views into the source.
-class SymbolTable {
- public:
-  SymbolTable() { names_.reserve(16); }
-
-  SymId intern(std::string_view name) {
-    if ((names_.size() + 1) * 2 > slots_.size()) grow();
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = std::hash<std::string_view>{}(name) & mask;;
-         i = (i + 1) & mask) {
-      if (slots_[i] == kNoSym) {
-        slots_[i] = static_cast<SymId>(names_.size());
-        names_.push_back(name);
-        return slots_[i];
-      }
-      if (names_[slots_[i]] == name) return slots_[i];
-    }
-  }
-
- private:
-  void grow() {
-    slots_.assign(std::max<std::size_t>(32, slots_.size() * 2), kNoSym);
-    const std::size_t mask = slots_.size() - 1;
-    for (SymId s = 0; s < names_.size(); ++s) {
-      std::size_t i = std::hash<std::string_view>{}(names_[s]) & mask;
-      while (slots_[i] != kNoSym) i = (i + 1) & mask;
-      slots_[i] = s;
-    }
-  }
-
-  std::vector<SymId> slots_;  ///< power-of-two size, at most half full
-  std::vector<std::string_view> names_;
-};
 
 class Parser {
  public:
@@ -562,9 +527,11 @@ class Parser {
 
 }  // namespace
 
-Block parse_block(std::string_view source) {
-  return Parser(lex(source)).parse_program();
+Block parse_block(std::vector<Token> tokens) {
+  return Parser(std::move(tokens)).parse_program();
 }
+
+Block parse_block(std::string_view source) { return parse_block(lex(source)); }
 
 namespace {
 

@@ -46,8 +46,13 @@ constexpr int kMaxCallDepth = 2048;
 
 class Vm {
  public:
-  Vm(const Chunk& chunk, const ExecOptions& options)
+  /// `binding` null: lex `source` into one when a name or position is
+  /// first needed.
+  Vm(const Chunk& chunk, const Binding* binding, std::string_view source,
+     const ExecOptions& options)
       : chunk_(chunk),
+        binding_(binding),
+        source_(source),
         options_(options),
         rng_(options.seed),
         formula_table_(chunk.num_formula_names, -1) {
@@ -59,8 +64,7 @@ class Vm {
     std::vector<Value> regs(chunk_.main.num_regs);
     std::vector<std::uint8_t> states(chunk_.vars.size(), kUnbound);
     for (std::size_t i = 0; i < chunk_.vars.size(); ++i) {
-      if (auto it = env.find(chunk_.names[chunk_.vars[i].name]);
-          it != env.end()) {
+      if (auto it = env.find(std::string(var_name(i))); it != env.end()) {
         regs[i] = std::move(it->second);
         states[i] = kBound;
       }
@@ -96,7 +100,7 @@ class Vm {
                   const std::vector<std::uint8_t>& states) {
     for (std::size_t i = 0; i < chunk_.vars.size(); ++i) {
       if (states[i] == kBound) {
-        env[chunk_.names[chunk_.vars[i].name]] = std::move(regs[i]);
+        env[std::string(var_name(i))] = std::move(regs[i]);
       }
     }
   }
@@ -108,12 +112,38 @@ class Vm {
     }
   }
 
-  /// Raises Error{code} at `pos` with the parts (text or numbers)
+  /// The running routine's binding, lexed from its text on first use;
+  /// the trace counts each such lex as `pits.vm.binds`.
+  const Binding& binding() const {
+    if (binding_ == nullptr) {
+      lexed_ = Binding(source_);
+      binding_ = &lexed_;
+      if (obs::TraceRecorder* rec = obs::current()) rec->bump("pits.vm.binds");
+    }
+    return *binding_;
+  }
+
+  std::string_view name_of(std::uint32_t name) const {
+    return binding().name(chunk_.names[name]);
+  }
+
+  std::string_view var_name(std::uint32_t slot) const {
+    return name_of(chunk_.vars[slot].name);
+  }
+
+  /// Raises Error{code} at token `at` with the parts (text or numbers)
   /// concatenated. The message is built out of line, so its temporaries
   /// take no space in exec's or call_site's frame: every nested call
   /// keeps one of each on the stack.
   template <class... Parts>
-  [[noreturn, gnu::noinline, gnu::cold]] static void error(
+  [[noreturn, gnu::noinline, gnu::cold]] void error(
+      ErrorCode code, TokenIndex at, const Parts&... parts) const {
+    raise(code, binding().pos(at), parts...);
+  }
+
+  /// error() at a source position already bound.
+  template <class... Parts>
+  [[noreturn, gnu::noinline, gnu::cold]] static void raise(
       ErrorCode code, SourcePos pos, const Parts&... parts) {
     std::string message;
     const auto append = [&message](const auto& part) {
@@ -127,7 +157,7 @@ class Vm {
     fail(code, std::move(message), pos);
   }
 
-  void tick(SourcePos pos) {
+  void tick(TokenIndex pos) {
     if (++steps_ > options_.step_limit) {
       error(ErrorCode::Limit, pos, "step limit of ", options_.step_limit,
             " exceeded (infinite loop?)");
@@ -137,16 +167,13 @@ class Vm {
   /// The trace echo of one finished assignment, out of line.
   [[gnu::noinline]] void echo(const Instr& in,
                               const std::vector<Value>& regs) const {
-    *options_.trace << "line " << in.pos.line << ": " << var_name(in.a)
-                    << " = " << regs[in.a].to_display() << "\n";
+    *options_.trace << "line " << binding().pos(in.pos).line << ": "
+                    << var_name(in.a) << " = " << regs[in.a].to_display()
+                    << "\n";
   }
 
-  const std::string& var_name(std::uint32_t slot) const {
-    return chunk_.names[chunk_.vars[slot].name];
-  }
-
-  static std::size_t index_of(const Value& idx, std::size_t size,
-                              SourcePos pos) {
+  std::size_t index_of(const Value& idx, std::size_t size,
+                       TokenIndex pos) const {
     const double raw = idx.as_scalar();
     if (std::floor(raw) != raw) {
       error(ErrorCode::Runtime, pos, "index must be an integer");
@@ -203,7 +230,7 @@ class Vm {
     return true;
   }
 
-  static double scalar_op(BinOp op, double a, double b, SourcePos pos) {
+  double scalar_op(BinOp op, double a, double b, TokenIndex pos) const {
     switch (op) {
       case BinOp::Add: return a + b;
       case BinOp::Sub: return a - b;
@@ -228,8 +255,8 @@ class Vm {
 
   /// The ordering ops' general path (the scalar case is fast_compare):
   /// 1 when `lhs op rhs` holds, else 0.
-  [[gnu::noinline]] static double compare(Op op, const Value& lhs,
-                                          const Value& rhs, SourcePos pos) {
+  [[gnu::noinline]] double compare(Op op, const Value& lhs,
+                                   const Value& rhs, TokenIndex pos) const {
     double cmp = 0;
     if (lhs.is_scalar() && rhs.is_scalar()) {
       const double a = lhs.as_scalar();
@@ -259,8 +286,8 @@ class Vm {
   /// output is discarded by the unwind either way); Pow keeps its
   /// per-element NaN probe.
   template <BinOp kOp>
-  static void vec_kernel(double* o, const double* a, const double* b,
-                         std::size_t n, SourcePos pos) {
+  void vec_kernel(double* o, const double* a, const double* b,
+                  std::size_t n, TokenIndex pos) const {
     if constexpr (kOp == BinOp::Add) {
       for (std::size_t i = 0; i < n; ++i) o[i] = a[i] + b[i];
     } else if constexpr (kOp == BinOp::Sub) {
@@ -288,8 +315,8 @@ class Vm {
 
   /// In-place scalar-on-the-left broadcast: o[i] = k op o[i].
   template <BinOp kOp>
-  static void scl_vec_kernel(double k, double* o, std::size_t n,
-                             SourcePos pos) {
+  void scl_vec_kernel(double k, double* o, std::size_t n,
+                      TokenIndex pos) const {
     if constexpr (kOp == BinOp::Add) {
       for (std::size_t i = 0; i < n; ++i) o[i] = k + o[i];
     } else if constexpr (kOp == BinOp::Sub) {
@@ -317,8 +344,8 @@ class Vm {
 
   /// In-place scalar-on-the-right broadcast: o[i] = o[i] op k.
   template <BinOp kOp>
-  static void vec_scl_kernel(double* o, std::size_t n, double k,
-                             SourcePos pos) {
+  void vec_scl_kernel(double* o, std::size_t n, double k,
+                      TokenIndex pos) const {
     if constexpr (kOp == BinOp::Add) {
       for (std::size_t i = 0; i < n; ++i) o[i] = o[i] + k;
     } else if constexpr (kOp == BinOp::Sub) {
@@ -347,8 +374,8 @@ class Vm {
   /// result is assigned to the destination last, so aliasing dst with
   /// either operand is safe and errors leave dst untouched.
   template <BinOp kOp>
-  [[gnu::noinline]] static void arith(const Instr& in,
-                                      std::vector<Value>& regs) {
+  [[gnu::noinline]] void arith(const Instr& in,
+                               std::vector<Value>& regs) const {
     Value& lhs = regs[in.b];
     Value& rhs = regs[in.c];
     // Scalar-scalar fast path: one variant probe per operand. Strings
@@ -448,9 +475,9 @@ class Vm {
 
   /// arith_k's non-scalar path, out of line like arith's.
   template <BinOp kOp>
-  [[gnu::noinline]] static void arith_k_vector(const Instr& in,
-                                               std::vector<Value>& regs,
-                                               double k) {
+  [[gnu::noinline]] void arith_k_vector(const Instr& in,
+                                        std::vector<Value>& regs,
+                                        double k) const {
     Value& lhs = regs[in.b];
     if (lhs.is_string()) {
       error(ErrorCode::Type, in.pos, "operator `", to_string(kOp),
@@ -880,6 +907,9 @@ class Vm {
         }
         case Op::ErrAlways:
           error(static_cast<ErrorCode>(in.a), in.pos, chunk_.messages[in.b]);
+        case Op::ErrUndefined:
+          error(ErrorCode::Name, in.pos, "undefined variable `",
+                name_of(in.b), "`");
         case Op::Halt:
           return;
       }
@@ -954,18 +984,18 @@ class Vm {
 
   [[gnu::noinline]] void invoke(const Builtin& fn, const CallSite& site,
                                 std::vector<Value>& args, Value& dst,
-                                SourcePos pos) {
+                                TokenIndex pos) {
     try {
       dst = fn.fn(args, ctx_);
     } catch (const Error& e) {
-      error(e.code(), pos, e.message(), " in `", chunk_.names[site.name], "`");
+      error(e.code(), pos, e.message(), " in `", name_of(site.name), "`");
     }
   }
 
   /// An unknown function, or a builtin given the wrong argument count.
   [[noreturn, gnu::noinline, gnu::cold]] void bad_call(const CallSite& site,
-                                                       SourcePos pos) const {
-    const std::string& callee = chunk_.names[site.name];
+                                                       TokenIndex pos) const {
+    const std::string_view callee = name_of(site.name);
     const Builtin* fn = site.builtin;
     if (fn == nullptr) {
       error(ErrorCode::Name, pos, "unknown function `", callee, "`");
@@ -985,16 +1015,18 @@ class Vm {
                                       std::vector<Value>& regs,
                                       std::vector<std::uint8_t>* states,
                                       const Instr& in) {
-    const SourcePos pos = in.pos;
-    const std::string& name = chunk_.names[site.name];
+    // The formula's name is spelled only on the error paths: spelling
+    // it binds the routine's text, which a clean run never lexes.
+    const TokenIndex pos = in.pos;
     if (site.args.size() != fo.param_reg.size()) {
-      error(ErrorCode::Type, pos, "formula `", name, "` expects ",
-            fo.param_reg.size(), " arguments, got ", site.args.size());
+      error(ErrorCode::Type, pos, "formula `", name_of(site.name),
+            "` expects ", fo.param_reg.size(), " arguments, got ",
+            site.args.size());
     }
     if (++formula_depth_ > 256) {
       --formula_depth_;
       error(ErrorCode::Limit, pos, "formula recursion deeper than 256 (`",
-            name, "`)");
+            name_of(site.name), "`)");
     }
     struct DepthGuard {
       int& depth;
@@ -1020,12 +1052,15 @@ class Vm {
       // Attribute the failure to the innermost formula, once, keeping
       // the original code and position so callers can still classify it.
       if (e.message().find(" in formula `") != std::string::npos) throw;
-      error(e.code(), e.pos().valid() ? e.pos() : pos, e.message(),
-            " in formula `", name, "`");
+      raise(e.code(), e.pos().valid() ? e.pos() : binding().pos(pos),
+            e.message(), " in formula `", name_of(site.name), "`");
     }
   }
 
   const Chunk& chunk_;
+  mutable const Binding* binding_;
+  std::string_view source_;
+  mutable Binding lexed_;  ///< binding_ when it was lexed here
   const ExecOptions& options_;
   util::Rng rng_;
   BuiltinContext ctx_;
@@ -1040,13 +1075,15 @@ class Vm {
 
 }  // namespace
 
-void run(const Chunk& chunk, Env& env, const ExecOptions& options) {
-  Vm vm(chunk, options);
+void run(const Chunk& chunk, const Binding& binding, Env& env,
+         const ExecOptions& options) {
+  Vm vm(chunk, &binding, {}, options);
   vm.run(env);
 }
 
-void run_frame(const Chunk& chunk, Frame& frame, const ExecOptions& options) {
-  Vm vm(chunk, options);
+void run_frame(const Chunk& chunk, std::string_view source, Frame& frame,
+               const ExecOptions& options) {
+  Vm vm(chunk, nullptr, source, options);
   vm.run_frame(frame);
 }
 

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -228,35 +227,64 @@ class Parser {
   int depth_ = 0;  ///< arrays and objects open around the cursor
 };
 
-void dump_to(const Json& v, std::ostream& out) {
+/// The bytes dump_to writes for `v`, counting each string unescaped and
+/// each number at its widest, so the output is reserved once (escapes
+/// may still grow it).
+std::size_t dump_size(const Json& v) {
   switch (v.kind()) {
-    case Json::Kind::Null: out << "null"; break;
-    case Json::Kind::Bool: out << (v.as_bool() ? "true" : "false"); break;
-    case Json::Kind::Number: out << obs::json_number(v.as_number()); break;
+    case Json::Kind::Null:
+    case Json::Kind::Bool: return 5;
+    case Json::Kind::Number: return 24;
+    case Json::Kind::String: return v.as_string().size() + 2;
+    case Json::Kind::Array: {
+      std::size_t n = 2;
+      for (const Json& e : v.as_array()) n += dump_size(e) + 1;
+      return n;
+    }
+    case Json::Kind::Object: {
+      std::size_t n = 2;
+      for (const auto& [key, value] : v.as_object()) {
+        n += key.size() + 4 + dump_size(value);
+      }
+      return n;
+    }
+  }
+  return 0;
+}
+
+void dump_to(const Json& v, std::string& out) {
+  switch (v.kind()) {
+    case Json::Kind::Null: out += "null"; break;
+    case Json::Kind::Bool: out += v.as_bool() ? "true" : "false"; break;
+    case Json::Kind::Number: out += obs::json_number(v.as_number()); break;
     case Json::Kind::String:
-      out << '"' << obs::json_escape(v.as_string()) << '"';
+      out += '"';
+      obs::json_escape(v.as_string(), out);
+      out += '"';
       break;
     case Json::Kind::Array: {
-      out << '[';
+      out += '[';
       bool first = true;
       for (const Json& e : v.as_array()) {
-        if (!first) out << ',';
+        if (!first) out += ',';
         first = false;
         dump_to(e, out);
       }
-      out << ']';
+      out += ']';
       break;
     }
     case Json::Kind::Object: {
-      out << '{';
+      out += '{';
       bool first = true;
       for (const auto& [key, value] : v.as_object()) {
-        if (!first) out << ',';
+        if (!first) out += ',';
         first = false;
-        out << '"' << obs::json_escape(key) << "\":";
+        out += '"';
+        obs::json_escape(key, out);
+        out += "\":";
         dump_to(value, out);
       }
-      out << '}';
+      out += '}';
       break;
     }
   }
@@ -318,9 +346,10 @@ void Json::push(Json value) {
 }
 
 std::string Json::dump() const {
-  std::ostringstream out;
+  std::string out;
+  out.reserve(dump_size(*this));
   dump_to(*this, out);
-  return out.str();
+  return out;
 }
 
 Json Json::parse(std::string_view text) {

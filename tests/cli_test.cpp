@@ -2,6 +2,7 @@
 // streams, exercising the tool exactly as a shell user would.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
 
@@ -111,6 +112,17 @@ TEST(Cli, Topo) {
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("6 processors"), std::string::npos);
   EXPECT_NE(r.out.find("7 links"), std::string::npos);
+}
+
+TEST(Cli, TopoRefusesAnOversizedMachineAtOnce) {
+  // Once built in full: 3.6 s and 982 MiB for the hop matrix alone.
+  const auto begin = std::chrono::steady_clock::now();
+  const auto r = invoke({"topo", "ring", "procs=16000"});
+  const auto took = std::chrono::steady_clock::now() - begin;
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("limit"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("4096"), std::string::npos) << r.err;
+  EXPECT_LT(took, std::chrono::milliseconds(100));
 }
 
 TEST_F(CliFiles, ScheduleGantt) {

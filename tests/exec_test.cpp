@@ -367,8 +367,9 @@ std::uint64_t entry_bytes(const std::string& source) {
   return probe.stats().bytes;
 }
 
-/// `n` distinct one-line routines of one shape, so each is charged the
-/// same bytes: `var := first`, `var := first + 1`, ...
+/// `n` one-line routines that differ only in their literal, so each is
+/// a shape of its own charged the same bytes: `var := first`,
+/// `var := first + 1`, ...
 std::vector<std::string> routines(char var, int first, int n) {
   std::vector<std::string> out;
   for (int i = 0; i < n; ++i) {
@@ -486,8 +487,14 @@ TEST(ProgramCache, BytesStayWithinBudgetAfterEveryBatchThatFits) {
 TEST(ProgramCache, ConcurrentBatchesKeepOneEntryPerSource) {
   // Threads resolving the same design at once may each compile a
   // source first seen by both; the cache still keeps one entry for it,
-  // and every lookup gets a runnable chunk.
-  const std::vector<std::string> design = routines('d', 1000, 40);
+  // and every lookup gets a runnable chunk. Each routine carries a long
+  // comment, which leaves its shape alone but takes the batch past the
+  // text size from which keying fans out, so lookups race within a call
+  // as well as across calls.
+  std::vector<std::string> design = routines('d', 1000, 40);
+  for (std::string& source : design) {
+    source = "-- " + std::string(1024, '.') + "\n" + source;
+  }
   ProgramCache cache;
   std::atomic<int> bad{0};
   std::vector<std::thread> threads;
@@ -508,6 +515,60 @@ TEST(ProgramCache, ConcurrentBatchesKeepOneEntryPerSource) {
   EXPECT_EQ(s.evictions, 0u);
   EXPECT_GE(s.misses, 40u);
   EXPECT_EQ(s.hits + s.misses, 4u * 5u * 40u);  // each lookup counts once
+}
+
+TEST(ProgramCache, RenamedCopiesShareOneEntry) {
+  // Entries are routine shapes: a renamed copy, or one with comments
+  // and blank lines, hits the first copy's chunk.
+  const std::vector<std::string> design = {
+      "x := y * 2\n", "a_long_name := b * 2\n",
+      "-- a comment\n\n  q := r * 2 -- and another\n", "x := y * 3\n"};
+  ProgramCache cache;
+  const std::vector<ProgramCache::Lookup> found =
+      cache.get_all(batch_of(design));
+  const ProgramCache::Stats s = cache.stats();
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(found[0].chunk, found[1].chunk);
+  EXPECT_EQ(found[0].chunk, found[2].chunk);
+  EXPECT_NE(found[0].chunk, found[3].chunk);  // literals stay spelled
+  // Each lookup names the shape's symbols in its own source.
+  EXPECT_EQ(found[1].names,
+            (std::vector<std::string_view>{"a_long_name", "b"}));
+  EXPECT_EQ(found[2].names, (std::vector<std::string_view>{"q", "r"}));
+}
+
+TEST(ProgramCache, FailedShapeReRaisesFromEachSourcesOwnText) {
+  // Failures stay out of the cache, and every source of a failing shape
+  // reports its own position.
+  const std::vector<std::string> design = {"x := (\n", "longer_name := (\n"};
+  ProgramCache cache;
+  const std::vector<ProgramCache::Lookup> found =
+      cache.get_all(batch_of(design));
+  ASSERT_EQ(found.size(), 2u);
+  std::vector<SourcePos> at;
+  for (const ProgramCache::Lookup& lookup : found) {
+    ASSERT_TRUE(lookup.error);
+    try {
+      std::rethrow_exception(lookup.error);
+    } catch (const Error& e) {
+      at.push_back(e.pos());
+    }
+  }
+  EXPECT_EQ(at[0], (SourcePos{1, 7}));   // the newline after `(`
+  EXPECT_EQ(at[1], (SourcePos{1, 17}));
+  const std::vector<std::string> lexical = {"x := 1 $\n", "abc := 1 $\n"};
+  const std::vector<ProgramCache::Lookup> bad =
+      cache.get_all(batch_of(lexical));
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    try {
+      std::rethrow_exception(bad[i].error);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.pos().column, i == 0 ? 8 : 10);
+    }
+  }
+  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(ProgramCache, ReportsEntriesAndBytes) {

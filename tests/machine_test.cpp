@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "machine/machine.hpp"
+#include "machine/serialize.hpp"
 #include "util/error.hpp"
 
 namespace banger::machine {
@@ -18,6 +19,59 @@ TEST(Topology, HypercubeStructure) {
   for (ProcId a = 0; a < 8; ++a) {
     for (ProcId b = 0; b < 8; ++b) {
       EXPECT_EQ(t.hops(a, b), __builtin_popcount(static_cast<unsigned>(a ^ b)));
+    }
+  }
+}
+
+/// The ErrorCode `fn` throws as an Error, or Generic when it returns.
+template <class Fn>
+ErrorCode code_of(Fn&& fn) {
+  try {
+    (void)fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return ErrorCode::Generic;
+}
+
+// One processor past kMaxProcs is refused before anything is built, for
+// every kind, whether the machine comes from code or from text. No
+// 4096-processor machine is built here: its hop matrix alone is 64 MiB.
+TEST(Topology, EveryKindRefusesMoreThanMaxProcs) {
+  ASSERT_EQ(kMaxProcs, 4096);
+  const int over = kMaxProcs + 1;
+  EXPECT_EQ(code_of([&] { return Topology::fully_connected(over); }),
+            ErrorCode::Limit);
+  EXPECT_EQ(code_of([] { return Topology::hypercube(13); }), ErrorCode::Limit);
+  EXPECT_EQ(code_of([&] { return Topology::mesh(1, over); }), ErrorCode::Limit);
+  EXPECT_EQ(code_of([&] { return Topology::mesh(over, 1); }), ErrorCode::Limit);
+  EXPECT_EQ(code_of([&] { return Topology::torus(1, over); }),
+            ErrorCode::Limit);
+  EXPECT_EQ(code_of([] { return Topology::torus(64, 65); }),
+            ErrorCode::Limit);  // each side fits, the product does not
+  EXPECT_EQ(code_of([&] { return Topology::tree(2, over); }), ErrorCode::Limit);
+  EXPECT_EQ(code_of([&] { return Topology::star(over); }), ErrorCode::Limit);
+  EXPECT_EQ(code_of([&] { return Topology::ring(over); }), ErrorCode::Limit);
+  EXPECT_EQ(code_of([&] { return Topology::chain(over); }), ErrorCode::Limit);
+  EXPECT_EQ(code_of([&] { return Topology::custom("c", over, {}); }),
+            ErrorCode::Limit);
+
+  const char* texts[] = {
+      "topology full procs=4097",       "topology fully-connected procs=4097",
+      "topology hypercube dim=13",      "topology hypercube dim=1e300",
+      "topology mesh rows=1 cols=4097",
+      "topology torus rows=65536 cols=65536",  // product past int
+      "topology tree arity=2 procs=4097", "topology star procs=4097",
+      "topology ring procs=4097",       "topology chain procs=4097",
+      "topology custom procs=4097 links=0-1",
+  };
+  for (const char* text : texts) {
+    try {
+      (void)parse_machine(std::string("machine big\n") + text + "\n");
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Limit) << text << ": " << e.what();
+      EXPECT_EQ(e.pos().line, 2) << text;
     }
   }
 }

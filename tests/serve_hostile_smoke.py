@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Hostile-input smoke test for `banger serve` over stdio.
 
-Pipes six request lines into one server: a line past the 64 MiB
+Pipes seven request lines into one server: a line past the 64 MiB
 request-line limit, a trial whose formula recursion nests ~100
 expression levels per frame (it once overflowed a tree-walker's stack;
 the VM answers `r = 24480`), an upload of a 200k-level design
 hierarchy, a trial whose formula recursion nests builtin calls too deep
 for the VM, a `check` of one routine with 40k division-by-zero lines,
-and a ping. The first, third and fourth must each get a positioned
-`limit` error envelope; the second must answer `r = 24480`. The check
-must report all 40k divisions within 30 s (its cost once grew with the
-square of the reports). The ping must be answered `pong`, and the
-server must exit 0.
+the upload of a 36-byte machine of 16000 processors (building it once
+took 3.6 s and 982 MiB), and a ping. The first, third, fourth and sixth
+must each get a positioned `limit` error envelope; the second must
+answer `r = 24480`. The check must report all 40k divisions within
+30 s (its cost once grew with the square of the reports). The ping must
+be answered `pong`, and the server must exit 0.
 
 Usage: python3 tests/serve_hostile_smoke.py path/to/banger
 """
@@ -21,6 +22,7 @@ import sys
 import time
 
 LINE_LIMIT = 64 << 20
+BIG_MACHINE = "machine m\ntopology ring procs=16000\n"
 
 
 def deep_formula_design(wrap_open, wrap_close, levels):
@@ -84,6 +86,8 @@ def main():
                     "design": vm_recursion_design()}).encode(),
         json.dumps({"id": "check", "op": "check",
                     "design": division_design()}).encode(),
+        json.dumps({"id": "big", "op": "upload", "name": "big",
+                    "kind": "machine", "text": BIG_MACHINE}).encode(),
         json.dumps({"id": "ping", "op": "ping"}).encode(),
     ]
     started = time.monotonic()
@@ -99,8 +103,8 @@ def main():
     if len(responses) != len(lines):
         failures.append(f"expected {len(lines)} responses, "
                         f"got {len(responses)}")
-    for want_id, resp in zip([None, "deep", "vm"],
-                             [responses[i] for i in (0, 2, 3)
+    for want_id, resp in zip([None, "deep", "vm", "big"],
+                             [responses[i] for i in (0, 2, 3, 5)
                               if i < len(responses)]):
         error = resp.get("error", {})
         if (resp.get("id") != want_id or resp.get("ok") is not False
@@ -122,8 +126,8 @@ def main():
                             f"{json.dumps(check)[:400]}")
         if elapsed > 30:
             failures.append(f"the requests took {elapsed:.1f} s")
-        if responses[5].get("output") != "pong":
-            failures.append(f"ping not answered: {json.dumps(responses[5])}")
+        if responses[6].get("output") != "pong":
+            failures.append(f"ping not answered: {json.dumps(responses[6])}")
     for failure in failures:
         print("FAIL:", failure)
     if failures:
