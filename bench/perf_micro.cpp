@@ -12,7 +12,9 @@
 #include "exec/stream.hpp"
 #include "graph/serialize.hpp"
 #include "obs/trace.hpp"
+#include "pits/bytecode.hpp"
 #include "pits/interp.hpp"
+#include "pits/shape.hpp"
 #include "sched/compare.hpp"
 #include "sched/heuristics.hpp"
 #include "serve/json.hpp"
@@ -314,6 +316,54 @@ void BM_PitsExecVmNoElide(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024 * 100);
 }
 BENCHMARK(BM_PitsExecVmNoElide);
+
+// The large-grain inner loop: one interior stencil routine of the
+// sweep_coarse workload (perfbench/gen.py heat_design, 512 cells),
+// compiled with analysis facts as the executor compiles it, run through
+// bc::run_frame on one reused Frame the way a batch lane runs it.
+// items/s is stencil iterations per second.
+void BM_PitsStencilLoop(benchmark::State& state) {
+  constexpr int kCells = 512;
+  const std::string src =
+      "n := len(u0_1)\n"
+      "un := zeros(n)\n"
+      "i := 0\n"
+      "while i < n do\n"
+      "  lft := when(i > 0, u0_1[i - 1], er0_0)\n"
+      "  rgt := when(i < n - 1, u0_1[i + 1], el0_2)\n"
+      "  un[i] := u0_1[i] + 0.21 * (lft - 2 * u0_1[i] + rgt)\n"
+      "  i := i + 1\n"
+      "end\n"
+      "u1_1 := un\n"
+      "el1_1 := un[0]\n"
+      "er1_1 := un[n - 1]\n";
+  const auto program = pits::Program::parse(src);
+  analyze::precompile_optimized(program);
+  const auto chunk = program.compiled_chunk();
+  const pits::Binding binding(src);
+  const auto slot = [&](std::string_view name) {
+    std::uint32_t s = 0;
+    while (binding.name(chunk->names[chunk->vars[s].name]) != name) ++s;
+    return s;
+  };
+  const std::uint32_t rod_slot = slot("u0_1");
+  const std::uint32_t left_slot = slot("er0_0");
+  const std::uint32_t right_slot = slot("el0_2");
+  pits::Vector rod(kCells);
+  for (int c = 0; c < kCells; ++c) rod[c] = std::sin(0.01 * c);
+  pits::bc::Frame frame;
+  for (auto _ : state) {
+    frame.prepare(*chunk);
+    frame.bind(rod_slot, pits::Value(rod));
+    frame.bind(left_slot, pits::Value(0.5));
+    frame.bind(right_slot, pits::Value(0.25));
+    pits::bc::run_frame(*chunk, src, frame, {});
+    benchmark::DoNotOptimize(frame.regs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kCells);
+}
+BENCHMARK(BM_PitsStencilLoop);
 
 // Whole-run view: the LU design end to end (flatten result reused, so
 // this measures planning against the warm program cache + task

@@ -228,9 +228,11 @@ std::optional<pits::Program> check_task_interface(
           task.pos, "add `" + var + "` to the task's in= list"));
     }
   }
-  // Declared inputs the routine never touches.
+  // Declared inputs the routine never touches. A bound input shadows
+  // the calculator constant of its name, so reading `e` reads input `e`.
+  const auto free = pits::free_variables(program->body());
   for (const std::string& var : task.inputs) {
-    if (std::find(reads.begin(), reads.end(), var) == reads.end()) {
+    if (std::find(free.begin(), free.end(), var) == free.end()) {
       sink.push_back(make("BAN005", "task", task.name,
                           "declared input `" + var + "` is never read",
                           task.pos));

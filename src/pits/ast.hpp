@@ -195,7 +195,9 @@ std::vector<std::string_view> symbol_names(const Block& block);
 std::string to_source(const Block& block, int indent = 0);
 
 /// Free variables: names read before being assigned anywhere on some
-/// path — the routine's implicit inputs. Sorted, unique.
+/// path — the routine's implicit inputs. Sorted, unique. A constant's
+/// name counts only where a bound input would shadow it, outside formula
+/// bodies.
 std::vector<std::string> free_variables(const Block& block);
 
 /// Names assigned anywhere — the candidates for outputs. Sorted, unique.

@@ -48,7 +48,8 @@ enum class Op : std::uint8_t {
   NewVector,   // r[a] = empty vector reserved to d elements
   PushScalar,  // r[a].vector += scalar r[b] ("expected a number" at pos)
   CheckIndexable,  // r[a] must be a vector ("cannot index a ...")
-  IndexLoad,   // r[a] = r[b][r[c]] (integer + range checks at pos)
+  IndexLoad,   // r[a] = r[b][r[c]] (integer + range checks at pos);
+               //   r[b] checked as by CheckIndexable at token d
   Jump,        // ip = d
   JumpIfFalsy,   // if !truthy(r[b]) ip = d
   JumpIfTruthy,  // if truthy(r[b]) ip = d
@@ -56,7 +57,8 @@ enum class Op : std::uint8_t {
   TickN,       // d pre-counted statement ticks at once; runs[a] on slow path
   FinishAssign,   // mark slot a bound; echo to the trace stream
   IndexedCheck,   // slot a must be a bound vector (indexed assignment)
-  IndexedStore,   // r[a][r[b]] = scalar r[c]
+  IndexedStore,   // r[a][r[b]] = scalar r[c]; slot a checked as by
+                  //   IndexedCheck at token d
   ToScalar,    // r[a] = as_scalar(r[b]) — for-loop bound coercion
   ForInit,     // step r[a] must be nonzero
   ForNext,     // counter r[a] vs bound r[b] by sign of step r[c]; exits to d
@@ -70,11 +72,14 @@ enum class Op : std::uint8_t {
   ErrUndefined,  // throw "undefined variable `names[b]`" — a formula
                  //   body reading neither a parameter nor a constant
   Halt,        // return from the routine
+  // ---- constant operands: the compiler emits these for a binary op
+  // with a scalar pool constant on the right, or on the left of the
+  // symmetric Add/Mul/Eq/Ne (which then take the other operand as b).
+  AddK, SubK, MulK, DivK, ModK, PowK,  // r[a] = r[b] op consts[c] (scalar)
+  LtK, LeK, GtK, GeK, EqK, NeK,        // r[a] = r[b] cmp consts[c] as 0/1
   // ---- fused superinstructions (peephole pass over the stream above).
   // Each is observably identical to the pair it replaces: same result
   // registers written, same errors at the same positions, same ticks.
-  AddK, SubK, MulK, DivK, ModK, PowK,  // r[a] = r[b] op consts[c] (scalar)
-  LtK, LeK, GtK, GeK, EqK, NeK,        // r[a] = r[b] cmp consts[c] as 0/1
   LtBr, LeBr, GtBr, GeBr, EqBr, NeBr,  // r[a] = r[b] cmp r[c]; falsy -> ip=d
   LtKBr, LeKBr, GtKBr, GeKBr,          // r[a] = r[b] cmp consts[c];
   EqKBr, NeKBr,                        //   falsy -> ip=d
@@ -133,10 +138,6 @@ struct Code {
   std::vector<Instr> ins;
   std::vector<CallSite> sites;
   std::uint32_t num_regs = 0;
-  /// First non-named register: main-frame slots (or formula parameters)
-  /// occupy [0, first_temp). The peephole pass may only elide writes to
-  /// registers at or above this boundary.
-  std::uint32_t first_temp = 0;
 };
 
 struct Formula {

@@ -87,6 +87,35 @@ Op arith_op(BinOp op) {
   }
 }
 
+/// The `…K` form of a binary op: its right operand is a scalar pool
+/// constant. Every arithmetic and comparison op has one.
+Op const_op(BinOp op) {
+  switch (op) {
+    case BinOp::Add: return Op::AddK;
+    case BinOp::Sub: return Op::SubK;
+    case BinOp::Mul: return Op::MulK;
+    case BinOp::Div: return Op::DivK;
+    case BinOp::Mod: return Op::ModK;
+    case BinOp::Pow: return Op::PowK;
+    case BinOp::Eq: return Op::EqK;
+    case BinOp::Ne: return Op::NeK;
+    case BinOp::Lt: return Op::LtK;
+    case BinOp::Le: return Op::LeK;
+    case BinOp::Gt: return Op::GtK;
+    case BinOp::Ge: return Op::GeK;
+    default: BANGER_ASSERT(false, "logical op has no direct opcode");
+  }
+}
+
+/// True when swapping the operands changes neither the result nor any
+/// error message: Add/Mul (a type error names the non-scalar operand on
+/// either side) and Eq/Ne (equals() is total and symmetric). Lt..Ge
+/// order their message operands, and Sub/Div/Mod/Pow do not commute.
+bool symmetric(BinOp op) {
+  return op == BinOp::Add || op == BinOp::Mul || op == BinOp::Eq ||
+         op == BinOp::Ne;
+}
+
 /// A compiled operand: the register holding the value and whether that
 /// register is a dead temporary after one use (movable by the consumer).
 struct Operand {
@@ -121,7 +150,6 @@ class Compiler {
     compile_block(f, body);
     emit(f, {.op = Op::Halt});
     f.code.num_regs = f.high_water;
-    f.code.first_temp = static_cast<std::uint32_t>(chunk_.vars.size());
     chunk_.main = std::move(f.code);
     chunk_.num_formula_names = num_formula_names_;
   }
@@ -467,15 +495,7 @@ class Compiler {
   /// final action, so `x := f(x, x + 1)` style self-references read the
   /// old value throughout.
   Operand compile_expr(Frame& f, const Expr& e, int want) {
-    if (auto v = fold(e, f)) {
-      if (!is_literal(e)) ++chunk_.folded;
-      const std::uint32_t dst = dst_reg(f, want);
-      emit(f, {.op = Op::LoadConst,
-               .a = dst,
-               .b = const_id(std::move(*v)),
-               .pos = at(e.pos)});
-      return {dst, want < 0};
-    }
+    if (auto v = fold(e, f)) return load_const(f, e, std::move(*v), want);
     return std::visit(
         [&](const auto& node) -> Operand {
           using T = std::decay_t<decltype(node)>;
@@ -514,11 +534,15 @@ class Compiler {
             const Operand idx = compile_expr(f, *node.index, -1);
             f.next_temp = mark;
             const std::uint32_t dst = dst_reg(f, want);
+            // `d` carries the check's token: the load checks its base
+            // again, which lets the peephole fold a CheckIndexable
+            // right before it.
             emit(f, {.op = Op::IndexLoad,
                      .flags = safe ? kNoCheck : std::uint8_t{0},
                      .a = dst,
                      .b = base.reg,
                      .c = idx.reg,
+                     .d = static_cast<std::int32_t>(at(e.pos)),
                      .pos = at(node.index->pos)});
             return {dst, want < 0};
           } else if constexpr (std::is_same_v<T, Call>) {
@@ -531,7 +555,7 @@ class Compiler {
   Operand compile_var(Frame& f, const VarRef& node, TokenIndex pos, int want) {
     if (f.in_formula) {
       if (const std::uint32_t reg = param_reg(node.sym); reg != kNone) {
-        return move_to_want(f, {reg, false}, want);
+        return move_to_want(f, {reg, false}, want, pos);
       }
       // Not a parameter, not a constant (those folded): the read can
       // only fail, so it lowers to the tree-walker's error, which names
@@ -550,17 +574,44 @@ class Compiler {
       }
       f.readable[s] = 1;
     }
-    return move_to_want(f, {s, false}, want);
+    return move_to_want(f, {s, false}, want, pos);
+  }
+
+  /// Emits a constant `v` that `e` folded to.
+  Operand load_const(Frame& f, const Expr& e, Value v, int want) {
+    if (!is_literal(e)) ++chunk_.folded;
+    const std::uint32_t dst = dst_reg(f, want);
+    emit(f, {.op = Op::LoadConst,
+             .a = dst,
+             .b = const_id(std::move(v)),
+             .pos = at(e.pos)});
+    return {dst, want < 0};
+  }
+
+  /// Compiles an operand `e` that may already have folded to `v`.
+  Operand operand(Frame& f, const Expr& e, std::optional<Value>& v) {
+    if (v) return load_const(f, e, std::move(*v), -1);
+    return compile_expr(f, e, -1);
+  }
+
+  /// The pool index of a scalar `v` folded from `e`, or kNone.
+  std::uint32_t scalar_const(const Expr& e, const std::optional<Value>& v) {
+    if (!v || !v->is_scalar()) return kNone;
+    if (!is_literal(e)) ++chunk_.folded;
+    return const_id(*v);
   }
 
   /// Routes a value already living in a register to the requested
-  /// destination (a copy for named slots, a move for temps).
-  Operand move_to_want(Frame& f, Operand r, int want) {
+  /// destination (a copy for named slots, a move for temps). A Move
+  /// cannot fail; `pos` only puts it on its line, so an assignment's
+  /// FinishAssign can fold into it.
+  Operand move_to_want(Frame& f, Operand r, int want, TokenIndex pos) {
     if (want < 0 || r.reg == static_cast<std::uint32_t>(want)) return r;
     emit(f, {.op = Op::Move,
              .flags = temp_flags(r),
              .a = static_cast<std::uint32_t>(want),
-             .b = r.reg});
+             .b = r.reg,
+             .pos = pos});
     return {static_cast<std::uint32_t>(want), false};
   }
 
@@ -594,7 +645,8 @@ class Compiler {
       emit(f, {.op = Op::Move,
                .flags = kTempB,
                .a = static_cast<std::uint32_t>(want),
-               .b = vec});
+               .b = vec,
+               .pos = pos});
       f.next_temp = mark;
       return {static_cast<std::uint32_t>(want), false};
     }
@@ -607,8 +659,34 @@ class Compiler {
       return compile_logical(f, node, want);
     }
     const std::uint32_t mark = f.next_temp;
-    const Operand lhs = compile_expr(f, *node.lhs, -1);
-    const Operand rhs = compile_expr(f, *node.rhs, -1);
+    std::optional<Value> lv = fold(*node.lhs, f);
+    std::optional<Value> rv = fold(*node.rhs, f);
+    // A scalar constant operand is read from the pool by the `…K` form:
+    // on the right of any op, or on the left of a symmetric one, which
+    // then takes its other operand as `b`. A constant has no effects,
+    // so leaving it out of the evaluation order changes nothing.
+    Operand other;
+    std::uint32_t k = kNone;
+    if (rv && rv->is_scalar()) {
+      other = operand(f, *node.lhs, lv);
+      k = scalar_const(*node.rhs, rv);
+    } else if (symmetric(node.op) && lv && lv->is_scalar()) {
+      k = scalar_const(*node.lhs, lv);
+      other = operand(f, *node.rhs, rv);
+    }
+    if (k != kNone) {
+      f.next_temp = mark;
+      const std::uint32_t dst = dst_reg(f, want);
+      emit(f, {.op = const_op(node.op),
+               .flags = temp_flags(other),
+               .a = dst,
+               .b = other.reg,
+               .c = k,
+               .pos = pos});
+      return {dst, want < 0};
+    }
+    const Operand lhs = operand(f, *node.lhs, lv);
+    const Operand rhs = operand(f, *node.rhs, rv);
     f.next_temp = mark;
     const std::uint32_t dst = dst_reg(f, want);
     emit(f, {.op = arith_op(node.op),
@@ -704,7 +782,11 @@ class Compiler {
     return {dst, want < 0};
   }
 
-  Operand compile_when(Frame& f, const Call& node, TokenIndex pos, int want) {
+  /// `finish` set: `want` is the slot of an assignment at token
+  /// *finish, and each arm finishes it (compile_assign_value), so each
+  /// arm's value op can carry the FinishAssign.
+  Operand compile_when(Frame& f, const Call& node, TokenIndex pos, int want,
+                       std::optional<TokenIndex> finish = std::nullopt) {
     if (node.args.size() != 3) {
       return emit_error(f, ErrorCode::Type,
                         "when() expects (condition, then, else)", pos, want);
@@ -715,15 +797,22 @@ class Compiler {
         emit(f, {.op = Op::JumpIfFalsy, .b = cond.reg});
     f.next_temp = mark;
     const std::uint32_t dst = dst_reg(f, want);
+    const auto arm = [&](const Expr& e) {
+      if (finish) {
+        compile_assign_value(f, e, dst, *finish);
+      } else {
+        compile_expr(f, e, static_cast<int>(dst));
+      }
+    };
     // Each arm executes on its own path; CheckVar knowledge survives
     // the join only when proven on both.
     const std::vector<char> before = f.readable;
-    compile_expr(f, *node.args[1], dst);
+    arm(*node.args[1]);
     std::vector<char> after_then = std::move(f.readable);
     const std::size_t done = emit(f, {.op = Op::Jump});
     patch(f, to_else);
     f.readable = before;
-    compile_expr(f, *node.args[2], dst);
+    arm(*node.args[2]);
     patch(f, done);
     intersect(f.readable, after_then);
     f.next_temp = want >= 0 ? mark : dst + 1;
@@ -858,30 +947,49 @@ class Compiler {
   void compile_assign(Frame& f, const AssignStmt& node, TokenIndex pos) {
     const std::uint32_t target = slot_of_[node.sym];
     const std::uint32_t mark = f.next_temp;
-    if (node.index) {
-      const bool safe = facts_ != nullptr &&
-                        facts_->safe_indexed_store.contains(&node);
-      // Value first, then target checks, then index — the tree-walker's
-      // evaluation order, so error precedence matches.
-      const Operand value = compile_expr(f, *node.value, -1);
-      if (safe) {
-        chunk_.elided += 1;
-      } else {
-        emit(f, {.op = Op::IndexedCheck, .a = target, .pos = pos});
-      }
-      f.readable[target] = 1;
-      const Operand idx = compile_expr(f, *node.index, -1);
-      emit(f, {.op = Op::IndexedStore,
-               .flags = safe ? kNoCheck : std::uint8_t{0},
-               .a = target,
-               .b = idx.reg,
-               .c = value.reg,
-               .pos = at(node.index->pos)});
-    } else {
-      compile_expr(f, *node.value, target);
-      f.readable[target] = 1;
+    if (!node.index) {
+      compile_assign_value(f, *node.value, target, pos);
+      f.next_temp = mark;
+      return;
     }
+    const bool safe =
+        facts_ != nullptr && facts_->safe_indexed_store.contains(&node);
+    // Value first, then target checks, then index — the tree-walker's
+    // evaluation order, so error precedence matches.
+    const Operand value = compile_expr(f, *node.value, -1);
+    if (safe) {
+      chunk_.elided += 1;
+    } else {
+      emit(f, {.op = Op::IndexedCheck, .a = target, .pos = pos});
+    }
+    f.readable[target] = 1;
+    const Operand idx = compile_expr(f, *node.index, -1);
+    // `d` carries the check's token: the store checks its target again,
+    // which lets the peephole fold an IndexedCheck right before it.
+    emit(f, {.op = Op::IndexedStore,
+             .flags = safe ? kNoCheck : std::uint8_t{0},
+             .a = target,
+             .b = idx.reg,
+             .c = value.reg,
+             .d = static_cast<std::int32_t>(pos),
+             .pos = at(node.index->pos)});
     f.next_temp = mark;
+    emit(f, {.op = Op::FinishAssign, .a = target, .pos = pos});
+  }
+
+  /// Compiles `e` into slot `target` and finishes the assignment at
+  /// token `pos`. A `when` finishes in each of its arms instead of at
+  /// its join, so the peephole can fold each FinishAssign into the
+  /// arm's last instruction.
+  void compile_assign_value(Frame& f, const Expr& e, std::uint32_t target,
+                            TokenIndex pos) {
+    const auto* call = std::get_if<Call>(&e.node);
+    if (call != nullptr && call->callee == "when" && call->args.size() == 3) {
+      compile_when(f, *call, at(e.pos), static_cast<int>(target), pos);
+      return;
+    }
+    compile_expr(f, e, static_cast<int>(target));
+    f.readable[target] = 1;
     emit(f, {.op = Op::FinishAssign, .a = target, .pos = pos});
   }
 
@@ -1064,7 +1172,6 @@ class Compiler {
     for (const SymId p : def.param_syms) param_reg_[p] = kNone;
     fo.result = result.reg;
     ff.code.num_regs = ff.high_water;
-    ff.code.first_temp = next_reg;
     fo.code = std::move(ff.code);
     return fo;
   }
@@ -1131,7 +1238,8 @@ bool reads_target(Op op) {
 
 /// Ops whose destination `a` may absorb an adjacent FinishAssign via the
 /// kFinish flag. All reach the VM's shared epilogue on success (no
-/// `continue` paths) and fully write r[a] before it runs.
+/// `continue` paths) and have written r[a] (IndexedStore: one element
+/// of it) before it runs.
 bool finish_fusable(Op op) {
   switch (op) {
     case Op::LoadConst:
@@ -1152,6 +1260,7 @@ bool finish_fusable(Op op) {
     case Op::Gt:
     case Op::Ge:
     case Op::IndexLoad:
+    case Op::IndexedStore:
     case Op::AddK:
     case Op::SubK:
     case Op::MulK:
@@ -1189,31 +1298,25 @@ Op branch_form(Op op) {
   }
 }
 
-/// Const-operand form of a binary op, or `op` itself when there is none.
-Op const_form(Op op) {
-  switch (op) {
-    case Op::Add: return Op::AddK;
-    case Op::Sub: return Op::SubK;
-    case Op::Mul: return Op::MulK;
-    case Op::Div: return Op::DivK;
-    case Op::Mod: return Op::ModK;
-    case Op::Pow: return Op::PowK;
-    case Op::Lt: return Op::LtK;
-    case Op::Le: return Op::LeK;
-    case Op::Gt: return Op::GtK;
-    case Op::Ge: return Op::GeK;
-    case Op::CmpEq: return Op::EqK;
-    case Op::CmpNe: return Op::NeK;
-    default: return op;
-  }
-}
-
 /// Attempts to fuse the adjacent pair (cur, next). Returns the single
 /// replacement instruction, or nullopt when the pair must stay split.
 std::optional<Instr> try_fuse(const Instr& cur, const Instr& next,
-                              std::uint32_t first_temp,
-                              const std::vector<Value>& consts,
                               const Binding& tokens) {
+  // Check folding: IndexLoad checks its base, and IndexedStore its
+  // target, raising the check's error at the token in their `d`. So a
+  // check right before them on the same register and at that token is
+  // their own: nothing runs between the two, and the error and its
+  // position are the same. The token test keeps a check apart from
+  // another expression's load of the same base (`v[v[i]]`).
+  const auto owns = [&](std::uint32_t reg) {
+    return reg == cur.a && static_cast<TokenIndex>(next.d) == cur.pos;
+  };
+  if ((cur.op == Op::CheckIndexable && next.op == Op::IndexLoad &&
+       owns(next.b)) ||
+      (cur.op == Op::IndexedCheck && next.op == Op::IndexedStore &&
+       owns(next.a))) {
+    return next;
+  }
   // Store fusion: value-producing instruction + FinishAssign on the
   // same slot. The trace echo prints only the line number, so the pair
   // must agree on it (FinishAssign carries the statement position, the
@@ -1241,52 +1344,12 @@ std::optional<Instr> try_fuse(const Instr& cur, const Instr& next,
       return out;
     }
   }
-  // Const operand: LoadConst into a temporary consumed immediately by
-  // a binary arith/compare. Eliding the register write is safe only
-  // for temps (named slots outlive the expression) holding scalars
-  // (vector consts may be moved out of the pool under kTempC, which a
-  // pool-indexed operand must never do). Swapping a const left operand
-  // to the right is legal only where the operation — including its
-  // error messages — is symmetric: Add/Mul (type errors name the
-  // non-scalar operand regardless of side) and Eq/Ne (equals() is
-  // total and symmetric). Lt..Ge order their message operands, and
-  // Sub/Div/Mod/Pow are not commutative.
-  if (cur.op == Op::LoadConst && cur.a >= first_temp &&
-      consts[cur.b].scalar_if() != nullptr && next.b != next.c) {
-    if (const Op k = const_form(next.op); k != next.op) {
-      const std::uint32_t t = cur.a;
-      std::uint32_t src = 0;
-      bool swapped = false;
-      if (next.c == t && next.b != t) {
-        src = next.b;
-      } else if (next.b == t && next.c != t &&
-                 (next.op == Op::Add || next.op == Op::Mul ||
-                  next.op == Op::CmpEq || next.op == Op::CmpNe)) {
-        src = next.c;
-        swapped = true;
-      } else {
-        return std::nullopt;
-      }
-      Instr out = next;
-      out.op = k;
-      out.b = src;
-      out.c = cur.b;  // const-pool index
-      std::uint8_t fl = next.flags & kFinish;
-      if (!swapped) {
-        fl = static_cast<std::uint8_t>(fl | (next.flags & kTempB));
-      } else if ((next.flags & kTempC) != 0) {
-        fl = static_cast<std::uint8_t>(fl | kTempB);
-      }
-      out.flags = fl;
-      return out;
-    }
-  }
   return std::nullopt;
 }
 
 /// One fusion pass over `code`. Returns true when anything fused (the
-/// caller iterates to a fixpoint — e.g. LoadConst+Lt fuses to LtK in
-/// one pass, LtK+JumpIfFalsy to LtKBr in the next).
+/// caller iterates to a fixpoint — e.g. IndexedCheck+IndexedStore fuse
+/// in one pass, the store and its FinishAssign in the next).
 bool fuse_pass(Chunk& chunk, Code& code, bool top_level,
                const Binding& tokens) {
   const std::size_t n = code.ins.size();
@@ -1319,8 +1382,7 @@ bool fuse_pass(Chunk& chunk, Code& code, bool top_level,
   for (std::size_t i = 0; i < n; ++i) {
     map[i] = static_cast<std::uint32_t>(out.size());
     if (i + 1 < n && leader[i + 1] == 0) {
-      if (auto fused = try_fuse(code.ins[i], code.ins[i + 1],
-                                code.first_temp, chunk.consts, tokens)) {
+      if (auto fused = try_fuse(code.ins[i], code.ins[i + 1], tokens)) {
         out.push_back(*fused);
         map[i + 1] = map[i];  // dead index: nothing targets a non-leader
         ++i;

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "pits/ast.hpp"
+#include "pits/builtins.hpp"
 #include "util/strings.hpp"
 
 namespace banger::pits {
@@ -156,8 +157,12 @@ void print_block(const Block& block, int indent, std::string& out) {
 struct VarWalk {
   std::set<std::string> assigned;
   std::set<std::string> free;  // read with no prior assignment
+  bool in_formula = false;
 
   void read(const std::string& name) {
+    // A formula body sees only its parameters and the constants, so a
+    // constant name there is the constant, never an input.
+    if (in_formula && constants().contains(name)) return;
     if (!assigned.contains(name)) free.insert(name);
   }
 
@@ -234,7 +239,9 @@ struct VarWalk {
                 fresh.push_back(param);
               }
             }
+            in_formula = true;
             walk_expr(*node.body);
+            in_formula = false;
             for (const std::string& param : fresh) assigned.erase(param);
           } else if constexpr (std::is_same_v<T, ExprStmt>) {
             walk_expr(*node.expr);

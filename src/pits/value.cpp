@@ -10,34 +10,14 @@ std::string_view Value::type_name() const noexcept {
   return "string";
 }
 
-Scalar Value::as_scalar() const {
-  if (const auto* s = std::get_if<Scalar>(&data_)) return *s;
-  fail(ErrorCode::Type,
-       "expected a number, got a " + std::string(type_name()));
-}
-
-const Vector& Value::as_vector() const {
-  if (const auto* v = std::get_if<Vector>(&data_)) return *v;
-  fail(ErrorCode::Type,
-       "expected a vector, got a " + std::string(type_name()));
-}
-
-Vector& Value::as_vector() {
-  if (auto* v = std::get_if<Vector>(&data_)) return *v;
-  fail(ErrorCode::Type,
-       "expected a vector, got a " + std::string(type_name()));
+void Value::mismatch(std::string_view expected) const {
+  fail(ErrorCode::Type, "expected a " + std::string(expected) + ", got a " +
+                            std::string(type_name()));
 }
 
 const Str& Value::as_string() const {
   if (const auto* s = std::get_if<Str>(&data_)) return *s;
-  fail(ErrorCode::Type,
-       "expected a string, got a " + std::string(type_name()));
-}
-
-bool Value::truthy() const noexcept {
-  if (const auto* s = std::get_if<Scalar>(&data_)) return *s != 0.0;
-  if (const auto* v = std::get_if<Vector>(&data_)) return !v->empty();
-  return !std::get<Str>(data_).empty();
+  mismatch("string");
 }
 
 bool Value::equals(const Value& other) const noexcept {

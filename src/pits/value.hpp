@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -40,10 +41,20 @@ class Value {
   [[nodiscard]] std::string_view type_name() const noexcept;
 
   /// Accessors that throw Error{Type} (with position context added by the
-  /// interpreter) on mismatch.
-  [[nodiscard]] Scalar as_scalar() const;
-  [[nodiscard]] const Vector& as_vector() const;
-  [[nodiscard]] Vector& as_vector();
+  /// interpreter) on mismatch. The matching case is inline: the VM reads
+  /// operands through them on every index, store and loop step.
+  [[nodiscard]] Scalar as_scalar() const {
+    if (const auto* s = std::get_if<Scalar>(&data_)) return *s;
+    mismatch("number");
+  }
+  [[nodiscard]] const Vector& as_vector() const {
+    if (const auto* v = std::get_if<Vector>(&data_)) return *v;
+    mismatch("vector");
+  }
+  [[nodiscard]] Vector& as_vector() {
+    if (auto* v = std::get_if<Vector>(&data_)) return *v;
+    mismatch("vector");
+  }
   [[nodiscard]] const Str& as_string() const;
 
   /// Non-throwing accessors for the execution-engine hot paths: one
@@ -65,7 +76,11 @@ class Value {
   }
 
   /// Truthiness: nonzero scalar / nonempty vector / nonempty string.
-  [[nodiscard]] bool truthy() const noexcept;
+  [[nodiscard]] bool truthy() const noexcept {
+    if (const auto* s = std::get_if<Scalar>(&data_)) return *s != 0.0;
+    if (const auto* v = std::get_if<Vector>(&data_)) return !v->empty();
+    return !std::get_if<Str>(&data_)->empty();
+  }
 
   /// Structural equality (scalar==scalar elementwise etc.; values of
   /// different types are never equal).
@@ -82,6 +97,9 @@ class Value {
   }
 
  private:
+  /// Throws "expected a <expected>, got a <type_name()>".
+  [[noreturn, gnu::cold]] void mismatch(std::string_view expected) const;
+
   std::variant<Scalar, Vector, Str> data_;
 };
 

@@ -44,6 +44,19 @@ constexpr std::uint8_t kConstMaterialized = kSlotConst;
 /// inside an 8 MiB thread stack in every build.
 constexpr int kMaxCallDepth = 2048;
 
+// The scalar cases of the ordering ops. compare() orders NaN as equal
+// to everything, as the walker does, so Le and Ge are the negated
+// strict orders: `NaN <= 1` holds.
+constexpr auto kLt = [](double a, double b) { return a < b; };
+constexpr auto kLe = [](double a, double b) { return !(a > b); };
+constexpr auto kGt = [](double a, double b) { return a > b; };
+constexpr auto kGe = [](double a, double b) { return !(a < b); };
+
+/// The token an instruction keeps in `d` (IndexLoad, IndexedStore).
+TokenIndex token_in_d(const Instr& in) {
+  return static_cast<TokenIndex>(in.d);
+}
+
 class Vm {
  public:
   /// `binding` null: lex `source` into one when a name or position is
@@ -70,7 +83,7 @@ class Vm {
       }
     }
     try {
-      exec(chunk_.main, regs, &states, 0,
+      exec(chunk_.main, regs.data(), states.data(), 0,
            static_cast<std::uint32_t>(chunk_.main.ins.size()));
     } catch (...) {
       write_back(env, regs, states);
@@ -86,7 +99,7 @@ class Vm {
   /// is byte-identical to run().
   void run_frame(Frame& f) {
     try {
-      exec(chunk_.main, f.regs, &f.states, 0,
+      exec(chunk_.main, f.regs.data(), f.states.data(), 0,
            static_cast<std::uint32_t>(chunk_.main.ins.size()));
     } catch (...) {
       report();
@@ -165,8 +178,7 @@ class Vm {
   }
 
   /// The trace echo of one finished assignment, out of line.
-  [[gnu::noinline]] void echo(const Instr& in,
-                              const std::vector<Value>& regs) const {
+  [[gnu::noinline]] void echo(const Instr& in, const Value* regs) const {
     *options_.trace << "line " << binding().pos(in.pos).line << ": "
                     << var_name(in.a) << " = " << regs[in.a].to_display()
                     << "\n";
@@ -175,14 +187,34 @@ class Vm {
   std::size_t index_of(const Value& idx, std::size_t size,
                        TokenIndex pos) const {
     const double raw = idx.as_scalar();
+    // An integer in range needs no floor(): it converts exactly.
+    if (raw >= 0 && raw < static_cast<double>(size)) {
+      const auto i = static_cast<std::size_t>(raw);
+      if (static_cast<double>(i) == raw) return i;
+    }
+    bad_index(raw, size, pos);
+  }
+
+  /// index_of's errors, in the walker's order: a fraction (or NaN)
+  /// first, then the range.
+  [[noreturn, gnu::noinline, gnu::cold]] void bad_index(
+      double raw, std::size_t size, TokenIndex pos) const {
     if (std::floor(raw) != raw) {
       error(ErrorCode::Runtime, pos, "index must be an integer");
     }
-    if (raw < 0 || raw >= static_cast<double>(size)) {
-      error(ErrorCode::Runtime, pos, "index ", static_cast<long long>(raw),
-            " out of range [0,", size, ")");
+    error(ErrorCode::Runtime, pos, "index ", static_cast<long long>(raw),
+          " out of range [0,", size, ")");
+  }
+
+  /// IndexedCheck's errors at token `at`: slot `slot` is unbound (a
+  /// materialized constant counts as unbound) or not a vector.
+  [[noreturn, gnu::noinline, gnu::cold]] void bad_store_target(
+      std::uint32_t slot, std::uint8_t state, TokenIndex at) const {
+    if (state != kBound) {
+      error(ErrorCode::Name, at, "indexed assignment to undefined variable `",
+            var_name(slot), "`");
     }
-    return static_cast<std::size_t>(raw);
+    error(ErrorCode::Type, at, "`", var_name(slot), "` is not a vector");
   }
 
   /// Writes a scalar result without a full variant assignment when the
@@ -212,7 +244,7 @@ class Vm {
   /// Returns false (leaving dst untouched) when either operand is not a
   /// scalar; the caller then takes the general arith() route.
   template <BinOp kOp>
-  bool fast_arith(const Instr& in, std::vector<Value>& regs) {
+  bool fast_arith(const Instr& in, Value* regs) {
     const Scalar* a = regs[in.b].scalar_if();
     const Scalar* b = regs[in.c].scalar_if();
     if (a == nullptr || b == nullptr) return false;
@@ -220,14 +252,40 @@ class Vm {
     return true;
   }
 
-  /// Scalar-scalar ordering fast path for Lt/Le/Gt/Ge.
+  /// Lt..Ge (`base`, scalar case `cmp`): writes the 0/1 result to r[a]
+  /// and returns it, so a fused branch tests the bool it just computed.
   template <typename Cmp>
-  bool fast_compare(const Instr& in, std::vector<Value>& regs, Cmp cmp) {
+  bool order(const Instr& in, Value* regs, Op base, Cmp cmp) {
     const Scalar* a = regs[in.b].scalar_if();
     const Scalar* b = regs[in.c].scalar_if();
-    if (a == nullptr || b == nullptr) return false;
-    set_scalar(regs[in.a], cmp(*a, *b) ? 1.0 : 0.0);
-    return true;
+    const bool r = a != nullptr && b != nullptr
+                       ? cmp(*a, *b)
+                       : compare(base, regs[in.b], regs[in.c], in.pos) != 0;
+    set_scalar(regs[in.a], r ? 1.0 : 0.0);
+    return r;
+  }
+
+  /// order() against the scalar pool constant consts[c].
+  template <typename Cmp>
+  bool order_k(const Instr& in, Value* regs, Op base, Cmp cmp) {
+    const Value& k = chunk_.consts[in.c];
+    const Scalar* a = regs[in.b].scalar_if();
+    const bool r = a != nullptr ? cmp(*a, *k.scalar_if())
+                                : compare(base, regs[in.b], k, in.pos) != 0;
+    set_scalar(regs[in.a], r ? 1.0 : 0.0);
+    return r;
+  }
+
+  /// Eq (`eq`) or Ne of r[b] and `rhs`: writes the 0/1 result to r[a]
+  /// and returns it.
+  static bool same(const Instr& in, Value* regs, const Value& rhs, bool eq) {
+    const Value& lhs = regs[in.b];
+    const Scalar* a = lhs.scalar_if();
+    const Scalar* b = rhs.scalar_if();
+    const bool r =
+        (a != nullptr && b != nullptr ? *a == *b : lhs.equals(rhs)) == eq;
+    set_scalar(regs[in.a], r ? 1.0 : 0.0);
+    return r;
   }
 
   double scalar_op(BinOp op, double a, double b, TokenIndex pos) const {
@@ -253,7 +311,7 @@ class Vm {
     }
   }
 
-  /// The ordering ops' general path (the scalar case is fast_compare):
+  /// The ordering ops' general path (the scalar case is in order()):
   /// 1 when `lhs op rhs` holds, else 0.
   [[gnu::noinline]] double compare(Op op, const Value& lhs,
                                    const Value& rhs, TokenIndex pos) const {
@@ -374,8 +432,7 @@ class Vm {
   /// result is assigned to the destination last, so aliasing dst with
   /// either operand is safe and errors leave dst untouched.
   template <BinOp kOp>
-  [[gnu::noinline]] void arith(const Instr& in,
-                               std::vector<Value>& regs) const {
+  [[gnu::noinline]] void arith(const Instr& in, Value* regs) const {
     Value& lhs = regs[in.b];
     Value& rhs = regs[in.c];
     // Scalar-scalar fast path: one variant probe per operand. Strings
@@ -441,8 +498,7 @@ class Vm {
           lhs.type_name(), " and a ", rhs.type_name());
   }
 
-  [[gnu::noinline]] static void negate_vector(const Instr& in,
-                                             std::vector<Value>& regs) {
+  [[gnu::noinline]] static void negate_vector(const Instr& in, Value* regs) {
     Value& v = regs[in.b];
     Vector out = (in.flags & kTempB) != 0 ? std::move(v.as_vector())
                                           : v.as_vector();
@@ -456,14 +512,14 @@ class Vm {
     dst = Value(std::move(v));
   }
 
-  /// The AddK..PowK fused forms: rhs is a scalar const pool entry, so
-  /// the type dispatch collapses to one probe of the left operand. For
-  /// the commutative ops (Add/Mul) the peephole also folds const-lhs
-  /// pairs through here with the operands swapped; results and error
+  /// The AddK..PowK forms: rhs is a scalar const pool entry, so the
+  /// type dispatch collapses to one probe of the left operand. For the
+  /// commutative ops (Add/Mul) the compiler also sends a const left
+  /// operand through here with the operands swapped; results and error
   /// messages are identical either way (the walker's string/type errors
   /// for these shapes do not depend on operand order).
   template <BinOp kOp>
-  void arith_k(const Instr& in, std::vector<Value>& regs) {
+  void arith_k(const Instr& in, Value* regs) {
     const double k = *chunk_.consts[in.c].scalar_if();
     Value& lhs = regs[in.b];
     if (const Scalar* a = lhs.scalar_if()) {
@@ -475,8 +531,7 @@ class Vm {
 
   /// arith_k's non-scalar path, out of line like arith's.
   template <BinOp kOp>
-  [[gnu::noinline]] void arith_k_vector(const Instr& in,
-                                        std::vector<Value>& regs,
+  [[gnu::noinline]] void arith_k_vector(const Instr& in, Value* regs,
                                         double k) const {
     Value& lhs = regs[in.b];
     if (lhs.is_string()) {
@@ -489,27 +544,15 @@ class Vm {
     regs[in.a] = Value(std::move(out));
   }
 
-  /// The LtK..GeK fused forms: rhs is a scalar const pool entry.
-  template <typename Cmp>
-  void compare_k(const Instr& in, std::vector<Value>& regs, Op base,
-                 Cmp cmp) {
-    const Value& k = chunk_.consts[in.c];
-    if (const Scalar* a = regs[in.b].scalar_if()) {
-      set_scalar(regs[in.a], cmp(*a, *k.scalar_if()) ? 1.0 : 0.0);
-      return;
-    }
-    set_scalar(regs[in.a], compare(base, regs[in.b], k, in.pos));
-  }
-
   /// Executes code[from, to). `states` is non-null only for the
   /// top-level frame (formula frames hold just parameters, all bound
   /// by construction). Argument ranges recurse through here; Halt only
   /// appears at statement level, so it unwinds the top frame directly.
-  void exec(const Code& code, std::vector<Value>& regs,
-            std::vector<std::uint8_t>* states, std::uint32_t from,
-            std::uint32_t to) {
+  void exec(const Code& code, Value* regs, std::uint8_t* states,
+            std::uint32_t from, std::uint32_t to) {
+    const Instr* const ins = code.ins.data();
     for (std::uint32_t ip = from; ip < to;) {
-      const Instr& in = code.ins[ip];
+      const Instr& in = ins[ip];
       ++retired_;
       switch (in.op) {
         case Op::LoadConst: {
@@ -533,7 +576,7 @@ class Vm {
           }
           break;
         case Op::CheckVar: {
-          std::uint8_t& st = (*states)[in.a];
+          std::uint8_t& st = states[in.a];
           if (st == kUnbound) {
             const VarInfo& vi = chunk_.vars[in.a];
             if (!vi.has_const) {
@@ -592,154 +635,90 @@ class Vm {
         case Op::DivK: arith_k<BinOp::Div>(in, regs); break;
         case Op::ModK: arith_k<BinOp::Mod>(in, regs); break;
         case Op::PowK: arith_k<BinOp::Pow>(in, regs); break;
-        case Op::LtK:
-          compare_k(in, regs, Op::Lt, [](double a, double b) { return a < b; });
-          break;
-        case Op::LeK:
-          compare_k(in, regs, Op::Le,
-                    [](double a, double b) { return a <= b; });
-          break;
-        case Op::GtK:
-          compare_k(in, regs, Op::Gt, [](double a, double b) { return a > b; });
-          break;
-        case Op::GeK:
-          compare_k(in, regs, Op::Ge,
-                    [](double a, double b) { return a >= b; });
-          break;
-        case Op::EqK:
-          set_scalar(regs[in.a],
-                     regs[in.b].equals(chunk_.consts[in.c]) ? 1.0 : 0.0);
-          break;
-        case Op::NeK:
-          set_scalar(regs[in.a],
-                     regs[in.b].equals(chunk_.consts[in.c]) ? 0.0 : 1.0);
-          break;
-        case Op::CmpEq:
-          set_scalar(regs[in.a], regs[in.b].equals(regs[in.c]) ? 1.0 : 0.0);
-          break;
-        case Op::CmpNe:
-          set_scalar(regs[in.a], regs[in.b].equals(regs[in.c]) ? 0.0 : 1.0);
-          break;
-        case Op::Lt:
-          if (!fast_compare(in, regs, [](double a, double b) { return a < b; }))
-            set_scalar(regs[in.a],
-                       compare(in.op, regs[in.b], regs[in.c], in.pos));
-          break;
-        case Op::Le:
-          if (!fast_compare(in, regs,
-                            [](double a, double b) { return a <= b; }))
-            set_scalar(regs[in.a],
-                       compare(in.op, regs[in.b], regs[in.c], in.pos));
-          break;
-        case Op::Gt:
-          if (!fast_compare(in, regs, [](double a, double b) { return a > b; }))
-            set_scalar(regs[in.a],
-                       compare(in.op, regs[in.b], regs[in.c], in.pos));
-          break;
-        case Op::Ge:
-          if (!fast_compare(in, regs,
-                            [](double a, double b) { return a >= b; }))
-            set_scalar(regs[in.a],
-                       compare(in.op, regs[in.b], regs[in.c], in.pos));
-          break;
+        case Op::LtK: order_k(in, regs, Op::Lt, kLt); break;
+        case Op::LeK: order_k(in, regs, Op::Le, kLe); break;
+        case Op::GtK: order_k(in, regs, Op::Gt, kGt); break;
+        case Op::GeK: order_k(in, regs, Op::Ge, kGe); break;
+        case Op::EqK: same(in, regs, chunk_.consts[in.c], true); break;
+        case Op::NeK: same(in, regs, chunk_.consts[in.c], false); break;
+        case Op::CmpEq: same(in, regs, regs[in.c], true); break;
+        case Op::CmpNe: same(in, regs, regs[in.c], false); break;
+        case Op::Lt: order(in, regs, Op::Lt, kLt); break;
+        case Op::Le: order(in, regs, Op::Le, kLe); break;
+        case Op::Gt: order(in, regs, Op::Gt, kGt); break;
+        case Op::Ge: order(in, regs, Op::Ge, kGe); break;
         // Fused compare+branch: the comparison executes exactly as the
         // standalone op (including writing its 0/1 result register, so
         // any later read still sees it), then the folded JumpIfFalsy
-        // fires on the value just computed.
+        // fires on the result just computed.
         case Op::LtBr:
-          if (!fast_compare(in, regs, [](double a, double b) { return a < b; }))
-            set_scalar(regs[in.a],
-                       compare(Op::Lt, regs[in.b], regs[in.c], in.pos));
-          if (!regs[in.a].truthy()) {
+          if (!order(in, regs, Op::Lt, kLt)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::LeBr:
-          if (!fast_compare(in, regs,
-                            [](double a, double b) { return a <= b; }))
-            set_scalar(regs[in.a],
-                       compare(Op::Le, regs[in.b], regs[in.c], in.pos));
-          if (!regs[in.a].truthy()) {
+          if (!order(in, regs, Op::Le, kLe)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::GtBr:
-          if (!fast_compare(in, regs, [](double a, double b) { return a > b; }))
-            set_scalar(regs[in.a],
-                       compare(Op::Gt, regs[in.b], regs[in.c], in.pos));
-          if (!regs[in.a].truthy()) {
+          if (!order(in, regs, Op::Gt, kGt)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::GeBr:
-          if (!fast_compare(in, regs,
-                            [](double a, double b) { return a >= b; }))
-            set_scalar(regs[in.a],
-                       compare(Op::Ge, regs[in.b], regs[in.c], in.pos));
-          if (!regs[in.a].truthy()) {
+          if (!order(in, regs, Op::Ge, kGe)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::EqBr:
-          set_scalar(regs[in.a], regs[in.b].equals(regs[in.c]) ? 1.0 : 0.0);
-          if (!regs[in.a].truthy()) {
+          if (!same(in, regs, regs[in.c], true)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::NeBr:
-          set_scalar(regs[in.a], regs[in.b].equals(regs[in.c]) ? 0.0 : 1.0);
-          if (!regs[in.a].truthy()) {
+          if (!same(in, regs, regs[in.c], false)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::LtKBr:
-          compare_k(in, regs, Op::Lt, [](double a, double b) { return a < b; });
-          if (!regs[in.a].truthy()) {
+          if (!order_k(in, regs, Op::Lt, kLt)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::LeKBr:
-          compare_k(in, regs, Op::Le,
-                    [](double a, double b) { return a <= b; });
-          if (!regs[in.a].truthy()) {
+          if (!order_k(in, regs, Op::Le, kLe)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::GtKBr:
-          compare_k(in, regs, Op::Gt, [](double a, double b) { return a > b; });
-          if (!regs[in.a].truthy()) {
+          if (!order_k(in, regs, Op::Gt, kGt)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::GeKBr:
-          compare_k(in, regs, Op::Ge,
-                    [](double a, double b) { return a >= b; });
-          if (!regs[in.a].truthy()) {
+          if (!order_k(in, regs, Op::Ge, kGe)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::EqKBr:
-          set_scalar(regs[in.a],
-                     regs[in.b].equals(chunk_.consts[in.c]) ? 1.0 : 0.0);
-          if (!regs[in.a].truthy()) {
+          if (!same(in, regs, chunk_.consts[in.c], true)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
           break;
         case Op::NeKBr:
-          set_scalar(regs[in.a],
-                     regs[in.b].equals(chunk_.consts[in.c]) ? 0.0 : 1.0);
-          if (!regs[in.a].truthy()) {
+          if (!same(in, regs, chunk_.consts[in.c], false)) {
             ip = static_cast<std::uint32_t>(in.d);
             continue;
           }
@@ -763,20 +742,24 @@ class Vm {
           }
           break;
         case Op::IndexLoad: {
-          const Vector& v = regs[in.b].as_vector();
+          const Vector* v = regs[in.b].vector_if();
+          if (v == nullptr) {
+            error(ErrorCode::Type, token_in_d(in), "cannot index a ",
+                  regs[in.b].type_name());
+          }
           std::size_t i;
           if ((in.flags & kNoCheck) != 0) {
             // Index proven an in-bounds integer by the abstract
             // interpreter; the differential suite guards the proof.
             const Scalar* x = regs[in.c].scalar_if();
             BANGER_ASSERT(x != nullptr && *x >= 0 &&
-                              *x < static_cast<double>(v.size()),
+                              *x < static_cast<double>(v->size()),
                           "absint in-bounds proof violated");
             i = static_cast<std::size_t>(*x);
           } else {
-            i = index_of(regs[in.c], v.size(), in.pos);
+            i = index_of(regs[in.c], v->size(), in.pos);
           }
-          set_scalar(regs[in.a], v[i]);
+          set_scalar(regs[in.a], (*v)[i]);
           break;
         }
         case Op::Jump:
@@ -815,34 +798,30 @@ class Vm {
           continue;
         }
         case Op::FinishAssign:
-          (*states)[in.a] = kBound;
+          states[in.a] = kBound;
           if (options_.trace != nullptr) echo(in, regs);
           break;
-        case Op::IndexedCheck: {
-          if ((*states)[in.a] != kBound) {
-            error(ErrorCode::Name, in.pos,
-                  "indexed assignment to undefined variable `",
-                  var_name(in.a), "`");
-          }
-          if (!regs[in.a].is_vector()) {
-            error(ErrorCode::Type, in.pos, "`", var_name(in.a),
-                  "` is not a vector");
+        case Op::IndexedCheck:
+          if (states[in.a] != kBound || !regs[in.a].is_vector()) {
+            bad_store_target(in.a, states[in.a], in.pos);
           }
           break;
-        }
         case Op::IndexedStore: {
-          Vector& vec = regs[in.a].as_vector();
+          Vector* vec = regs[in.a].vector_if();
           if ((in.flags & kNoCheck) != 0) {
             const Scalar* x = regs[in.b].scalar_if();
             const Scalar* v = regs[in.c].scalar_if();
-            BANGER_ASSERT(x != nullptr && v != nullptr && *x >= 0 &&
-                              *x < static_cast<double>(vec.size()),
+            BANGER_ASSERT(vec != nullptr && x != nullptr && v != nullptr &&
+                              *x >= 0 && *x < static_cast<double>(vec->size()),
                           "absint indexed-store proof violated");
-            vec[static_cast<std::size_t>(*x)] = *v;
+            (*vec)[static_cast<std::size_t>(*x)] = *v;
             break;
           }
-          const std::size_t i = index_of(regs[in.b], vec.size(), in.pos);
-          vec[i] = regs[in.c].as_scalar();
+          if (vec == nullptr || states[in.a] != kBound) {
+            bad_store_target(in.a, states[in.a], token_in_d(in));
+          }
+          const std::size_t i = index_of(regs[in.b], vec->size(), in.pos);
+          (*vec)[i] = regs[in.c].as_scalar();
           break;
         }
         case Op::ToScalar:
@@ -868,7 +847,7 @@ class Vm {
         }
         case Op::SetLoopVar:
           set_scalar(regs[in.a], regs[in.b].as_scalar());
-          (*states)[in.a] = kBound;
+          states[in.a] = kBound;
           break;
         case Op::ForStep:
           set_scalar(regs[in.a],
@@ -918,7 +897,7 @@ class Vm {
       // instruction sat. The peephole fuses only same-line pairs, so the
       // trace echo prints the same line number the walker does.
       if ((in.flags & kFinish) != 0) {
-        (*states)[in.a] = kBound;
+        states[in.a] = kBound;
         if (options_.trace != nullptr) echo(in, regs);
       }
       ++ip;
@@ -928,9 +907,8 @@ class Vm {
   /// Runs one call and writes its result to regs[in.a]. Only the
   /// argument loop stays here; the rest runs out of line, because this
   /// frame is on the stack once per nested call.
-  void call_site(const Code& code, const CallSite& site,
-                 std::vector<Value>& regs, std::vector<std::uint8_t>* states,
-                 const Instr& in) {
+  void call_site(const Code& code, const CallSite& site, Value* regs,
+                 std::uint8_t* states, const Instr& in) {
     if (call_depth_ == kMaxCallDepth) {
       error(ErrorCode::Limit, in.pos, "calls nested deeper than ",
             kMaxCallDepth, " levels (formula recursion too deep?)");
@@ -1011,9 +989,8 @@ class Vm {
   /// Out of line, so a builtin-only nest does not carry a formula
   /// frame's locals in call_site's frame.
   [[gnu::noinline]] void call_formula(const Formula& fo, const CallSite& site,
-                                      const Code& caller,
-                                      std::vector<Value>& regs,
-                                      std::vector<std::uint8_t>* states,
+                                      const Code& caller, Value* regs,
+                                      std::uint8_t* states,
                                       const Instr& in) {
     // The formula's name is spelled only on the error paths: spelling
     // it binds the routine's text, which a clean run never lexes.
@@ -1045,7 +1022,7 @@ class Vm {
     }
     try {
       tick(pos);
-      exec(fo.code, frame, nullptr, 0,
+      exec(fo.code, frame.data(), nullptr, 0,
            static_cast<std::uint32_t>(fo.code.ins.size()));
       regs[in.a] = std::move(frame[fo.result]);
     } catch (const Error& e) {

@@ -431,11 +431,11 @@ TEST(AnalysisFacts, Heat32x32FactsAndChunksArePinned) {
   EXPECT_EQ(bound_reads, 18527u);
   EXPECT_EQ(safe_index, 0u);
   EXPECT_EQ(safe_store, 0u);
-  EXPECT_EQ(instructions, 55840u);
+  EXPECT_EQ(instructions, 46623u);
   EXPECT_EQ(consts, 4223u);
   EXPECT_EQ(vars, 11361u);
   EXPECT_EQ(names, 13442u);
-  EXPECT_EQ(registers, 15555u);
+  EXPECT_EQ(registers, 13507u);
 }
 
 // A declared input that is also an output, which the routine never
@@ -476,20 +476,6 @@ TEST(AnalysisFacts, PrecompileOptimizedIsIdempotentAndRunnable) {
 
 namespace fs = std::filesystem;
 
-/// Walks up from the build directory to the repo root.
-std::string repo_root() {
-  fs::path dir = fs::current_path();
-  for (int i = 0; i < 8 && !dir.empty(); ++i) {
-    if (fs::exists(dir / "samples" / "analysis") &&
-        fs::exists(dir / "tests" / "golden")) {
-      return dir.string();
-    }
-    if (dir == dir.parent_path()) break;
-    dir = dir.parent_path();
-  }
-  return {};
-}
-
 bool update_golden() {
   const char* env = std::getenv("BANGER_UPDATE_GOLDEN");
   return env != nullptr && env[0] == '1';
@@ -507,8 +493,7 @@ std::string slurp(const std::string& path) {
 /// same files and diffs the same goldens). BANGER_UPDATE_GOLDEN=1
 /// regenerates after an intentional diagnostic change.
 TEST(AnalysisCorpus, GoldenSarif) {
-  const std::string root = repo_root();
-  ASSERT_FALSE(root.empty()) << "repo root not found from cwd";
+  const std::string root = BANGER_SOURCE_DIR;
   const std::string golden_dir = root + "/tests/golden/analyze";
   fs::create_directories(golden_dir);
 
@@ -534,8 +519,7 @@ TEST(AnalysisCorpus, GoldenSarif) {
 /// The showcase fires every single-routine proof rule; the negative
 /// control is completely quiet.
 TEST(AnalysisCorpus, ShowcaseCoversEveryCode) {
-  const std::string root = repo_root();
-  ASSERT_FALSE(root.empty()) << "repo root not found from cwd";
+  const std::string root = BANGER_SOURCE_DIR;
   const auto showcase = analyze_design(
       graph::load_design(root + "/samples/analysis/absint_showcase.pitl"));
   for (const char* code :

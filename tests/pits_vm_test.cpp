@@ -486,18 +486,8 @@ TEST(PitsVmCorpus, WorkloadDesigns) {
 
 TEST(PitsVmCorpus, SampleDesigns) {
   namespace fs = std::filesystem;
-  fs::path dir = fs::current_path();
-  fs::path found;
-  while (true) {
-    if (fs::exists(dir / "samples" / "sqrt_fanout.pitl")) {
-      found = dir / "samples";
-      break;
-    }
-    if (dir == dir.parent_path()) break;
-    dir = dir.parent_path();
-  }
-  if (found.empty()) GTEST_SKIP() << "samples/ not found from cwd";
-  for (const auto& entry : fs::directory_iterator(found)) {
+  const fs::path samples = fs::path(BANGER_SOURCE_DIR) / "samples";
+  for (const auto& entry : fs::directory_iterator(samples)) {
     if (entry.path().extension() != ".pitl") continue;
     expect_corpus_identical(graph::load_design(entry.path().string()));
   }
@@ -517,9 +507,9 @@ std::size_t count_ops(const bc::Code& code, bc::Op lo, bc::Op hi) {
   return n;
 }
 
-TEST(PitsVmFusion, ConstOperandsFuseToKForms) {
-  // x * 1.01 + 2: both constants should fold into AddK/MulK operands
-  // rather than LoadConst + Add/Mul pairs.
+TEST(PitsVmFusion, ConstOperandsCompileToKForms) {
+  // x * 1.01 + 2: both constants are AddK/MulK operands rather than
+  // LoadConst + Add/Mul pairs.
   const std::string src =
       "x := 1\n"
       "repeat 10 times\n"
@@ -578,6 +568,128 @@ TEST(PitsVmFusion, TraceAndErrorsSurviveFusion) {
       "x := 1\ny := x mod 0\n",             // ModK error text
   };
   for (const char* src : cases) expect_identical(src);
+}
+
+// The folded and dropped checks, constant operands and per-arm
+// FinishAssigns keep every error, its position and the trace. An index
+// that prints, or reads an undefined name, shows whether a base was
+// checked before its index ran, as the walker checks it.
+TEST(PitsVmFusion, FoldedChecksKeepErrorsAndTraces) {
+  const char* cases[] = {
+      // IndexLoad checks its base at the check's token: a number and a
+      // string, in a plain read and in a `when` arm, with the check
+      // folded into the load (a variable index) and apart from it.
+      "i := 0\nx := 3\ny := x[i]\n",
+      "i := 0\ns := \"ab\"\ny := s[i]\n",
+      "i := 0\nx := 3\ny := when(x > 1, x[i], 0)\n",
+      "i := 0\ns := \"ab\"\ny := when(1, 0, s[i])\n",
+      "x := 3\ny := x[0]\n",
+      "s := \"ab\"\ny := s[print(1)]\n",
+      "x := 3\ny := when(x > 1, x[0], 0)\n",
+      "s := \"ab\"\ny := when(1, 0, s[nope])\n",
+      // A base whose index is itself an index: the outer check stays
+      // ahead of the inner load, which folds its own check, also when
+      // both index the same base.
+      "x := 3\nw := 5\ni := 0\ny := x[w[i]]\n",
+      "v := 3\ni := 0\ny := v[v[i]]\n",
+      "v := 3\ni := 0\ny := v[v[i] + 1]\n",
+      // A base reassigned to a scalar after a read that passed its
+      // check, directly, in one arm of an `if`, or on a later iteration
+      // of a loop: its next read checks it again.
+      "v := [1, 2]\na := v[0]\nv := 5\nb := v[print(1)]\n",
+      "v := [1, 2]\na := v[0]\nif a > 0 then\n  v := 3\nend\n"
+      "b := v[nope]\n",
+      "v := [1, 2, 3]\ni := 0\nwhile i < 3 do\n  a := v[print(i)]\n"
+      "  v := when(i > 0, 7, v)\n  i := i + 1\nend\n",
+      "v := [1, 2, 3]\nb := v[0]\nfor i := 0 to 2 do\n  a := v[print(i)]\n"
+      "  v := i\nend\n",
+      // Repeated reads and an element store of one vector.
+      "v := [1, 2, 3]\nw := v[0] + v[2]\nv[1] := w\nz := v[1]\n",
+      // Indexed assignment: an unbound name, a materialized constant, a
+      // number, a string (with the check folded into the store, then
+      // apart from it), a fractional, negative or too-large index, a
+      // string index, and a vector value.
+      "i := 0\nw[i] := 1\n",
+      "i := 0\ny := pi\npi[i] := 1\n",
+      "i := 0\nx := 3\nx[i] := 1\n",
+      "i := 0\ns := \"ab\"\ns[i] := 1\n",
+      "w[0] := 1\n",
+      "y := pi\npi[0] := 1\n",
+      "x := 3\nx[0] := 1\n",
+      "s := \"ab\"\ns[0] := 1\n",
+      "v := [1, 2]\nv[0.5] := 1\n",
+      "v := [1, 2]\nv[0 - 1] := 1\n",
+      "v := [1, 2]\nv[2] := 1\n",
+      "v := [1, 2]\ni := \"a\"\nv[i] := 1\n",
+      "v := [1, 2]\nv[0] := [1]\n",
+      "v := zeros(3)\nfor i := 0 to 2 do\n  v[i] := i * 2\nend\n",
+      // Constant operands: the `…K` forms on either side.
+      "y := 2 * \"s\"\n",
+      "y := \"s\" + 1\n",
+      "y := 1 + \"s\"\n",
+      "y := 2 - \"s\"\n",
+      "y := 2 < \"s\"\n",
+      "y := \"s\" >= 2\n",
+      "v := [1, 2]\ny := 2 * v\nz := 1 - v\nw := v / 2\nq := 2 ^ v\n",
+      "x := 3\ny := 2 == x\nz := 3 != x\nw := \"a\" == x\n",
+      // `x := when(...)` finishes in each arm, echoed once, under the
+      // step trace; nested arms too.
+      "x := 1\ny := when(x > 0, x + 1, x - 1)\n"
+      "z := when(x < 0, 5, when(x > 0, 6, 7))\n",
+      // NaN orders as equal to everything, as in the walker's compare().
+      "x := 10 ^ 400\ny := x - x\na := y <= 5\nb := y >= 5\nc := y < 5\n"
+      "d := y > 5\nf := 5 >= y\nif y <= 5 then\n  e := 1\nend\n",
+  };
+  for (const char* src : cases) expect_identical(src);
+}
+
+TEST(PitsVmFusion, StencilIterationRetires23Instructions) {
+  // One interior routine of the sweep_coarse workload, compiled as the
+  // executor compiles it: each further cell costs one loop iteration,
+  // whose instructions docs/pits.md lists.
+  const Program program = Program::parse(
+      "n := len(u0_1)\n"
+      "un := zeros(n)\n"
+      "i := 0\n"
+      "while i < n do\n"
+      "  lft := when(i > 0, u0_1[i - 1], er0_0)\n"
+      "  rgt := when(i < n - 1, u0_1[i + 1], el0_2)\n"
+      "  un[i] := u0_1[i] + 0.21 * (lft - 2 * u0_1[i] + rgt)\n"
+      "  i := i + 1\n"
+      "end\n"
+      "u1_1 := un\n"
+      "el1_1 := un[0]\n"
+      "er1_1 := un[n - 1]\n");
+  analyze::precompile_optimized(program);
+  const auto retired = [&](std::size_t cells) {
+    obs::TraceRecorder rec;
+    obs::ScopedRecorder scope(rec);
+    Env env{{"u0_1", Value(Vector(cells, 1.0))},
+            {"er0_0", Value(0.5)},
+            {"el0_2", Value(0.25)}};
+    program.execute(env);
+    return rec.metric("pits.vm.instructions");
+  };
+  EXPECT_EQ(retired(65) - retired(64), 23.0);
+}
+
+TEST(PitsVmFusion, StepLimitInsideTheStencilBody) {
+  // The sweep_coarse stencil in small: a limit at each tick of its
+  // loop lands between fused instructions of the body.
+  const std::string src =
+      "u := [1, 2, 3, 4]\n"
+      "n := len(u)\n"
+      "un := zeros(n)\n"
+      "i := 0\n"
+      "while i < n do\n"
+      "  lft := when(i > 0, u[i - 1], 0)\n"
+      "  rgt := when(i < n - 1, u[i + 1], 0)\n"
+      "  un[i] := u[i] + 0.5 * (lft - 2 * u[i] + rgt)\n"
+      "  i := i + 1\n"
+      "end\n";
+  for (std::uint64_t limit = 1; limit <= 30; ++limit) {
+    expect_identical(src, {}, limit);
+  }
 }
 
 // ---------------------------------------------------------------------------

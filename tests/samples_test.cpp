@@ -2,8 +2,6 @@
 // validates, lints clean, and runs end to end on every sample machine.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "core/lint.hpp"
 #include "core/project.hpp"
 #include "fault/fault.hpp"
@@ -14,24 +12,13 @@ namespace banger {
 namespace {
 
 std::string samples_dir() {
-  // Tests run from build/; samples live next to the sources. Walk up
-  // from the current directory until a `samples` folder appears.
-  namespace fs = std::filesystem;
-  fs::path dir = fs::current_path();
-  for (int depth = 0; depth < 6; ++depth) {
-    if (fs::exists(dir / "samples" / "sqrt_fanout.pitl")) {
-      return (dir / "samples").string();
-    }
-    dir = dir.parent_path();
-  }
-  return {};
+  return std::string(BANGER_SOURCE_DIR) + "/samples";
 }
 
 class Samples : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = samples_dir();
-    if (dir_.empty()) GTEST_SKIP() << "samples/ not found from cwd";
   }
   std::string dir_;
 };

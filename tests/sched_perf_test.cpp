@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -35,8 +34,6 @@
 namespace banger::sched {
 namespace {
 
-namespace fs = std::filesystem;
-
 // --- corpus (must match the generator that produced tests/golden/sched) ---
 
 Machine cube8() {
@@ -55,18 +52,8 @@ graph::TaskGraph sized_graph(int n) {
   return workloads::random_layered(spec);
 }
 
-/// Tests run from build/; the goldens live next to the sources. Walk up
-/// until tests/golden/sched appears (same idiom as samples_test).
 std::string golden_dir() {
-  fs::path dir = fs::current_path();
-  for (int i = 0; i < 8 && !dir.empty(); ++i) {
-    if (fs::exists(dir / "tests" / "golden" / "sched" / "hashes.txt")) {
-      return (dir / "tests" / "golden" / "sched").string();
-    }
-    if (dir == dir.parent_path()) break;
-    dir = dir.parent_path();
-  }
-  return {};
+  return std::string(BANGER_SOURCE_DIR) + "/tests/golden/sched";
 }
 
 /// With BANGER_UPDATE_GOLDEN=1 the golden tests rewrite the corpus from
@@ -102,7 +89,6 @@ class SchedGolden : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = golden_dir();
-    if (dir_.empty()) GTEST_SKIP() << "tests/golden/sched not found from cwd";
   }
   std::string dir_;
 };

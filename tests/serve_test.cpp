@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <streambuf>
@@ -31,8 +30,6 @@
 
 namespace banger::serve {
 namespace {
-
-namespace fs = std::filesystem;
 
 const char* kMachineText =
     "machine cube4\n"
@@ -1127,26 +1124,14 @@ std::vector<std::string> corpus_requests() {
   return lines;
 }
 
-std::string corpus_dir() {
-  fs::path dir = fs::current_path();
-  for (int i = 0; i < 8 && !dir.empty(); ++i) {
-    if (fs::exists(dir / "tests" / "golden" / "serve")) {
-      return (dir / "tests" / "golden" / "serve").string();
-    }
-    if (dir == dir.parent_path()) break;
-    dir = dir.parent_path();
-  }
-  return {};
-}
-
 bool update_golden() {
   const char* env = std::getenv("BANGER_UPDATE_GOLDEN");
   return env != nullptr && env[0] == '1';
 }
 
 TEST(ServeCorpus, GoldenResponses) {
-  const std::string dir = corpus_dir();
-  ASSERT_FALSE(dir.empty()) << "tests/golden/serve not found from cwd";
+  const std::string dir =
+      std::string(BANGER_SOURCE_DIR) + "/tests/golden/serve";
   const std::string req_path = dir + "/corpus_requests.jsonl";
   const std::string resp_path = dir + "/corpus_responses.jsonl";
 

@@ -25,6 +25,14 @@
 // Benchmarks are compared by CPU time per op, except wall-clock ones
 // (registered with UseRealTime(), so named `.../real_time`): threaded
 // work runs off the benchmark's own thread, so only their real time counts.
+//
+// A CSV from `--benchmark_repetitions=N` carries aggregate rows
+// (`NAME_mean`, `NAME_median`, `NAME_stddev`, `NAME_cv`). When it does,
+// both modes read each benchmark's `_median` row under its plain name
+// and drop the rest, so the guard compares medians, not one sample. An
+// aggregate's `iterations` column counts repetitions, so a converted
+// median takes its iterations from a sample row of the benchmark, and
+// leaves the field out when the CSV has none (aggregates only).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -32,6 +40,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
@@ -40,6 +49,7 @@ namespace {
 /// docs/performance.md; names must match the benchmark output exactly.
 const char* const kHotBenchmarks[] = {
     "BM_PitsExecVm",
+    "BM_PitsStencilLoop",
     "BM_PitsCompile",
     "BM_AnalyzeDesign/real_time",
     "BM_CompileDesignCold/real_time",
@@ -122,10 +132,22 @@ bool uses_real_time(const std::string& name) {
   return name.ends_with("/real_time");
 }
 
-/// name -> ns per op (real time for wall-clock benchmarks, CPU time
-/// otherwise) parsed from a google-benchmark CSV stream. Reports its own
-/// error (missing header, malformed number) to stderr and returns false.
-bool parse_csv(std::istream& in, std::map<std::string, double>& out) {
+/// One benchmark row of a google-benchmark CSV, times in ns per op.
+struct Row {
+  std::string name;
+  std::string iterations;  ///< empty when unknown (an aggregate)
+  double real_ns = 0;
+  double cpu_ns = 0;
+  std::string items_per_sec;  ///< empty when the benchmark reports none
+};
+
+constexpr std::string_view kMedian = "_median";
+
+/// The benchmark rows of a google-benchmark CSV stream (context lines
+/// before the header are skipped); only the `_median` aggregates, under
+/// their plain names, when the CSV has aggregates. Reports its own error
+/// (missing header, malformed number) to stderr and returns false.
+bool read_csv(std::istream& in, std::vector<Row>& out) {
   std::string line;
   std::vector<std::string> header;
   while (std::getline(in, line)) {
@@ -145,24 +167,51 @@ bool parse_csv(std::istream& in, std::map<std::string, double>& out) {
     return header.size();
   };
   const std::size_t col_name = column("name");
+  const std::size_t col_iters = column("iterations");
   const std::size_t col_real = column("real_time");
   const std::size_t col_cpu = column("cpu_time");
   const std::size_t col_unit = column("time_unit");
+  const std::size_t col_items = column("items_per_second");
+  std::vector<Row> plain;
+  std::vector<Row> medians;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     const auto fields = split_csv(line);
     if (fields.size() <= col_cpu || fields[col_name].empty()) continue;
     const std::string& unit =
         col_unit < fields.size() ? fields[col_unit] : "ns";
-    const bool real = uses_real_time(fields[col_name]);
-    double ns = 0;
-    if (!parse_num(fields[real ? col_real : col_cpu], ns)) {
-      std::fprintf(stderr, "bench_to_json: malformed %s in CSV line: %s\n",
-                   real ? "real_time" : "cpu_time", line.c_str());
+    Row row;
+    row.name = fields[col_name];
+    if (!parse_num(fields[col_real], row.real_ns) ||
+        !parse_num(fields[col_cpu], row.cpu_ns)) {
+      std::fprintf(stderr, "bench_to_json: malformed timing in CSV line: %s\n",
+                   line.c_str());
       return false;
     }
-    out[fields[col_name]] = to_ns(ns, unit);
+    row.real_ns = to_ns(row.real_ns, unit);
+    row.cpu_ns = to_ns(row.cpu_ns, unit);
+    if (col_iters < fields.size()) row.iterations = fields[col_iters];
+    if (col_items < fields.size()) row.items_per_sec = fields[col_items];
+    if (row.name.ends_with(kMedian)) {
+      row.name.resize(row.name.size() - kMedian.size());
+      medians.push_back(std::move(row));
+    } else {
+      plain.push_back(std::move(row));
+    }
   }
+  if (medians.empty()) {
+    out = std::move(plain);
+    return true;
+  }
+  std::map<std::string, std::string> sample_iterations;
+  for (const Row& row : plain) {
+    sample_iterations.emplace(row.name, row.iterations);
+  }
+  for (Row& row : medians) {
+    const auto it = sample_iterations.find(row.name);
+    row.iterations = it != sample_iterations.end() ? it->second : "";
+  }
+  out = std::move(medians);
   return true;
 }
 
@@ -219,8 +268,12 @@ bool parse_baseline(const std::string& path,
 int run_check(const std::string& baseline_path, std::istream& in) {
   std::map<std::string, double> baseline;
   if (!parse_baseline(baseline_path, baseline)) return 1;
+  std::vector<Row> rows;
+  if (!read_csv(in, rows)) return 1;
   std::map<std::string, double> fresh;
-  if (!parse_csv(in, fresh)) return 1;
+  for (const Row& row : rows) {
+    fresh[row.name] = uses_real_time(row.name) ? row.real_ns : row.cpu_ns;
+  }
 
   // Machine-speed factor: median new/old ratio over the shared set.
   std::vector<double> ratios;
@@ -305,58 +358,21 @@ int main(int argc, char** argv) {
     in = &file;
   }
 
-  // Find the header row (google-benchmark prints context lines first
-  // when stderr is merged; the header always starts with "name,").
-  std::string line;
-  std::vector<std::string> header;
-  while (std::getline(*in, line)) {
-    if (line.rfind("name,", 0) == 0) {
-      header = split_csv(line);
-      break;
-    }
-  }
-  if (header.empty()) {
-    std::fprintf(stderr, "bench_to_json: no CSV header found\n");
-    return 1;
-  }
-  auto column = [&](const std::string& name) -> std::size_t {
-    for (std::size_t i = 0; i < header.size(); ++i) {
-      if (header[i] == name) return i;
-    }
-    return header.size();
-  };
-  const std::size_t col_name = column("name");
-  const std::size_t col_iters = column("iterations");
-  const std::size_t col_real = column("real_time");
-  const std::size_t col_cpu = column("cpu_time");
-  const std::size_t col_unit = column("time_unit");
-  const std::size_t col_items = column("items_per_second");
-
+  std::vector<Row> rows;
+  if (!read_csv(*in, rows)) return 1;
   std::ostringstream out;
   out << "{\n  \"benchmarks\": [\n";
-  bool first = true;
-  while (std::getline(*in, line)) {
-    if (line.empty()) continue;
-    const auto fields = split_csv(line);
-    if (fields.size() <= col_cpu || fields[col_name].empty()) continue;
-    const std::string& unit =
-        col_unit < fields.size() ? fields[col_unit] : "ns";
-    double real = 0;
-    double cpu = 0;
-    if (!parse_num(fields[col_real], real) ||
-        !parse_num(fields[col_cpu], cpu)) {
-      std::fprintf(stderr, "bench_to_json: malformed timing in CSV line: %s\n",
-                   line.c_str());
-      return 1;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    if (i > 0) out << ",\n";
+    out << "    {\"name\": \"" << json_escape(row.name) << "\"";
+    if (!row.iterations.empty()) {
+      out << ", \"iterations\": " << row.iterations;
     }
-    if (!first) out << ",\n";
-    first = false;
-    out << "    {\"name\": \"" << json_escape(fields[col_name]) << "\""
-        << ", \"iterations\": " << fields[col_iters]
-        << ", \"real_ns_per_op\": " << to_ns(real, unit)
-        << ", \"cpu_ns_per_op\": " << to_ns(cpu, unit);
-    if (col_items < fields.size() && !fields[col_items].empty()) {
-      out << ", \"items_per_sec\": " << fields[col_items];
+    out << ", \"real_ns_per_op\": " << row.real_ns
+        << ", \"cpu_ns_per_op\": " << row.cpu_ns;
+    if (!row.items_per_sec.empty()) {
+      out << ", \"items_per_sec\": " << row.items_per_sec;
     }
     out << "}";
   }
