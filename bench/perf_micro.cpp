@@ -465,22 +465,41 @@ void BM_ExecStream(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecStream)->Arg(64)->Arg(1024)->UseRealTime();
 
+namespace {
+/// The 4-processor hypercube the heat 32x32 runs below are scheduled on.
+machine::Machine heat_run_machine() {
+  machine::MachineParams params;
+  params.processor_speed = 1.0;
+  params.message_startup = 0.05;
+  params.bytes_per_second = 1024;
+  return machine::Machine(machine::Topology::hypercube(2), params);
+}
+
+/// `n` rods of 128 cells for heat 32x32, a hot cell every 16, shifted
+/// by one cell per rod.
+std::vector<std::map<std::string, pits::Value>> heat_rods(int n) {
+  std::vector<std::map<std::string, pits::Value>> rods;
+  for (int k = 0; k < n; ++k) {
+    pits::Vector rod(128, 0.0);
+    for (std::size_t i = static_cast<std::size_t>(k % 16); i < rod.size();
+         i += 16) {
+      rod[i] = 100.0;
+    }
+    rods.push_back({{"rod", pits::Value(std::move(rod))}});
+  }
+  return rods;
+}
+}  // namespace
+
 // One warm scheduled run of heat 32x32 (1057 tiny tasks) under MH on a
 // 4-processor hypercube: what `banger run` pays once the routines are
 // compiled. Executor::run is the stream runtime on one batch, so this
 // guards that path. Wall time: the lanes run on worker threads.
 void BM_ExecRunScheduled(benchmark::State& state) {
   const auto flat = workloads::heat_design(32, 32, 4).flatten();
-  machine::MachineParams params;
-  params.processor_speed = 1.0;
-  params.message_startup = 0.05;
-  params.bytes_per_second = 1024;
-  const machine::Machine m(machine::Topology::hypercube(2), params);
+  const machine::Machine m = heat_run_machine();
   const auto schedule = sched::MhScheduler().run(flat.graph, m);
-  pits::Vector rod(128, 0.0);
-  for (std::size_t i = 0; i < rod.size(); i += 16) rod[i] = 100.0;
-  const std::map<std::string, pits::Value> inputs = {
-      {"rod", pits::Value(std::move(rod))}};
+  const std::map<std::string, pits::Value> inputs = heat_rods(1)[0];
   const exec::Executor executor(flat, m);
   benchmark::DoNotOptimize(executor.run(schedule, inputs));  // compile once
   for (auto _ : state) {
@@ -488,6 +507,41 @@ void BM_ExecRunScheduled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecRunScheduled)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Fine-grain streaming: 16 heat 32x32 rods through the same schedule on
+// one worker, so each batch is 1057 tiny stages handed between four
+// lanes on one thread, and the caller waits for batches. items/s is
+// batches per second; BM_ExecTrialsFine is its floor.
+void BM_ExecStreamFine(benchmark::State& state) {
+  const auto flat = workloads::heat_design(32, 32, 4).flatten();
+  const machine::Machine m = heat_run_machine();
+  const auto schedule = sched::MhScheduler().run(flat.graph, m);
+  const auto rods = heat_rods(16);
+  exec::StreamOptions opts;
+  opts.jobs = 1;
+  benchmark::DoNotOptimize(
+      exec::run_stream(flat, schedule, m, rods, opts));  // compile once
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exec::run_stream(flat, schedule, m, rods, opts));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rods.size()));
+}
+BENCHMARK(BM_ExecStreamFine)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The same 16 rods as unscheduled trials on the calling thread: what
+// BM_ExecStreamFine would cost if handing a stage on were free.
+void BM_ExecTrialsFine(benchmark::State& state) {
+  const auto flat = workloads::heat_design(32, 32, 4).flatten();
+  const auto rods = heat_rods(16);
+  benchmark::DoNotOptimize(exec::run_trials(flat, rods, {}, 1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exec::run_trials(flat, rods, {}, 1));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rods.size()));
+}
+BENCHMARK(BM_ExecTrialsFine)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // FRONT END — the per-routine work of `banger check` and of a cold
 // `banger trial` on the 32x32 heat rod: 1057 routines keyed, 36 routine

@@ -25,25 +25,47 @@
 // schedule order, the pipeline is deadlock-free for any queue capacity
 // >= 1: order blocked stages by (batch, schedule time) — the least one
 // waits on a producer that is already runnable, or on a queue slot its
-// consumer is guaranteed to free, by induction on that order.
+// consumer is guaranteed to free, by induction on that order. A stage
+// gathers its inputs in source order, which keeps that argument: the
+// input it waits on comes from an earlier stage. The last reader of a
+// value (a same-lane read, or an out-queue when nothing else reads it)
+// moves it instead of copying it.
+//
+// Sizing. A queue carries one packet per batch and at most `window`
+// batches are in flight, so a ring never holds more than `window`
+// packets: each is sized to min(capacity, window).
 //
 // Invariant. Every stage delivers exactly one packet per out-queue per
 // batch and always reaches completion — on success, on task error
 // (packets carry ok=false), and on skip (an upstream stage of the batch
 // failed). Queues therefore never misalign across batches and
-// downstream stages always unblock. In each batch the first copy of a
-// duplicated task to complete keeps its outputs, and every later copy
-// must match them.
+// downstream stages always unblock.
 //
-// Wakeups use an eventcount: a generation counter bumped (with a
-// broadcast) after any round of progress; a worker snapshots the
-// counter before scanning its lanes and sleeps only if the scan made no
-// progress and the counter is unchanged — no lost wakeups, no polling.
+// Bookkeeping. A batch's state lives in a slot that later batches
+// reuse. A stage writes its run, transcript and kept outputs into its
+// own entries of the slot without a lock; the count of stages still to
+// complete is atomic, and the stage that takes it to zero assembles the
+// outcome. A stage takes the mutex only to record a failure or to hand
+// its batch over. The earliest-scheduled failure wins, and of a
+// duplicated task's copies the earliest-scheduled one that succeeds
+// keeps its outputs: every other copy must match them.
+//
+// Wake-ups. The caller blocked in push() or pop() waits on its own
+// condition, notified only when a batch finishes or the stream fails.
+// Each worker has an event counter, bumped by what can give its lanes
+// work: a packet pushed into a queue one of its lanes reads, a slot
+// freed in a queue one of its lanes may be stalled on (possible only
+// when the ring is smaller than the window), an admitted batch, close
+// and fatal. A worker snapshots its counter before scanning its lanes
+// and parks, under the mutex, only if the scan made no progress and the
+// counter is unchanged; a waker takes the mutex and notifies it only
+// when it is parked. No lost wake-ups, no polling, and a worker that
+// runs every lane wakes no one.
 //
 // One batch. Executor::run is run_batch(): it admits its batch and
 // closes the stream before any worker starts, drives worker 0's lanes
-// on the calling thread, sizes every queue to the one packet that
-// crosses it, and builds no report.
+// on the calling thread, runs a window of one batch (so every ring
+// holds the one packet that crosses it), and builds no report.
 #include "exec/stream.hpp"
 
 #include <algorithm>
@@ -97,17 +119,25 @@ class SpscQueue {
  public:
   explicit SpscQueue(std::size_t capacity) : ring_(capacity ? capacity : 1) {}
 
-  bool try_push(Packet&& p) {
+  /// Producer: the packet the next push() publishes, or null when the
+  /// ring is full. Only the producer fills a ring, so the slot stays
+  /// free until it pushes.
+  Packet* next_slot() {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail - head >= ring_.size()) return false;
-    ring_[tail % ring_.size()] = std::move(p);
+    if (tail - head >= ring_.size()) return nullptr;
+    return &ring_[tail % ring_.size()];
+  }
+
+  /// Producer: publishes the packet next_slot() returned.
+  void push() {
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
     tail_.store(tail + 1, std::memory_order_release);
     ++pushes;
     const std::uint64_t occ = tail + 1 - head;  // producer's (lagging) view
     occupancy_sum += static_cast<double>(occ);
     if (occ > max_occupancy) max_occupancy = occ;
-    return true;
   }
 
   bool try_pop(Packet& out) {
@@ -135,14 +165,19 @@ class SpscQueue {
   std::atomic<std::uint64_t> tail_{0};
 };
 
-/// The two ends of one queue, named only when a report is built.
+/// The two ends of one queue.
 struct QueueEnds {
   TaskId producer = graph::kNoTask;
   ProcId producer_proc = -1;
+  std::size_t producer_lane = 0;
   TaskId consumer = graph::kNoTask;
   ProcId consumer_proc = -1;
+  std::size_t consumer_lane = 0;
   std::uint32_t var = 0;  ///< index into the consumer's inputs
 };
+
+/// No worker to wake: the other end runs on the same thread.
+constexpr std::size_t kNoWake = static_cast<std::size_t>(-1);
 
 /// Where one producer-bound input of a stage comes from. Kind::None
 /// marks bindings the shared plan resolves without a producer
@@ -150,14 +185,22 @@ struct QueueEnds {
 struct StageSource {
   enum class Kind : std::uint8_t { None, Local, Queue };
   Kind kind = Kind::None;
+  /// Kind::Local: the lane's last read of the value, which moves it.
+  bool take = false;
   int queue = -1;        ///< Kind::Queue: index into Pipeline::queues
   int local_stage = -1;  ///< Kind::Local: producer position in this lane
   std::uint32_t producer_out = 0;
+  /// Kind::Queue: the producer's worker, woken by a pop when it may be
+  /// stalled on the full ring.
+  std::size_t wake = kNoWake;
 };
 
 struct StagePush {
   int queue = -1;
   std::uint32_t producer_out = 0;
+  /// The value's last reader: nothing after this push reads it.
+  bool take = false;
+  std::size_t wake = kNoWake;  ///< the consumer's worker
 };
 
 struct Stage {
@@ -165,6 +208,7 @@ struct Stage {
   std::size_t order = 0;  ///< canonical (start, proc, duplicate) rank
   bool primary = false;
   bool local_needed = false;  ///< some later same-lane stage reads me
+  int kept = -1;  ///< index into BatchSlot::kept; store writers, duplicates
   std::vector<StageSource> sources;   // parallel to the plan's inputs
   std::vector<bool> keep_after_bind;  // value re-read by a pass-through
   std::vector<StagePush> pushes;
@@ -174,6 +218,8 @@ struct Stage {
   double busy_seconds = 0.0;
 };
 
+struct BatchSlot;
+
 /// A lane and its cooperative state machine. Everything below `stages`
 /// is owned by the single worker thread driving the lane.
 struct Lane {
@@ -181,48 +227,62 @@ struct Lane {
   bool rescue = false;   ///< the tail of a crashed processor's lane
   std::vector<Stage> stages;
 
-  std::uint64_t batch = 0;  ///< global index of the batch being worked
-  Clock::time_point batch_started;  ///< admission of `batch`
+  std::uint64_t batch = 0;     ///< global index of the batch being worked
+  BatchSlot* slot = nullptr;   ///< `batch`'s state while the lane is in it
   std::size_t stage_idx = 0;
-  bool batch_open = false;
-  std::shared_ptr<const ExternalInputs> inputs;
-  std::vector<std::optional<TaskOutputs>> local;  // per stage position
-  // Current-stage scratch: partial gather, execution result, partial
-  // push. Preserved across no-progress attempts.
-  std::vector<std::optional<Packet>> gathered;
-  std::vector<bool> stall_counted;
-  bool gather_ready = false;
+  /// Per stage position, the outputs a later same-lane stage reads;
+  /// empty when that stage failed or skipped in this batch.
+  std::vector<std::optional<TaskOutputs>> local;
+  // Current-stage scratch, preserved across no-progress attempts:
+  // sources [0, gather_pos) are gathered, pushes [0, push_pos) sent.
+  std::vector<Packet> gathered;
+  std::size_t gather_pos = 0;
+  std::size_t push_pos = 0;
+  bool stall_counted = false;  ///< the current gather or push stall
   bool executed = false;
   bool exec_ok = false;
   TaskOutputs outputs;
   std::string transcript;
-  TaskRun run;
-  bool has_error = false;
-  ErrorCode error_code = ErrorCode::Runtime;
-  std::string error;
-  SourcePos error_pos;
-  std::vector<Packet> pending;
-  std::size_t pending_pos = 0;
-  bool push_stall_counted = false;
 };
 
-/// All mutable per-batch bookkeeping, guarded by Pipeline::mu.
-struct BatchState {
+/// One copy of a task whose outputs a batch keeps (a store writer, or
+/// a task with duplicate copies), in stage order.
+struct KeptCopy {
+  TaskId task = graph::kNoTask;
+  std::size_t order = 0;
+  ProcId proc = -1;  ///< the processor that runs it
+};
+
+/// The working state of one batch in flight. Reused by later batches:
+/// every vector keeps its size, and is cleared entry by entry.
+struct BatchSlot {
   std::shared_ptr<const ExternalInputs> inputs;
-  /// First completed copy of each store writer and duplicated task.
+  Clock::time_point started;  ///< admission
+  /// Stages still to complete; the one that takes it to zero finishes
+  /// the batch.
+  std::atomic<std::size_t> remaining{0};
+  // Each entry is written by its own stage; read once `remaining` is 0.
+  std::vector<std::string> transcripts;        // by stage order
+  std::vector<TaskRun> runs;                   // by stage order
+  std::vector<std::optional<TaskOutputs>> kept;  // by KeptCopy index
+  /// By task: the kept outputs collect_stores reads.
   std::vector<std::optional<TaskOutputs>> task_outputs;
-  std::vector<std::string> transcripts;  // indexed by stage order
-  std::vector<TaskRun> runs;             // indexed by stage order
-  std::size_t remaining = 0;
+  // The earliest-scheduled failure, written under Pipeline::mu.
   bool has_error = false;
   ErrorCode error_code = ErrorCode::Runtime;
   std::string error;
   SourcePos error_pos;
   std::size_t error_order = 0;  ///< stage order of the kept failure
   ProcId error_proc = -1;       ///< the processor that ran it
-  Clock::time_point started;    ///< admission
-  bool done = false;
-  TrialOutcome outcome;
+};
+
+/// Where one worker parks.
+struct Parking {
+  std::condition_variable cv;
+  /// Bumped by every event that can give this worker's lanes work.
+  std::atomic<std::uint64_t> signals{0};
+  /// Waiting on `cv`; written only under Pipeline::mu.
+  std::atomic<bool> parked{false};
 };
 
 }  // namespace
@@ -232,30 +292,32 @@ struct Pipeline {
   const Machine& machine;
   StreamOptions opt;
   DesignPlan plan;
-  std::vector<bool> keeps_outputs;  // per task: store writer or duplicated
   std::vector<Lane> lanes;
   std::vector<std::unique_ptr<SpscQueue>> queues;
   std::vector<QueueEnds> queue_ends;
+  std::vector<KeptCopy> kept_copies;
   std::size_t stage_count = 0;
   int workers_died = 0;  ///< lanes split by the fault plan
   std::size_t threads_n = 1;
   std::size_t window_cap = 4;
+  std::vector<Parking> parking;  ///< one per worker
+  obs::TraceRecorder* rec = nullptr;
+  Clock::time_point t0;
+  // resolve_binding scratch for External/Nothing kinds (never touched).
+  std::vector<std::optional<TaskOutputs>> no_outs;
 
-  mutable std::mutex mu;
-  std::condition_variable cv;
-  std::uint64_t gen = 0;
+  mutable std::mutex mu;  // guards what follows, down to `fatal_msg`
+  std::condition_variable caller_cv;  ///< push()/pop() wait for a batch
   std::uint64_t pushed = 0;
   std::uint64_t completed = 0;
   std::uint64_t delivered = 0;
-  std::uint64_t window_base = 0;
-  std::deque<BatchState> batches;
+  /// Batches `completed` to `pushed - 1`, and slots for later ones.
+  std::deque<std::unique_ptr<BatchSlot>> inflight;
+  std::vector<std::unique_ptr<BatchSlot>> free_slots;
+  std::deque<TrialOutcome> ready;  ///< finished, not yet delivered
   bool closing = false;
   bool fatal = false;
   std::string fatal_msg;
-  Clock::time_point t0;
-  obs::TraceRecorder* rec = nullptr;
-  // resolve_binding scratch for External/Nothing kinds (never touched).
-  std::vector<std::optional<TaskOutputs>> no_outs;
   bool finished = false;
   StreamReport report;
   std::vector<std::jthread> workers;  // last: joined before the rest dies
@@ -267,28 +329,57 @@ struct Pipeline {
   void start_workers();
   // mu held, or no worker started yet.
   void admit(std::shared_ptr<const ExternalInputs> inputs);
-  void bump_gen() {
-    {
+  /// mu held: worker `w` may have new work in its lanes.
+  void wake_locked(std::size_t w) {
+    Parking& p = parking[w];
+    p.signals.fetch_add(1);
+    if (p.parked.load()) p.cv.notify_one();
+  }
+  /// Worker `w` may have new work in its lanes. The worker sets
+  /// `parked` before it last reads `signals`, and we bump `signals`
+  /// before we read `parked` (all sequentially consistent), so either it
+  /// sees the bump or we see it parked. Only then do we take mu, which
+  /// it holds until it waits.
+  void wake(std::size_t w) {
+    Parking& p = parking[w];
+    p.signals.fetch_add(1);
+    if (p.parked.load()) {
       std::lock_guard lock(mu);
-      ++gen;
+      p.cv.notify_one();
     }
-    cv.notify_all();
+  }
+  /// mu held: every worker has new work (a batch, close, fatal).
+  void wake_all_locked() {
+    for (std::size_t w = 0; w < parking.size(); ++w) wake_locked(w);
   }
   /// A failure no batch can carry: every worker leaves, and the next
   /// push, pop or finish raises `message`.
   void stop(std::string message) {
-    {
-      std::lock_guard lock(mu);
-      fatal = true;
-      fatal_msg = std::move(message);
-      ++gen;
-    }
-    cv.notify_all();
+    std::lock_guard lock(mu);
+    fatal = true;
+    fatal_msg = std::move(message);
+    wake_all_locked();
+    caller_cv.notify_all();
+  }
+  /// mu held, or every stage of the batch has completed.
+  static void keep_error(BatchSlot& bs, std::size_t order, ProcId proc,
+                         ErrorCode code, std::string message, SourcePos pos) {
+    if (bs.has_error && bs.error_order < order) return;
+    bs.has_error = true;
+    bs.error_code = code;
+    bs.error = std::move(message);
+    bs.error_pos = pos;
+    bs.error_order = order;
+    bs.error_proc = proc;
   }
   bool try_advance(Lane& ln, TaskScratch& scratch);
+  bool gather(Lane& ln, Stage& st);
   void execute_stage(Lane& ln, Stage& st, TaskScratch& scratch);
   void complete_stage(Lane& ln, Stage& st);
-  void finalize_batch(BatchState& bs);  // mu held
+  /// Every stage of the batch has completed: its outcome.
+  TrialOutcome assemble(BatchSlot& bs);
+  /// mu held: hands the outcome over and frees the slot.
+  void publish_locked(BatchSlot& bs, TrialOutcome out);
   void worker_main(std::size_t worker_idx);
   StreamReport build_report();
 };
@@ -303,13 +394,6 @@ Pipeline::Pipeline(const FlattenResult& f, const Schedule& schedule,
     opt.run.faults->validate(machine.num_procs());
   }
   plan = build_plan(flat);
-  keeps_outputs.assign(flat.graph.num_tasks(), false);
-  for (const auto& writers : plan.store_writers) {
-    for (const StoreWriter& w : writers) keeps_outputs[w.task] = true;
-  }
-  for (const sched::Placement& pl : schedule.placements()) {
-    if (pl.duplicate) keeps_outputs[pl.task] = true;
-  }
   wire(schedule);
 
   const std::size_t usable_lanes = std::max<std::size_t>(lanes.size(), 1);
@@ -317,6 +401,34 @@ Pipeline::Pipeline(const FlattenResult& f, const Schedule& schedule,
       static_cast<std::size_t>(util::resolve_jobs(opt.jobs)), usable_lanes);
   window_cap = opt.window != 0 ? opt.window
                                : std::max<std::size_t>(2 * threads_n, 4);
+  parking = std::vector<Parking>(threads_n);
+  // At most window_cap packets can sit in a queue (one per batch in
+  // flight); a smaller ring can fill, and its pops wake the producer.
+  const std::size_t ring =
+      std::max<std::size_t>(std::min(opt.queue_capacity, window_cap), 1);
+  const bool pop_wakes = ring < window_cap;
+  queues.reserve(queue_ends.size());
+  for (std::size_t q = 0; q < queue_ends.size(); ++q) {
+    queues.push_back(std::make_unique<SpscQueue>(ring));
+  }
+  auto worker_of = [&](std::size_t lane) { return lane % threads_n; };
+  for (std::size_t li = 0; li < lanes.size(); ++li) {
+    for (Stage& st : lanes[li].stages) {
+      for (StagePush& sp : st.pushes) {
+        const std::size_t w =
+            worker_of(queue_ends[static_cast<std::size_t>(sp.queue)]
+                          .consumer_lane);
+        if (w != worker_of(li)) sp.wake = w;
+      }
+      for (StageSource& src : st.sources) {
+        if (src.kind != StageSource::Kind::Queue || !pop_wakes) continue;
+        const std::size_t w =
+            worker_of(queue_ends[static_cast<std::size_t>(src.queue)]
+                          .producer_lane);
+        if (w != worker_of(li)) src.wake = w;
+      }
+    }
+  }
   rec = obs::current();
   t0 = Clock::now();
 }
@@ -335,17 +447,24 @@ void Pipeline::start_workers() {
 }
 
 void Pipeline::admit(std::shared_ptr<const ExternalInputs> inputs) {
-  BatchState& bs = batches.emplace_back();
+  if (free_slots.empty()) {
+    auto slot = std::make_unique<BatchSlot>();
+    slot->transcripts.resize(stage_count);
+    slot->runs.resize(stage_count);
+    slot->kept.resize(kept_copies.size());
+    slot->task_outputs.resize(flat.graph.num_tasks());
+    free_slots.push_back(std::move(slot));
+  }
+  inflight.push_back(std::move(free_slots.back()));
+  free_slots.pop_back();
+  BatchSlot& bs = *inflight.back();
   bs.inputs = std::move(inputs);
   bs.remaining = stage_count;
-  bs.task_outputs.resize(flat.graph.num_tasks());
-  bs.transcripts.resize(stage_count);
-  bs.runs.resize(stage_count);
   bs.started = Clock::now();
   ++pushed;
+  wake_all_locked();
   // Degenerate pipeline (no stages): the batch is already complete.
-  if (bs.remaining == 0) finalize_batch(bs);
-  ++gen;
+  if (stage_count == 0) publish_locked(bs, assemble(bs));
 }
 
 void Pipeline::wire(const Schedule& schedule) {
@@ -416,8 +535,17 @@ void Pipeline::wire(const Schedule& schedule) {
   for (std::size_t p = 0; p < all.size(); ++p) {
     add_lane(survivor, true, all[p], cut[p], all[p].size());
   }
+  // A batch keeps the outputs of every store writer and duplicated task.
+  std::vector<bool> keeps_outputs(g.num_tasks(), false);
+  for (const auto& writers : plan.store_writers) {
+    for (const StoreWriter& w : writers) keeps_outputs[w.task] = true;
+  }
+  for (const sched::Placement& pl : schedule.placements()) {
+    if (pl.duplicate) keeps_outputs[pl.task] = true;
+  }
   // Canonical stage order (error canonicalisation, transcript/run
-  // assembly) and the copy lookup used by source selection.
+  // assembly), the kept copies in that order, and the copy lookup used
+  // by source selection.
   std::vector<std::vector<std::pair<int, int>>> stages_of(g.num_tasks());
   {
     struct Key {
@@ -443,9 +571,13 @@ void Pipeline::wire(const Schedule& schedule) {
              std::tie(b.start, b.proc, b.dup, b.lane, b.pos);
     });
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      lanes[static_cast<std::size_t>(keys[i].lane)]
-          .stages[static_cast<std::size_t>(keys[i].pos)]
-          .order = i;
+      Lane& ln = lanes[static_cast<std::size_t>(keys[i].lane)];
+      Stage& st = ln.stages[static_cast<std::size_t>(keys[i].pos)];
+      st.order = i;
+      if (keeps_outputs[st.pl.task]) {
+        st.kept = static_cast<int>(kept_copies.size());
+        kept_copies.push_back({st.pl.task, i, ln.proc});
+      }
     }
   }
   // Source selection per stage per producer-bound input. The chosen copy
@@ -534,156 +666,213 @@ void Pipeline::wire(const Schedule& schedule) {
                      task.name + "` by its start time");
           }
           src.kind = StageSource::Kind::Queue;
-          src.queue = static_cast<int>(queues.size());
-          queues.push_back(std::make_unique<SpscQueue>(opt.queue_capacity));
+          src.queue = static_cast<int>(queue_ends.size());
           Stage& prod = lanes[static_cast<std::size_t>(q_lane)]
                             .stages[static_cast<std::size_t>(q_pos)];
           prod.pushes.push_back({src.queue, b.producer_out});
-          queue_ends.push_back(
-              {b.producer, prod.pl.proc, st.pl.task, st.pl.proc, b.var});
+          queue_ends.push_back({b.producer, prod.pl.proc,
+                                static_cast<std::size_t>(q_lane), st.pl.task,
+                                st.pl.proc, li, b.var});
         }
         st.sources[bi] = src;
       }
     }
   }
+  // Who reads each value last. A lane runs its stages in order, so its
+  // last same-lane read of an output may move it; an out-queue may move
+  // a value that no later push, kept copy or same-lane read needs.
+  for (Lane& ln : lanes) {
+    // A lane's outputs, numbered stage by stage from first_out[stage].
+    std::vector<std::size_t> first_out(ln.stages.size() + 1, 0);
+    for (std::size_t si = 0; si < ln.stages.size(); ++si) {
+      first_out[si + 1] =
+          first_out[si] + g.task(ln.stages[si].pl.task).outputs.size();
+    }
+    std::vector<bool> read_locally(first_out.back(), false);
+    for (std::size_t si = ln.stages.size(); si-- > 0;) {
+      Stage& st = ln.stages[si];
+      for (auto src = st.sources.rbegin(); src != st.sources.rend(); ++src) {
+        if (src->kind != StageSource::Kind::Local) continue;
+        const std::size_t value =
+            first_out[static_cast<std::size_t>(src->local_stage)] +
+            src->producer_out;
+        src->take = !read_locally[value];
+        read_locally[value] = true;
+      }
+      // Every same-lane reader of this stage comes later: counted above.
+      if (st.kept >= 0) continue;
+      for (std::size_t pi = 0; pi < st.pushes.size(); ++pi) {
+        const std::uint32_t out = st.pushes[pi].producer_out;
+        const bool later_push = std::any_of(
+            st.pushes.begin() + static_cast<std::ptrdiff_t>(pi) + 1,
+            st.pushes.end(),
+            [&](const StagePush& sp) { return sp.producer_out == out; });
+        st.pushes[pi].take =
+            !later_push && !read_locally[first_out[si] + out];
+      }
+    }
+  }
+  for (Lane& ln : lanes) {
+    std::size_t widest = 0;
+    for (const Stage& st : ln.stages) {
+      widest = std::max(widest, st.sources.size());
+    }
+    ln.gathered.resize(widest);
+    ln.local.resize(ln.stages.size());
+  }
+}
+
+bool Pipeline::gather(Lane& ln, Stage& st) {
+  bool progress = false;
+  for (; ln.gather_pos < st.sources.size(); ++ln.gather_pos) {
+    const StageSource& src = st.sources[ln.gather_pos];
+    Packet& p = ln.gathered[ln.gather_pos];
+    switch (src.kind) {
+      case StageSource::Kind::None:
+        p.ok = true;  // resolved at bind time
+        break;
+      case StageSource::Kind::Local: {
+        auto& lo = ln.local[static_cast<std::size_t>(src.local_stage)];
+        p.ok = lo.has_value();
+        if (p.ok) {
+          Value& v = (*lo)[src.producer_out];
+          p.value = src.take ? std::move(v) : v;
+        }
+        break;
+      }
+      case StageSource::Kind::Queue: {
+        SpscQueue& q = *queues[static_cast<std::size_t>(src.queue)];
+        if (!q.try_pop(p)) {
+          if (!ln.stall_counted) {
+            ++q.empty_stalls;
+            ln.stall_counted = true;
+          }
+          return progress;
+        }
+        ln.stall_counted = false;
+        if (src.wake != kNoWake) wake(src.wake);
+        progress = true;
+        break;
+      }
+    }
+  }
+  return progress;
 }
 
 void Pipeline::execute_stage(Lane& ln, Stage& st, TaskScratch& scratch) {
   const graph::TaskGraph& g = flat.graph;
   const graph::Task& task = g.task(st.pl.task);
   const TaskPlan& tp = plan.tasks[st.pl.task];
+  const ExternalInputs& inputs = *ln.slot->inputs;
 
   ln.outputs.clear();
   ln.transcript.clear();
-  ln.has_error = false;
-  ln.run = TaskRun{};
-  ln.run.task = st.pl.task;
-  ln.run.proc = ln.proc;
-  ln.run.duplicate = st.pl.duplicate;
-  ln.run.rescued = ln.rescue;
-
-  bool skip = false;
+  ln.executed = true;
+  ln.exec_ok = false;
   for (std::size_t i = 0; i < st.sources.size(); ++i) {
-    if (st.sources[i].kind != StageSource::Kind::None &&
-        !ln.gathered[i]->ok) {
-      skip = true;
-      break;
+    if (!ln.gathered[i].ok) {
+      // An upstream stage of this batch failed; propagate absence. The
+      // batch already carries (or will carry) the canonical error.
+      ++st.skipped;
+      return;
     }
   }
-  if (skip) {
-    // An upstream stage of this batch failed; propagate absence. The
-    // batch already carries (or will carry) the canonical error.
-    ln.exec_ok = false;
-    ++st.skipped;
-    ln.executed = true;
-  } else {
-    const auto begin = Clock::now();
-    ln.run.wall_start =
-        std::chrono::duration<double>(begin - ln.batch_started).count();
-    try {
-      if (tp.chunk != nullptr) scratch.frame.prepare(*tp.chunk);
-      for (std::size_t i = 0; i < tp.inputs.size(); ++i) {
-        const InputBinding& b = tp.inputs[i];
-        Value v;
-        if (st.sources[i].kind == StageSource::Kind::None) {
-          // External store or nothing: the shared resolver raises the
-          // exact historical diagnostics.
-          v = resolve_binding(task, b, *ln.inputs, no_outs);
-        } else {
-          Packet& pk = *ln.gathered[i];
-          v = st.keep_after_bind[i] ? pk.value : std::move(pk.value);
-        }
-        if (b.slot >= 0) {
-          scratch.frame.bind(static_cast<std::uint32_t>(b.slot), std::move(v));
-        }
+  TaskRun& run = ln.slot->runs[st.order];
+  run.task = st.pl.task;
+  run.proc = ln.proc;
+  run.duplicate = st.pl.duplicate;
+  run.rescued = ln.rescue;
+  const Clock::time_point started = ln.slot->started;
+  const auto begin = Clock::now();
+  run.wall_start = std::chrono::duration<double>(begin - started).count();
+  try {
+    if (tp.chunk != nullptr) scratch.frame.prepare(*tp.chunk);
+    for (std::size_t i = 0; i < tp.inputs.size(); ++i) {
+      const InputBinding& b = tp.inputs[i];
+      Value v;
+      if (st.sources[i].kind == StageSource::Kind::None) {
+        // External store or nothing: the shared resolver raises the
+        // exact historical diagnostics.
+        v = resolve_binding(task, b, inputs, no_outs);
+      } else {
+        Value& got = ln.gathered[i].value;
+        v = st.keep_after_bind[i] ? got : std::move(got);
       }
-      ln.outputs = execute_task_with(
-          flat, plan, st.pl.task, scratch, opt.run,
-          [&](const InputBinding& b) -> Value {
-            if (st.sources[b.var].kind == StageSource::Kind::None) {
-              return resolve_binding(task, b, *ln.inputs, no_outs);
-            }
-            return ln.gathered[b.var]->value;  // kept by keep_after_bind
-          },
-          st.primary ? &ln.transcript : nullptr);
-      ln.exec_ok = true;
-      ++st.processed;
-    } catch (const Error& e) {
-      ln.exec_ok = false;
-      ln.has_error = true;
-      ln.error_code = e.code();
-      ln.error = e.message();
-      ln.error_pos = e.pos();
+      if (b.slot >= 0) {
+        scratch.frame.bind(static_cast<std::uint32_t>(b.slot), std::move(v));
+      }
     }
-    const auto end = Clock::now();
-    ln.run.wall_finish =
-        std::chrono::duration<double>(end - ln.batch_started).count();
-    st.busy_seconds += std::chrono::duration<double>(end - begin).count();
-    ln.executed = true;
+    ln.outputs = execute_task_with(
+        flat, plan, st.pl.task, scratch, opt.run,
+        [&](const InputBinding& b) -> Value {
+          if (st.sources[b.var].kind == StageSource::Kind::None) {
+            return resolve_binding(task, b, inputs, no_outs);
+          }
+          return ln.gathered[b.var].value;  // kept by keep_after_bind
+        },
+        st.primary ? &ln.transcript : nullptr);
+    ln.exec_ok = true;
+    ++st.processed;
+  } catch (const Error& e) {
+    std::lock_guard lock(mu);
+    keep_error(*ln.slot, st.order, ln.proc, e.code(), e.message(), e.pos());
   }
-
-  // Exactly one packet per out-queue per batch, present or absent.
-  ln.pending.clear();
-  ln.pending_pos = 0;
-  ln.push_stall_counted = false;
-  ln.pending.reserve(st.pushes.size());
-  for (const StagePush& sp : st.pushes) {
-    Packet p;
-    p.ok = ln.exec_ok;
-    if (ln.exec_ok) p.value = ln.outputs[sp.producer_out];
-    ln.pending.push_back(std::move(p));
-  }
+  const auto end = Clock::now();
+  run.wall_finish = std::chrono::duration<double>(end - started).count();
+  st.busy_seconds += std::chrono::duration<double>(end - begin).count();
 }
 
 void Pipeline::complete_stage(Lane& ln, Stage& st) {
+  BatchSlot& bs = *ln.slot;
+  if (ln.exec_ok) {
+    if (st.kept >= 0) {
+      auto& kept = bs.kept[static_cast<std::size_t>(st.kept)];
+      if (st.local_needed) {
+        kept = ln.outputs;  // a later same-lane stage reads them too
+      } else {
+        kept = std::move(ln.outputs);
+      }
+    }
+    if (st.primary) bs.transcripts[st.order].swap(ln.transcript);
+  }
+  if (st.local_needed) {
+    auto& local = ln.local[ln.stage_idx];
+    if (ln.exec_ok) {
+      local = std::move(ln.outputs);
+    } else {
+      local.reset();
+    }
+  }
+  if (bs.remaining.fetch_sub(1) != 1) return;
+  TrialOutcome out = assemble(bs);
   {
     std::lock_guard lock(mu);
-    BatchState& bs = batches[static_cast<std::size_t>(ln.batch - window_base)];
-    // The earliest-scheduled failure wins, whatever the arrival order.
-    auto keep_error = [&](ErrorCode code, std::string message, SourcePos pos) {
-      if (bs.has_error && bs.error_order < st.order) return;
-      bs.has_error = true;
-      bs.error_code = code;
-      bs.error = std::move(message);
-      bs.error_pos = pos;
-      bs.error_order = st.order;
-      bs.error_proc = ln.proc;
-    };
-    if (ln.exec_ok) {
-      if (keeps_outputs[st.pl.task]) {
-        std::optional<TaskOutputs>& kept = bs.task_outputs[st.pl.task];
-        if (!kept.has_value()) {
-          kept = ln.outputs;  // copy; a later same-lane stage may read them
-        } else if (!(*kept == ln.outputs)) {
-          // Duplicate copies must agree — PITS is deterministic.
-          keep_error(ErrorCode::Runtime,
-                     "duplicate copies of task `" +
-                         flat.graph.task(st.pl.task).name +
-                         "` produced different outputs",
-                     {});
-        }
-      }
-      if (st.primary) bs.transcripts[st.order] = std::move(ln.transcript);
-      bs.runs[st.order] = ln.run;
-    } else if (ln.has_error) {
-      keep_error(ln.error_code, std::move(ln.error), ln.error_pos);
-    }
-    --bs.remaining;
-    if (bs.remaining == 0) finalize_batch(bs);
-    ++gen;
+    publish_locked(bs, std::move(out));
   }
-  cv.notify_all();
-  // Lane-local storage for later same-lane consumers (outside the lock:
-  // lane state is single-threaded).
-  if (st.local_needed && ln.exec_ok) {
-    ln.local[ln.stage_idx] = std::move(ln.outputs);
-  }
-  ln.outputs.clear();
+  caller_cv.notify_one();
 }
 
-void Pipeline::finalize_batch(BatchState& bs) {
-  bs.done = true;
-  TrialOutcome& out = bs.outcome;
+TrialOutcome Pipeline::assemble(BatchSlot& bs) {
+  // The earliest-scheduled copy that succeeded keeps a task's outputs;
+  // a duplicate that disagrees with it fails the batch.
+  for (std::size_t k = 0; k < kept_copies.size(); ++k) {
+    std::optional<TaskOutputs>& outs = bs.kept[k];
+    if (!outs.has_value()) continue;
+    const KeptCopy& copy = kept_copies[k];
+    std::optional<TaskOutputs>& first = bs.task_outputs[copy.task];
+    if (!first.has_value()) {
+      first = std::move(outs);
+    } else if (!(*first == *outs)) {
+      // PITS is deterministic, so duplicate copies must agree.
+      keep_error(bs, copy.order, copy.proc, ErrorCode::Runtime,
+                 "duplicate copies of task `" +
+                     flat.graph.task(copy.task).name +
+                     "` produced different outputs",
+                 {});
+    }
+    outs.reset();
+  }
+  TrialOutcome out;
   if (bs.has_error) {
     out.ok = false;
     out.error_code = bs.error_code;
@@ -693,7 +882,7 @@ void Pipeline::finalize_batch(BatchState& bs) {
     out.ok = true;
     RunResult& r = out.result;
     for (const std::string& text : bs.transcripts) r.transcript += text;
-    r.runs = std::move(bs.runs);
+    r.runs = bs.runs;
     r.workers_died = workers_died;
     for (const TaskRun& run : r.runs) {
       if (!run.rescued) continue;
@@ -703,101 +892,74 @@ void Pipeline::finalize_batch(BatchState& bs) {
     collect_stores(flat, plan, bs.task_outputs, *bs.inputs, r);
     r.wall_seconds = seconds_since(bs.started);
   }
-  ++completed;
-  // Free per-batch bookkeeping early; only the outcome must survive
-  // until delivery.
-  bs.task_outputs.clear();
-  bs.transcripts.clear();
-  bs.runs.clear();
+  // Leave the slot clean for its next batch.
+  for (std::string& text : bs.transcripts) text.clear();
+  for (const KeptCopy& copy : kept_copies) bs.task_outputs[copy.task].reset();
+  bs.has_error = false;
   bs.inputs.reset();
+  return out;
+}
+
+void Pipeline::publish_locked(BatchSlot& bs, TrialOutcome out) {
+  // Batches complete in admission order: a lane runs every stage of one
+  // batch before any of the next.
+  BANGER_ASSERT(!inflight.empty() && inflight.front().get() == &bs,
+                "stream batches completed out of order");
+  free_slots.push_back(std::move(inflight.front()));
+  inflight.pop_front();
+  ready.push_back(std::move(out));
+  ++completed;
 }
 
 bool Pipeline::try_advance(Lane& ln, TaskScratch& scratch) {
   if (ln.stages.empty()) return false;
   bool progress = false;
   for (;;) {
-    if (!ln.batch_open) {
+    if (ln.slot == nullptr) {
       std::lock_guard lock(mu);
       if (ln.batch >= pushed) return progress;  // nothing admitted yet
-      BatchState& bs =
-          batches[static_cast<std::size_t>(ln.batch - window_base)];
-      ln.inputs = bs.inputs;
-      ln.batch_started = bs.started;
-      ln.batch_open = true;
+      ln.slot =
+          inflight[static_cast<std::size_t>(ln.batch - completed)].get();
       ln.stage_idx = 0;
-      ln.local.assign(ln.stages.size(), std::nullopt);
       progress = true;
     }
     Stage& st = ln.stages[ln.stage_idx];
     if (!ln.executed) {
-      if (!ln.gather_ready) {
-        ln.gathered.assign(st.sources.size(), std::nullopt);
-        ln.stall_counted.assign(st.sources.size(), false);
-        ln.gather_ready = true;
-      }
-      bool all = true;
-      for (std::size_t i = 0; i < st.sources.size(); ++i) {
-        if (ln.gathered[i].has_value()) continue;
-        const StageSource& src = st.sources[i];
-        if (src.kind == StageSource::Kind::None) {
-          ln.gathered[i] = Packet{Value{}, true};
-          continue;
-        }
-        if (src.kind == StageSource::Kind::Local) {
-          const auto& lo =
-              ln.local[static_cast<std::size_t>(src.local_stage)];
-          Packet p;
-          if (lo.has_value()) {
-            p.ok = true;
-            p.value = (*lo)[src.producer_out];
-          }
-          ln.gathered[i] = std::move(p);
-          progress = true;
-          continue;
-        }
-        Packet p;
-        if (queues[static_cast<std::size_t>(src.queue)]->try_pop(p)) {
-          ln.gathered[i] = std::move(p);
-          progress = true;
-        } else {
-          if (!ln.stall_counted[i]) {
-            ++queues[static_cast<std::size_t>(src.queue)]->empty_stalls;
-            ln.stall_counted[i] = true;
-          }
-          all = false;
-        }
-      }
-      if (!all) return progress;
+      if (gather(ln, st)) progress = true;
+      if (ln.gather_pos < st.sources.size()) return progress;
       execute_stage(ln, st, scratch);
       progress = true;
     }
-    while (ln.pending_pos < ln.pending.size()) {
-      const StagePush& sp = st.pushes[ln.pending_pos];
-      if (queues[static_cast<std::size_t>(sp.queue)]->try_push(
-              std::move(ln.pending[ln.pending_pos]))) {
-        ++ln.pending_pos;
-        ln.push_stall_counted = false;
-        progress = true;
-      } else {
-        if (!ln.push_stall_counted) {
-          ++queues[static_cast<std::size_t>(sp.queue)]->full_stalls;
-          ln.push_stall_counted = true;
+    for (; ln.push_pos < st.pushes.size(); ++ln.push_pos) {
+      const StagePush& sp = st.pushes[ln.push_pos];
+      SpscQueue& q = *queues[static_cast<std::size_t>(sp.queue)];
+      Packet* p = q.next_slot();
+      if (p == nullptr) {
+        if (!ln.stall_counted) {
+          ++q.full_stalls;
+          ln.stall_counted = true;
         }
         return progress;
       }
+      ln.stall_counted = false;
+      p->ok = ln.exec_ok;
+      if (ln.exec_ok) {
+        Value& v = ln.outputs[sp.producer_out];
+        p->value = sp.take ? std::move(v) : v;
+      }
+      q.push();
+      if (sp.wake != kNoWake) wake(sp.wake);
+      progress = true;
     }
     complete_stage(ln, st);
     progress = true;
     ln.executed = false;
-    ln.gather_ready = false;
-    ln.gathered.clear();
-    ln.pending.clear();
-    ln.pending_pos = 0;
+    ln.gather_pos = 0;
+    ln.push_pos = 0;
     ++ln.stage_idx;
     if (ln.stage_idx == ln.stages.size()) {
       ++ln.batch;
-      ln.batch_open = false;
-      ln.inputs.reset();
+      ln.slot = nullptr;
       // Loop: try to open the next batch immediately.
     }
   }
@@ -813,34 +975,31 @@ void Pipeline::worker_main(std::size_t worker_idx) {
   for (std::size_t li = worker_idx; li < lanes.size(); li += threads_n) {
     owned.push_back(li);
   }
+  Parking& park = parking[worker_idx];
   try {
     for (;;) {
-      std::uint64_t seen = 0;
-      {
-        std::lock_guard lock(mu);
-        seen = gen;  // snapshot BEFORE scanning: no lost wakeups
-      }
+      // Snapshot BEFORE scanning: an event after it keeps us awake.
+      const std::uint64_t seen = park.signals.load();
       bool progress = false;
       for (std::size_t li : owned) {
         progress = try_advance(lanes[li], scratch) || progress;
       }
-      if (progress) {
-        bump_gen();  // someone downstream may be sleeping on our pushes
-        continue;
-      }
+      if (progress) continue;
       std::unique_lock lock(mu);
       if (fatal) return;
       if (closing) {
         bool idle = true;
         for (std::size_t li : owned) {
-          if (lanes[li].batch_open || lanes[li].batch < pushed) {
+          if (lanes[li].slot != nullptr || lanes[li].batch < pushed) {
             idle = false;
             break;
           }
         }
         if (idle) return;
       }
-      cv.wait(lock, [&] { return gen != seen || fatal; });
+      park.parked.store(true);
+      park.cv.wait(lock, [&] { return park.signals.load() != seen || fatal; });
+      park.parked.store(false);
     }
   } catch (const std::exception& e) {
     stop(std::string("internal error in stream worker: ") + e.what());
@@ -984,9 +1143,8 @@ StreamExecutor::~StreamExecutor() {
     {
       std::lock_guard lock(impl_->mu);
       impl_->closing = true;
-      ++impl_->gen;
+      impl_->wake_all_locked();
     }
-    impl_->cv.notify_all();
     impl_->workers.clear();  // join
   }
 }
@@ -995,23 +1153,20 @@ void StreamExecutor::push(std::map<std::string, pits::Value> inputs) {
   Pipeline& im = *impl_;
   std::unique_lock lock(im.mu);
   if (im.closing) fail(ErrorCode::Runtime, "push on a finished stream");
-  im.cv.wait(lock, [&] {
+  im.caller_cv.wait(lock, [&] {
     return im.fatal || im.pushed - im.completed < im.window_cap;
   });
   if (im.fatal) fail(ErrorCode::Runtime, im.fatal_msg);
   im.admit(std::make_shared<const ExternalInputs>(std::move(inputs)));
-  lock.unlock();
-  im.cv.notify_all();
 }
 
 std::optional<TrialOutcome> StreamExecutor::try_pop() {
   Pipeline& im = *impl_;
   std::lock_guard lock(im.mu);
   if (im.fatal) fail(ErrorCode::Runtime, im.fatal_msg);
-  if (im.batches.empty() || !im.batches.front().done) return std::nullopt;
-  TrialOutcome out = std::move(im.batches.front().outcome);
-  im.batches.pop_front();
-  ++im.window_base;
+  if (im.ready.empty()) return std::nullopt;
+  TrialOutcome out = std::move(im.ready.front());
+  im.ready.pop_front();
   ++im.delivered;
   return out;
 }
@@ -1022,13 +1177,10 @@ TrialOutcome StreamExecutor::pop() {
   if (im.pushed == im.delivered) {
     fail(ErrorCode::Runtime, "pop with no outstanding batch");
   }
-  im.cv.wait(lock, [&] {
-    return im.fatal || (!im.batches.empty() && im.batches.front().done);
-  });
+  im.caller_cv.wait(lock, [&] { return im.fatal || !im.ready.empty(); });
   if (im.fatal) fail(ErrorCode::Runtime, im.fatal_msg);
-  TrialOutcome out = std::move(im.batches.front().outcome);
-  im.batches.pop_front();
-  ++im.window_base;
+  TrialOutcome out = std::move(im.ready.front());
+  im.ready.pop_front();
   ++im.delivered;
   return out;
 }
@@ -1045,9 +1197,8 @@ StreamReport StreamExecutor::finish() {
     std::lock_guard lock(im.mu);
     if (im.finished) return im.report;
     im.closing = true;
-    ++im.gen;
+    im.wake_all_locked();
   }
-  im.cv.notify_all();
   im.workers.clear();  // join; workers drain every admitted batch first
   if (im.fatal) fail(ErrorCode::Runtime, im.fatal_msg);
   im.report = im.build_report();
@@ -1081,7 +1232,7 @@ TrialOutcome run_batch(const FlattenResult& flat, const Schedule& schedule,
                        const RunOptions& options) {
   StreamOptions opt;
   opt.run = options;
-  opt.queue_capacity = 1;  // one packet crosses each queue per batch
+  opt.window = 1;  // so every ring holds the one packet that crosses it
   Pipeline im(flat, schedule, machine, std::move(opt));
   // Admitted and closed before any worker starts, so each worker leaves
   // once its lanes have run the batch. The batch borrows the caller's
@@ -1103,7 +1254,7 @@ TrialOutcome run_batch(const FlattenResult& flat, const Schedule& schedule,
     im.worker_main(0);
   }  // join
   if (im.fatal) fail(ErrorCode::Runtime, im.fatal_msg);
-  return std::move(im.batches.front().outcome);
+  return std::move(im.ready.front());
 }
 
 }  // namespace banger::exec

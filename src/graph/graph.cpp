@@ -1,6 +1,8 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 
 #include "util/strings.hpp"
 
@@ -142,20 +144,20 @@ std::vector<NodeId> DataflowGraph::topo_order() const {
   for (const Arc& a : arcs_) ++indegree[a.to];
 
   // Kahn's algorithm with a deterministic (smallest-id-first) frontier so
-  // downstream heuristics tie-break reproducibly.
-  std::vector<NodeId> frontier;
+  // downstream heuristics tie-break reproducibly. A min-heap releases the
+  // same order a linear min scan does, in O(E log V).
+  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> frontier;
   for (NodeId v = 0; v < nodes_.size(); ++v)
-    if (indegree[v] == 0) frontier.push_back(v);
+    if (indegree[v] == 0) frontier.push(v);
 
   std::vector<NodeId> order;
   order.reserve(nodes_.size());
   while (!frontier.empty()) {
-    auto it = std::min_element(frontier.begin(), frontier.end());
-    NodeId v = *it;
-    frontier.erase(it);
+    const NodeId v = frontier.top();
+    frontier.pop();
     order.push_back(v);
     for (ArcId e : out_arcs_[v]) {
-      if (--indegree[arcs_[e].to] == 0) frontier.push_back(arcs_[e].to);
+      if (--indegree[arcs_[e].to] == 0) frontier.push(arcs_[e].to);
     }
   }
   if (order.size() != nodes_.size()) {

@@ -335,6 +335,25 @@ TEST_F(CliFiles, BatchOutputIsIdenticalForAnyJobs) {
   }
 }
 
+TEST_F(CliFiles, StreamQueueCapBeyondTheWindowAllocatesTheWindow) {
+  // A queue never holds more packets than there are batches in flight,
+  // so the largest --queue-cap builds rings of the window's size (it
+  // once asked for INT_MAX packets per queue and died of bad_alloc) and
+  // prints what --queue-cap 8 prints.
+  const std::string inputs_path = testing::TempDir() + "/cli_cap.txt";
+  std::ofstream(inputs_path) << "A=[4,3,2,8,8,5,4,7,9]; b=[16,39,45]\n"
+                             << "A=[4,3,2,8,8,5,4,7,9]; b=[32,78,90]\n";
+  const std::vector<std::string> stream = {
+      "stream", design_path_, machine_path_, "--inputs", inputs_path,
+      "--jobs", "2"};
+  const auto eight = invoke(with(stream, {"--queue-cap", "8"}));
+  const auto widest = invoke(with(stream, {"--queue-cap", "2147483647"}));
+  EXPECT_EQ(eight.code, 0) << eight.err;
+  EXPECT_EQ(widest.code, 0) << widest.err;
+  EXPECT_EQ(widest.out, eight.out);
+  EXPECT_EQ(widest.err.find("2147483647"), std::string::npos) << widest.err;
+}
+
 TEST_F(CliFiles, InputErrorsNameTheFileLineAndColumn) {
   // Parse, name and runtime errors in an expression on line 3 are
   // positioned at that line and at their column within it.

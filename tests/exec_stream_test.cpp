@@ -4,6 +4,7 @@
 // bounded-queue backpressure, duplicate schedules, crashes, and the
 // incremental push/drain API.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
 
@@ -436,6 +437,49 @@ TEST(Stream, ReportRendersAndPublishesMetrics) {
   EXPECT_EQ(rec.metric("stream.batches"), 4.0);
   EXPECT_EQ(rec.metric("exec.stream_batches"), 4.0);
   EXPECT_GT(rec.metric("stream.threads"), 0.0);
+}
+
+TEST(Stream, CallerWakesOncePerBatch) {
+  // Heat 32x32 runs 1057 tiny stages per batch on one worker. The
+  // calling thread blocks in push() (window full) and pop(), and must be
+  // woken when a batch finishes, not when a stage does: its voluntary
+  // context switches grow by at most two per batch.
+  const auto flat = workloads::heat_design(32, 32, 4).flatten();
+  machine::MachineParams params;
+  params.processor_speed = 1.0;
+  params.message_startup = 0.05;
+  params.bytes_per_second = 1024;
+  const Machine m(machine::Topology::hypercube(2), params);
+  const auto schedule = sched::MhScheduler().run(flat.graph, m);
+  constexpr int kBatches = 16;
+  std::vector<std::map<std::string, Value>> batches;
+  for (int i = 0; i < kBatches; ++i) {
+    Vector rod(128, 0.0);
+    for (std::size_t c = static_cast<std::size_t>(i); c < rod.size(); c += 16) {
+      rod[c] = 100.0;
+    }
+    batches.push_back({{"rod", Value(std::move(rod))}});
+  }
+  StreamOptions opts;
+  opts.jobs = 1;
+  StreamExecutor ex(flat, schedule, m, opts);
+  auto voluntary_switches = [] {
+    rusage ru{};
+    getrusage(RUSAGE_THREAD, &ru);
+    return ru.ru_nvcsw;
+  };
+  std::vector<TrialOutcome> outcomes;
+  const long before = voluntary_switches();
+  for (auto& batch : batches) {
+    ex.push(std::move(batch));
+    while (auto out = ex.try_pop()) outcomes.push_back(std::move(*out));
+  }
+  while (ex.outstanding() > 0) outcomes.push_back(ex.pop());
+  const long woken = voluntary_switches() - before;
+  (void)ex.finish();
+  ASSERT_EQ(outcomes.size(), static_cast<std::size_t>(kBatches));
+  for (const TrialOutcome& out : outcomes) ASSERT_TRUE(out.ok) << out.error;
+  EXPECT_LE(woken, 2 * kBatches + 8);
 }
 
 TEST(Stream, ManyBatchesStressBothDirections) {

@@ -1,6 +1,11 @@
 // Unit tests for DataflowGraph, TaskGraph, and the DAG analyses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <numeric>
+#include <random>
+
 #include "graph/analysis.hpp"
 #include "graph/graph.hpp"
 #include "graph/task_graph.hpp"
@@ -112,6 +117,71 @@ TEST(DataflowGraph, TopoOrderDeterministicSmallestFirst) {
   EXPECT_EQ(order[0], 0u);
   EXPECT_EQ(order[1], 1u);
   EXPECT_EQ(order[2], 2u);
+}
+
+/// Kahn's algorithm releasing the smallest ready id by a linear scan:
+/// the order topo_order promises, computed the slow way.
+std::vector<NodeId> min_scan_order(const DataflowGraph& g) {
+  std::vector<std::size_t> indegree(g.num_nodes(), 0);
+  for (const Arc& a : g.arcs()) ++indegree[a.to];
+  std::vector<NodeId> frontier;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (indegree[v] == 0) frontier.push_back(v);
+  std::vector<NodeId> order;
+  while (!frontier.empty()) {
+    const auto it = std::min_element(frontier.begin(), frontier.end());
+    const NodeId v = *it;
+    frontier.erase(it);
+    order.push_back(v);
+    for (ArcId e : g.out_arcs(v)) {
+      if (--indegree[g.arc(e).to] == 0) frontier.push_back(g.arc(e).to);
+    }
+  }
+  return order;
+}
+
+TEST(DataflowGraph, TopoOrderMatchesMinScanOnRandomDags) {
+  std::mt19937 rng(20240607);
+  for (int round = 0; round < 200; ++round) {
+    const int n = 1 + static_cast<int>(rng() % 40);
+    DataflowGraph g("g");
+    for (int i = 0; i < n; ++i) g.add_node(task_node("t" + std::to_string(i)));
+    // Arcs follow a random permutation, so ids are not a topological
+    // order and the frontier holds ids in no particular order.
+    std::vector<NodeId> rank(static_cast<std::size_t>(n));
+    std::iota(rank.begin(), rank.end(), NodeId{0});
+    std::shuffle(rank.begin(), rank.end(), rng);
+    const int arcs = static_cast<int>(rng() % static_cast<unsigned>(2 * n + 1));
+    for (int k = 0; k < arcs; ++k) {
+      auto i = static_cast<std::size_t>(rng() % static_cast<unsigned>(n));
+      auto j = static_cast<std::size_t>(rng() % static_cast<unsigned>(n));
+      if (i == j) continue;
+      if (i > j) std::swap(i, j);
+      g.add_arc({rank[i], rank[j], {}, 8.0});
+    }
+    EXPECT_EQ(g.topo_order(), min_scan_order(g)) << "round " << round;
+  }
+}
+
+TEST(DataflowGraph, WideLevelValidatesQuickly) {
+  // 200k independent tasks: one frontier holding every node. A linear
+  // min scan over it takes tens of seconds; the heap takes milliseconds,
+  // so the bound also holds in sanitizer builds.
+  constexpr std::size_t kTasks = 200000;
+  DataflowGraph g("wide");
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    g.add_node(task_node("t" + std::to_string(i)));
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  g.validate();
+  const std::vector<NodeId> order = g.topo_order();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ASSERT_EQ(order.size(), kTasks);
+  EXPECT_EQ(order.front(), 0u);
+  EXPECT_EQ(order.back(), kTasks - 1);
+  EXPECT_LT(seconds, 3.0);
 }
 
 TEST(DataflowGraph, CountByKind) {

@@ -61,6 +61,7 @@ const char* const kHotBenchmarks[] = {
     "BM_ExecStream/1024/real_time",
     "BM_ExecPerBatchRun/64/real_time",
     "BM_ExecRunScheduled/real_time",
+    "BM_ExecStreamFine/real_time",
     "BM_ServeTrialCached",
     "BM_ServeTrialBatch",
     "BM_JsonParse",
