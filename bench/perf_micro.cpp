@@ -662,6 +662,54 @@ void BM_ParseDesign(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseDesign)->Unit(benchmark::kMillisecond);
 
+// GRAPH — flattening a hierarchy: 2000 supernodes over one child graph,
+// each fed by its own task and writing its own store, which its own
+// task reads. Each expansion and each store touches only its own arcs.
+graph::Design hierarchy_design(int n) {
+  graph::Design design("hierarchy");
+  const graph::GraphId cell = design.add_graph("cell");
+  graph::Node f;
+  f.name = "f";
+  f.inputs = {"x"};
+  f.outputs = {"y"};
+  design.graph(cell).add_node(f);
+  graph::DataflowGraph& root = design.root_graph();
+  for (int i = 0; i < n; ++i) {
+    const std::string k = std::to_string(i);
+    graph::Node p;
+    p.name = "p" + k;
+    p.outputs = {"x"};
+    root.add_node(p);
+    graph::Node s;
+    s.kind = graph::NodeKind::Super;
+    s.name = "s" + k;
+    s.subgraph = cell;
+    s.inputs = {"x"};
+    s.outputs = {"y"};
+    root.add_node(s);
+    graph::Node v;
+    v.kind = graph::NodeKind::Storage;
+    v.name = "v" + k;
+    root.add_node(v);
+    graph::Node c;
+    c.name = "c" + k;
+    c.inputs = {"v" + k};
+    root.add_node(c);
+    root.connect(p.name, s.name, "x");
+    root.connect(s.name, v.name, "y");
+    root.connect(v.name, c.name, v.name);
+  }
+  return design;
+}
+
+void BM_FlattenHierarchy(benchmark::State& state) {
+  const graph::Design design = hierarchy_design(2000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(design.flatten());
+  }
+}
+BENCHMARK(BM_FlattenHierarchy)->Unit(benchmark::kMillisecond);
+
 void BM_TopologyHops(benchmark::State& state) {
   const auto t = machine::Topology::hypercube(6);
   for (auto _ : state) {

@@ -24,6 +24,7 @@
 #include "pits/interp.hpp"
 #include "serve/render.hpp"
 #include "serve/server.hpp"
+#include "util/file.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -336,20 +337,18 @@ int cmd_simulate(const Options& o, std::ostream& out) {
 /// the file and is positioned at its line and column there.
 std::vector<std::map<std::string, pits::Value>> load_trial_inputs(
     const std::string& path, int jobs) {
-  std::ifstream in(path);
-  if (!in) fail(ErrorCode::Io, "cannot open `" + path + "` for reading");
+  const std::string text = util::read_file(path);
   struct Line {
-    std::string text;
+    std::string_view text;
     int number = 0;
   };
   std::vector<Line> lines;
-  std::string line;
   int line_no = 0;
-  while (std::getline(in, line)) {
+  for (const std::string_view line : util::split(text, '\n')) {
     ++line_no;
     const std::string_view trimmed = util::trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
-    lines.push_back({std::move(line), line_no});
+    lines.push_back({line, line_no});
   }
   std::vector<std::map<std::string, pits::Value>> batch(lines.size());
   util::parallel_for(lines.size(), jobs, [&](std::size_t i) {

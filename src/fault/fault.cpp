@@ -8,6 +8,7 @@
 
 #include "sched/schedule.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -306,11 +307,7 @@ void FaultPlan::save(const std::string& path) const {
 }
 
 FaultPlan FaultPlan::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail(ErrorCode::Io, "cannot open `" + path + "` for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse(buf.str());
+  return parse(util::read_file(path));
 }
 
 FaultPlan plan_crash(ProcId proc, double at, std::uint64_t seed) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/error.hpp"
@@ -10,25 +12,271 @@ namespace banger::graph {
 
 namespace {
 
-/// Working representation during expansion: a flat soup of Task/Storage/
-/// Super nodes. Super nodes are replaced one by one until none remain.
-struct WorkNode {
-  Node node;          // node.name holds the *qualified* name
-  bool dead = false;  // tombstone after replacement
-};
+constexpr std::size_t kNil = static_cast<std::size_t>(-1);
 
-struct WorkArc {
-  std::size_t from = 0;
-  std::size_t to = 0;
-  std::string var;
-  double bytes = 8.0;
-  bool dead = false;
-};
-
-std::string unqualified(const std::string& name) {
-  auto pos = name.rfind('.');
-  return pos == std::string::npos ? name : name.substr(pos + 1);
+/// The part of a node name after its last '.': a store's variable.
+std::string_view unqualified(std::string_view name) {
+  const auto pos = name.rfind('.');
+  return pos == std::string_view::npos ? name : name.substr(pos + 1);
 }
+
+/// A node of the expansion soup: a design node and the qualified prefix
+/// its name takes ("" at the root, "solve." inside supernode `solve`),
+/// with the soup arcs entering and leaving it as lists in creation order.
+struct SoupNode {
+  const Node* node;
+  std::size_t prefix;  // index into Soup::prefixes
+  std::size_t first_in = kNil, last_in = kNil;
+  std::size_t first_out = kNil, last_out = kNil;
+};
+
+/// An arc of the soup; `var` is the design arc's own string.
+struct SoupArc {
+  std::size_t from;
+  std::size_t to;
+  const std::string* var;
+  double bytes;
+  std::size_t next_in = kNil;
+  std::size_t next_out = kNil;
+  bool dead = false;  // re-bound into a supernode's child level
+};
+
+/// How the arcs of a supernode bind inside its child graph, built once
+/// per child graph. For each variable: the child nodes (local ids,
+/// ascending) that produce it, and those that take it as an input no
+/// arc of the child graph already feeds (stores take their own name).
+struct Binding {
+  struct Var {
+    std::vector<NodeId> producers;
+    std::vector<NodeId> consumers;
+    /// The expansion that last bound an arc carrying the variable into
+    /// the supernode. That arc fed every task and supernode consumer, so
+    /// a later arc of the same expansion binds to stores only.
+    std::size_t delivered = 0;
+  };
+  std::unordered_map<std::string_view, Var> vars;
+
+  explicit Binding(const DataflowGraph& g) {
+    std::vector<std::string_view> fed;  // variables on one node's in-arcs
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const Node& n = g.node(v);
+      if (n.kind == NodeKind::Storage) {
+        Var& var = vars[unqualified(n.name)];
+        var.producers.push_back(v);
+        var.consumers.push_back(v);
+        continue;
+      }
+      for (const std::string& out : n.outputs) add(vars[out].producers, v);
+      fed.clear();
+      for (const ArcId a : g.in_arcs(v)) fed.emplace_back(g.arc(a).var);
+      std::sort(fed.begin(), fed.end());
+      for (const std::string& in : n.inputs) {
+        if (!std::binary_search(fed.begin(), fed.end(), std::string_view(in))) {
+          add(vars[in].consumers, v);
+        }
+      }
+    }
+  }
+
+ private:
+  static void add(std::vector<NodeId>& nodes, NodeId v) {
+    if (nodes.empty() || nodes.back() != v) nodes.push_back(v);
+  }
+};
+
+/// The flat soup supernodes expand into: nodes in creation order (the
+/// root level, then each supernode's child level in expansion order),
+/// arcs likewise.
+class Soup {
+ public:
+  explicit Soup(const std::deque<DataflowGraph>& graphs)
+      : graphs_(graphs), bindings_(graphs.size()) {
+    prefixes_.emplace_back();
+    load(graphs_[0], 0);
+  }
+
+  /// Replaces every supernode by its child level, breadth first.
+  void expand() {
+    std::size_t expansions = 0;
+    for (std::size_t si = 0; si < nodes_.size(); ++si) {
+      if (nodes_[si].node->kind != NodeKind::Super) continue;
+      if (++expansions > 100000) {
+        fail(ErrorCode::Limit,
+             "hierarchy expansion exceeded 100000 supernodes");
+      }
+      expand_one(si, expansions);
+    }
+  }
+
+  /// Storage elimination into the TaskGraph: tasks in soup order, then
+  /// the task->task arcs in creation order, then per store every
+  /// writer x reader pair, each sized by the store.
+  FlattenResult result() const {
+    FlattenResult result;
+    std::vector<TaskId> task_of(nodes_.size(), kNoTask);
+    std::size_t tasks = 0;
+    for (const SoupNode& n : nodes_) tasks += n.node->kind == NodeKind::Task;
+    result.graph.reserve(tasks, arcs_.size());
+    for (std::size_t wi = 0; wi < nodes_.size(); ++wi) {
+      const Node& node = *nodes_[wi].node;
+      if (node.kind != NodeKind::Task) continue;
+      Task t;
+      t.name = qualified(wi);
+      t.work = node.work;
+      t.pits = node.pits;
+      t.inputs = node.inputs;
+      t.outputs = node.outputs;
+      t.pos = node.pos;
+      t.pits_line = node.pits_line;
+      t.pits_indent = node.pits_indent;
+      task_of[wi] = result.graph.add_task(std::move(t));
+    }
+
+    for (const SoupArc& a : arcs_) {
+      if (!a.dead && task_of[a.from] != kNoTask && task_of[a.to] != kNoTask) {
+        result.graph.add_edge(task_of[a.from], task_of[a.to], a.bytes, *a.var);
+      }
+    }
+
+    std::vector<TaskId> writers;
+    std::vector<TaskId> readers;
+    for (std::size_t wi = 0; wi < nodes_.size(); ++wi) {
+      const SoupNode& n = nodes_[wi];
+      if (n.node->kind != NodeKind::Storage) continue;
+      writers.clear();
+      readers.clear();
+      for (std::size_t ai = n.first_in; ai != kNil; ai = arcs_[ai].next_in) {
+        const SoupArc& a = arcs_[ai];
+        if (!a.dead && task_of[a.from] != kNoTask) {
+          writers.push_back(task_of[a.from]);
+        }
+      }
+      for (std::size_t ai = n.first_out; ai != kNil; ai = arcs_[ai].next_out) {
+        const SoupArc& a = arcs_[ai];
+        if (!a.dead && task_of[a.to] != kNoTask) {
+          readers.push_back(task_of[a.to]);
+        }
+      }
+      FlatStore store;
+      store.name = qualified(wi);
+      store.var = unqualified(n.node->name);
+      store.bytes = n.node->bytes;
+      store.pos = n.node->pos;
+      store.writers = sorted_unique(writers);
+      store.readers = sorted_unique(readers);
+      for (TaskId w : store.writers)
+        for (TaskId r : store.readers)
+          if (w != r) result.graph.add_edge(w, r, store.bytes, store.var);
+      result.stores.push_back(std::move(store));
+    }
+    return result;
+  }
+
+ private:
+  static std::vector<TaskId> sorted_unique(std::vector<TaskId>& ids) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return ids;
+  }
+
+  std::string qualified(std::size_t wi) const {
+    const std::string& prefix = prefixes_[nodes_[wi].prefix];
+    const std::string& name = nodes_[wi].node->name;
+    std::string out;
+    out.reserve(prefix.size() + name.size());
+    out += prefix;
+    out += name;
+    return out;
+  }
+
+  /// Appends level `g`'s nodes and arcs, its names under `prefix`.
+  void load(const DataflowGraph& g, std::size_t prefix) {
+    const std::size_t base = nodes_.size();
+    for (const Node& n : g.nodes()) nodes_.push_back({&n, prefix});
+    for (const Arc& a : g.arcs()) {
+      add_arc(base + a.from, base + a.to, &a.var, a.bytes);
+    }
+  }
+
+  void add_arc(std::size_t from, std::size_t to, const std::string* var,
+               double bytes) {
+    const std::size_t id = arcs_.size();
+    arcs_.push_back({from, to, var, bytes});
+    SoupNode& src = nodes_[from];
+    (src.last_out == kNil ? src.first_out : arcs_[src.last_out].next_out) = id;
+    src.last_out = id;
+    SoupNode& dst = nodes_[to];
+    (dst.last_in == kNil ? dst.first_in : arcs_[dst.last_in].next_in) = id;
+    dst.last_in = id;
+  }
+
+  /// Splices supernode `si`'s child level into the soup and re-binds the
+  /// arcs that touched `si`, in creation order: an arc out of `si` now
+  /// leaves every child node producing its variable, an arc into `si`
+  /// enters every child node consuming it.
+  void expand_one(std::size_t si, std::size_t expansion) {
+    const Node& super = *nodes_[si].node;
+    const std::string name = qualified(si);
+    if (super.subgraph <= 0 ||
+        static_cast<std::size_t>(super.subgraph) >= graphs_.size()) {
+      fail(ErrorCode::Graph,
+           "supernode `" + name + "` references a missing child graph");
+    }
+    const auto gid = static_cast<std::size_t>(super.subgraph);
+    const DataflowGraph& child = graphs_[gid];
+    const std::size_t base = nodes_.size();
+    prefixes_.push_back(name + ".");
+    load(child, prefixes_.size() - 1);
+    if (!bindings_[gid]) bindings_[gid].emplace(child);
+    Binding& binding = *bindings_[gid];
+
+    std::size_t in = nodes_[si].first_in;
+    std::size_t out = nodes_[si].first_out;
+    while (in != kNil || out != kNil) {
+      const bool take_in = out == kNil || (in != kNil && in < out);
+      const std::size_t ai = take_in ? in : out;
+      (take_in ? in : out) = take_in ? arcs_[ai].next_in : arcs_[ai].next_out;
+      if (arcs_[ai].dead) continue;
+      arcs_[ai].dead = true;
+      const SoupArc arc = arcs_[ai];
+      const auto found = binding.vars.find(*arc.var);
+      Binding::Var* var =
+          found == binding.vars.end() ? nullptr : &found->second;
+      if (!take_in) {
+        if (var == nullptr || var->producers.empty()) {
+          fail(ErrorCode::Graph,
+               "output `" + *arc.var + "` of supernode `" + name +
+                   "` is produced by nothing in graph `" + child.name() + "`");
+        }
+        for (NodeId p : var->producers) {
+          add_arc(base + p, arc.to, arc.var, arc.bytes);
+        }
+        continue;
+      }
+      const bool stores_only = var != nullptr && var->delivered == expansion;
+      bool bound = false;
+      if (var != nullptr) {
+        for (NodeId c : var->consumers) {
+          if (stores_only && child.node(c).kind != NodeKind::Storage) continue;
+          add_arc(arc.from, base + c, arc.var, arc.bytes);
+          bound = true;
+        }
+        var->delivered = expansion;
+      }
+      if (!bound) {
+        fail(ErrorCode::Graph,
+             "input `" + *arc.var + "` of supernode `" + name +
+                 "` is consumed by nothing in graph `" + child.name() + "`");
+      }
+    }
+  }
+
+  const std::deque<DataflowGraph>& graphs_;
+  std::vector<SoupNode> nodes_;
+  std::vector<SoupArc> arcs_;
+  std::vector<std::string> prefixes_;
+  std::vector<std::optional<Binding>> bindings_;  // per child graph, lazily
+};
 
 }  // namespace
 
@@ -173,185 +421,10 @@ std::size_t Design::num_leaf_tasks() const {
 }
 
 FlattenResult Design::flatten() const {
-  // ---- Phase 1: load the root level into the working soup. ----
-  std::vector<WorkNode> wnodes;
-  std::vector<WorkArc> warcs;
-  std::deque<std::size_t> super_queue;  // indices of pending Super nodes
-
-  auto load_level = [&](const DataflowGraph& g, const std::string& prefix)
-      -> std::vector<std::size_t> {
-    std::vector<std::size_t> local_to_work(g.num_nodes());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      WorkNode wn;
-      wn.node = g.node(v);
-      wn.node.name = prefix + wn.node.name;
-      local_to_work[v] = wnodes.size();
-      if (wn.node.kind == NodeKind::Super) super_queue.push_back(wnodes.size());
-      wnodes.push_back(std::move(wn));
-    }
-    for (const Arc& a : g.arcs()) {
-      warcs.push_back(
-          {local_to_work[a.from], local_to_work[a.to], a.var, a.bytes, false});
-    }
-    return local_to_work;
-  };
-
-  load_level(graphs_[0], "");
-
-  // ---- Phase 2: expand Super nodes until none remain. ----
-  // `consumes`/`produces` decide how arcs incident to a Super node re-bind
-  // inside its freshly spliced child level.
-  auto consumes = [&](std::size_t wi, const std::string& var) {
-    const Node& n = wnodes[wi].node;
-    switch (n.kind) {
-      case NodeKind::Storage:
-        return unqualified(n.name) == var;
-      case NodeKind::Task:
-      case NodeKind::Super: {
-        if (std::find(n.inputs.begin(), n.inputs.end(), var) ==
-            n.inputs.end())
-          return false;
-        // Already fed internally? then it is not a free input.
-        for (const WorkArc& a : warcs) {
-          if (!a.dead && a.to == wi && a.var == var) return false;
-        }
-        return true;
-      }
-    }
-    return false;
-  };
-  auto produces = [&](std::size_t wi, const std::string& var) {
-    const Node& n = wnodes[wi].node;
-    if (n.kind == NodeKind::Storage) return unqualified(n.name) == var;
-    return std::find(n.outputs.begin(), n.outputs.end(), var) !=
-           n.outputs.end();
-  };
-
-  std::size_t expansions = 0;
-  while (!super_queue.empty()) {
-    if (++expansions > 100000) {
-      fail(ErrorCode::Limit, "hierarchy expansion exceeded 100000 supernodes");
-    }
-    const std::size_t si = super_queue.front();
-    super_queue.pop_front();
-    const Node super = wnodes[si].node;  // copy: we tombstone below
-    BANGER_ASSERT(super.kind == NodeKind::Super, "queue holds supernodes");
-    if (super.subgraph <= 0 ||
-        static_cast<std::size_t>(super.subgraph) >= graphs_.size()) {
-      fail(ErrorCode::Graph, "supernode `" + super.name +
-                                 "` references a missing child graph");
-    }
-    if (graphs_.size() > 1 && expansions > graphs_.size() * 10000) {
-      fail(ErrorCode::Limit, "runaway hierarchy expansion (recursive design?)");
-    }
-
-    const DataflowGraph& child =
-        graphs_[static_cast<std::size_t>(super.subgraph)];
-    const auto child_map = load_level(child, super.name + ".");
-
-    // Re-bind arcs that touched the Super node.
-    const std::size_t arc_count = warcs.size();
-    for (std::size_t ai = 0; ai < arc_count; ++ai) {
-      WorkArc arc = warcs[ai];
-      if (arc.dead) continue;
-      const bool from_super = arc.from == si;
-      const bool to_super = arc.to == si;
-      if (!from_super && !to_super) continue;
-      warcs[ai].dead = true;
-
-      const std::string& var = arc.var;
-      std::vector<std::size_t> froms, tos;
-      if (from_super) {
-        for (std::size_t wi : child_map)
-          if (produces(wi, var)) froms.push_back(wi);
-        if (froms.empty()) {
-          fail(ErrorCode::Graph, "output `" + var + "` of supernode `" +
-                                     super.name +
-                                     "` is produced by nothing in graph `" +
-                                     child.name() + "`");
-        }
-      } else {
-        froms.push_back(arc.from);
-      }
-      if (to_super) {
-        for (std::size_t wi : child_map)
-          if (consumes(wi, var)) tos.push_back(wi);
-        if (tos.empty()) {
-          fail(ErrorCode::Graph, "input `" + var + "` of supernode `" +
-                                     super.name +
-                                     "` is consumed by nothing in graph `" +
-                                     child.name() + "`");
-        }
-      } else {
-        tos.push_back(arc.to);
-      }
-      for (std::size_t f : froms)
-        for (std::size_t t : tos)
-          if (f != t) warcs.push_back({f, t, var, arc.bytes, false});
-    }
-    wnodes[si].dead = true;
-  }
-
-  // ---- Phase 3: storage elimination into the TaskGraph. ----
-  FlattenResult result;
-  result.graph.reserve(wnodes.size(), warcs.size());
-  std::unordered_map<std::size_t, TaskId> task_of;
-  for (std::size_t wi = 0; wi < wnodes.size(); ++wi) {
-    const WorkNode& wn = wnodes[wi];
-    if (wn.dead || wn.node.kind != NodeKind::Task) continue;
-    Task t;
-    t.name = wn.node.name;
-    t.work = wn.node.work;
-    t.pits = wn.node.pits;
-    t.inputs = wn.node.inputs;
-    t.outputs = wn.node.outputs;
-    t.pos = wn.node.pos;
-    t.pits_line = wn.node.pits_line;
-    t.pits_indent = wn.node.pits_indent;
-    task_of.emplace(wi, result.graph.add_task(std::move(t)));
-  }
-
-  // Direct task->task arcs.
-  for (const WorkArc& a : warcs) {
-    if (a.dead) continue;
-    const WorkNode& src = wnodes[a.from];
-    const WorkNode& dst = wnodes[a.to];
-    if (src.node.kind == NodeKind::Task && dst.node.kind == NodeKind::Task) {
-      result.graph.add_edge(task_of.at(a.from), task_of.at(a.to), a.bytes,
-                            a.var);
-    }
-  }
-
-  // Stores: writer x reader dependences sized by the store.
-  for (std::size_t wi = 0; wi < wnodes.size(); ++wi) {
-    const WorkNode& wn = wnodes[wi];
-    if (wn.dead || wn.node.kind != NodeKind::Storage) continue;
-    FlatStore store;
-    store.name = wn.node.name;
-    store.var = unqualified(wn.node.name);
-    store.bytes = wn.node.bytes;
-    store.pos = wn.node.pos;
-    for (const WorkArc& a : warcs) {
-      if (a.dead) continue;
-      if (a.to == wi && wnodes[a.from].node.kind == NodeKind::Task)
-        store.writers.push_back(task_of.at(a.from));
-      if (a.from == wi && wnodes[a.to].node.kind == NodeKind::Task)
-        store.readers.push_back(task_of.at(a.to));
-    }
-    std::sort(store.writers.begin(), store.writers.end());
-    store.writers.erase(
-        std::unique(store.writers.begin(), store.writers.end()),
-        store.writers.end());
-    std::sort(store.readers.begin(), store.readers.end());
-    store.readers.erase(
-        std::unique(store.readers.begin(), store.readers.end()),
-        store.readers.end());
-    for (TaskId w : store.writers)
-      for (TaskId r : store.readers)
-        if (w != r) result.graph.add_edge(w, r, store.bytes, store.var);
-    result.stores.push_back(std::move(store));
-  }
-
+  (void)levels();  // a recursive hierarchy would expand without end
+  Soup soup(graphs_);
+  soup.expand();
+  FlattenResult result = soup.result();
   if (!result.graph.is_acyclic()) {
     fail(ErrorCode::Graph,
          "flattened design `" + name_ + "` contains a dependence cycle");

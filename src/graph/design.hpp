@@ -94,8 +94,10 @@ class Design {
   /// Total primitive (leaf) tasks after full expansion.
   [[nodiscard]] std::size_t num_leaf_tasks() const;
 
-  /// Expands the hierarchy and eliminates stores. Throws Error{Graph} on
-  /// unbound supernode variables or cycles.
+  /// Expands the hierarchy and eliminates stores, in time linear in the
+  /// expanded nodes and arcs. Throws Error{Graph} on a recursive
+  /// hierarchy, unbound supernode variables or cycles, and Error{Limit}
+  /// past 100000 supernode expansions.
   [[nodiscard]] FlattenResult flatten() const;
 
  private:

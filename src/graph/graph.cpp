@@ -58,7 +58,7 @@ ArcId DataflowGraph::add_arc(Arc arc) {
   return id;
 }
 
-ArcId DataflowGraph::connect(const std::string& from, const std::string& to,
+ArcId DataflowGraph::connect(std::string_view from, std::string_view to,
                              std::string var, double bytes) {
   return add_arc({require(from), require(to), std::move(var), bytes});
 }
@@ -78,17 +78,17 @@ const Arc& DataflowGraph::arc(ArcId id) const {
   return arcs_[id];
 }
 
-std::optional<NodeId> DataflowGraph::find(const std::string& name) const {
+std::optional<NodeId> DataflowGraph::find(std::string_view name) const {
   auto it = by_name_.find(name);
   if (it == by_name_.end()) return std::nullopt;
   return it->second;
 }
 
-NodeId DataflowGraph::require(const std::string& name) const {
+NodeId DataflowGraph::require(std::string_view name) const {
   auto id = find(name);
   if (!id) {
-    fail(ErrorCode::Name,
-         "no node named `" + name + "` in graph `" + name_ + "`");
+    fail(ErrorCode::Name, "no node named `" + std::string(name) +
+                              "` in graph `" + name_ + "`");
   }
   return *id;
 }

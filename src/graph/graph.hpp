@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace banger::graph {
 
@@ -104,7 +105,7 @@ class DataflowGraph {
   ArcId add_arc(Arc arc);
 
   /// Convenience: adds an arc from/to nodes looked up by name.
-  ArcId connect(const std::string& from, const std::string& to,
+  ArcId connect(std::string_view from, std::string_view to,
                 std::string var = {}, double bytes = 8.0);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return nodes_.size(); }
@@ -117,9 +118,9 @@ class DataflowGraph {
   [[nodiscard]] const std::vector<Arc>& arcs() const noexcept { return arcs_; }
 
   /// Name lookup; returns std::nullopt if absent.
-  [[nodiscard]] std::optional<NodeId> find(const std::string& name) const;
+  [[nodiscard]] std::optional<NodeId> find(std::string_view name) const;
   /// Name lookup that throws ErrorCode::Name if absent.
-  [[nodiscard]] NodeId require(const std::string& name) const;
+  [[nodiscard]] NodeId require(std::string_view name) const;
 
   /// Arc ids entering / leaving a node.
   [[nodiscard]] const std::vector<ArcId>& in_arcs(NodeId id) const;
@@ -150,7 +151,8 @@ class DataflowGraph {
   std::vector<Arc> arcs_;
   std::vector<std::vector<ArcId>> in_arcs_;
   std::vector<std::vector<ArcId>> out_arcs_;
-  std::unordered_map<std::string, NodeId> by_name_;
+  std::unordered_map<std::string, NodeId, util::StringHash, std::equal_to<>>
+      by_name_;
 };
 
 }  // namespace banger::graph

@@ -1,11 +1,14 @@
 #include "graph/serialize.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
 #include "util/error.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace banger::graph {
@@ -13,264 +16,275 @@ namespace banger::graph {
 namespace {
 
 using util::split;
-using util::split_ws;
 using util::trim;
 
-/// A directive line's trailing `key=value` tokens, viewed in place. The
-/// first of repeated keys wins.
-struct KeyValues {
-  std::vector<std::pair<std::string_view, std::string_view>> pairs;
+/// Reads a `.pitl` text in one pass. Lines and tokens are views into the
+/// text: the only strings built are the ones the Design keeps.
+class PitlParser {
+ public:
+  explicit PitlParser(std::string_view text) : text_(text) {}
 
-  [[nodiscard]] const std::string_view* find(std::string_view key) const {
-    for (const auto& [k, v] : pairs) {
-      if (k == key) return &v;
+  Design parse() {
+    std::string_view raw;
+    while (next_line(raw)) {
+      // '#' outside of a pits block starts a comment.
+      const std::string_view line = trim(raw.substr(0, raw.find('#')));
+      if (line.empty()) continue;
+      util::split_ws(line, tokens_);
+      directive(tokens_[0]);
     }
-    return nullptr;
+    for (const PendingSuper& p : pending_) {
+      const auto it = graph_ids_.find(p.child);
+      if (it == graph_ids_.end()) {
+        fail(ErrorCode::Parse,
+             "supernode references undefined graph `" + std::string(p.child) +
+                 "`",
+             {p.line, 1});
+      }
+      design_.graph(p.gid).node(p.nid).subgraph = it->second;
+    }
+    return std::move(design_);
   }
-  [[nodiscard]] bool has(std::string_view key) const {
-    return find(key) != nullptr;
+
+ private:
+  /// A supernode's child graph, resolved once the whole file is read.
+  struct PendingSuper {
+    GraphId gid;
+    NodeId nid;
+    std::string_view child;
+    int line;
+  };
+
+  /// The next raw line (without its '\n'); false past the last one. A
+  /// text of k newlines has k + 1 lines.
+  bool next_line(std::string_view& line) {
+    if (pos_ > text_.size()) return false;
+    std::size_t end = text_.find('\n', pos_);
+    if (end == std::string_view::npos) end = text_.size();
+    line = text_.substr(pos_, end - pos_);
+    pos_ = end + 1;
+    ++lineno_;
+    return true;
   }
-  [[nodiscard]] std::string str(std::string_view key) const {
-    const std::string_view* v = find(key);
-    return v == nullptr ? std::string() : std::string(*v);
+
+  [[noreturn]] void error(std::string message) const {
+    fail(ErrorCode::Parse, std::move(message), {lineno_, 1});
   }
-  [[nodiscard]] double num(const std::string& key, double fallback,
-                           int line) const {
-    const std::string_view* s = find(key);
-    if (s == nullptr) return fallback;
-    double value = 0;
-    auto [ptr, ec] = std::from_chars(s->data(), s->data() + s->size(), value);
+
+  /// Checks that every token from `first` on is `key=value`; value()
+  /// then finds them in place.
+  void check_key_values(std::size_t first) const {
+    for (std::size_t i = first; i < tokens_.size(); ++i) {
+      if (tokens_[i].find('=') == std::string_view::npos) {
+        error("expected key=value, got `" + std::string(tokens_[i]) + "`");
+      }
+    }
+  }
+
+  /// The value of the first `key=` token from `first` on, or nullopt.
+  std::optional<std::string_view> value(std::size_t first,
+                                        std::string_view key) const {
+    for (std::size_t i = first; i < tokens_.size(); ++i) {
+      const std::string_view t = tokens_[i];
+      const std::size_t eq = t.find('=');
+      if (t.substr(0, eq) == key) return t.substr(eq + 1);
+    }
+    return std::nullopt;
+  }
+
+  double number(std::size_t first, std::string_view key,
+                double fallback) const {
+    const auto s = value(first, key);
+    if (!s) return fallback;
+    double out = 0;
+    const auto [ptr, ec] =
+        std::from_chars(s->data(), s->data() + s->size(), out);
     if (ec != std::errc{} || ptr != s->data() + s->size()) {
-      fail(ErrorCode::Parse,
-           "bad numeric value `" + std::string(*s) + "` for " + key,
-           {line, 1});
-    }
-    return value;
-  }
-  [[nodiscard]] std::vector<std::string> list(std::string_view key) const {
-    std::vector<std::string> out;
-    const std::string_view* v = find(key);
-    if (v == nullptr) return out;
-    for (auto part : split(*v, ',')) {
-      auto t = trim(part);
-      if (!t.empty()) out.emplace_back(t);
+      error("bad numeric value `" + std::string(*s) + "` for " +
+            std::string(key));
     }
     return out;
   }
-};
 
-/// Parses trailing `key=value` tokens of a directive line.
-KeyValues parse_kv(const std::vector<std::string_view>& tokens,
-                   std::size_t first, int line) {
-  KeyValues kv;
-  for (std::size_t i = first; i < tokens.size(); ++i) {
-    auto eq = tokens[i].find('=');
-    if (eq == std::string_view::npos) {
-      fail(ErrorCode::Parse,
-           "expected key=value, got `" + std::string(tokens[i]) + "`",
-           {line, 1});
+  std::vector<std::string> list(std::size_t first, std::string_view key) const {
+    std::vector<std::string> out;
+    const auto v = value(first, key);
+    if (!v) return out;
+    out.reserve(
+        static_cast<std::size_t>(std::count(v->begin(), v->end(), ',')) + 1);
+    // Tokens hold no whitespace, so the parts need no trimming.
+    for (std::size_t at = 0; at <= v->size();) {
+      std::size_t comma = v->find(',', at);
+      if (comma == std::string_view::npos) comma = v->size();
+      if (comma > at) out.emplace_back(v->substr(at, comma - at));
+      at = comma + 1;
     }
-    kv.pairs.emplace_back(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
+    return out;
   }
-  return kv;
-}
 
-std::string_view strip_comment(std::string_view raw) {
-  // '#' outside of a pits block starts a comment.
-  auto pos = raw.find('#');
-  if (pos != std::string_view::npos) raw = raw.substr(0, pos);
-  return trim(raw);
-}
+  void directive(std::string_view head) {
+    if (head == "pits") return pits_block();
+    if (head == "design") return design_line();
+    if (head == "graph") return graph_line();
+    if (current_ == nullptr) {
+      error("directive `" + std::string(head) + "` before any graph");
+    }
+    if (head == "task" || head == "store" || head == "super") {
+      return node_line(head);
+    }
+    if (head == "arc") return arc_line();
+    error("unknown directive `" + std::string(head) + "`");
+  }
+
+  void pits_block() {
+    if (current_ == nullptr || last_task_ == kNoNode) {
+      error("pits block without a preceding task");
+    }
+    if (tokens_.size() < 2 || tokens_[1] != "{") error("expected `pits {`");
+    const int open_line = lineno_;
+    // Inside the block lines are raw PITS source ('#' is not a comment
+    // delimiter here; PITS has its own `--` comments). First pass: find
+    // the closing line and the indentation common to the non-blank lines.
+    const std::size_t body_begin = pos_;
+    std::size_t body_end = body_begin;
+    std::size_t common = std::string::npos;
+    bool closed = false;
+    std::string_view raw;
+    while (next_line(raw)) {
+      const std::string_view trimmed = trim(raw);
+      if (trimmed == "}") {
+        closed = true;
+        break;
+      }
+      body_end = pos_;
+      if (!trimmed.empty()) {
+        common = std::min(common, raw.find_first_not_of(" \t"));
+      }
+    }
+    if (!closed) {
+      fail(ErrorCode::Parse, "unterminated pits block", {open_line, 1});
+    }
+    if (common == std::string::npos) common = 0;
+    // Second pass: strip that indentation so serialisation round-trips
+    // to a fixpoint while nested PITS indentation survives.
+    const std::string_view lines =
+        text_.substr(body_begin, body_end - body_begin);
+    std::string body;
+    body.reserve(lines.size() + 1);
+    for (std::size_t at = 0; at < lines.size();) {
+      std::size_t end = lines.find('\n', at);
+      if (end == std::string_view::npos) end = lines.size();
+      const std::string_view l = lines.substr(at, end - at);
+      body += l.size() > common ? l.substr(common) : trim(l);
+      body += '\n';
+      at = end + 1;
+    }
+    Node& task = current_->node(last_task_);
+    task.pits = std::move(body);
+    task.pits_line = open_line + 1;
+    task.pits_indent = static_cast<int>(common);
+  }
+
+  void design_line() {
+    if (tokens_.size() != 2) error("expected `design <name>`");
+    if (named_) error("duplicate design directive");
+    // A design directive names the design before its first graph; later
+    // it would discard the graphs read so far.
+    if (!graph_ids_.empty()) error("design directive after a graph");
+    design_ = Design(std::string(tokens_[1]));
+    named_ = true;
+  }
+
+  void graph_line() {
+    if (tokens_.size() != 2) error("expected `graph <name>`");
+    const auto [slot, fresh] =
+        graph_ids_.try_emplace(std::string(tokens_[1]), kNoGraph);
+    const std::string& gname = slot->first;
+    if (!fresh) error("duplicate graph `" + gname + "`");
+    if (graph_ids_.size() == 1) {
+      current_gid_ = design_.root();
+      design_.graph(current_gid_).set_name(gname);
+    } else {
+      current_gid_ = design_.add_graph(gname);
+    }
+    slot->second = current_gid_;
+    current_ = &design_.graph(current_gid_);
+    last_task_ = kNoNode;
+  }
+
+  void node_line(std::string_view head) {
+    if (tokens_.size() < 2) {
+      error("expected `" + std::string(head) + " <name> ...`");
+    }
+    check_key_values(2);
+    Node node;
+    node.name = std::string(tokens_[1]);
+    node.pos = {lineno_, 1};
+    if (head == "task") {
+      node.kind = NodeKind::Task;
+      node.work = number(2, "work", 1.0);
+    } else if (head == "store") {
+      node.kind = NodeKind::Storage;
+      node.bytes = number(2, "bytes", 8.0);
+    } else {
+      node.kind = NodeKind::Super;
+      if (!value(2, "graph")) error("super requires graph=<name>");
+    }
+    node.inputs = list(2, "in");
+    node.outputs = list(2, "out");
+    NodeId nid;
+    try {
+      nid = current_->add_node(std::move(node));
+    } catch (const Error& e) {
+      fail(e.code(), e.message(), {lineno_, 1});
+    }
+    last_task_ = kNoNode;
+    if (head == "super") {
+      pending_.push_back({current_gid_, nid, *value(2, "graph"), lineno_});
+    } else if (head == "task") {
+      last_task_ = nid;
+    }
+  }
+
+  void arc_line() {
+    // arc <from> -> <to> [var=..] [bytes=..]
+    if (tokens_.size() < 4 || tokens_[2] != "->") {
+      error("expected `arc <from> -> <to> ...`");
+    }
+    check_key_values(4);
+    const double bytes = number(4, "bytes", 8.0);
+    try {
+      current_->connect(tokens_[1], tokens_[3],
+                        std::string(value(4, "var").value_or("")), bytes);
+    } catch (const Error& e) {
+      fail(e.code(), e.message(), {lineno_, 1});
+    }
+    last_task_ = kNoNode;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;  // start of the next line
+  int lineno_ = 0;       // number of the line last read
+  std::vector<std::string_view> tokens_;  // of the current directive
+
+  Design design_;
+  bool named_ = false;
+  DataflowGraph* current_ = nullptr;
+  GraphId current_gid_ = kNoGraph;
+  NodeId last_task_ = kNoNode;  // pits target within `current_`
+  std::unordered_map<std::string, GraphId, util::StringHash, std::equal_to<>>
+      graph_ids_;
+  std::vector<PendingSuper> pending_;
+};
 
 }  // namespace
 
 Design parse_design(std::string_view text) {
-  const std::vector<std::string_view> lines = split(text, '\n');
-
-  Design design;
-  bool named = false;
-  DataflowGraph* current = nullptr;
-  NodeId last_task = kNoNode;  // pits target within `current`
-  std::unordered_map<std::string, GraphId> graph_ids;
-  // Supernode child references resolved after the whole file is read:
-  // (graph id, node id, child name, line).
-  struct PendingSuper {
-    GraphId gid;
-    NodeId nid;
-    std::string child;
-    int line;
-  };
-  std::vector<PendingSuper> pending;
-  GraphId current_gid = kNoGraph;
-
-  for (std::size_t li = 0; li < lines.size(); ++li) {
-    const int lineno = static_cast<int>(li + 1);
-    const std::string_view line = strip_comment(lines[li]);
-    if (line.empty()) continue;
-
-    auto tokens = split_ws(line);
-    const std::string head(tokens[0]);
-
-    if (head == "pits") {
-      if (current == nullptr || last_task == kNoNode) {
-        fail(ErrorCode::Parse, "pits block without a preceding task",
-             {lineno, 1});
-      }
-      if (tokens.size() < 2 || tokens[1] != "{") {
-        fail(ErrorCode::Parse, "expected `pits {`", {lineno, 1});
-      }
-      const int body_first_line = lineno + 1;
-      std::vector<std::string_view> body_lines;
-      bool closed = false;
-      while (++li < lines.size()) {
-        // Inside the block lines are raw PITS source ('#' is not a
-        // comment delimiter here; PITS has its own `--` comments).
-        if (trim(lines[li]) == "}") {
-          closed = true;
-          break;
-        }
-        body_lines.push_back(lines[li]);
-      }
-      if (!closed) {
-        fail(ErrorCode::Parse, "unterminated pits block", {lineno, 1});
-      }
-      // Strip the common leading indentation so serialisation round-trips
-      // to a fixpoint while nested PITS indentation survives.
-      std::size_t common = std::string::npos;
-      for (const std::string_view l : body_lines) {
-        if (trim(l).empty()) continue;
-        common = std::min(common, l.find_first_not_of(" \t"));
-      }
-      if (common == std::string::npos) common = 0;
-      std::string body;
-      for (const std::string_view l : body_lines) {
-        body += l.size() > common ? l.substr(common) : trim(l);
-        body += '\n';
-      }
-      current->node(last_task).pits = body;
-      current->node(last_task).pits_line = body_first_line;
-      current->node(last_task).pits_indent = static_cast<int>(common);
-      continue;
-    }
-
-    if (head == "design") {
-      if (tokens.size() != 2) {
-        fail(ErrorCode::Parse, "expected `design <name>`", {lineno, 1});
-      }
-      if (named) {
-        fail(ErrorCode::Parse, "duplicate design directive", {lineno, 1});
-      }
-      design = Design(std::string(tokens[1]));
-      named = true;
-      current = nullptr;
-      continue;
-    }
-
-    if (head == "graph") {
-      if (tokens.size() != 2) {
-        fail(ErrorCode::Parse, "expected `graph <name>`", {lineno, 1});
-      }
-      const auto [slot, fresh] =
-          graph_ids.try_emplace(std::string(tokens[1]), kNoGraph);
-      const std::string& gname = slot->first;
-      if (!fresh) {
-        fail(ErrorCode::Parse, "duplicate graph `" + gname + "`", {lineno, 1});
-      }
-      if (graph_ids.size() == 1) {
-        current_gid = design.root();
-        design.graph(current_gid).set_name(gname);
-      } else {
-        current_gid = design.add_graph(gname);
-      }
-      slot->second = current_gid;
-      current = &design.graph(current_gid);
-      last_task = kNoNode;
-      continue;
-    }
-
-    if (current == nullptr) {
-      fail(ErrorCode::Parse, "directive `" + head + "` before any graph",
-           {lineno, 1});
-    }
-
-    if (head == "task" || head == "store" || head == "super") {
-      if (tokens.size() < 2) {
-        fail(ErrorCode::Parse, "expected `" + head + " <name> ...`",
-             {lineno, 1});
-      }
-      auto kv = parse_kv(tokens, 2, lineno);
-      Node node;
-      node.name = std::string(tokens[1]);
-      node.pos = {lineno, 1};
-      if (head == "task") {
-        node.kind = NodeKind::Task;
-        node.work = kv.num("work", 1.0, lineno);
-      } else if (head == "store") {
-        node.kind = NodeKind::Storage;
-        node.bytes = kv.num("bytes", 8.0, lineno);
-      } else {
-        node.kind = NodeKind::Super;
-        if (!kv.has("graph")) {
-          fail(ErrorCode::Parse, "super requires graph=<name>", {lineno, 1});
-        }
-      }
-      node.inputs = kv.list("in");
-      node.outputs = kv.list("out");
-      NodeId nid;
-      try {
-        nid = current->add_node(std::move(node));
-      } catch (const Error& e) {
-        fail(e.code(), e.message(), {lineno, 1});
-      }
-      if (head == "super") {
-        pending.push_back({current_gid, nid, kv.str("graph"), lineno});
-        last_task = kNoNode;
-      } else if (head == "task") {
-        last_task = nid;
-      } else {
-        last_task = kNoNode;
-      }
-      continue;
-    }
-
-    if (head == "arc") {
-      // arc <from> -> <to> [var=..] [bytes=..]
-      if (tokens.size() < 4 || tokens[2] != "->") {
-        fail(ErrorCode::Parse, "expected `arc <from> -> <to> ...`",
-             {lineno, 1});
-      }
-      auto kv = parse_kv(tokens, 4, lineno);
-      try {
-        current->connect(std::string(tokens[1]), std::string(tokens[3]),
-                         kv.str("var"), kv.num("bytes", 8.0, lineno));
-      } catch (const Error& e) {
-        fail(e.code(), e.message(), {lineno, 1});
-      }
-      last_task = kNoNode;
-      continue;
-    }
-
-    fail(ErrorCode::Parse, "unknown directive `" + head + "`", {lineno, 1});
-  }
-
-  for (const auto& p : pending) {
-    auto it = graph_ids.find(p.child);
-    if (it == graph_ids.end()) {
-      fail(ErrorCode::Parse,
-           "supernode references undefined graph `" + p.child + "`",
-           {p.line, 1});
-    }
-    design.graph(p.gid).node(p.nid).subgraph = it->second;
-  }
-  return design;
+  return PitlParser(text).parse();
 }
 
 Design load_design(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail(ErrorCode::Io, "cannot open `" + path + "` for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_design(buf.str());
+  return parse_design(util::read_file(path));
 }
 
 std::string to_pitl(const Design& design) {

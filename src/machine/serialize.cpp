@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "util/error.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace banger::machine {
@@ -202,11 +203,7 @@ Machine parse_machine(std::string_view text) {
 }
 
 Machine load_machine(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail(ErrorCode::Io, "cannot open `" + path + "` for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_machine(buf.str());
+  return parse_machine(util::read_file(path));
 }
 
 std::string to_text(const Machine& machine) {

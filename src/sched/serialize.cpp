@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace banger::sched {
@@ -115,11 +116,7 @@ void save_schedule(const Schedule& schedule, const TaskGraph& graph,
 }
 
 Schedule load_schedule(const std::string& path, const TaskGraph& graph) {
-  std::ifstream in(path);
-  if (!in) fail(ErrorCode::Io, "cannot open `" + path + "` for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_schedule(buf.str(), graph);
+  return parse_schedule(util::read_file(path), graph);
 }
 
 }  // namespace banger::sched

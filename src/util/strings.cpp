@@ -37,6 +37,12 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
 
 std::vector<std::string_view> split_ws(std::string_view s) {
   std::vector<std::string_view> out;
+  split_ws(s, out);
+  return out;
+}
+
+void split_ws(std::string_view s, std::vector<std::string_view>& out) {
+  out.clear();
   std::size_t i = 0;
   while (i < s.size()) {
     while (i < s.size() && is_space(s[i])) ++i;
@@ -44,7 +50,6 @@ std::vector<std::string_view> split_ws(std::string_view s) {
     while (i < s.size() && !is_space(s[i])) ++i;
     if (i > start) out.push_back(s.substr(start, i - start));
   }
-  return out;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept {

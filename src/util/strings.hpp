@@ -6,11 +6,22 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace banger::util {
+
+/// Hash for unordered containers keyed by std::string that also takes
+/// a std::string_view, so a lookup by view builds no temporary string
+/// (pair it with std::equal_to<>).
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view s) noexcept;
@@ -20,6 +31,10 @@ std::vector<std::string_view> split(std::string_view s, char sep);
 
 /// Splits on runs of ASCII whitespace; no empty fields are produced.
 std::vector<std::string_view> split_ws(std::string_view s);
+
+/// split_ws into `out`, which is cleared first: a line-by-line parser
+/// reuses one vector's storage for every line.
+void split_ws(std::string_view s, std::vector<std::string_view>& out);
 
 /// True if `s` starts with / ends with the given prefix or suffix.
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;

@@ -72,6 +72,42 @@ TEST(Cli, MissingFileIsUserError) {
   EXPECT_NE(r.err.find("banger:"), std::string::npos);
 }
 
+TEST_F(CliFiles, EveryReaderReportsADirectoryAsAnIoError) {
+  // A directory opens but does not read. Each loader once took the empty
+  // read for an empty file: a design validated with 0 leaf tasks, a check
+  // came out clean, a trial batch ran nothing, and a machine or fault
+  // plan got a parse error about a missing header.
+  std::string dir = testing::TempDir();
+  while (dir.size() > 1 && dir.back() == '/') dir.pop_back();
+  const std::vector<std::vector<std::string>> commands = {
+      {"validate", dir},
+      {"check", dir},
+      {"trial", design_path_, "--inputs", dir},
+      {"schedule", design_path_, dir},
+      {"faults", design_path_, machine_path_, "--fault-plan", dir},
+  };
+  for (const auto& args : commands) {
+    const auto r = invoke(args);
+    EXPECT_EQ(r.code, 1) << args[0];
+    EXPECT_EQ(r.out, "") << args[0];
+    EXPECT_EQ(r.err, "banger: io error: cannot read `" + dir +
+                         "`: Is a directory\n")
+        << args[0];
+  }
+}
+
+TEST_F(CliFiles, InputsFileKeepsLineNumbersAcrossCommentsAndBlanks) {
+  const std::string inputs_path = testing::TempDir() + "/cli_trials_lines.txt";
+  std::ofstream(inputs_path) << "# header\n\n  # indented comment\r\n"
+                             << "A=[4,3,2,8,8,5,4,7,9]; b=[16,39,45]\r\n"
+                             << "A=[1]; b=(\n";
+  const auto r = invoke({"trial", design_path_, "--inputs", inputs_path});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("parse error at 5:11: `" + inputs_path + "`"),
+            std::string::npos)
+      << r.err;
+}
+
 TEST_F(CliFiles, Info) {
   const auto r = invoke({"info", design_path_});
   ASSERT_EQ(r.code, 0) << r.err;

@@ -729,11 +729,12 @@ TEST(Parallel, IndependentFailuresReportTheEarliestScheduledError) {
 
 TEST(FrontEnd, WarmRunStartsNoWorkers) {
   const tests::ScopedEnv env("BANGER_JOBS", "4");
-  // A comment naming the run keeps every routine new to the
-  // process-wide cache, so the first run is cold however often the test
-  // repeats.
+  // A statement assigning the run's number keeps every routine new to
+  // the process-wide cache, so the first run is cold however often the
+  // test repeats. (A comment would not: the cache keys a routine by its
+  // shape, and a shape has no comments.)
   static int run = 0;
-  const std::string tag = "    -- run " + std::to_string(++run) + "\n";
+  const std::string tag = "    k := " + std::to_string(++run) + "\n";
   const auto flat =
       graph::parse_design(
           "design warm\ngraph g\n  store a\n"

@@ -14,6 +14,12 @@ answer `r = 24480`. The check must report all 40k divisions within
 30 s (its cost once grew with the square of the reports). The ping must
 be answered `pong`, and the server must exit 0.
 
+A second server then gets the 2.0 MB upload of a design with 16000
+supernodes over one child graph, and a ping. The upload must be
+answered `ok` within 2 s (flattening it once scanned every arc of the
+design per supernode and took 6.4 s), the ping `pong`, and that server
+must exit 0 too.
+
 Usage: python3 tests/serve_hostile_smoke.py path/to/banger
 """
 import json
@@ -72,6 +78,51 @@ def deep_hierarchy_design(levels=200_000):
     return "".join(parts)
 
 
+def supernode_design(count=16_000):
+    # `count` supernodes over one child graph, each between its own
+    # producer and consumer task.
+    parts = ["design wide\ngraph wide\n"]
+    for i in range(count):
+        parts.append(f"  task p{i} out=x\n"
+                     f"  super s{i} graph=cell in=x out=y\n"
+                     f"  task c{i} in=y\n"
+                     f"  arc p{i} -> s{i} var=x\n"
+                     f"  arc s{i} -> c{i} var=y\n")
+    parts.append("graph cell\n  task f in=x out=y\n")
+    return "".join(parts)
+
+
+def timed_upload(banger):
+    """Uploads supernode_design() to a fresh server, then pings it.
+    Returns the failures found."""
+    proc = subprocess.Popen([banger, "serve"], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    upload = json.dumps({"id": "wide", "op": "upload", "name": "wide",
+                         "kind": "design",
+                         "text": supernode_design()}).encode() + b"\n"
+    started = time.monotonic()
+    proc.stdin.write(upload)
+    proc.stdin.flush()
+    answer = proc.stdout.readline()
+    elapsed = time.monotonic() - started
+    out, err = proc.communicate(b'{"id":"ping","op":"ping"}\n', timeout=60)
+    failures = []
+    resp = json.loads(answer) if answer else {}
+    if resp.get("id") != "wide" or resp.get("ok") is not True:
+        failures.append(f"expected the supernode upload answered ok, got "
+                        f"{json.dumps(resp)[:400]}")
+    if elapsed > 2:
+        failures.append(f"the supernode upload took {elapsed:.2f} s")
+    pings = [json.loads(r) for r in out.decode().splitlines()]
+    if len(pings) != 1 or pings[0].get("output") != "pong":
+        failures.append(f"ping after the upload not answered: {pings}")
+    if proc.returncode != 0:
+        failures.append(f"server exited {proc.returncode}: "
+                        f"{err.decode()[-400:]}")
+    print(f"supernode upload answered in {elapsed:.2f} s")
+    return failures
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
@@ -128,6 +179,7 @@ def main():
             failures.append(f"the requests took {elapsed:.1f} s")
         if responses[6].get("output") != "pong":
             failures.append(f"ping not answered: {json.dumps(responses[6])}")
+    failures += timed_upload(sys.argv[1])
     for failure in failures:
         print("FAIL:", failure)
     if failures:

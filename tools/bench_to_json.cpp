@@ -55,6 +55,7 @@ const char* const kHotBenchmarks[] = {
     "BM_CompileDesignCold/real_time",
     "BM_PitsFrontEnd",
     "BM_ParseDesign",
+    "BM_FlattenHierarchy",
     "BM_ExecRunAlternating/real_time",
     "BM_ExecRunVm",
     "BM_ExecRunBatch/4096",
