@@ -72,8 +72,10 @@ int main(int argc, char** argv) {
   if (emit_code) {
     const std::string path = "lu_generated.cpp";
     std::ofstream(path) << project.generate_code(inputs);
-    std::printf("\nwrote %s — compile with `c++ -std=c++17 -pthread %s`\n",
-                path.c_str(), path.c_str());
+    std::printf(
+        "\nwrote %s — build it as a CMake target linked to banger_cli "
+        "(docs/cli.md)\n",
+        path.c_str());
   }
   return 0;
 }

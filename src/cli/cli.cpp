@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "analyze/analyze.hpp"
+#include "cli/program.hpp"
 #include "core/html_report.hpp"
 #include "core/lint.hpp"
 #include "core/recovery.hpp"
@@ -406,8 +407,9 @@ int cmd_run(const Options& o, std::ostream& out) {
     plan = fault::FaultPlan::load(o.fault_plan_file);
     run_opts.faults = &plan;
   }
-  const auto result = project.run(o.inputs, o.scheduler, run_opts);
-  out << serve::render_run_result(result, /*include_wall=*/true);
+  const auto result =
+      run_scheduled(project.flattened(), project.machine(),
+                    project.schedule(o.scheduler), o.inputs, run_opts, out);
   if (run_opts.faults != nullptr) {
     out << "fault plan `" << plan.name() << "`: " << result.workers_died
         << " workers died, " << result.tasks_rescued
@@ -551,7 +553,7 @@ int cmd_report(const Options& o, std::ostream& out) {
      << util::format_double(s.average_parallelism, 4) << "\n\n";
 
   md << "## Lint\n\n";
-  const auto issues = lint_design(project.design());
+  const auto issues = lint_design(project.flattened());
   if (issues.empty()) {
     md << "clean\n\n";
   } else {
@@ -657,14 +659,15 @@ int cmd_lint(const Options& o, std::ostream& out) {
     analyze::AnalyzeOptions opts;
     opts.pits_rules = false;
     opts.determinacy_rules = false;
-    const auto diagnostics = analyze::analyze_design(project.design(), opts);
+    const auto diagnostics =
+        analyze::analyze_design(project.flattened(), opts);
     analyze::EmitOptions emit;
     emit.file = o.positional[0];
     write_or_print(analyze::emit_json(diagnostics, emit), o, out);
     return analyze::has_severity(diagnostics, analyze::Severity::Error) ? 1
                                                                         : 0;
   }
-  const auto issues = lint_design(project.design());
+  const auto issues = lint_design(project.flattened());
   for (const LintIssue& issue : issues) {
     out << issue.to_string() << "\n";
   }
@@ -757,7 +760,8 @@ std::string usage() {
       "                                        line); per-batch output on\n"
       "                                        stdout, execution report on\n"
       "                                        stderr\n"
-      "  codegen  <design> <machine>           emit standalone C++\n"
+      "  codegen  <design> <machine>           emit C++ that runs the scheduled\n"
+      "                                        design on banger's engine\n"
       "  lint     <design.pitl>                interface diagnostics\n"
       "                                        (--json for machine output;\n"
       "                                        exits 1 when errors are found)\n"
@@ -825,7 +829,7 @@ int run(const std::vector<std::string>& args, std::istream& in,
     return args.empty() ? 2 : 0;
   }
   const std::string& command = args[0];
-  try {
+  return report_errors(err, [&] {
     const Options options = parse_options(args, 1);
 
     // --metrics installs an ambient recorder around the whole command;
@@ -875,13 +879,7 @@ int run(const std::vector<std::string>& args, std::istream& in,
       file << metrics_rec->metrics_json();
     }
     return code;
-  } catch (const Error& e) {
-    err << "banger: " << e.what() << "\n";
-    return e.code() == ErrorCode::Usage ? 2 : 1;
-  } catch (const std::exception& e) {
-    err << "banger: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }
 
 }  // namespace banger::cli

@@ -1,494 +1,126 @@
 #include "codegen/codegen.hpp"
 
-#include <algorithm>
-#include <map>
-#include <set>
-#include <sstream>
+#include <charconv>
+#include <cmath>
+#include <string_view>
 
-#include "codegen/runtime_preamble.hpp"
-#include "pits/ast.hpp"
-#include "pits/builtins.hpp"
-#include "pits/interp.hpp"
+#include "graph/serialize.hpp"
+#include "machine/serialize.hpp"
+#include "sched/serialize.hpp"
 #include "util/strings.hpp"
 
 namespace banger::codegen {
 
 namespace {
 
-using graph::TaskId;
-using pits::Block;
-using pits::Expr;
-using pits::Stmt;
-
-std::string mangle(const std::string& var) { return "v_" + var; }
-
-/// Same per-task seed derivation as the executor, so generated programs
-/// and interpreted runs agree on rand() streams.
-std::uint64_t seed_for(const std::string& task_name, std::uint64_t base) {
-  return util::fnv1a64(task_name, 1469598103934665603ull ^ base);
+/// `text` as a C++ string-view literal that holds it byte for byte: raw
+/// strings under a delimiter whose closing `)delim"` the text does not
+/// contain, with each carriage return and NUL, which a compiler does not
+/// keep verbatim inside a raw string, written as an escape between them.
+std::string view_literal(std::string_view text, const std::string& name) {
+  std::string delim = name;
+  for (int i = 0; text.find(')' + delim + '"') != std::string_view::npos;
+       ++i) {
+    delim = name + std::to_string(i);
+  }
+  std::string out;
+  for (std::size_t at = 0;;) {
+    std::size_t cut = at;
+    while (cut < text.size() && text[cut] != '\r' && text[cut] != '\0') {
+      ++cut;
+    }
+    out += "R\"" + delim + '(';
+    out += text.substr(at, cut - at);
+    out += ')' + delim + '"';
+    if (cut == text.size()) break;
+    out += text[cut] == '\r' ? " \"\\r\" " : " \"\\0\" ";
+    at = cut + 1;
+  }
+  return out + "sv";
 }
 
-std::string cpp_string_literal(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
+/// A double literal that reads back as exactly `v`.
+std::string double_literal(double v) {
+  if (std::isnan(v)) {
+    return std::string(std::signbit(v) ? "-" : "") +
+           "std::numeric_limits<double>::quiet_NaN()";
   }
-  return out + "\"";
+  if (std::isinf(v)) {
+    return std::string(v < 0 ? "-" : "") +
+           "std::numeric_limits<double>::infinity()";
+  }
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  std::string out(buf, res.ptr);
+  if (out.find_first_of(".e") == std::string::npos) out += ".0";
+  return out;
 }
 
-std::string cpp_double(double v) {
-  std::ostringstream out;
-  out.precision(17);
-  out << v;
-  std::string s = out.str();
-  if (s.find_first_of(".eEn") == std::string::npos) s += ".0";
-  return s;
+std::string value_literal(const pits::Value& v) {
+  if (const double* s = v.scalar_if()) {
+    return "Value(" + double_literal(*s) + ")";
+  }
+  if (const pits::Vector* vec = v.vector_if()) {
+    std::string out = "Value(Vector{";
+    for (std::size_t i = 0; i < vec->size(); ++i) {
+      if (i > 0) out += ", ";
+      out += double_literal((*vec)[i]);
+    }
+    return out + "})";
+  }
+  return "Value(std::string(" + view_literal(v.as_string(), "str") + "))";
 }
-
-std::string emit_value(const pits::Value& v) {
-  if (v.is_scalar()) return "rt::num(" + cpp_double(v.as_scalar()) + ")";
-  if (v.is_string()) return "rt::strv(" + cpp_string_literal(v.as_string()) + ")";
-  std::string out = "rt::vecv({";
-  const auto& vec = v.as_vector();
-  for (std::size_t i = 0; i < vec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += cpp_double(vec[i]);
-  }
-  return out + "})";
-}
-
-/// Builtins whose translation is rt::map1<rt::f_NAME>(arg).
-const std::set<std::string>& unary_math() {
-  static const std::set<std::string> set = {
-      "sin",  "cos",  "tan",   "asin",  "acos",  "atan", "sinh", "cosh",
-      "tanh", "exp",  "cbrt",  "abs",   "floor", "ceil", "round",
-      "trunc", "frac", "sign", "deg",   "rad",   "ln",   "log10", "log2",
-      "sqrt"};
-  return set;
-}
-
-/// Builtins translated as rt::b_NAME(arg, ...) with fixed arity.
-const std::set<std::string>& fixed_builtins() {
-  static const std::set<std::string> set = {
-      "pow",    "hypot",  "atan2", "clamp", "fact", "ncr",   "zeros",
-      "ones",   "append", "concat", "slice", "reverse", "sort", "set",
-      "get",    "len",    "sum",   "prod",  "mean", "stddev", "minv",
-      "maxv",   "dot",    "norm",  "str"};
-  return set;
-}
-
-class Emitter {
- public:
-  explicit Emitter(const graph::Task& task) : task_(task) {}
-
-  [[nodiscard]] bool uses_rng() const noexcept { return uses_rng_; }
-
-  std::string expr(const Expr& e) {
-    return std::visit(
-        [&](const auto& node) -> std::string {
-          using T = std::decay_t<decltype(node)>;
-          if constexpr (std::is_same_v<T, pits::NumberLit>) {
-            return "rt::num(" + cpp_double(node.value) + ")";
-          } else if constexpr (std::is_same_v<T, pits::StringLit>) {
-            return "rt::strv(" + cpp_string_literal(node.value) + ")";
-          } else if constexpr (std::is_same_v<T, pits::VarRef>) {
-            if (declared_.contains(node.name)) return mangle(node.name);
-            if (auto c = pits::constants().find(node.name);
-                c != pits::constants().end()) {
-              return "rt::num(" + cpp_double(c->second) + ")";
-            }
-            fail(ErrorCode::Name,
-                 "task `" + task_.name + "` reads undefined variable `" +
-                     node.name + "`");
-          } else if constexpr (std::is_same_v<T, pits::VectorLit>) {
-            std::string out = "rt::make_vec({";
-            for (std::size_t i = 0; i < node.elements.size(); ++i) {
-              if (i > 0) out += ", ";
-              out += expr(*node.elements[i]);
-            }
-            return out + "})";
-          } else if constexpr (std::is_same_v<T, pits::Unary>) {
-            if (node.op == pits::UnOp::Not) {
-              return "rt::num(rt::truthy(" + expr(*node.operand) +
-                     ") ? 0.0 : 1.0)";
-            }
-            return "rt::neg(" + expr(*node.operand) + ")";
-          } else if constexpr (std::is_same_v<T, pits::Binary>) {
-            return binary(node);
-          } else if constexpr (std::is_same_v<T, pits::Index>) {
-            return "rt::idx(" + expr(*node.base) + ", " + expr(*node.index) +
-                   ")";
-          } else if constexpr (std::is_same_v<T, pits::Call>) {
-            return call(node);
-          }
-        },
-        e.node);
-  }
-
-  std::string binary(const pits::Binary& node) {
-    const std::string a = expr(*node.lhs);
-    const std::string b_src = expr(*node.rhs);
-    using pits::BinOp;
-    switch (node.op) {
-      case BinOp::Add: return "rt::add(" + a + ", " + b_src + ")";
-      case BinOp::Sub: return "rt::sub(" + a + ", " + b_src + ")";
-      case BinOp::Mul: return "rt::mul(" + a + ", " + b_src + ")";
-      case BinOp::Div: return "rt::divi(" + a + ", " + b_src + ")";
-      case BinOp::Mod: return "rt::mod_(" + a + ", " + b_src + ")";
-      case BinOp::Pow: return "rt::pow_(" + a + ", " + b_src + ")";
-      case BinOp::Eq:
-        return "rt::num(rt::val_eq(" + a + ", " + b_src + ") ? 1.0 : 0.0)";
-      case BinOp::Ne:
-        return "rt::num(rt::val_eq(" + a + ", " + b_src + ") ? 0.0 : 1.0)";
-      case BinOp::Lt:
-        return "rt::num(rt::ord(" + a + ", " + b_src + ") < 0 ? 1.0 : 0.0)";
-      case BinOp::Le:
-        return "rt::num(rt::ord(" + a + ", " + b_src + ") <= 0 ? 1.0 : 0.0)";
-      case BinOp::Gt:
-        return "rt::num(rt::ord(" + a + ", " + b_src + ") > 0 ? 1.0 : 0.0)";
-      case BinOp::Ge:
-        return "rt::num(rt::ord(" + a + ", " + b_src + ") >= 0 ? 1.0 : 0.0)";
-      case BinOp::And:
-        return "rt::num(rt::truthy(" + a + ") ? (rt::truthy(" + b_src +
-               ") ? 1.0 : 0.0) : 0.0)";
-      case BinOp::Or:
-        return "rt::num(rt::truthy(" + a + ") ? 1.0 : (rt::truthy(" + b_src +
-               ") ? 1.0 : 0.0))";
-    }
-    fail(ErrorCode::Generic, "unhandled binary operator");
-  }
-
-  std::string call(const pits::Call& node) {
-    std::vector<std::string> args;
-    args.reserve(node.args.size());
-    for (const auto& a : node.args) args.push_back(expr(*a));
-
-    if (node.callee == "when") {
-      if (args.size() != 3) {
-        fail(ErrorCode::Type, "when() expects (condition, then, else)");
-      }
-      // Lazy branches, like the interpreter.
-      return "(rt::truthy(" + args[0] + ") ? (" + args[1] + ") : (" +
-             args[2] + "))";
-    }
-    if (formulas_.contains(node.callee)) {
-      std::string out = "fx_" + node.callee + "(";
-      for (std::size_t i = 0; i < args.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += args[i];
-      }
-      return out + ")";
-    }
-
-    auto variadic = [&](const std::string& fn) {
-      std::string out = "rt::" + fn + "({";
-      for (std::size_t i = 0; i < args.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += args[i];
-      }
-      return out + "})";
-    };
-
-    if (unary_math().contains(node.callee) && args.size() == 1) {
-      return "rt::map1<rt::f_" + node.callee + ">(" + args[0] + ")";
-    }
-    if (fixed_builtins().contains(node.callee)) {
-      std::string out = "rt::b_" + node.callee + "(";
-      for (std::size_t i = 0; i < args.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += args[i];
-      }
-      return out + ")";
-    }
-    if (node.callee == "min") return variadic("b_min");
-    if (node.callee == "max") return variadic("b_max");
-    if (node.callee == "range") return variadic("b_range");
-    if (node.callee == "print") return variadic("b_print");
-    if (node.callee == "rand") {
-      uses_rng_ = true;
-      return "rt::b_rand(rng)";
-    }
-    fail(ErrorCode::Name, "task `" + task_.name +
-                              "` calls `" + node.callee +
-                              "`, which has no C++ mapping");
-  }
-
-  void stmt(const Stmt& s, int indent, std::string& out) {
-    const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-    std::visit(
-        [&](const auto& node) {
-          using T = std::decay_t<decltype(node)>;
-          if constexpr (std::is_same_v<T, pits::AssignStmt>) {
-            declared_.insert(node.target);
-            if (node.index) {
-              out += pad + "rt::set_idx(" + mangle(node.target) + ", " +
-                     expr(*node.index) + ", " + expr(*node.value) + ");\n";
-            } else {
-              out += pad + mangle(node.target) + " = " + expr(*node.value) +
-                     ";\n";
-            }
-          } else if constexpr (std::is_same_v<T, pits::IfStmt>) {
-            for (std::size_t i = 0; i < node.arms.size(); ++i) {
-              out += pad + (i == 0 ? "if" : "} else if");
-              out += " (rt::truthy(" + expr(*node.arms[i].cond) + ")) {\n";
-              block(node.arms[i].body, indent + 1, out);
-            }
-            if (!node.else_body.empty()) {
-              out += pad + "} else {\n";
-              block(node.else_body, indent + 1, out);
-            }
-            out += pad + "}\n";
-          } else if constexpr (std::is_same_v<T, pits::WhileStmt>) {
-            out += pad + "while (rt::truthy(" + expr(*node.cond) + ")) {\n";
-            block(node.body, indent + 1, out);
-            out += pad + "}\n";
-          } else if constexpr (std::is_same_v<T, pits::RepeatStmt>) {
-            const std::string counter = "rep" + std::to_string(temp_++);
-            out += pad + "for (double " + counter + " = rt::scal(" +
-                   expr(*node.count) + "); " + counter + " > 0; --" +
-                   counter + ") {\n";
-            block(node.body, indent + 1, out);
-            out += pad + "}\n";
-          } else if constexpr (std::is_same_v<T, pits::ForStmt>) {
-            declared_.insert(node.var);
-            const std::string limit = "lim" + std::to_string(temp_++);
-            const std::string step = "stp" + std::to_string(temp_++);
-            const std::string iter = "it" + std::to_string(temp_++);
-            out += pad + "{ const double " + limit + " = rt::scal(" +
-                   expr(*node.to) + ");\n";
-            out += pad + "  const double " + step + " = " +
-                   (node.step ? "rt::scal(" + expr(*node.step) + ")"
-                              : std::string("1.0")) +
-                   ";\n";
-            out += pad + "  if (" + step + " == 0) rt::die(\"for loop with zero step\");\n";
-            out += pad + "  for (double " + iter + " = rt::scal(" +
-                   expr(*node.from) + "); " + step + " > 0 ? (" + iter +
-                   " <= " + limit + " + 1e-12) : (" + iter + " >= " + limit +
-                   " - 1e-12); " + iter + " += " + step + ") {\n";
-            out += pad + "    " + mangle(node.var) + " = rt::num(" + iter +
-                   ");\n";
-            block(node.body, indent + 2, out);
-            out += pad + "  }\n" + pad + "}\n";
-          } else if constexpr (std::is_same_v<T, pits::ReturnStmt>) {
-            out += pad + "return;\n";
-          } else if constexpr (std::is_same_v<T, pits::FormulaDef>) {
-            formulas_.insert(node.name);
-            // Recursive formulas need a named object, so bind through a
-            // std::function declared before its own body.
-            std::string sig = "rt::Val(";
-            std::string params;
-            for (std::size_t i = 0; i < node.params.size(); ++i) {
-              if (i > 0) {
-                sig += ", ";
-                params += ", ";
-              }
-              sig += "rt::Val";
-              params += "rt::Val " + mangle(node.params[i]);
-            }
-            sig += ")";
-            out += pad + "std::function<" + sig + "> fx_" + node.name +
-                   ";\n";
-            // The body sees only the parameters (and constants).
-            const std::set<std::string> saved = declared_;
-            declared_.clear();
-            for (const auto& param : node.params) declared_.insert(param);
-            const std::string body = expr(*node.body);
-            declared_ = saved;
-            out += pad + "fx_" + node.name + " = [&](" + params +
-                   ") -> rt::Val { return " + body + "; };\n";
-          } else if constexpr (std::is_same_v<T, pits::ExprStmt>) {
-            out += pad + "(void)" + expr(*node.expr) + ";\n";
-          }
-        },
-        s.node);
-  }
-
-  void block(const Block& body, int indent, std::string& out) {
-    for (const auto& s : body) stmt(*s, indent, out);
-  }
-
-  void declare(const std::string& name) { declared_.insert(name); }
-
- private:
-  const graph::Task& task_;
-  std::set<std::string> declared_;
-  std::set<std::string> formulas_;
-  bool uses_rng_ = false;
-  int temp_ = 0;
-};
 
 }  // namespace
 
-std::string generate_cpp(const graph::FlattenResult& flat,
+std::string generate_cpp(const graph::Design& design,
+                         const graph::TaskGraph& graph,
+                         const machine::Machine& machine,
                          const sched::Schedule& schedule,
-                         const std::map<std::string, pits::Value>& inputs,
-                         const CodegenOptions& options) {
-  const graph::TaskGraph& g = flat.graph;
-  std::ostringstream out;
-  out << "// " << options.banner << "\n";
-  out << "// tasks: " << g.num_tasks() << ", processors: "
-      << schedule.num_procs() << ", scheduler: " << schedule.scheduler_name()
-      << "\n";
-  out << runtime_preamble();
-
-  // ---- mailbox globals ----
-  out << "\nstatic const int N_TASKS = " << g.num_tasks() << ";\n";
-  out << R"(static std::mutex g_m;
-static std::condition_variable g_cv;
-static std::vector<int> g_done(static_cast<size_t>(N_TASKS), 0);
-static std::vector<std::map<std::string, rt::Val>> g_out(static_cast<size_t>(N_TASKS));
-
-static rt::Val fetch(int task, const char* var) {
-  std::unique_lock<std::mutex> lock(g_m);
-  g_cv.wait(lock, [&] { return g_done[static_cast<size_t>(task)] != 0; });
-  auto it = g_out[static_cast<size_t>(task)].find(var);
-  if (it == g_out[static_cast<size_t>(task)].end())
-    rt::die(std::string("task produced no variable ") + var);
-  return it->second;
-}
-
-static void publish(int task, std::map<std::string, rt::Val> outs) {
-  std::lock_guard<std::mutex> lock(g_m);
-  if (!g_done[static_cast<size_t>(task)]) {
-    g_out[static_cast<size_t>(task)] = std::move(outs);
-    g_done[static_cast<size_t>(task)] = 1;
+                         const std::map<std::string, pits::Value>& inputs) {
+  std::string out =
+      "// Written by `banger codegen`: a scheduled design as data. main()\n"
+      "// hands the design, machine, schedule and inputs below to banger's\n"
+      "// engine, which runs them as `banger run` would and prints what it\n"
+      "// prints. Build it as a CMake target linked to banger_cli.\n"
+      "#include <iostream>\n"
+      "#include <limits>\n"
+      "#include <map>\n"
+      "#include <string>\n"
+      "#include <string_view>\n"
+      "\n"
+      "#include \"cli/program.hpp\"\n"
+      "\n"
+      "using namespace std::literals;\n"
+      "\n"
+      "namespace {\n\n";
+  out += "constexpr std::string_view kDesign = " +
+         view_literal(graph::to_pitl(design), "pitl") + ";\n\n";
+  out += "constexpr std::string_view kMachine = " +
+         view_literal(machine::to_text(machine), "machine") + ";\n\n";
+  out += "constexpr std::string_view kSchedule = " +
+         view_literal(sched::to_text(schedule, graph), "sched") + ";\n\n";
+  out +=
+      "}  // namespace\n"
+      "\n"
+      "int main() {\n"
+      "  std::ios::sync_with_stdio(false);\n"
+      "  using banger::pits::Value;\n"
+      "  using banger::pits::Vector;\n"
+      "  const std::map<std::string, Value> inputs = {\n";
+  for (const auto& [name, value] : inputs) {
+    out += "      {";
+    out += util::is_identifier(name)
+               ? '"' + name + '"'
+               : "std::string(" + view_literal(name, "in") + ")";
+    out += ", " + value_literal(value) + "},\n";
   }
-  g_cv.notify_all();
-}
-)";
-
-  // ---- per-task functions ----
-  for (TaskId t = 0; t < g.num_tasks(); ++t) {
-    const graph::Task& task = g.task(t);
-    Block body;
-    if (!util::trim(task.pits).empty()) {
-      body = pits::parse_block(task.pits);
-    } else if (!task.outputs.empty()) {
-      fail(ErrorCode::Generic, "task `" + task.name +
-                                   "` declares outputs but has no routine");
-    }
-
-    Emitter emitter(task);
-    out << "\n// task " << t << ": " << task.name << "\n";
-    out << "static void task_" << t << "() {\n";
-
-    // Bind inputs: labelled edge, then any producing predecessor, then an
-    // external input store (baked in).
-    for (const std::string& var : task.inputs) {
-      std::string source;
-      for (graph::EdgeId e : g.in_edges(t)) {
-        const graph::Edge& edge = g.edge(e);
-        bool carries = false;
-        for (auto part : util::split(edge.var, ','))
-          if (util::trim(part) == var) carries = true;
-        const auto& outputs = g.task(edge.from).outputs;
-        const bool produces = std::find(outputs.begin(), outputs.end(),
-                                        var) != outputs.end();
-        if (carries && produces) {
-          source = "fetch(" + std::to_string(edge.from) + ", \"" + var + "\")";
-          break;
-        }
-        if (produces && source.empty()) {
-          source = "fetch(" + std::to_string(edge.from) + ", \"" + var + "\")";
-        }
-      }
-      if (source.empty()) {
-        const graph::FlatStore* store = flat.find_store(var);
-        if (store != nullptr && store->writers.empty()) {
-          auto it = inputs.find(store->var);
-          if (it == inputs.end()) {
-            fail(ErrorCode::Generic, "no value supplied for input store `" +
-                                         store->var + "`");
-          }
-          source = emit_value(it->second);
-        }
-      }
-      if (source.empty()) {
-        fail(ErrorCode::Generic, "input `" + var + "` of task `" + task.name +
-                                     "` is bound to nothing");
-      }
-      out << "  rt::Val " << mangle(var) << " = " << source << ";\n";
-      emitter.declare(var);
-    }
-
-    // Declare assigned locals (excluding the already-declared inputs).
-    for (const std::string& name : pits::assigned_variables(body)) {
-      if (std::find(task.inputs.begin(), task.inputs.end(), name) ==
-          task.inputs.end()) {
-        out << "  rt::Val " << mangle(name) << ";\n";
-        emitter.declare(name);
-      }
-    }
-
-    std::string body_src;
-    emitter.block(body, 2, body_src);
-    if (emitter.uses_rng()) {
-      out << "  rt::Rng rng(" << seed_for(task.name, 42) << "ull);\n";
-    }
-    if (options.emit_timing) {
-      out << "  const auto t0 = std::chrono::steady_clock::now();\n";
-    }
-    out << "  [&] {\n" << body_src << "  }();\n";
-    if (options.emit_timing) {
-      out << "  { std::lock_guard<std::mutex> lock(rt::io_mutex());\n"
-          << "    std::fprintf(stderr, \"task " << task.name
-          << ": %.6fs\\n\", std::chrono::duration<double>("
-          << "std::chrono::steady_clock::now() - t0).count()); }\n";
-    }
-
-    out << "  publish(" << t << ", {";
-    for (std::size_t i = 0; i < task.outputs.size(); ++i) {
-      if (i > 0) out << ", ";
-      out << "{\"" << task.outputs[i] << "\", " << mangle(task.outputs[i])
-          << "}";
-    }
-    out << "});\n";
-    out << "}\n";
-  }
-
-  // ---- processor lanes ----
-  std::vector<machine::ProcId> used;
-  for (machine::ProcId p = 0; p < schedule.num_procs(); ++p) {
-    const auto lane = schedule.lane(p);
-    if (lane.empty()) continue;
-    used.push_back(p);
-    out << "\nstatic void proc_" << p << "() {\n";
-    for (const sched::Placement& pl : lane) {
-      out << "  task_" << pl.task << "();"
-          << (pl.duplicate ? "  // duplicate copy" : "") << "\n";
-    }
-    out << "}\n";
-  }
-
-  // ---- main ----
-  out << "\nint main() {\n";
-  out << "  std::vector<std::thread> threads;\n";
-  for (machine::ProcId p : used) {
-    out << "  threads.emplace_back(proc_" << p << ");\n";
-  }
-  out << "  for (auto& t : threads) t.join();\n";
-  for (std::size_t si : flat.output_stores()) {
-    const graph::FlatStore& store = flat.stores[si];
-    if (store.writers.empty()) continue;
-    const TaskId writer = store.writers.back();
-    out << "  std::printf(\"" << store.var << " = %s\\n\", rt::display(g_out["
-        << writer << "][\"" << store.var << "\"]).c_str());\n";
-  }
-  out << "  return 0;\n}\n";
-
-  if (options.emit_timing) {
-    // <chrono> is needed only for timing.
-    std::string text = out.str();
-    const std::string anchor = "#include <cmath>";
-    text.insert(text.find(anchor), "#include <chrono>\n");
-    return text;
-  }
-  return out.str();
+  out +=
+      "  };\n"
+      "  return banger::cli::run_program(kDesign, kMachine, kSchedule, inputs,\n"
+      "                                  std::cout, std::cerr);\n"
+      "}\n";
+  return out;
 }
 
 }  // namespace banger::codegen

@@ -2,38 +2,35 @@
 //
 // The program generator the paper promised ("code generators will
 // provide a final step in producing a production-level parallel
-// program"): emits a single self-contained C++17 source file that runs a
-// scheduled PITL/PITS program with one std::thread per processor, tasks
-// in schedule lane order, and values flowing through a mailbox. PITS
-// routines are *translated* to C++ (not interpreted): each task becomes
-// a function over a small embedded Val runtime.
+// program"). A generated program is the scheduled design as data: the
+// design's `.pitl` text, the machine's `.machine` text, the schedule's
+// `.sched` text and the input values, each held exactly, plus a main()
+// that hands them to cli::run_program. banger's own engine then parses
+// them back, validates the schedule, runs it as `banger run` does and
+// prints what `banger run` prints, errors and exit status included.
 //
-// The generated program prints every output store as `name = value` and
-// exits 0; input-store values are baked in at generation time.
+// The file builds as a CMake target linked to banger_cli (docs/cli.md).
 #pragma once
 
 #include <map>
 #include <string>
 
 #include "graph/design.hpp"
+#include "machine/machine.hpp"
 #include "pits/value.hpp"
 #include "sched/schedule.hpp"
 
 namespace banger::codegen {
 
-struct CodegenOptions {
-  /// Print per-task wall timings to stderr.
-  bool emit_timing = false;
-  /// Banner comment at the top of the file.
-  std::string banner = "generated by banger-codegen";
-};
-
-/// Generates the program text. Throws Error{Parse} if some task's PITS
-/// fails to parse and Error{Generic} for PITS constructs with no C++
-/// mapping (there are none today; the hook is for forward compatibility).
-std::string generate_cpp(const graph::FlattenResult& flat,
+/// Writes the program that runs `schedule` of `design` on `machine`
+/// with `inputs`. `graph` is the design's flattening, the graph the
+/// schedule was made for; it names the schedule's tasks. Missing or
+/// unused inputs are the run's business, reported as `banger run`
+/// reports them.
+std::string generate_cpp(const graph::Design& design,
+                         const graph::TaskGraph& graph,
+                         const machine::Machine& machine,
                          const sched::Schedule& schedule,
-                         const std::map<std::string, pits::Value>& inputs,
-                         const CodegenOptions& options = {});
+                         const std::map<std::string, pits::Value>& inputs);
 
 }  // namespace banger::codegen

@@ -91,7 +91,7 @@ std::string render_html_report(const Project& project,
   const auto& schedule = project.schedule(options.scheduler);
   const auto metrics = project.metrics(options.scheduler);
   const auto summary = project.summary();
-  const auto issues = lint_design(project.design());
+  const auto issues = lint_design(project.flattened());
   const auto curve = project.speedup(options.speedup_sizes, options.scheduler);
 
   std::ostringstream html;

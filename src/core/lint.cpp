@@ -17,7 +17,7 @@ std::string LintIssue::to_string() const {
          ": " + subject_kind + " `" + subject + "`: " + message;
 }
 
-std::vector<LintIssue> lint_design(const graph::Design& design,
+std::vector<LintIssue> lint_design(const graph::FlattenResult& flat,
                                    const LintOptions& options) {
   analyze::AnalyzeOptions opts;
   opts.interface_rules = true;
@@ -26,7 +26,7 @@ std::vector<LintIssue> lint_design(const graph::Design& design,
   opts.require_pits = options.require_pits;
   opts.work_estimate_factor = options.work_estimate_factor;
 
-  auto diagnostics = analyze::analyze_design(design, opts);
+  auto diagnostics = analyze::analyze_design(flat, opts);
   std::vector<LintIssue> issues;
   issues.reserve(diagnostics.size());
   for (auto& d : diagnostics) {

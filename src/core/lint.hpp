@@ -41,13 +41,14 @@ struct LintOptions {
 };
 
 /// Runs the interface-layer checks (BAN001-BAN010 in the analysis
-/// engine) over a validated design. Returns issues in a fully
+/// engine) over a design's flattening (what Design::validate() returned,
+/// as Project::flattened() holds it). Returns issues in a fully
 /// deterministic order — severity (errors first), subject kind, subject,
 /// source position, rule code, message — with exact duplicates removed.
 /// This is a compatibility wrapper over analyze::analyze_design; new
 /// callers should use the engine directly for positions, hints, and the
 /// dataflow/determinacy layers.
-std::vector<LintIssue> lint_design(const graph::Design& design,
+std::vector<LintIssue> lint_design(const graph::FlattenResult& flat,
                                    const LintOptions& options = {});
 
 /// True if any issue is an Error.

@@ -1,5 +1,6 @@
 #include "core/project.hpp"
 
+#include "codegen/codegen.hpp"
 #include "graph/analysis.hpp"
 #include "graph/serialize.hpp"
 #include "util/error.hpp"
@@ -122,9 +123,9 @@ exec::StreamResult Project::run_stream(
 
 std::string Project::generate_code(
     const std::map<std::string, pits::Value>& inputs,
-    const std::string& heuristic,
-    const codegen::CodegenOptions& options) const {
-  return codegen::generate_cpp(flat_, schedule(heuristic), inputs, options);
+    const std::string& heuristic) const {
+  return codegen::generate_cpp(design_, flat_.graph, machine(),
+                               schedule(heuristic), inputs);
 }
 
 Project::DesignSummary Project::summary() const {

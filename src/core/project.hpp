@@ -15,7 +15,6 @@
 #include <optional>
 #include <string>
 
-#include "codegen/codegen.hpp"
 #include "exec/executor.hpp"
 #include "exec/stream.hpp"
 #include "graph/design.hpp"
@@ -99,11 +98,11 @@ class Project {
       const std::string& heuristic = "mh",
       const exec::StreamOptions& options = {}) const;
 
-  /// Step 4d: emit the standalone C++ program.
+  /// Step 4d: emit the C++ program that runs this design, scheduled by
+  /// `heuristic`, with `inputs` on banger's engine (codegen/codegen.hpp).
   [[nodiscard]] std::string generate_code(
       const std::map<std::string, pits::Value>& inputs,
-      const std::string& heuristic = "mh",
-      const codegen::CodegenOptions& options = {}) const;
+      const std::string& heuristic = "mh") const;
 
   /// Quick design diagnostics shown by the environment: leaf tasks,
   /// hierarchy depth, critical path, average parallelism.

@@ -43,7 +43,8 @@ using ExternalInputs = std::map<std::string, pits::Value>;
 
 /// Stable per-task seed so duplicate copies (and re-runs) agree. The
 /// seed basis is historical (a truncated FNV offset basis) and must
-/// stay verbatim: generated programs embed these values.
+/// stay verbatim: every rand() stream, and so every result that draws
+/// from one, follows from it.
 inline std::uint64_t seed_for(const std::string& task_name,
                               std::uint64_t base) {
   return util::fnv1a64(task_name, 1469598103934665603ull ^ base);

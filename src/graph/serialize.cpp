@@ -301,21 +301,30 @@ std::string to_pitl(const Design& design) {
     for (const Node& n : g.nodes()) {
       switch (n.kind) {
         case NodeKind::Task:
-          out << "  task " << n.name << " work=" << util::format_double(n.work, 12);
+          out << "  task " << n.name
+              << " work=" << util::format_double_exact(n.work);
           emit_vars("in", n.inputs);
           emit_vars("out", n.outputs);
           out << "\n";
           if (!n.pits.empty()) {
             out << "  pits {\n";
+            // Blank lines before a statement stay, so every position in
+            // the routine reads back the same.
+            std::size_t blanks = 0;
             for (auto line : split(n.pits, '\n')) {
-              if (!trim(line).empty()) out << "    " << line << "\n";
+              if (trim(line).empty()) {
+                ++blanks;
+                continue;
+              }
+              for (; blanks > 0; --blanks) out << '\n';
+              out << "    " << line << "\n";
             }
             out << "  }\n";
           }
           break;
         case NodeKind::Storage:
           out << "  store " << n.name
-              << " bytes=" << util::format_double(n.bytes, 12) << "\n";
+              << " bytes=" << util::format_double_exact(n.bytes) << "\n";
           break;
         case NodeKind::Super:
           out << "  super " << n.name << " graph="
@@ -329,7 +338,7 @@ std::string to_pitl(const Design& design) {
     for (const Arc& a : g.arcs()) {
       out << "  arc " << g.node(a.from).name << " -> " << g.node(a.to).name;
       if (!a.var.empty()) out << " var=" << a.var;
-      out << " bytes=" << util::format_double(a.bytes, 12) << "\n";
+      out << " bytes=" << util::format_double_exact(a.bytes) << "\n";
     }
   }
   return out.str();

@@ -34,7 +34,9 @@ Design parse_design(std::string_view text);
 Design load_design(const std::string& path);
 
 /// Renders a design back to `.pitl` text. parse_design(to_pitl(d)) is an
-/// identity up to node/arc ordering (ordering is preserved as built).
+/// identity up to node/arc ordering (ordering is preserved as built):
+/// numbers read back bit for bit, and every routine line keeps its line
+/// number (only blank lines after the last statement are dropped).
 std::string to_pitl(const Design& design);
 
 /// Writes to_pitl() output to a file; throws Error{Io} on failure.

@@ -251,19 +251,19 @@ std::string to_text(const Machine& machine) {
   out << "\n";
 
   const MachineParams& p = machine.params();
-  out << "speed " << util::format_double(p.processor_speed, 12) << "\n";
-  out << "process_startup " << util::format_double(p.process_startup, 12)
+  out << "speed " << util::format_double_exact(p.processor_speed) << "\n";
+  out << "process_startup " << util::format_double_exact(p.process_startup)
       << "\n";
-  out << "message_startup " << util::format_double(p.message_startup, 12)
+  out << "message_startup " << util::format_double_exact(p.message_startup)
       << "\n";
-  out << "bandwidth " << util::format_double(p.bytes_per_second, 12) << "\n";
-  out << "per_hop_latency " << util::format_double(p.per_hop_latency, 12)
+  out << "bandwidth " << util::format_double_exact(p.bytes_per_second) << "\n";
+  out << "per_hop_latency " << util::format_double_exact(p.per_hop_latency)
       << "\n";
   out << "routing " << to_string(p.routing) << "\n";
   for (ProcId q = 0; q < machine.num_procs(); ++q) {
     if (machine.speed_factor(q) != 1.0) {
       out << "speed_factor " << q << ' '
-          << util::format_double(machine.speed_factor(q), 12) << "\n";
+          << util::format_double_exact(machine.speed_factor(q)) << "\n";
     }
   }
   return out.str();

@@ -44,8 +44,8 @@ struct AnalysisFacts;
 /// An immutable, shareable parsed routine. The first execution (or an
 /// explicit precompile()) lowers the AST to register bytecode once; the
 /// compiled form is cached behind a thread-safe once-init and shared by
-/// all copies of the Program, so the calculator panel and the codegen
-/// reference path reuse one compilation. A Program keeps its own text
+/// all copies of the Program, so the executor's workers and the
+/// calculator panel reuse one compilation. A Program keeps its own text
 /// and binds the chunk to it, so errors and transcripts carry its names
 /// and positions.
 class Program {

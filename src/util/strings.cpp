@@ -112,6 +112,15 @@ std::string format_double(double v, int max_digits) {
   return out;
 }
 
+std::string format_double_exact(double v) {
+  std::string out = format_double(v, 12);
+  double back = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(out.data(), out.data() + out.size(), back);
+  if (ec == std::errc{} && back == v) return out;
+  return format_double(v, 17);
+}
+
 std::string pad_left(std::string_view s, std::size_t width) {
   std::string out;
   if (s.size() < width) out.assign(width - s.size(), ' ');

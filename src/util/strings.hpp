@@ -60,6 +60,12 @@ std::string format_double(double v, int max_digits = 6);
 /// renderers' per-element path.
 void append_double(std::string& out, double v, int max_digits = 6);
 
+/// format_double(v, 12) when that text reads back as exactly `v`, and
+/// the 17 digits that always do otherwise: what the `.pitl` and
+/// `.machine` writers print, so a file reads back bit for bit and the
+/// numbers people type still print as typed.
+std::string format_double_exact(double v);
+
 /// Left/right pads `s` with spaces to at least `width` columns.
 std::string pad_left(std::string_view s, std::size_t width);
 std::string pad_right(std::string_view s, std::size_t width);

@@ -589,11 +589,12 @@ TEST(LintWrapper, MatchesInterfaceLayerAndStaysDeterministic) {
       "  store r\n  arc t -> r var=r\n";
   for (const std::string& pitl : {small, std::string(kManyFindings)}) {
     const auto design = graph::parse_design(pitl);
-    const auto issues1 = lint_design(design);
+    const auto flat = design.flatten();
+    const auto issues1 = lint_design(flat);
     std::vector<LintIssue> issues2;
     {
       const tests::ScopedEnv one_worker("BANGER_JOBS", "1");
-      issues2 = lint_design(design);
+      issues2 = lint_design(flat);
     }
     ASSERT_EQ(issues1.size(), issues2.size());
     for (std::size_t i = 0; i < issues1.size(); ++i) {

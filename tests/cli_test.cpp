@@ -490,7 +490,8 @@ TEST_F(CliFiles, Codegen) {
                          "A=[4,3,2,8,8,5,4,7,9]", "--input", "b=[16,39,45]"});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("int main()"), std::string::npos);
-  EXPECT_NE(r.out.find("task_0"), std::string::npos);
+  EXPECT_NE(r.out.find("design lu3x3\n"), std::string::npos);
+  EXPECT_NE(r.out.find("banger::cli::run_program("), std::string::npos);
 }
 
 TEST_F(CliFiles, ScheduleTraceFormat) {

@@ -100,7 +100,8 @@ TEST(Project, GenerateCodeContainsProgram) {
   project.set_machine(cube(2));
   const std::string src = project.generate_code(lu_inputs());
   EXPECT_NE(src.find("int main()"), std::string::npos);
-  EXPECT_NE(src.find("task_0"), std::string::npos);
+  EXPECT_NE(src.find(graph::to_pitl(project.design())), std::string::npos);
+  EXPECT_NE(src.find("banger::cli::run_program("), std::string::npos);
 }
 
 TEST(Project, LoadFromPitlFile) {

@@ -40,17 +40,18 @@ bool mentions(const std::vector<LintIssue>& issues, const std::string& text) {
 }
 
 TEST(Lint, CleanDesignsPass) {
-  EXPECT_TRUE(lint_design(workloads::lu3x3_design()).empty());
-  EXPECT_TRUE(lint_design(workloads::montecarlo_design(3, 10)).empty());
-  EXPECT_TRUE(lint_design(workloads::signal_pipeline_design(2)).empty());
-  EXPECT_TRUE(lint_design(workloads::polyeval_design(2)).empty());
+  for (const Design& d :
+       {workloads::lu3x3_design(), workloads::montecarlo_design(3, 10),
+        workloads::signal_pipeline_design(2), workloads::polyeval_design(2)}) {
+    EXPECT_TRUE(lint_design(d.flatten()).empty()) << d.name();
+  }
 }
 
 TEST(Lint, UndeclaredReadIsError) {
   Design d("bad");
   d.root_graph().add_node(
       task_node("t", {}, {"r"}, "r := mystery + 1\n"));
-  const auto issues = lint_design(d);
+  const auto issues = lint_design(d.flatten());
   EXPECT_TRUE(has_errors(issues));
   EXPECT_TRUE(mentions(issues, "reads `mystery`"));
 }
@@ -63,7 +64,7 @@ TEST(Lint, UnusedInputIsWarning) {
   g.add_node(task_node("t", {"a", "b"}, {"r"}, "r := a\n"));
   g.connect("a", "t", "a");
   g.connect("b", "t", "b");
-  const auto issues = lint_design(d);
+  const auto issues = lint_design(d.flatten());
   EXPECT_FALSE(has_errors(issues));
   EXPECT_TRUE(mentions(issues, "input `b` is never read"));
 }
@@ -71,7 +72,7 @@ TEST(Lint, UnusedInputIsWarning) {
 TEST(Lint, UnassignedOutputIsError) {
   Design d("bad");
   d.root_graph().add_node(task_node("t", {}, {"r"}, "x := 1\n"));
-  const auto issues = lint_design(d);
+  const auto issues = lint_design(d.flatten());
   EXPECT_TRUE(has_errors(issues));
   EXPECT_TRUE(mentions(issues, "output `r` is never assigned"));
 }
@@ -79,7 +80,7 @@ TEST(Lint, UnassignedOutputIsError) {
 TEST(Lint, ParseFailureIsError) {
   Design d("bad");
   d.root_graph().add_node(task_node("t", {}, {"r"}, "r := := 1\n"));
-  const auto issues = lint_design(d);
+  const auto issues = lint_design(d.flatten());
   EXPECT_TRUE(has_errors(issues));
   EXPECT_TRUE(mentions(issues, "does not parse"));
 }
@@ -89,10 +90,10 @@ TEST(Lint, SkeletonTaskWarnsOnlyWhenAsked) {
   d.root_graph().add_node(task_node("todo", {}, {}, ""));
   LintOptions strict;
   strict.require_pits = true;
-  EXPECT_TRUE(mentions(lint_design(d, strict), "skeleton"));
+  EXPECT_TRUE(mentions(lint_design(d.flatten(), strict), "skeleton"));
   LintOptions lax;
   lax.require_pits = false;
-  EXPECT_FALSE(mentions(lint_design(d, lax), "skeleton"));
+  EXPECT_FALSE(mentions(lint_design(d.flatten(), lax), "skeleton"));
 }
 
 TEST(Lint, EmptyBodyWithOutputsIsErrorRegardless) {
@@ -100,7 +101,7 @@ TEST(Lint, EmptyBodyWithOutputsIsErrorRegardless) {
   d.root_graph().add_node(task_node("hollow", {}, {"r"}, ""));
   LintOptions lax;
   lax.require_pits = false;
-  EXPECT_TRUE(has_errors(lint_design(d, lax)));
+  EXPECT_TRUE(has_errors(lint_design(d.flatten(), lax)));
 }
 
 TEST(Lint, DeadStoreWarned) {
@@ -108,7 +109,7 @@ TEST(Lint, DeadStoreWarned) {
   auto& g = d.root_graph();
   g.add_node(store_node("orphan"));
   g.add_node(task_node("t", {}, {"r"}, "r := 1\n"));
-  const auto issues = lint_design(d);
+  const auto issues = lint_design(d.flatten());
   EXPECT_TRUE(mentions(issues, "dead store"));
 }
 
@@ -117,7 +118,7 @@ TEST(Lint, UnboundInputIsError) {
   auto& g = d.root_graph();
   // Input `a` has neither a producer edge nor an input store.
   g.add_node(task_node("t", {"a"}, {"r"}, "r := a\n"));
-  const auto issues = lint_design(d);
+  const auto issues = lint_design(d.flatten());
   EXPECT_TRUE(has_errors(issues));
   EXPECT_TRUE(mentions(issues, "bound to nothing"));
 }
@@ -129,7 +130,7 @@ TEST(Lint, UnobservableWorkWarned) {
   g.add_node(task_node("useful", {}, {"out"}, "out := 1\n"));
   g.add_node(task_node("wasted", {}, {}, "x := 1\n"));
   g.connect("useful", "out", "out");
-  const auto issues = lint_design(d);
+  const auto issues = lint_design(d.flatten());
   EXPECT_TRUE(mentions(issues, "`wasted`"));
   EXPECT_FALSE(mentions(issues, "`useful`:"));
 }
@@ -139,7 +140,7 @@ TEST(Lint, ErrorsSortBeforeWarnings) {
   auto& g = d.root_graph();
   g.add_node(store_node("dead1"));
   g.add_node(task_node("zz_bad", {}, {"r"}, "r := oops\n"));
-  const auto issues = lint_design(d);
+  const auto issues = lint_design(d.flatten());
   ASSERT_GE(issues.size(), 2u);
   EXPECT_EQ(issues.front().severity, LintSeverity::Error);
 }
@@ -152,9 +153,9 @@ TEST(Lint, WorkEstimateHeuristic) {
   g.add_node(std::move(t));
   LintOptions opts;
   opts.work_estimate_factor = 100.0;
-  EXPECT_TRUE(mentions(lint_design(d, opts), "work estimate"));
+  EXPECT_TRUE(mentions(lint_design(d.flatten(), opts), "work estimate"));
   opts.work_estimate_factor = 0.0;
-  EXPECT_FALSE(mentions(lint_design(d, opts), "work estimate"));
+  EXPECT_FALSE(mentions(lint_design(d.flatten(), opts), "work estimate"));
 }
 
 }  // namespace

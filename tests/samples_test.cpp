@@ -45,7 +45,7 @@ TEST_F(Samples, MixedMeshIsHeterogeneous) {
 TEST_F(Samples, SqrtFanoutValidatesAndLintsClean) {
   Project project = Project::load(dir_ + "/sqrt_fanout.pitl");
   EXPECT_EQ(project.summary().leaf_tasks, 6u);
-  EXPECT_TRUE(lint_design(project.design()).empty());
+  EXPECT_TRUE(lint_design(project.flattened()).empty());
 }
 
 TEST_F(Samples, SqrtFanoutRunsOnEveryMachine) {
@@ -119,7 +119,7 @@ graph stats
   arc finish -> summary var=summary bytes=16
 )";
   Project project(graph::parse_design(pitl));
-  EXPECT_TRUE(lint_design(project.design()).empty());
+  EXPECT_TRUE(lint_design(project.flattened()).empty());
   machine::MachineParams p;
   p.processor_speed = 1.0;
   p.message_startup = 0.1;

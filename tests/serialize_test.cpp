@@ -76,6 +76,45 @@ TEST(PitlParse, LuDesignRoundTrips) {
   EXPECT_EQ(graph::to_pitl(again), graph::to_pitl(design));
 }
 
+TEST(PitlParse, NumbersRoundTripBitForBit) {
+  // 1.0 / 3 needs 17 digits; 12 would read back as 0.33333333333300003.
+  graph::Design design("exact");
+  graph::Node task;
+  task.name = "t";
+  task.work = 1.0 / 3;
+  task.outputs = {"r"};
+  task.pits = "r := 1\n";
+  design.graph(design.root()).add_node(task);
+  graph::Node store;
+  store.kind = graph::NodeKind::Storage;
+  store.name = "r";
+  store.bytes = 0.1 + 0.2;
+  design.graph(design.root()).add_node(store);
+  design.graph(design.root()).connect("t", "r", "r", 2.0 / 3);
+
+  const auto again = graph::parse_design(graph::to_pitl(design));
+  const auto& g = again.graph(again.root());
+  EXPECT_EQ(g.node(0).work, 1.0 / 3);
+  EXPECT_EQ(g.node(1).bytes, 0.1 + 0.2);
+  EXPECT_EQ(g.arcs().at(0).bytes, 2.0 / 3);
+  // 17 digits only where 12 would not read back.
+  const std::string text = graph::to_pitl(design);
+  EXPECT_NE(text.find("work=0.33333333333333331 "), std::string::npos);
+  EXPECT_NE(text.find("bytes=0.30000000000000004\n"), std::string::npos);
+  EXPECT_NE(graph::to_pitl(graph::parse_design(kSample)).find("bytes=64\n"),
+            std::string::npos);
+}
+
+TEST(PitlParse, RoutineLinesKeepTheirNumbers) {
+  const std::string body = "\nx := a\n\n  \nr := x / (a - a)\n";
+  auto design = graph::parse_design(
+      "design d\ngraph d\n  task t in=a out=r\n  pits {\n" + body +
+      "  }\n");
+  const auto again = graph::parse_design(graph::to_pitl(design));
+  EXPECT_EQ(again.graph(again.root()).node(0).pits,
+            "\nx := a\n\n\nr := x / (a - a)\n");
+}
+
 TEST(PitlParse, ErrorsCarryLineNumbers) {
   try {
     (void)graph::parse_design("design d\ngraph g\n  bogus x\n");
@@ -161,6 +200,26 @@ TEST(MachineParse, RoundTrip) {
   EXPECT_EQ(again.num_procs(), m.num_procs());
   EXPECT_EQ(machine::to_text(again), machine::to_text(m));
   EXPECT_DOUBLE_EQ(again.comm_time(100, 0, 7), m.comm_time(100, 0, 7));
+}
+
+TEST(MachineParse, ParametersRoundTripBitForBit) {
+  machine::MachineParams p;
+  p.processor_speed = 1.0 / 3;
+  p.process_startup = 0.125;
+  p.message_startup = 0.1 + 0.2;  // 0.29999999999999999 at 12 digits
+  p.bytes_per_second = 1e6 / 7;
+  p.per_hop_latency = 2.0 / 3;
+  machine::Machine m(machine::Topology::ring(4), p);
+  m.set_speed_factor(1, 1.0 / 7);
+  const auto again = machine::parse_machine(machine::to_text(m));
+  EXPECT_EQ(again.params().processor_speed, p.processor_speed);
+  EXPECT_EQ(again.params().process_startup, p.process_startup);
+  EXPECT_EQ(again.params().message_startup, p.message_startup);
+  EXPECT_EQ(again.params().bytes_per_second, p.bytes_per_second);
+  EXPECT_EQ(again.params().per_hop_latency, p.per_hop_latency);
+  EXPECT_EQ(again.speed_factor(1), 1.0 / 7);
+  EXPECT_NE(machine::to_text(m).find("process_startup 0.125\n"),
+            std::string::npos);
 }
 
 TEST(MachineParse, MeshRoundTripsThroughCustomLinks) {
