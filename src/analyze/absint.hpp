@@ -9,13 +9,13 @@
 //
 // Two consumers share the engine:
 //
-//   diagnostics  run_absint_rules() proves BAN301-BAN305 facts about one
-//                routine (guaranteed division by zero, interval-proven
-//                out-of-bounds indices, dead branches, non-terminating
-//                loops, elementwise length mismatches) and returns a
-//                ShapeSummary used by run_shape_rules() to check
-//                producer/consumer shapes along the flattened task graph
-//                (BAN306);
+//   diagnostics  check_routine() runs it as the routine's one flow
+//                analysis: beside intervals it tracks folded constants,
+//                and at each site it proves can run it decides BAN101,
+//                BAN104 or BAN301, BAN105 or BAN302, BAN108 or BAN304,
+//                plus BAN303 and BAN305. Its ShapeSummary feeds
+//                run_shape_rules(), which checks producer/consumer
+//                shapes along the flattened task graph (BAN306);
 //   compilation  compute_facts() re-runs the engine context-free — every
 //                free variable may be unbound, so the proofs hold for
 //                any environment — and records per-AST-node facts the
@@ -181,13 +181,16 @@ struct ShapeSummary {
 /// Program::precompile() used by the executor and the calculator panel.
 void precompile_optimized(const pits::Program& program);
 
-/// Interval/shape diagnostics (BAN301-BAN305) over one routine, with
-/// declared inputs assumed bound. Appends to `sink` (and prunes BAN101
-/// reports the interpreter proves are false positives); returns the
-/// routine's shape summary for run_shape_rules().
-ShapeSummary run_absint_rules(const pits::Block& body,
-                              const RoutineContext& context,
-                              std::vector<Diagnostic>& sink);
+/// The PITS rules over one parsed routine, with declared inputs assumed
+/// bound: the syntactic rules (BAN102, BAN103, BAN106, BAN107, and
+/// formula bodies), then the engine in diagnostics mode for BAN101,
+/// BAN104, BAN105 and BAN108, and with `options.absint_rules` the proofs
+/// BAN301-BAN305. Appends to `sink`; returns the routine's shape summary
+/// for run_shape_rules().
+ShapeSummary check_routine(const pits::Block& body,
+                           const RoutineContext& context,
+                           const AnalyzeOptions& options,
+                           std::vector<Diagnostic>& sink);
 
 /// Graph-level shape propagation (BAN306): compares each flattened
 /// store's producer output shapes against its consumers' input demands.

@@ -46,14 +46,10 @@ void analyze_task(const graph::Task& task, const AnalyzeOptions& options,
   ctx.outputs = task.outputs;
   ctx.pits_line = task.pits_line;
   ctx.pits_indent = task.pits_indent;
-  analyze_routine(program->body(), ctx, found.routine);
-  if (options.absint_rules) {
-    // Runs after the dataflow pass on purpose: the interval engine
-    // both defers to its reports (BAN104/105/108 win over BAN30x at
-    // the same spot) and prunes BAN101s it proves false. Both look
-    // only at this task's diagnostics.
-    found.shape = run_absint_rules(program->body(), ctx, found.routine);
-  }
+  // One pass of the abstract interpreter; its summary feeds BAN306.
+  ShapeSummary shape = check_routine(program->body(), ctx, options,
+                                     found.routine);
+  if (options.absint_rules) found.shape = std::move(shape);
 }
 
 /// What the per-routine layers see of one task, as a key: its routine's

@@ -2,21 +2,24 @@
 //
 // The before-run static-analysis engine — the paper's "instant feedback
 // ... major contributor to early defect removal" grown from interface
-// lint into a real analyser. Three rule layers over a validated design:
+// lint into a real analyser. Rule layers over a validated design:
 //
 //   interface   (BAN001-BAN010): drawing-level checks — routine/port
 //               mismatches, unbound inputs, dead stores, unobservable
 //               work (the original `lint_design` rules, rewired);
-//   pits        (BAN101-BAN108): dataflow over each routine's AST —
-//               use-before-def, dead stores, unreachable code, constant
-//               folding (guaranteed div/mod-by-zero, out-of-range vector
-//               indices), unknown functions, arity mismatches, trivially
-//               non-terminating loops;
-//   absint      (BAN301-BAN306): abstract interpretation over each
-//               routine (analyze/absint.hpp) — interval-proven division
-//               by zero and out-of-bounds indices, dead branches,
-//               non-terminating loops, elementwise length mismatches,
-//               plus graph-level producer/consumer shape checking;
+//   pits        (BAN101-BAN108): over each routine's AST — syntactic
+//               rules (dead stores, code after `return`, unknown
+//               functions, arity mismatches) and value rules
+//               (use-before-def, constant-folded div/mod-by-zero and
+//               out-of-range vector indices, trivially non-terminating
+//               loops), which the abstract interpreter decides on the
+//               code it proves can run;
+//   absint      (BAN301-BAN306): the same abstract interpretation
+//               (analyze/absint.hpp) reports its own proofs too —
+//               interval-proven division by zero and out-of-bounds
+//               indices, dead branches, non-terminating loops,
+//               elementwise length mismatches — plus graph-level
+//               producer/consumer shape checking;
 //   determinacy (BAN201-BAN203): races over the flattened task graph —
 //               unordered writers to a store, readers unordered with
 //               writers (var-aliased stores), schedule-dependent output
@@ -39,10 +42,11 @@ struct AnalyzeOptions {
   /// Rule layers; `banger lint` runs interface only (compatibility),
   /// `banger check` runs everything.
   bool interface_rules = true;
+  /// BAN101-BAN108: the syntactic rules and the abstract interpreter's
+  /// value rules, one pass of the engine per routine.
   bool pits_rules = true;
-  /// Abstract-interpretation layer (BAN301-BAN306); runs per routine
-  /// after the dataflow layer and once more across the task graph.
-  /// Requires pits_rules-style parsing, so it is gated on pits_rules.
+  /// Adds the engine's proofs, BAN301-BAN305, to that pass, and BAN306
+  /// across the task graph. Gated on pits_rules.
   bool absint_rules = true;
   bool determinacy_rules = true;
 
@@ -76,8 +80,8 @@ std::vector<Diagnostic> analyze_design(const graph::Design& design,
 std::vector<Diagnostic> analyze_design(const graph::FlattenResult& flat,
                                        const AnalyzeOptions& options = {});
 
-/// Context for analysing one PITS routine on its own (the calculator's
-/// per-routine feedback, and the per-task step of analyze_design).
+/// Context for analysing one PITS routine on its own (the per-task step
+/// of analyze_design, absint.hpp's check_routine).
 struct RoutineContext {
   /// Qualified task name used as the diagnostic subject.
   std::string subject = "routine";
@@ -90,11 +94,6 @@ struct RoutineContext {
   int pits_line = 0;
   int pits_indent = 0;
 };
-
-/// PITS dataflow layer (BAN101-BAN108) over one parsed routine.
-/// Appends to `sink`.
-void analyze_routine(const pits::Block& body, const RoutineContext& context,
-                     std::vector<Diagnostic>& sink);
 
 /// Per-task interface rules (BAN001-BAN007), appended to `sink`.
 /// Returns the routine parsed along the way so the PITS layers can reuse

@@ -726,6 +726,10 @@ int cmd_serve(const Options& o, std::istream& in, std::ostream& out,
 }
 
 int cmd_codegen(const Options& o, std::ostream& out) {
+  if (!o.fault_plan_file.empty()) {
+    usage_error("codegen does not take --fault-plan: a generated program "
+                "runs its schedule fault-free");
+  }
   Project project = load_project(o, 0);
   project.set_machine(load_machine_arg(o, 1));
   write_or_print(project.generate_code(o.inputs, o.scheduler), o, out);

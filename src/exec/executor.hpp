@@ -38,10 +38,6 @@ using sched::Schedule;
 
 struct RunOptions {
   pits::ExecOptions pits;  ///< step limit / seed base for task routines
-  /// Capture print() output (per task, stitched in run order).
-  /// Turning this off only drops the transcript text; `runs` and all
-  /// other result fields are still populated.
-  bool capture_transcript = true;
   /// Optional fault plan: a worker whose processor has a registered
   /// crash fail-stops at the first lane placement whose *scheduled*
   /// start is at or past the crash time, so injection does not depend

@@ -265,7 +265,7 @@ TaskOutputs execute_task_with(const FlattenResult& flat,
   TaskOutputs outputs;
   if (tp.chunk == nullptr) return outputs;
 
-  const bool capture = transcript != nullptr && options.capture_transcript;
+  const bool capture = transcript != nullptr;
   scratch.transcript.text.clear();
   pits::ExecOptions exec_opts = options.pits;
   exec_opts.seed = seed_for(task.name, options.pits.seed);

@@ -25,13 +25,6 @@ namespace banger::serve {
 
 namespace {
 
-/// A parsed, validated, flattened design — the unit every design-taking
-/// op shares through the cache.
-struct DesignArtifact {
-  graph::Design design;
-  graph::FlattenResult flat;
-};
-
 /// The content hash of a cache key, fed its parts in order. Every part
 /// enters the hash behind its length, and every list behind its count,
 /// so the bytes hashed spell out the parts unambiguously: two different
@@ -115,14 +108,15 @@ LineRead read_line(std::istream& in, std::string& line, std::size_t limit) {
   return too_long ? LineRead::TooLong : LineRead::Line;
 }
 
-std::shared_ptr<const DesignArtifact> design_artifact(
+/// A design as every design-taking op shares it through the cache: its
+/// flattening, which is all they read. The parsed design is dropped, so
+/// the cache holds each routine once.
+std::shared_ptr<const graph::FlattenResult> design_artifact(
     ArtifactCache& cache, const std::string& text) {
   const CacheKey key{"design", KeyHash().add(text).value()};
-  return cache.get_or_build<DesignArtifact>(key, [&] {
-    graph::Design design = graph::parse_design(text);
-    graph::FlattenResult flat = design.validate();
-    return std::make_shared<const DesignArtifact>(
-        DesignArtifact{std::move(design), std::move(flat)});
+  return cache.get_or_build<graph::FlattenResult>(key, [&] {
+    return std::make_shared<const graph::FlattenResult>(
+        graph::parse_design(text).validate());
   });
 }
 
@@ -138,14 +132,14 @@ std::shared_ptr<const machine::Machine> machine_artifact(
 std::shared_ptr<const sched::Schedule> schedule_artifact(
     ArtifactCache& cache, const std::string& design_text,
     const std::string& machine_text, const std::string& heuristic,
-    const DesignArtifact& design, const machine::Machine& machine) {
+    const graph::FlattenResult& flat, const machine::Machine& machine) {
   const CacheKey key{
       "schedule",
       KeyHash().add(design_text).add(machine_text).add(heuristic).value()};
   return cache.get_or_build<sched::Schedule>(key, [&] {
     const auto scheduler = sched::make_scheduler(heuristic);
-    sched::Schedule schedule = scheduler->run(design.flat.graph, machine);
-    schedule.validate(design.flat.graph, machine);
+    sched::Schedule schedule = scheduler->run(flat.graph, machine);
+    schedule.validate(flat.graph, machine);
     return std::make_shared<const sched::Schedule>(std::move(schedule));
   });
 }
@@ -216,7 +210,7 @@ Server::Rendered Server::respond(const Request& req) {
           schedule_artifact(cache_, design_text, machine_text, req.scheduler,
                             *design, *machine);
       const ScheduleRender r =
-          render_schedule(*schedule, design->flat.graph, *machine, format);
+          render_schedule(*schedule, design->graph, *machine, format);
       return std::make_shared<const Rendered>(
           Rendered{r.artifact + r.trailer, 0});
     });
@@ -250,7 +244,7 @@ Server::Rendered Server::respond(const Request& req) {
         // jobs=1: concurrency belongs to the request loop, not inside a
         // single cached build (which would multiply threads per slot).
         const auto outcomes =
-            exec::run_trials(design->flat, inputs, {}, /*jobs=*/1);
+            exec::run_trials(*design, inputs, {}, /*jobs=*/1);
         const TrialBatchRender r = render_trial_batch(outcomes, /*jobs=*/1);
         return std::make_shared<const Rendered>(
             Rendered{r.text, r.exit_code});
@@ -266,7 +260,7 @@ Server::Rendered Server::respond(const Request& req) {
       for (const auto& [var, expr] : req.inputs) {
         inputs[var] = pits::eval_expression(expr, {});
       }
-      const auto result = exec::run_sequential(design->flat, inputs);
+      const auto result = exec::run_sequential(*design, inputs);
       return std::make_shared<const Rendered>(
           Rendered{render_run_result(result, /*include_wall=*/false), 0});
     });
@@ -307,7 +301,7 @@ Server::Rendered Server::respond(const Request& req) {
       // outputs are identical for any value.
       stream_opts.jobs = 1;
       const exec::StreamResult result = exec::run_stream(
-          design->flat, *schedule, *machine, batches, stream_opts);
+          *design, *schedule, *machine, batches, stream_opts);
       // Only the deterministic per-batch text enters the response (the
       // timing-laden execution report lands on the metrics recorder).
       const TrialBatchRender r =
@@ -337,7 +331,7 @@ Server::Rendered Server::respond(const Request& req) {
     const auto rendered = cache_.get_or_build<Rendered>(key, [&] {
       const auto design = design_artifact(cache_, design_text);
       const CheckRender r =
-          render_check(design->flat, format, req.fail_on, file);
+          render_check(*design, format, req.fail_on, file);
       return std::make_shared<const Rendered>(Rendered{
           r.text, r.exit_code, /*has_summary=*/true, r.errors, r.warnings,
           r.notes});
@@ -364,7 +358,7 @@ Server::Rendered Server::respond(const Request& req) {
       // of other requests' events — the reason the ambient recorder is
       // thread-local.
       const TraceRender r =
-          render_trace(design->flat.graph, *machine, req.scheduler, sim_opts,
+          render_trace(design->graph, *machine, req.scheduler, sim_opts,
                        /*plan=*/nullptr, /*reuse=*/nullptr);
       return std::make_shared<const Rendered>(Rendered{r.artifact, 0});
     });

@@ -1,7 +1,7 @@
 // Tests for the abstract-interpretation engine: interval/value lattice
 // laws, widening termination, one golden fixture per BAN3xx code (plus
-// its clean variant), BAN101 false-positive pruning, and the analysis
-// facts the bytecode compiler consumes for check elision.
+// its clean variant), BAN101 decided by its must-assign state, and the
+// analysis facts the bytecode compiler consumes for check elision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -240,8 +240,8 @@ TEST(AbsintRules, Ban304ProvenNonTerminatingLoop) {
       "    ys := s\n"));
   EXPECT_TRUE(fires(diags, "BAN304"));
   EXPECT_FALSE(fires(diags, "BAN108"));
-  // A literal-constant condition is already the syntactic BAN108; the
-  // proof rule defers to it rather than double-reporting.
+  // A literal-constant condition gets the constant-folding BAN108 at
+  // that `while`, never both codes.
   const auto constant = check(one_task(
       "    s := 0\n    while 1 do\n      s := s + 1\n    end\n    ys := s\n"));
   EXPECT_TRUE(fires(constant, "BAN108"));
@@ -306,13 +306,13 @@ TEST(AbsintRules, OptOutSuppressesProofRules) {
 }
 
 TEST(AbsintRules, PrunesBan101FalsePositives) {
-  // The syntactic must-assign pass cannot see that a `repeat 3 times`
-  // body always runs; the interpreter proves the read is bound.
+  // A `repeat 3 times` body always runs: the interpreter, which decides
+  // BAN101 with or without its proofs, knows the read is bound.
   const std::string pitl = one_task(
       "    repeat 3 times\n      y := 1\n    end\n    ys := y\n");
-  AnalyzeOptions syntactic;
-  syntactic.absint_rules = false;
-  EXPECT_TRUE(fires(check(pitl, syntactic), "BAN101"));
+  AnalyzeOptions no_proofs;
+  no_proofs.absint_rules = false;
+  EXPECT_FALSE(fires(check(pitl, no_proofs), "BAN101"));
   EXPECT_FALSE(fires(check(pitl), "BAN101"));
 
   // A genuinely conditional assignment keeps its warning.
@@ -447,7 +447,7 @@ TEST(AbsintRules, UnmentionedPassThroughPortKeepsItsSeed) {
   ctx.inputs = {"v", "pi"};
   ctx.outputs = {"v", "z", "w", "e"};
   std::vector<Diagnostic> sink;
-  const ShapeSummary summary = run_absint_rules(program.body(), ctx, sink);
+  const ShapeSummary summary = check_routine(program.body(), ctx, {}, sink);
   ASSERT_EQ(summary.outputs.size(), 4u);
   const AbsVal& v = summary.outputs.at("v");
   EXPECT_FALSE(v.may_unbound);

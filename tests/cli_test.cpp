@@ -271,6 +271,18 @@ TEST(CliSamples, RunWithFaultPlanMatchesTrial) {
   }
 }
 
+// A generated program runs its schedule fault-free, so codegen refuses a
+// fault plan instead of dropping it.
+TEST(CliSamples, CodegenRefusesAFaultPlan) {
+  const std::string dir = std::string(BANGER_SOURCE_DIR) + "/samples";
+  const auto r = invoke({"codegen", dir + "/sqrt_fanout.pitl",
+                         dir + "/lan_star5.machine", "--fault-plan",
+                         dir + "/demo.fault"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("--fault-plan"), std::string::npos) << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
 TEST_F(CliFiles, InputsAreFullPitsExpressions) {
   const auto r = invoke({"trial", design_path_, "--input",
                          "A=[4,3,2,8,8,5,4,7,9]", "--input",

@@ -227,10 +227,9 @@ std::vector<analyze::Diagnostic> per_task_analysis(
     ctx.outputs = task.outputs;
     ctx.pits_line = task.pits_line;
     ctx.pits_indent = task.pits_indent;
-    analyze_routine(program->body(), ctx, routine[t]);
-    if (options.absint_rules) {
-      summaries.emplace(t, run_absint_rules(program->body(), ctx, routine[t]));
-    }
+    ShapeSummary summary =
+        check_routine(program->body(), ctx, options, routine[t]);
+    if (options.absint_rules) summaries.emplace(t, std::move(summary));
   }
   std::vector<Diagnostic> out;
   auto append = [&](std::vector<Diagnostic>& from) {
